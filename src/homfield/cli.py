@@ -22,11 +22,11 @@ them)::
     tol = 1e-8                    # iterative solver tolerance
     mode_cutoff = 2               # sup-norm truncation of mode sums (bilap)
     experiment = pseudo           # rates: pseudo | bilap | disc | synthetic
+                                  # (pseudo and bilap need a law)
     ahom = 1.4142135623730951     # effective coefficient; omit to estimate
     expect_slope = -2             # optional rate assertion ...
     slope_tol = 0.3               # ... |slope - expect| <= tol, else exit 4
     backend = krylov              # cov/sample backend override
-    threads = 1                   # worker threads (HF_THREADS fallback)
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 assertion failure.
@@ -45,7 +45,7 @@ import time
 
 import numpy as np
 
-from .environment import Conductances, EnvironmentLaw, sample_environment
+from .environment import EnvironmentLaw, sample_environment
 from .homogenization import estimate_ahom, write_ahom_csv
 from .lattice import TorusGrid
 from .sampler import (
@@ -129,14 +129,6 @@ def _parse_law(cfg):
     return EnvironmentLaw.parse(text)
 
 
-def _threads(args, cfg) -> int:
-    if args.threads is not None:
-        return args.threads
-    if "threads" in cfg:
-        return _get(cfg, "threads", cast=int)
-    return int(os.environ.get("HF_THREADS", "1"))
-
-
 def _seed(args, cfg) -> int:
     if args.seed is not None:
         return args.seed
@@ -197,11 +189,8 @@ def write_heatmap(sample, path, cfg_hash, seed, grayscale=False) -> None:
 
 
 def _sample_field(kind, grid, law, seed, backend, tol):
-    if law is None:
-        a = None
-    elif law.variant == "constant":
-        a = Conductances.constant(grid, law.params[0])
-    else:
+    a = None
+    if law is not None:
         a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(1,)))
     if kind == "gff":
         return sample_gff(grid, a, np.random.SeedSequence(seed, spawn_key=(2,)),
@@ -271,7 +260,7 @@ def _write_rate_csv(path, series: RateSeries) -> None:
             writer.writerow([series.quantity, n, repr(float(v)), repr(float(s))])
 
 
-def _experiment_config(cfg, seed, threads, field_kind) -> ExperimentConfig:
+def _experiment_config(cfg, seed, field_kind) -> ExperimentConfig:
     law = _parse_law(cfg)
     ahom_text = str(cfg.get("ahom", "")).strip()
     return ExperimentConfig(
@@ -287,27 +276,25 @@ def _experiment_config(cfg, seed, threads, field_kind) -> ExperimentConfig:
         ahom=float(ahom_text) if ahom_text else None,
         tol=_get(cfg, "tol", default=DEFAULT_TOL, cast=float),
         mode_cutoff=_get(cfg, "mode_cutoff", default=0, cast=int) or None,
-        threads=threads,
     )
 
 
 def cmd_rates(args, cfg) -> int:
     experiment = _get(cfg, "experiment")
     seed = _seed(args, cfg)
-    threads = _threads(args, cfg)
     t0 = time.time()
     if experiment == "synthetic":
         # harness self-test: exact power law injected instead of measurement
         ns = _parse_ns(_get(cfg, "n"))
         series = RateSeries.from_points("synthetic_nm2", [(n, n**-2.0, 0.0) for n in ns])
     elif experiment == "pseudo":
-        ecfg = _experiment_config(cfg, seed, threads, "gff")
+        ecfg = _experiment_config(cfg, seed, "gff")
         series = pseudo_eigen_rate(ecfg)
     elif experiment == "bilap":
-        ecfg = _experiment_config(cfg, seed, threads, "bilap")
+        ecfg = _experiment_config(cfg, seed, "bilap")
         series = bilap_error_rate(ecfg).series
     elif experiment == "disc":
-        ecfg = _experiment_config(cfg, seed, threads, "bilap")
+        ecfg = _experiment_config(cfg, seed, "bilap")
         series = discretization_rate(ecfg)
     else:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -336,8 +323,7 @@ def cmd_rates(args, cfg) -> int:
 
 def cmd_cov(args, cfg) -> int:
     seed = _seed(args, cfg)
-    threads = _threads(args, cfg)
-    ecfg = _experiment_config(cfg, seed, threads, "gff")
+    ecfg = _experiment_config(cfg, seed, "gff")
     backend = args.backend or cfg.get("backend") or "krylov"
     t0 = time.time()
     report = gff_covariance_limit(ecfg, backend=backend)
@@ -391,11 +377,7 @@ def cmd_figure1(args, cfg) -> int:
     t0 = time.time()
     fields = {}
     for idx, (name, law) in enumerate(FIGURE1_PANELS):
-        if law.variant == "constant":
-            a = Conductances.constant(grid, law.params[0])
-        else:
-            a = sample_environment(law, grid,
-                                   np.random.SeedSequence(seed, spawn_key=(1, idx)))
+        a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(1, idx)))
         smp = sample_bilaplacian(grid, a, noise, tol=tol)
         fields[name] = smp
         path = os.path.join(args.out, f"figure1_{name}.ppm")
@@ -452,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grayscale", action="store_true",
                         help="grayscale palette instead of diverging")
     parser.add_argument("--backend", help="solver/sampler backend override")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads (HF_THREADS fallback)")
     return parser
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeField, TorusGrid
+from .lattice import LatticeField, TorusGrid, _read_values
 
 __all__ = [
     "EnvironmentLaw",
@@ -141,7 +141,8 @@ class Conductances:
         if w.shape != expected:
             raise ValueError(f"weights shape {w.shape}, expected {expected}")
         lam = self.ellipticity if self.ellipticity is not None else float(w.max())
-        if w.min() < 1.0 or w.max() > lam:
+        # written so that NaN weights or a NaN lam fail the check
+        if not (w.min() >= 1.0 and w.max() <= lam):
             raise ValueError(
                 f"edge weights must lie in [1, {lam}], found range "
                 f"[{w.min()}, {w.max()}]"
@@ -258,8 +259,10 @@ def load_environment(path) -> Conductances:
         magic = fh.read(len(ENV_MAGIC))
         if magic != ENV_MAGIC:
             raise ValueError(f"not an environment dump: bad magic {magic!r}")
-        d, N, lam = struct.unpack("<qqd", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ValueError("truncated environment dump header")
+        d, N, lam = struct.unpack("<qqd", header)
         grid = TorusGrid(N, d)
-        data = np.frombuffer(fh.read(8 * d * grid.n), dtype="<f8")
-        weights = data.reshape((d,) + grid.shape).copy()
+        weights = _read_values(fh, grid, leading=(d,))
     return Conductances(grid, weights, ellipticity=lam)

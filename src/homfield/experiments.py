@@ -7,7 +7,6 @@ expected logarithmic correction is divided out before fitting.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .lattice import (
     eigenvalue_discrete,
     fourier_mode,
 )
-from .sampler import formal_constant, sample_gff, sample_noise
+from .sampler import _operator_eigh, formal_constant, sample_gff, sample_noise
 from .solver import (
     DEFAULT_TOL,
     pseudo_eigenfunction,
@@ -137,7 +136,6 @@ class ExperimentConfig:
     tol: float = DEFAULT_TOL
     mode_cutoff: int = None
     spectral_cutoff: int = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.field_kind not in GFF_KINDS + BILAP_KINDS:
@@ -173,13 +171,6 @@ class ExperimentConfig:
         return est.mean
 
 
-def _map_indexed(fn, count: int, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _replicate_seed(cfg: ExperimentConfig, tag: int, rep: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(cfg.seed, spawn_key=(tag, rep))
 
@@ -206,19 +197,19 @@ def pseudo_eigen_rate(cfg: ExperimentConfig, k=None) -> RateSeries:
         k = cfg.kset[0]
     if not any(k):
         raise ValueError("k must be nonzero")
+    if cfg.law is None:
+        raise ValueError("pseudo_eigen_rate needs an environment law")
     ahom = cfg.resolve_ahom()
     constant_law = cfg.law.variant == "constant"
     points = []
     for n_idx, N in enumerate(cfg.Ns):
         grid = TorusGrid(N, cfg.d)
         mode = fourier_mode(grid, k)
-
-        def one(rep, grid=grid, mode=mode, n_idx=n_idx):
+        vals = []
+        for rep in range(cfg.replicates):
             a = sample_environment(cfg.law, grid, _replicate_seed(cfg, n_idx, rep))
             phi = pseudo_eigenfunction(a, ahom, k, tol=cfg.tol)
-            return (phi - mode).norm() ** 2
-
-        vals = _map_indexed(one, cfg.replicates, cfg.threads)
+            vals.append((phi - mode).norm() ** 2)
         mean, stderr = _mean_stderr(vals)
         points.append((N, mean, stderr))
     if constant_law or len(points) < 3:
@@ -295,23 +286,16 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
     nk = len(cfg.kset)
 
     def one_env(env_idx):
-        a = None
-        if cfg.law is not None and cfg.law.variant != "constant":
-            a = sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx))
-        elif cfg.law is not None:
-            from .environment import Conductances
-            a = Conductances.constant(grid, cfg.law.params[0])
+        a = (None if cfg.law is None
+             else sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx)))
         if a is not None and backend == "dense":
             # One eigendecomposition per environment; all samples and the
             # k-set projection then reduce to a single matrix product, and
             # the infinite-sample covariance comes along for free.
-            from .environment import operator_matrix
-            evals, evecs = np.linalg.eigh(operator_matrix(a))
-            keep = evals > 1e-10 * evals.max()
-            inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.abs(evals)), 0.0)
+            inv_sqrt, evecs = _operator_eigh(a)
             modes = np.stack([fourier_mode(grid, k).values.ravel() for k in cfg.kset])
             w = modes.conj() @ evecs
-            exact = (w * np.where(keep, 1.0 / np.abs(evals), 0.0)) @ w.conj().T
+            exact = (w * inv_sqrt**2) @ w.conj().T
             exact = exact * (scale / grid.n) ** 2
             proj = (w * inv_sqrt) @ evecs.T
             rng = np.random.Generator(np.random.Philox(
@@ -321,15 +305,13 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
         coeffs = np.empty((samples, nk), dtype=complex)
         for s in range(samples):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env_idx, s))
-            if a is None:
-                smp = sample_gff(grid, None, seed, backend="spectral")
-            else:
-                smp = sample_gff(grid, a, seed, backend=backend, tol=1e-6)
+            smp = sample_gff(grid, a, seed, backend="spectral" if a is None else backend,
+                             tol=1e-6)
             spec = dft(smp.field)
             coeffs[s] = scale * np.asarray([spec.coefficients[i] for i in kidx])
         return coeffs, None
 
-    blocks = _map_indexed(one_env, cfg.replicates, cfg.threads)
+    blocks = [one_env(i) for i in range(cfg.replicates)]
     coeffs = np.concatenate([b for b, _ in blocks], axis=0)
     exacts = [e for _, e in blocks if e is not None]
     exact_cov = np.mean(exacts, axis=0) if len(exacts) == len(blocks) else None
@@ -436,6 +418,8 @@ def bilap_error_rate(cfg: ExperimentConfig, mc_at=()) -> BilapErrorResult:
     """
     if cfg.beta is None:
         raise ValueError("bilap_error_rate needs a Sobolev order beta")
+    if cfg.law is None:
+        raise ValueError("bilap_error_rate needs an environment law")
     ahom = cfg.resolve_ahom()
     constant_law = cfg.law.variant == "constant"
     points = []
@@ -443,21 +427,15 @@ def bilap_error_rate(cfg: ExperimentConfig, mc_at=()) -> BilapErrorResult:
     for n_idx, N in enumerate(cfg.Ns):
         grid = TorusGrid(N, cfg.d)
         modes = list(_mode_representatives(grid, cfg.mode_cutoff))
-
-        def one(rep, grid=grid, modes=modes, n_idx=n_idx):
+        exact_vals, mc_means = [], []
+        for rep in range(cfg.replicates):
             a = sample_environment(cfg.law, grid, _replicate_seed(cfg, 100 + n_idx, rep))
-            exact = _bilap_exact_in_noise(cfg, a, ahom, modes)
-            row = [exact]
+            exact_vals.append(_bilap_exact_in_noise(cfg, a, ahom, modes))
             if N in mc_at:
-                row.append(_bilap_monte_carlo(cfg, a, ahom, modes, rep))
-            return row
-
-        rows = _map_indexed(one, cfg.replicates, cfg.threads)
-        exact_vals = [r[0] for r in rows]
+                mc_means.append(_bilap_monte_carlo(cfg, a, ahom, modes, rep)[0])
         mean, stderr = _mean_stderr(exact_vals)
         points.append((N, mean, stderr))
         if N in mc_at:
-            mc_means = [r[1][0] for r in rows]
             mc[N] = _mean_stderr(mc_means)
             exact_at_mc[N] = (mean, stderr)
     if constant_law or len(points) < 3:

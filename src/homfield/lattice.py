@@ -13,6 +13,8 @@ which makes the complex exponentials exp(2*pi*i*k.x) an orthonormal basis.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +98,28 @@ def _check_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     if values.shape != grid.shape:
         raise ValueError(f"values of shape {values.shape} do not fit grid {grid.shape}")
     return values
+
+
+def _read_values(fh, grid: TorusGrid, leading: tuple = ()) -> np.ndarray:
+    """Read the rest of an open binary dump as little-endian float64 values
+    of shape leading + grid.shape.
+
+    The remaining byte count must match exactly; it is checked before any
+    allocation, so a corrupt header cannot request an absurd array.
+    """
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    count = math.prod(leading)
+    for _ in range(grid.d):
+        count *= grid.N
+        if 8 * count > remaining:
+            break
+    if 8 * count != remaining:
+        raise ValueError(
+            f"dump holds {remaining} data bytes, which does not match its "
+            f"header (d={grid.d}, N={grid.N})"
+        )
+    data = np.frombuffer(fh.read(remaining), dtype="<f8")
+    return data.reshape(tuple(leading) + grid.shape).copy()
 
 
 @dataclass(frozen=True)

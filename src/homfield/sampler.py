@@ -17,8 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import Conductances, apply_operator, operator_matrix
-from .lattice import LatticeField, SpectralField, TorusGrid, dft, eigenvalues_discrete
-from .solver import DEFAULT_TOL, solve_heterogeneous, solve_homogeneous
+from .lattice import LatticeField, SpectralField, TorusGrid, _read_values, dft
+from .solver import (
+    DEFAULT_TOL,
+    SolveReport,
+    SolverError,
+    _spectral_power,
+    solve_heterogeneous,
+    solve_homogeneous,
+)
 
 __all__ = [
     "FieldSample",
@@ -108,27 +115,12 @@ def coarsen_noise(hierarchy: NoiseHierarchy, N: int) -> LatticeField:
     return hierarchy.level(N)
 
 
-def _hom_filter(grid: TorusGrid, exponent: float) -> np.ndarray:
-    """Spectral multiplier lambda^exponent with the zero mode removed,
-    in standard FFT layout."""
-    lam = eigenvalues_discrete(grid)
-    mult = np.zeros_like(lam)
-    mask = lam > 0
-    mult[mask] = lam[mask] ** exponent
-    return np.fft.ifftshift(mult)
-
-
-def _apply_hom_filter(grid: TorusGrid, values: np.ndarray, exponent: float) -> np.ndarray:
-    out = np.fft.ifftn(np.fft.fftn(values) * _hom_filter(grid, exponent))
-    return out.real if np.isrealobj(values) else out
-
-
-def _dense_inv_sqrt(a: Conductances, z: np.ndarray) -> np.ndarray:
-    mat = operator_matrix(a)
-    evals, evecs = np.linalg.eigh(mat)
-    scale = evals.max()
-    inv_sqrt = np.where(evals > 1e-10 * scale, 1.0 / np.sqrt(np.abs(evals)), 0.0)
-    return evecs @ (inv_sqrt * (evecs.T @ z.ravel()))
+def _operator_eigh(a: Conductances) -> tuple:
+    """Eigenvectors of the dense operator and the inverse square roots of its
+    eigenvalues, zero on the constant kernel: (inv_sqrt, evecs)."""
+    evals, evecs = np.linalg.eigh(operator_matrix(a))
+    keep = evals > 1e-10 * evals.max()
+    return np.where(keep, 1.0 / np.sqrt(np.abs(evals)), 0.0), evecs
 
 
 def _lanczos_inv_sqrt(a: Conductances, z: np.ndarray, tol: float,
@@ -148,6 +140,7 @@ def _lanczos_inv_sqrt(a: Conductances, z: np.ndarray, tol: float,
     basis = [q]
     alphas, betas = [], []
     previous = None
+    change = float("inf")
     q_prev = np.zeros_like(q)
     beta_prev = 0.0
     for it in range(1, maxiter + 1):
@@ -170,8 +163,8 @@ def _lanczos_inv_sqrt(a: Conductances, z: np.ndarray, tol: float,
         coeff = tvecs @ (tvals**-0.5 * tvecs[0]) * norm0
         estimate = np.asarray(basis).T @ coeff
         if previous is not None:
-            delta = np.linalg.norm(estimate - previous)
-            if delta <= tol * np.linalg.norm(estimate):
+            change = np.linalg.norm(estimate - previous) / np.linalg.norm(estimate)
+            if change <= tol:
                 return estimate
         previous = estimate
         if beta <= 1e-14 * norm0:
@@ -180,12 +173,14 @@ def _lanczos_inv_sqrt(a: Conductances, z: np.ndarray, tol: float,
         q = w / beta
         basis.append(q)
         betas.append(beta)
-    raise RuntimeError(
-        f"Lanczos inverse square root did not stabilize within {maxiter} steps"
+    raise SolverError(
+        f"Lanczos inverse square root did not stabilize within {maxiter} steps "
+        f"(relative change {change:.3e}, tol={tol})",
+        SolveReport(maxiter, float(change), tol, "lanczos"),
     )
 
 
-def sample_gff(grid: TorusGrid, a, seed, backend: str = None,
+def sample_gff(grid: TorusGrid, a: Conductances | None, seed, backend: str = None,
                tol: float = KRYLOV_TOL) -> FieldSample:
     """Sample a discrete free field with covariance given by the Green's
     function of the (homogeneous or environment) operator.
@@ -195,7 +190,7 @@ def sample_gff(grid: TorusGrid, a, seed, backend: str = None,
     "krylov" (Lanczos inverse square root). The dense and krylov backends
     consume the same seed-coupled noise vector and agree up to tol.
     """
-    homogeneous = a is None or (isinstance(a, str) and a == "homogeneous")
+    homogeneous = a is None
     if backend is None:
         backend = "spectral" if homogeneous else "krylov"
     if backend == "spectral" and not homogeneous:
@@ -206,25 +201,22 @@ def sample_gff(grid: TorusGrid, a, seed, backend: str = None,
         raise ValueError("environment grid mismatch")
 
     z = sample_noise(grid, seed)
+    op = Conductances.constant(grid, 1.0) if homogeneous else a
     if backend == "spectral":
-        values = _apply_hom_filter(grid, z.values, -0.5)
-        env = None
+        values = _spectral_power(grid, z.values, -0.5)
     elif backend == "dense":
-        op = a if not homogeneous else Conductances.constant(grid, 1.0)
-        values = _dense_inv_sqrt(op, z.values).reshape(grid.shape)
-        env = None if homogeneous else a
+        inv_sqrt, evecs = _operator_eigh(op)
+        values = evecs @ (inv_sqrt * (evecs.T @ z.values.ravel()))
     elif backend == "krylov":
-        op = a if not homogeneous else Conductances.constant(grid, 1.0)
-        values = _lanczos_inv_sqrt(op, z.values, tol).reshape(grid.shape)
-        env = None if homogeneous else a
+        values = _lanczos_inv_sqrt(op, z.values, tol)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     values = values - values.mean()
     kind = "gff_hom" if homogeneous else "gff_env"
-    return FieldSample(kind, LatticeField(grid, values), environment=env, noise=z)
+    return FieldSample(kind, LatticeField(grid, values), environment=a, noise=z)
 
 
-def sample_bilaplacian(grid: TorusGrid, a, noise: LatticeField,
+def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: LatticeField,
                        tol: float = DEFAULT_TOL) -> FieldSample:
     """Solve the driven equation -div a grad u = noise - mean(noise).
 
@@ -234,8 +226,7 @@ def sample_bilaplacian(grid: TorusGrid, a, noise: LatticeField,
     if noise.grid != grid:
         raise ValueError("noise grid mismatch")
     rhs = noise.centered()
-    homogeneous = a is None or (isinstance(a, str) and a == "homogeneous")
-    if homogeneous:
+    if a is None:
         u = solve_homogeneous(grid, rhs)
         return FieldSample("bilap_hom", u, noise=noise)
     u, _ = solve_heterogeneous(a, rhs, tol=tol)
@@ -278,9 +269,10 @@ def load_field(path) -> FieldSample:
         magic = fh.read(len(FIELD_MAGIC))
         if magic != FIELD_MAGIC:
             raise ValueError(f"not a field dump: bad magic {magic!r}")
-        d, N = struct.unpack("<qq", fh.read(16))
-        kind = fh.read(12).rstrip(b"\0").decode()
+        header = fh.read(28)
+        if len(header) != 28:
+            raise ValueError("truncated field dump header")
+        d, N, tag = struct.unpack("<qq12s", header)
         grid = TorusGrid(N, d)
-        data = np.frombuffer(fh.read(8 * grid.n), dtype="<f8")
-        fld = LatticeField(grid, data.reshape(grid.shape).copy())
-    return FieldSample(kind, fld)
+        fld = LatticeField(grid, _read_values(fh, grid))
+    return FieldSample(tag.rstrip(b"\0").decode(), fld)

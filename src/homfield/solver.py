@@ -3,13 +3,14 @@
 Three backends cover the operators -Lap_N and -div a grad:
 
 * ``spectral``: exact FFT diagonalization, homogeneous operator only;
-* ``cg``: conjugate gradient on the mean-zero subspace, optionally
-  preconditioned by the homogeneous spectral inverse;
+* ``cg``: conjugate gradient on the mean-zero subspace, preconditioned by
+  the homogeneous spectral inverse, for real and complex right-hand sides;
 * ``dense``: pseudo-inverse of the explicitly assembled matrix, small grids.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,17 +69,23 @@ def _require_mean_zero(rhs: LatticeField) -> None:
         )
 
 
-def _spectral_inverse(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Apply the pseudo-inverse of -Lap_N (zero on constants)."""
+@functools.lru_cache(maxsize=16)
+def _spectral_multiplier(grid: TorusGrid, exponent: float) -> np.ndarray:
+    """Read-only lambda^exponent of -Lap_N in standard FFT layout, with the
+    zero mode set to 0."""
     lam = eigenvalues_discrete(grid)
-    inv = np.zeros_like(lam)
+    mult = np.zeros_like(lam)
     mask = lam > 0
-    inv[mask] = 1.0 / lam[mask]
-    inv = np.fft.ifftshift(inv)
-    out = np.fft.ifftn(np.fft.fftn(values) * inv)
-    if np.isrealobj(values):
-        out = out.real
-    return out
+    mult[mask] = lam[mask] ** exponent
+    mult = np.fft.ifftshift(mult)
+    mult.flags.writeable = False
+    return mult
+
+
+def _spectral_power(grid: TorusGrid, values: np.ndarray, exponent: float) -> np.ndarray:
+    """Apply (-Lap_N)^exponent on the mean-zero subspace (zero on constants)."""
+    out = np.fft.ifftn(np.fft.fftn(values) * _spectral_multiplier(grid, exponent))
+    return out.real if np.isrealobj(values) else out
 
 
 def solve_homogeneous(grid: TorusGrid, rhs: LatticeField) -> LatticeField:
@@ -86,26 +93,23 @@ def solve_homogeneous(grid: TorusGrid, rhs: LatticeField) -> LatticeField:
     if rhs.grid != grid:
         raise ValueError("rhs grid mismatch")
     _require_mean_zero(rhs)
-    return LatticeField(grid, _spectral_inverse(grid, rhs.values))
+    return LatticeField(grid, _spectral_power(grid, rhs.values, -1.0))
 
 
-def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
-         precondition: bool) -> tuple:
-    """Preconditioned CG for the real divergence-form operator.
+def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int) -> tuple:
+    """CG for the divergence-form operator, preconditioned by the spectral
+    inverse of -Lap_N.
 
-    Iterates on the mean-zero subspace; the mean is projected out of every
-    update. Tracks the quadratic functional 0.5 x.A x - b.x, whose decrease
-    is equivalent to the decrease of the energy norm of the error.
+    The operator is real symmetric, so complex right-hand sides iterate in
+    place with Hermitian inner products. Iterates on the mean-zero subspace;
+    the mean is projected out of every update. Tracks the quadratic
+    functional 0.5 x.A x - b.x, whose decrease is equivalent to the decrease
+    of the energy norm of the error.
     """
     grid = a.grid
 
     def matvec(v):
         return apply_operator(a, LatticeField(grid, v)).values
-
-    def apply_m(v):
-        if precondition:
-            return _spectral_inverse(grid, v)
-        return v - v.mean()
 
     b = b - b.mean()
     bnorm = np.linalg.norm(b)
@@ -113,7 +117,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     if bnorm == 0.0:
         return x, 0, 0.0, []
     r = b.copy()
-    z = apply_m(r)
+    z = _spectral_power(grid, r, -1.0)
     p = z.copy()
     rz = np.vdot(r, z).real
     energy = [0.0]
@@ -129,7 +133,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
         res = np.linalg.norm(r) / bnorm
         if res <= tol:
             return x, it, res, energy
-        z = apply_m(r)
+        z = _spectral_power(grid, r, -1.0)
         rz_new = np.vdot(r, z).real
         beta = rz_new / rz
         rz = rz_new
@@ -138,12 +142,12 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
 
 
 def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT_TOL,
-                        maxiter: int = None, precondition: bool = None):
-    """Mean-zero solution of -div a grad u = rhs by conjugate gradient.
+                        maxiter: int = None):
+    """Mean-zero solution of -div a grad u = rhs by preconditioned conjugate
+    gradient; ``rhs`` may be real or complex.
 
-    Complex right-hand sides are solved as two real systems (the operator is
-    real symmetric). Returns (solution, report); raises SolverError when the
-    iteration cap is hit before the relative residual reaches tol.
+    Returns (solution, report); raises SolverError when the iteration cap is
+    hit before the relative residual reaches tol.
     """
     if rhs.grid != a.grid:
         raise ValueError("rhs grid mismatch")
@@ -153,23 +157,7 @@ def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT
     grid = a.grid
     if maxiter is None:
         maxiter = default_max_iterations(grid)
-    if precondition is None:
-        precondition = grid.N >= 64
-
-    b = rhs.values
-    if np.iscomplexobj(b):
-        parts = []
-        iterations, residual, energy = 0, 0.0, []
-        for comp in (b.real, b.imag):
-            x, it, res, en = _pcg(a, comp, tol, maxiter, precondition)
-            parts.append(x)
-            iterations = max(iterations, it)
-            residual = max(residual, res)
-            energy = en if len(en) > len(energy) else energy
-        x = parts[0] + 1j * parts[1]
-    else:
-        x, iterations, residual, energy = _pcg(a, b, tol, maxiter, precondition)
-
+    x, iterations, residual, energy = _pcg(a, rhs.values, tol, maxiter)
     report = SolveReport(iterations, float(residual), tol, "cg", energy)
     if residual > tol:
         raise SolverError(
@@ -195,16 +183,16 @@ def _delta_rhs(grid: TorusGrid, y) -> LatticeField:
     return LatticeField(grid, values)
 
 
-def green_column(a, grid: TorusGrid, y, tol: float = DEFAULT_TOL) -> LatticeField:
+def green_column(a: Conductances | None, grid: TorusGrid, y,
+                 tol: float = DEFAULT_TOL) -> LatticeField:
     """Column G(., y) of the Green's function: the mean-zero solution of
 
         (-div a grad G(., y))(x) = delta_{x,y} - 1/N^d.
 
-    Pass ``a=None`` (or the string "homogeneous") for the unit-conductance
-    torus, solved spectrally.
+    Pass ``a=None`` for the unit-conductance torus, solved spectrally.
     """
     rhs = _delta_rhs(grid, y)
-    if a is None or (isinstance(a, str) and a == "homogeneous"):
+    if a is None:
         return solve_homogeneous(grid, rhs)
     u, _ = solve_heterogeneous(a, rhs, tol=tol)
     return u

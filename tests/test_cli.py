@@ -1,13 +1,16 @@
+import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
+from homfield import sampler
 from homfield.cli import (
     EXIT_ASSERT,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
     config_hash,
     load_config,
     main,
@@ -163,8 +166,20 @@ def test_figure1_small(tmp_path):
         assert side["config_hash"] == report["config_hash"]
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("HF_THREADS", "2")
+def test_sample_lanczos_cap_is_solver_failure(tmp_path, monkeypatch, capsys):
+    capped = functools.partial(sampler._lanczos_inv_sqrt, maxiter=3)
+    monkeypatch.setattr(sampler, "_lanczos_inv_sqrt", capped)
+    cfg = _write_config(tmp_path, "n = 16\nlaw = bernoulli(0.5,1,2)\nfield = gff\n")
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_SOLVER
+    assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law", ["", "law = homogeneous\n"])
+@pytest.mark.parametrize("experiment", ["pseudo", "bilap"])
+def test_rates_without_law_is_config_error(tmp_path, capsys, experiment, law):
     cfg = _write_config(
-        tmp_path, "n = 8,16,32\nexperiment = synthetic\n")
-    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        tmp_path,
+        f"n = 8,16,32\nexperiment = {experiment}\nbeta = 0.75\nkset = 1,0\n{law}",
+    )
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "needs an environment law" in capsys.readouterr().err

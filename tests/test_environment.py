@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -83,6 +85,10 @@ def test_conductances_validation():
         Conductances(grid, np.full((2, 4, 4), 0.5))
     with pytest.raises(ValueError):
         Conductances(grid, np.ones((1, 4, 4)))
+    with pytest.raises(ValueError):
+        Conductances(grid, np.full((2, 4, 4), np.nan))
+    with pytest.raises(ValueError):
+        Conductances(grid, np.ones((2, 4, 4)), ellipticity=float("nan"))
     c = Conductances.constant(grid, 1.5)
     assert c.edge_weight((0, 0), 0) == 1.5
 
@@ -168,5 +174,21 @@ def test_dump_load_roundtrip(tmp_path):
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTENV" + b"\0" * 64)
+    with pytest.raises(ValueError):
+        load_environment(path)
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "huge_n", "short_header", "nan_lambda"])
+def test_load_rejects_corrupt_dump(tmp_path, corruption):
+    path = tmp_path / "env.hfenv"
+    dump_environment(sample_environment(EnvironmentLaw.uniform(1, 2), TorusGrid(8, 2), 4), path)
+    raw = path.read_bytes()
+    magic, data = raw[:6], raw[30:]
+    path.write_bytes({
+        "truncated": raw[:-8],
+        "huge_n": magic + struct.pack("<qqd", 2, 2**40, 2.0) + data,
+        "short_header": raw[:16],
+        "nan_lambda": magic + struct.pack("<qqd", 2, 8, float("nan")) + data,
+    }[corruption])
     with pytest.raises(ValueError):
         load_environment(path)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from homfield.lattice import TorusGrid, dft, fourier_mode
 from homfield.sampler import (
     FieldSample,
     NoiseHierarchy,
+    _lanczos_inv_sqrt,
     coarsen_noise,
     dump_field,
     formal_constant,
@@ -15,7 +18,7 @@ from homfield.sampler import (
     sample_gff,
     sample_noise,
 )
-from homfield.solver import green_column, solve_homogeneous
+from homfield.solver import SolverError, green_column, solve_homogeneous
 
 
 def test_noise_reproducible_and_standard():
@@ -147,6 +150,30 @@ def test_load_field_bad_magic(tmp_path):
     path.write_bytes(b"WRONG!" + b"\0" * 100)
     with pytest.raises(ValueError):
         load_field(path)
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "huge_n", "short_header"])
+def test_load_field_rejects_corrupt_dump(tmp_path, corruption):
+    grid = TorusGrid(8, 2)
+    path = tmp_path / "f.hf"
+    dump_field(sample_bilaplacian(grid, None, sample_noise(grid, 7)), path)
+    raw = path.read_bytes()
+    path.write_bytes({
+        "truncated": raw[:-8],
+        "huge_n": raw[:6] + struct.pack("<qq", 2, 2**40) + raw[22:],
+        "short_header": raw[:16],
+    }[corruption])
+    with pytest.raises(ValueError):
+        load_field(path)
+
+
+def test_lanczos_step_cap_raises_solver_error():
+    grid = TorusGrid(16, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 3)
+    with pytest.raises(SolverError) as err:
+        _lanczos_inv_sqrt(a, sample_noise(grid, 4).values, 1e-6, maxiter=3)
+    assert err.value.report.iterations == 3
+    assert err.value.report.backend == "lanczos"
 
 
 def test_field_sample_kind_validation():

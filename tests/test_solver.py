@@ -82,6 +82,26 @@ def test_complex_rhs():
     assert np.allclose(back.values, mode.values, atol=1e-7)
 
 
+def test_complex_rhs_small_imaginary_part():
+    # real and imaginary parts iterate together in one CG run; a part six
+    # orders smaller must still match its own dense solve
+    grid = TorusGrid(8, 2)
+    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 10)
+    re, im = _random_rhs(grid, 6), _random_rhs(grid, 7)
+    rhs = LatticeField(grid, re.values + 1e-6j * im.values)
+    u, _ = solve_heterogeneous(a, rhs, tol=1e-12)
+    assert np.allclose(u.values.real, solve_dense(a, re).values, rtol=0, atol=1e-9)
+    assert np.allclose(u.values.imag / 1e-6, solve_dense(a, im).values, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_pcg_iterations_do_not_grow_with_size(N):
+    grid = TorusGrid(N, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 9)
+    _, report = solve_heterogeneous(a, _random_rhs(grid, 5))
+    assert report.iterations <= 20
+
+
 def test_mean_zero_enforced():
     grid = TorusGrid(8, 2)
     a = Conductances.constant(grid, 1.0)
@@ -105,7 +125,7 @@ def test_energy_history_decreases():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 6)
     rhs = _random_rhs(grid, 4)
-    _, report = solve_heterogeneous(a, rhs, tol=1e-10, precondition=False)
+    _, report = solve_heterogeneous(a, rhs, tol=1e-10)
     energy = np.asarray(report.energy_history)
     assert len(energy) > 2
     assert np.all(np.diff(energy) <= 1e-12)
