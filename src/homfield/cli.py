@@ -26,7 +26,8 @@ them)::
     ahom = 1.4142135623730951     # effective coefficient; omit to estimate
     expect_slope = -2             # optional rate assertion ...
     slope_tol = 0.3               # ... |slope - expect| <= tol, else exit 4
-    backend = krylov              # cov/sample backend override
+    backend = krylov              # cov/sample backend override: krylov
+                                  # (shifted CG solves, to tol) | dense
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 assertion failure.

@@ -194,6 +194,8 @@ def pseudo_eigen_rate(cfg: ExperimentConfig, k=None) -> RateSeries:
     is skipped (slope fields are NaN).
     """
     if k is None:
+        if not cfg.kset:
+            raise ValueError("pseudo_eigen_rate needs a mode: set kset")
         k = cfg.kset[0]
     if not any(k):
         raise ValueError("k must be nonzero")
@@ -306,7 +308,7 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
         for s in range(samples):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env_idx, s))
             smp = sample_gff(grid, a, seed, backend="spectral" if a is None else backend,
-                             tol=1e-6)
+                             tol=cfg.tol)
             spec = dft(smp.field)
             coeffs[s] = scale * np.asarray([spec.coefficients[i] for i in kidx])
         return coeffs, None

@@ -6,7 +6,8 @@ The free-field covariance is the pseudo-inverse of the (possibly
 heterogeneous) divergence-form operator, so sampling amounts to applying the
 inverse square root of that operator to site-wise white noise. Three
 backends do this: exact FFT synthesis (homogeneous only), a dense
-eigendecomposition, and a Lanczos approximation for larger grids.
+eigendecomposition, and, for larger grids, a quadrature over shifted
+conjugate-gradient solves.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import Conductances, apply_operator, operator_matrix
+# apply_operator stays bound here: perfbench's tracer test checks its wrapper.
+from .environment import Conductances, apply_operator, operator_matrix  # noqa: F401
 from .lattice import LatticeField, SpectralField, TorusGrid, _read_values, dft
 from .solver import (
     DEFAULT_TOL,
-    SolveReport,
-    SolverError,
-    _spectral_power,
+    _inv_sqrt,
+    _spectral_apply,
+    _spectral_multiplier,
     solve_heterogeneous,
     solve_homogeneous,
 )
@@ -43,7 +45,6 @@ __all__ = [
 FIELD_MAGIC = b"HFFLD1"
 FIELD_KINDS = ("gff_hom", "gff_env", "bilap_hom", "bilap_env")
 DENSE_SITE_LIMIT = 20736
-KRYLOV_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -123,72 +124,16 @@ def _operator_eigh(a: Conductances) -> tuple:
     return np.where(keep, 1.0 / np.sqrt(np.abs(evals)), 0.0), evecs
 
 
-def _lanczos_inv_sqrt(a: Conductances, z: np.ndarray, tol: float,
-                      maxiter: int = 400) -> np.ndarray:
-    """Apply the inverse square root of the operator on the mean-zero
-    subspace by Lanczos with full reorthogonalization.
-
-    Stops when two successive iterates differ by less than tol relative to
-    the current iterate.
-    """
-    grid = a.grid
-    v = z.ravel() - z.mean()
-    norm0 = np.linalg.norm(v)
-    if norm0 == 0.0:
-        return np.zeros_like(v)
-    q = v / norm0
-    basis = [q]
-    alphas, betas = [], []
-    previous = None
-    change = float("inf")
-    q_prev = np.zeros_like(q)
-    beta_prev = 0.0
-    for it in range(1, maxiter + 1):
-        w = apply_operator(a, LatticeField(grid, q.reshape(grid.shape))).values.ravel()
-        w = w - beta_prev * q_prev
-        alpha = float(np.dot(q, w))
-        w = w - alpha * q
-        # full reorthogonalization, incl. projecting out the constant kernel
-        w = w - w.mean()
-        for b in basis:
-            w = w - np.dot(b, w) * b
-        alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
-        tmat = np.diag(alphas)
-        if len(betas) > 0:
-            off = np.asarray(betas)
-            tmat = tmat + np.diag(off, 1) + np.diag(off, -1)
-        tvals, tvecs = np.linalg.eigh(tmat)
-        tvals = np.maximum(tvals, 1e-30)
-        coeff = tvecs @ (tvals**-0.5 * tvecs[0]) * norm0
-        estimate = np.asarray(basis).T @ coeff
-        if previous is not None:
-            change = np.linalg.norm(estimate - previous) / np.linalg.norm(estimate)
-            if change <= tol:
-                return estimate
-        previous = estimate
-        if beta <= 1e-14 * norm0:
-            return estimate
-        q_prev, beta_prev = q, beta
-        q = w / beta
-        basis.append(q)
-        betas.append(beta)
-    raise SolverError(
-        f"Lanczos inverse square root did not stabilize within {maxiter} steps "
-        f"(relative change {change:.3e}, tol={tol})",
-        SolveReport(maxiter, float(change), tol, "lanczos"),
-    )
-
-
 def sample_gff(grid: TorusGrid, a: Conductances | None, seed, backend: str = None,
-               tol: float = KRYLOV_TOL) -> FieldSample:
+               tol: float = DEFAULT_TOL) -> FieldSample:
     """Sample a discrete free field with covariance given by the Green's
     function of the (homogeneous or environment) operator.
 
     ``a=None`` selects the homogeneous field. Backends: "spectral" (exact,
     homogeneous only), "dense" (exact eigendecomposition, small grids) and
-    "krylov" (Lanczos inverse square root). The dense and krylov backends
-    consume the same seed-coupled noise vector and agree up to tol.
+    "krylov" (inverse square root as a quadrature over shifted CG solves,
+    each to relative residual tol). The dense and krylov backends consume the
+    same seed-coupled noise vector and agree up to tol.
     """
     homogeneous = a is None
     if backend is None:
@@ -203,12 +148,12 @@ def sample_gff(grid: TorusGrid, a: Conductances | None, seed, backend: str = Non
     z = sample_noise(grid, seed)
     op = Conductances.constant(grid, 1.0) if homogeneous else a
     if backend == "spectral":
-        values = _spectral_power(grid, z.values, -0.5)
+        values = _spectral_apply(z.values, _spectral_multiplier(grid, -0.5, 0.0))
     elif backend == "dense":
         inv_sqrt, evecs = _operator_eigh(op)
         values = evecs @ (inv_sqrt * (evecs.T @ z.values.ravel()))
     elif backend == "krylov":
-        values = _lanczos_inv_sqrt(op, z.values, tol)
+        values = _inv_sqrt(op, z.values, tol)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     values = values - values.mean()

@@ -1,11 +1,10 @@
-import functools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from homfield import sampler
+from homfield import solver
 from homfield.cli import (
     EXIT_ASSERT,
     EXIT_CONFIG,
@@ -16,6 +15,7 @@ from homfield.cli import (
     main,
     render_heatmap,
 )
+from homfield.sampler import load_field
 
 
 def _write_config(tmp_path, body, name="run.ini"):
@@ -166,12 +166,20 @@ def test_figure1_small(tmp_path):
         assert side["config_hash"] == report["config_hash"]
 
 
-def test_sample_lanczos_cap_is_solver_failure(tmp_path, monkeypatch, capsys):
-    capped = functools.partial(sampler._lanczos_inv_sqrt, maxiter=3)
-    monkeypatch.setattr(sampler, "_lanczos_inv_sqrt", capped)
+def test_sample_shifted_solve_cap_is_solver_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
     cfg = _write_config(tmp_path, "n = 16\nlaw = bernoulli(0.5,1,2)\nfield = gff\n")
     assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_sample_gff_random_law_n256(tmp_path):
+    cfg = _write_config(tmp_path, "n = 256\nlaw = bernoulli(0.5,1,2)\nfield = gff\nseed = 0\n")
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    smp = load_field(tmp_path / "field_gff_env_N256_seed0.hf")
+    assert smp.kind == "gff_env"
+    assert smp.field.grid.N == 256
+    assert smp.field.is_mean_zero(rtol=1e-9)
 
 
 @pytest.mark.parametrize("law", ["", "law = homogeneous\n"])
@@ -183,3 +191,12 @@ def test_rates_without_law_is_config_error(tmp_path, capsys, experiment, law):
     )
     assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "needs an environment law" in capsys.readouterr().err
+
+
+def test_rates_pseudo_without_kset_is_config_error(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "n = 8,16,32\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\nahom = 1.4\n",
+    )
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "kset" in capsys.readouterr().err

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from homfield.environment import Conductances, EnvironmentLaw, sample_environment
+from homfield import solver
 from homfield.lattice import TorusGrid, dft, fourier_mode
 from homfield.sampler import (
     FieldSample,
     NoiseHierarchy,
-    _lanczos_inv_sqrt,
     coarsen_noise,
     dump_field,
     formal_constant,
@@ -55,6 +55,14 @@ def test_gff_backends_agree():
     krylov = sample_gff(grid, a, 7, backend="krylov", tol=1e-10)
     assert np.max(np.abs(dense.field.values - krylov.field.values)) < 1e-6
     assert np.array_equal(dense.noise.values, krylov.noise.values)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, 50.0])
+def test_gff_krylov_rejects_bad_tolerance(tol):
+    grid = TorusGrid(8, 2)
+    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
+    with pytest.raises(ValueError):
+        sample_gff(grid, a, 7, backend="krylov", tol=tol)
 
 
 def test_gff_spectral_requires_homogeneous():
@@ -167,13 +175,14 @@ def test_load_field_rejects_corrupt_dump(tmp_path, corruption):
         load_field(path)
 
 
-def test_lanczos_step_cap_raises_solver_error():
+def test_shifted_solve_cap_raises_solver_error(monkeypatch):
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 3)
+    monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
     with pytest.raises(SolverError) as err:
-        _lanczos_inv_sqrt(a, sample_noise(grid, 4).values, 1e-6, maxiter=3)
+        solver._inv_sqrt(a, sample_noise(grid, 4).values, 1e-8)
     assert err.value.report.iterations == 3
-    assert err.value.report.backend == "lanczos"
+    assert err.value.report.backend == "cg"
 
 
 def test_field_sample_kind_validation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from homfield.lattice import (
 )
 from homfield.solver import (
     SolverError,
+    _inv_sqrt_quadrature,
     green_column,
     pseudo_eigenfunction,
     solve_dense,
@@ -176,3 +179,18 @@ def test_pseudo_eigenfunction_rejects_zero_mode():
         pseudo_eigenfunction(a, 1.0, (0, 0))
     with pytest.raises(ValueError):
         pseudo_eigenfunction(a, -1.0, (1, 0))
+
+
+def test_inv_sqrt_node_count_reaches_tol():
+    # The derived node count keeps the scalar quadrature error within tol
+    # across the whole spectral interval [4 N^2 sin^2(pi/N), 4 d Lambda N^2].
+    for d in (1, 2, 3):
+        for lam_max in (1.0, 2.0, 10.0):
+            for N in (2, 3, 5, 8, 16, 32, 64, 128, 256, 512, 1024):
+                lo = 4.0 * N**2 * math.sin(math.pi / N) ** 2
+                hi = 4.0 * d * lam_max * N**2
+                lam = np.geomspace(lo, hi, 2000)
+                for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+                    shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
+                    approx = (weights[:, None] / (shifts[:, None] + lam)).sum(axis=0)
+                    assert np.max(np.abs(approx * np.sqrt(lam) - 1.0)) <= tol
