@@ -27,7 +27,9 @@ them)::
     expect_slope = -2             # optional rate assertion ...
     slope_tol = 0.3               # ... |slope - expect| <= tol, else exit 4
     backend = krylov              # cov/sample backend override: krylov
-                                  # (shifted CG solves, to tol) | dense
+                                  # (shifted CG solves, to tol) | dense;
+                                  # for cov it picks how A^(-1/2) phi_k is
+                                  # computed, once per mode and environment
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 assertion failure.
@@ -346,6 +348,7 @@ def cmd_cov(args, cfg) -> int:
         "wall_s": time.time() - t0, "fitted_constant": report.fitted_constant,
         "max_offdiag_z": report.max_offdiag_z(),
         "offdiag_frobenius": report.offdiag_frobenius(),
+        "offdiag_frobenius_exact": report.offdiag_frobenius(exact=True),
     })
     print(f"fitted constant {report.fitted_constant:.5f}, "
           f"max off-diagonal |z| {report.max_offdiag_z():.2f}")

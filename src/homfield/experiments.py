@@ -21,9 +21,10 @@ from .lattice import (
     eigenvalue_discrete,
     fourier_mode,
 )
-from .sampler import _operator_eigh, formal_constant, sample_gff, sample_noise
+from .sampler import _operator_eigh, formal_constant, sample_noise
 from .solver import (
     DEFAULT_TOL,
+    _inv_sqrt,
     pseudo_eigenfunction,
     solve_heterogeneous,
     solve_homogeneous,
@@ -229,7 +230,7 @@ def pseudo_eigen_rate(cfg: ExperimentConfig, k=None) -> RateSeries:
 class CovarianceReport:
     """Empirical spectral covariance of free-field coefficients, plus the
     noise-exact (infinite-sample) covariance averaged over the same
-    environments when the dense backend makes it available."""
+    environments."""
 
     N: int
     kset: tuple
@@ -238,15 +239,13 @@ class CovarianceReport:
     fitted_constant: float
     samples: int
     environments: int
-    exact_covariance: np.ndarray = field(default=None, repr=False)
+    exact_covariance: np.ndarray = field(repr=False)
 
     def offdiag_frobenius(self, exact: bool = False) -> float:
         """Frobenius mass of the off-diagonal entries. ``exact=True`` uses
         the noise-exact covariance, removing the Monte-Carlo floor that
         otherwise dominates this statistic."""
         cov = self.exact_covariance if exact else self.covariance
-        if cov is None:
-            raise ValueError("noise-exact covariance requires the dense backend")
         off = cov - np.diag(np.diag(cov))
         return float(np.sqrt(np.sum(np.abs(off) ** 2)))
 
@@ -268,10 +267,23 @@ class CovarianceReport:
 def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = None,
                          backend: str = "krylov") -> CovarianceReport:
     """Empirical covariance of the formal free-field coefficients over the
-    configured modes, averaged over samples and environments.
+    configured modes, averaged over samples and environments, and the
+    noise-exact covariance over the same environments.
 
     In the limit the matrix is diagonal with entries proportional to
     1/lambda_k; the proportionality constant is fitted once across modes.
+
+    A^(-1/2) is real symmetric, so the coefficient of a draw A^(-1/2) z at
+    mode k is (A^(-1/2) conj(phi_k)) . z / N^d. Each environment therefore
+    needs one inverse square root per mode, not one per draw: the rows
+    v_k = A^(-1/2) conj(phi_k) form V, every draw's coefficients come from
+    a product with V, and the noise-exact covariance is proportional to
+    V V^H. ``backend`` picks how V is computed for an environment law:
+    "krylov" (shifted-solve quadrature, to cfg.tol) or "dense"
+    (eigendecomposition, small grids). Without a law V is exact,
+    lambda^(N)_k^(-1/2) conj(phi_k). The dense backend draws the noise of an
+    environment as one block; the others draw it per sample, as
+    :func:`homfield.sampler.sample_gff` would.
     """
     if N is None:
         N = max(cfg.Ns)
@@ -281,42 +293,41 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
         raise ValueError("covariance estimation needs at least 100 replicates")
     if not cfg.kset:
         raise ValueError("a nonempty k-set is required")
+    if cfg.law is not None and backend not in ("krylov", "dense"):
+        raise ValueError(f"unknown covariance backend {backend!r}")
     grid = TorusGrid(N, cfg.d)
-    cg = formal_constant("gff", cfg.d)
-    scale = cg * grid.N ** (grid.d / 2.0)
-    kidx = [grid.index_of(k) for k in cfg.kset]
-    nk = len(cfg.kset)
+    scale = formal_constant("gff", cfg.d) * grid.N ** (grid.d / 2.0) / grid.n
+    modes = np.stack([fourier_mode(grid, k).values.ravel().conj() for k in cfg.kset])
 
-    def one_env(env_idx):
-        a = (None if cfg.law is None
-             else sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx)))
-        if a is not None and backend == "dense":
-            # One eigendecomposition per environment; all samples and the
-            # k-set projection then reduce to a single matrix product, and
-            # the infinite-sample covariance comes along for free.
+    def inv_sqrt_modes(a):
+        if a is None:
+            lam = np.asarray([eigenvalue_discrete(N, k) for k in cfg.kset])
+            return modes / np.sqrt(lam)[:, None]
+        if backend == "dense":
             inv_sqrt, evecs = _operator_eigh(a)
-            modes = np.stack([fourier_mode(grid, k).values.ravel() for k in cfg.kset])
-            w = modes.conj() @ evecs
-            exact = (w * inv_sqrt**2) @ w.conj().T
-            exact = exact * (scale / grid.n) ** 2
-            proj = (w * inv_sqrt) @ evecs.T
+            return ((modes @ evecs) * inv_sqrt) @ evecs.T
+        return np.stack([_inv_sqrt(a, m.reshape(grid.shape), cfg.tol).ravel()
+                         for m in modes])
+
+    def coefficients(a, v, env_idx):
+        if a is not None and backend == "dense":
             rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(cfg.seed, spawn_key=(201, env_idx))))
-            z = rng.standard_normal((grid.n, samples))
-            return (scale / grid.n) * (proj @ z).T, exact
-        coeffs = np.empty((samples, nk), dtype=complex)
-        for s in range(samples):
-            seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env_idx, s))
-            smp = sample_gff(grid, a, seed, backend="spectral" if a is None else backend,
-                             tol=cfg.tol)
-            spec = dft(smp.field)
-            coeffs[s] = scale * np.asarray([spec.coefficients[i] for i in kidx])
-        return coeffs, None
+            return rng.standard_normal((grid.n, samples)).T @ v.T
+        # One draw at a time keeps memory at |kset| x N^d, not samples x N^d.
+        return np.stack([
+            v @ sample_noise(grid, np.random.SeedSequence(
+                cfg.seed, spawn_key=(201, env_idx, s))).values.ravel()
+            for s in range(samples)])
 
-    blocks = [one_env(i) for i in range(cfg.replicates)]
-    coeffs = np.concatenate([b for b, _ in blocks], axis=0)
-    exacts = [e for _, e in blocks if e is not None]
-    exact_cov = np.mean(exacts, axis=0) if len(exacts) == len(blocks) else None
+    blocks, exacts = [], []
+    for env_idx in range(cfg.replicates):
+        a = (None if cfg.law is None
+             else sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx)))
+        v = inv_sqrt_modes(a)
+        blocks.append(scale * coefficients(a, v, env_idx))
+        exacts.append(scale**2 * (v @ v.conj().T))
+    coeffs = np.concatenate(blocks, axis=0)
     total = coeffs.shape[0]
     products = np.einsum("si,sj->sij", coeffs, coeffs.conj())
     cov = products.mean(axis=0)
@@ -326,7 +337,7 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
     diag = np.real(np.diag(cov))
     fitted = float(np.sum(diag / lam) / np.sum(1.0 / lam**2))
     return CovarianceReport(N, cfg.kset, cov, np.real(stderr), fitted,
-                            total, cfg.replicates, exact_cov)
+                            total, cfg.replicates, np.mean(exacts, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
 
 FIELD_MAGIC = b"HFFLD1"
 FIELD_KINDS = ("gff_hom", "gff_env", "bilap_hom", "bilap_env")
-DENSE_SITE_LIMIT = 20736
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,6 @@ def sample_gff(grid: TorusGrid, a: Conductances | None, seed, backend: str = Non
         backend = "spectral" if homogeneous else "krylov"
     if backend == "spectral" and not homogeneous:
         raise ValueError("spectral backend requires the homogeneous operator")
-    if backend == "dense" and grid.n > DENSE_SITE_LIMIT:
-        raise ValueError(f"dense backend limited to {DENSE_SITE_LIMIT} sites")
     if not homogeneous and a.grid != grid:
         raise ValueError("environment grid mismatch")
 

@@ -154,6 +154,18 @@ def test_cov_small_homogeneous(tmp_path):
     assert len(rows) == 5
 
 
+def test_cov_runlog_records_exact_offdiag(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        "n = 8\nd = 2\nlaw = bernoulli(0.5,1,2)\nkset = 1,0; 0,1\nM = 2\n"
+        "noise_replicates = 50\nseed = 1\n",
+    )
+    out = tmp_path / "o"
+    assert main(["cov", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    record = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
+    assert 0 <= record["offdiag_frobenius_exact"] < record["offdiag_frobenius"]
+
+
 def test_figure1_small(tmp_path):
     cfg = _write_config(tmp_path, "n = 48\nseed = 5\n")
     out = tmp_path / "o"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homfield.environment import EnvironmentLaw
+from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.experiments import (
     ExperimentConfig,
     RateSeries,
@@ -16,7 +16,8 @@ from homfield.experiments import (
     truncation_error,
     _mode_representatives,
 )
-from homfield.lattice import TorusGrid
+from homfield.lattice import TorusGrid, dft, eigenvalue_discrete
+from homfield.sampler import formal_constant, sample_gff
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
@@ -227,6 +228,56 @@ def test_gff_covariance_homogeneous_diagonal():
     assert rep.max_offdiag_z() < 4.0
     assert np.all(rep.diagonal_z() < 4.0)
     assert rep.fitted_constant > 0
+
+
+def test_gff_covariance_homogeneous_exact_is_diagonal():
+    cfg = ExperimentConfig(d=2, law=None, field_kind="gff", Ns=(8,),
+                           kset=((1, 0), (0, 1), (1, 1)), replicates=2,
+                           noise_replicates=50, seed=2)
+    rep = gff_covariance_limit(cfg, N=8)
+    lam = np.asarray([eigenvalue_discrete(8, k) for k in cfg.kset])
+    expected = formal_constant("gff", 2) ** 2 / lam
+    assert np.allclose(np.diag(rep.exact_covariance), expected, rtol=1e-12, atol=0)
+    assert rep.offdiag_frobenius(exact=True) < 1e-12 * expected.max()
+
+
+def test_gff_covariance_krylov_keeps_per_draw_realization():
+    # Reference: one A^(-1/2)z draw per noise seed, projected by the DFT.
+    kset = ((1, 0), (0, 1), (1, 1), (2, 0))
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(16,),
+                           kset=kset, replicates=2, noise_replicates=50, seed=4)
+    grid = TorusGrid(16, 2)
+    scale = formal_constant("gff", 2) * grid.N
+    coeffs = []
+    for env in range(cfg.replicates):
+        a = sample_environment(BERNOULLI, grid,
+                               np.random.SeedSequence(cfg.seed, spawn_key=(200, env)))
+        for s in range(cfg.noise_replicates):
+            seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env, s))
+            spec = dft(sample_gff(grid, a, seed, backend="krylov", tol=cfg.tol).field)
+            coeffs.append([scale * spec.coefficient(k) for k in kset])
+    coeffs = np.asarray(coeffs)
+    reference = np.mean(coeffs[:, :, None] * coeffs[:, None, :].conj(), axis=0)
+
+    krylov = gff_covariance_limit(cfg, N=16, backend="krylov")
+    dense = gff_covariance_limit(cfg, N=16, backend="dense")
+    peak = np.abs(reference).max()
+    assert np.abs(krylov.covariance - reference).max() < 1e-6 * peak
+    exact_peak = np.abs(dense.exact_covariance).max()
+    assert np.abs(krylov.exact_covariance - dense.exact_covariance).max() < 1e-6 * exact_peak
+
+
+def test_gff_covariance_krylov_beyond_dense_limit():
+    # N=128 has 16384 sites, four times the dense operator's limit.
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(128,),
+                           kset=((1, 0), (0, 1), (1, 1), (2, 0)), replicates=2,
+                           noise_replicates=50, seed=5)
+    rep = gff_covariance_limit(cfg, N=128, backend="krylov")
+    exact = rep.exact_covariance
+    assert np.allclose(exact, exact.conj().T, rtol=0, atol=1e-14 * np.abs(exact).max())
+    gap = np.abs(np.real(np.diag(rep.covariance)) - np.real(np.diag(exact)))
+    assert np.all(gap < 4 * np.diag(rep.stderr))
+    assert np.isfinite(rep.offdiag_frobenius(exact=True))
 
 
 def test_gff_covariance_insufficient_replicates():

@@ -72,6 +72,13 @@ def test_gff_spectral_requires_homogeneous():
         sample_gff(grid, a, 0, backend="spectral")
 
 
+def test_gff_dense_rejects_grid_beyond_operator_limit():
+    grid = TorusGrid(65, 2)
+    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
+    with pytest.raises(ValueError, match="4225 sites"):
+        sample_gff(grid, a, 7, backend="dense")
+
+
 def test_sampled_fields_mean_zero():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 4)
