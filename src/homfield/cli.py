@@ -24,6 +24,7 @@ them)::
     experiment = pseudo           # rates: pseudo | bilap | disc | synthetic
                                   # (pseudo and bilap need a law)
     ahom = 1.4142135623730951     # effective coefficient; omit to estimate
+                                  # (rates says so on stderr)
     expect_slope = -2             # optional rate assertion ...
     slope_tol = 0.3               # ... |slope - expect| <= tol, else exit 4
     backend = krylov              # cov/sample backend override: krylov
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -59,6 +61,7 @@ from .sampler import (
 )
 from .solver import DEFAULT_TOL, SolverError
 from .experiments import (
+    AHOM_ESTIMATE_M,
     ExperimentConfig,
     RateSeries,
     bilap_error_rate,
@@ -249,7 +252,8 @@ def cmd_ahom(args, cfg) -> int:
         "command": "ahom", "config": cfg, "config_hash": h, "seed": seed,
         "wall_s": time.time() - t0, "ahom_mean": est.mean,
         "ahom_stderr": est.stderr, "samples": est.samples,
-        "failures": est.failures,
+        "failures": est.failures, "iterations": est.iterations,
+        "max_residual": est.max_residual,
     })
     print(f"ahom = {est.mean:.6f} +- {est.stderr:.2e} ({est.samples} samples)")
     return EXIT_OK
@@ -282,19 +286,34 @@ def _experiment_config(cfg, seed, field_kind) -> ExperimentConfig:
     )
 
 
+def _with_ahom(ecfg: ExperimentConfig) -> tuple:
+    """The config with ahom resolved, and the runlog entries that say how.
+
+    An estimate is the same one the experiments would otherwise run
+    unannounced; resolving it here lets the run report and record it.
+    """
+    estimated = ecfg.ahom is None and ecfg.law is not None
+    if estimated:
+        print(f"ahom not configured: estimating it from M={AHOM_ESTIMATE_M} "
+              f"environments at N={max(ecfg.Ns)}", file=sys.stderr)
+        ecfg = dataclasses.replace(ecfg, ahom=ecfg.resolve_ahom())
+    return ecfg, {"ahom": ecfg.ahom, "ahom_estimated": estimated}
+
+
 def cmd_rates(args, cfg) -> int:
     experiment = _get(cfg, "experiment")
     seed = _seed(args, cfg)
     t0 = time.time()
+    ahom_record = {}
     if experiment == "synthetic":
         # harness self-test: exact power law injected instead of measurement
         ns = _parse_ns(_get(cfg, "n"))
         series = RateSeries.from_points("synthetic_nm2", [(n, n**-2.0, 0.0) for n in ns])
     elif experiment == "pseudo":
-        ecfg = _experiment_config(cfg, seed, "gff")
+        ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed, "gff"))
         series = pseudo_eigen_rate(ecfg)
     elif experiment == "bilap":
-        ecfg = _experiment_config(cfg, seed, "bilap")
+        ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed, "bilap"))
         series = bilap_error_rate(ecfg).series
     elif experiment == "disc":
         ecfg = _experiment_config(cfg, seed, "bilap")
@@ -309,6 +328,7 @@ def cmd_rates(args, cfg) -> int:
         "config_hash": h, "seed": seed, "wall_s": time.time() - t0,
         "slope": series.slope, "half_width": series.half_width,
         "corrected_slope": series.corrected[0] if series.corrected else None,
+        **ahom_record,
     }
     write_runlog(args.out, record)
     print(f"{series.quantity}: slope {series.slope:+.3f} "

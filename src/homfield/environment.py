@@ -222,12 +222,24 @@ def apply_operator(a: Conductances, f: LatticeField) -> LatticeField:
     if f.grid != a.grid:
         raise ValueError("field and environment live on different grids")
     v = f.values
-    out = np.zeros_like(v)
+    dtype = np.result_type(v, a.weights)
+    out = np.zeros(v.shape, dtype)
+    flux = np.empty(v.shape, dtype)
     for axis in range(a.grid.d):
-        w = a.weights[axis]
-        flux = w * (v - np.roll(v, -1, axis=axis))  # a_i(x) (f(x) - f(x+e_i))
-        out = out + flux - np.roll(flux, 1, axis=axis)
-    return LatticeField(f.grid, a.grid.N**2 * out)
+        # Index tuples for sites 0..N-2, 1..N-1, 0 and N-1 along this axis.
+        head, tail, first, last = (
+            (slice(None),) * axis + (s,) for s in
+            (slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None)))
+        # flux(x) = a_i(x) (f(x) - f(x+e_i)), the last layer wrapping round
+        np.subtract(v[head], v[tail], out=flux[head])
+        np.subtract(v[last], v[first], out=flux[last])
+        flux *= a.weights[axis]
+        # out(x) += flux(x) - flux(x-e_i)
+        out += flux
+        out[tail] -= flux[head]
+        out[first] -= flux[last]
+    out *= a.grid.N**2
+    return LatticeField(f.grid, out)
 
 
 def operator_matrix(a: Conductances) -> np.ndarray:

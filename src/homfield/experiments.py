@@ -113,6 +113,7 @@ class RateSeries:
 
 GFF_KINDS = ("gff",)
 BILAP_KINDS = ("bilap",)
+AHOM_ESTIMATE_M = 32   # environments behind an estimated ahom
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ class ExperimentConfig:
             if not any(k):
                 raise ValueError("k = 0 is excluded from every experiment")
 
-    def resolve_ahom(self, N: int = None, M: int = 32) -> float:
+    def resolve_ahom(self, N: int = None, M: int = AHOM_ESTIMATE_M) -> float:
         """Effective coefficient to use: the configured value, or an estimate
         from the largest ladder size when none was given."""
         if self.ahom is not None:

@@ -35,6 +35,7 @@ class CorrectorSolution:
     direction: int
     chi: LatticeField
     residual: float
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,10 @@ class AhomEstimate:
     law: EnvironmentLaw
     seed: object = None
     failures: int = 0
+    # PCG iterations summed over the corrector solves of the replicates in
+    # the estimate, and the worst final relative residual among those solves
+    iterations: int = 0
+    max_residual: float = 0.0
 
 
 def corrector_rhs(a: Conductances, axis: int) -> LatticeField:
@@ -60,7 +65,7 @@ def solve_corrector(a: Conductances, axis: int, tol: float = DEFAULT_TOL) -> Cor
     if not 0 <= axis < a.grid.d:
         raise ValueError(f"axis {axis} invalid for d={a.grid.d}")
     chi, report = solve_heterogeneous(a, corrector_rhs(a, axis), tol=tol)
-    return CorrectorSolution(axis, chi, report.residual)
+    return CorrectorSolution(axis, chi, report.residual, report.iterations)
 
 
 def _corrected_gradients(a: Conductances, corr: CorrectorSolution) -> list:
@@ -128,7 +133,8 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
         raise ValueError(f"need at least 2 replicates, got {M}")
     grid = TorusGrid(N, d)
     values = []
-    failures = 0
+    failures = iterations = 0
+    max_residual = 0.0
     for rep in range(M):
         rep_seed = np.random.SeedSequence(seed, spawn_key=(10_000 + rep,))
         a = sample_environment(law, grid, rep_seed)
@@ -139,11 +145,14 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
             if failures > M // 2:
                 raise
             continue
+        iterations += sum(c.iterations for c in correctors)
+        max_residual = max(max_residual, *(c.residual for c in correctors))
         values.append(effective_sample(a, correctors))
     values = np.asarray(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return AhomEstimate(mean, stderr, len(values), N, law, seed, failures)
+    return AhomEstimate(mean, stderr, len(values), N, law, seed, failures,
+                        iterations, max_residual)
 
 
 def write_ahom_csv(path, estimates, d: int) -> None:

@@ -5,7 +5,8 @@ Three backends cover the operators -Lap_N and -div a grad:
 * ``spectral``: exact FFT diagonalization, homogeneous operator only;
 * ``cg``: conjugate gradient on the mean-zero subspace, preconditioned by
   the homogeneous spectral inverse, for real and complex right-hand sides,
-  and as shifted solves that sum to the operator's inverse square root;
+  and as shifted solves that sum to the operator's inverse square root; the
+  preconditioner applies real FFTs (``rfftn``/``irfftn``) to real residuals;
 * ``dense``: pseudo-inverse of the explicitly assembled matrix, small grids.
 """
 
@@ -85,9 +86,19 @@ def _spectral_multiplier(grid: TorusGrid, exponent: float, shift: float) -> np.n
 
 
 def _spectral_apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Apply a multiplier from ``_spectral_multiplier`` to site values."""
-    out = np.fft.ifftn(np.fft.fftn(values) * mult)
-    return out.real if np.isrealobj(values) else out
+    """Apply a multiplier from ``_spectral_multiplier`` to site values.
+
+    Real values go through the half-spectrum real transforms. The
+    multiplier is even in k, so the half spectrum takes its first N//2 + 1
+    entries along the last axis, and the product keeps the Hermitian
+    symmetry that makes the result real.
+    """
+    if np.iscomplexobj(values):
+        return np.fft.ifftn(np.fft.fftn(values) * mult)
+    axes = tuple(range(values.ndim))
+    spec = np.fft.rfftn(values, axes=axes)
+    spec *= mult[..., : values.shape[-1] // 2 + 1]
+    return np.fft.irfftn(spec, s=values.shape, axes=axes)
 
 
 def solve_homogeneous(grid: TorusGrid, rhs: LatticeField) -> LatticeField:
@@ -133,12 +144,12 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     for it in range(1, maxiter + 1):
         ap = matvec(p)
         if shift:
-            ap = ap + shift * p
+            ap += shift * p
         alpha = rz / np.vdot(p, ap).real
-        x = x + alpha * p
-        x = x - x.mean()
-        r = r - alpha * ap
-        r = r - r.mean()
+        x += alpha * p
+        x -= x.mean()
+        r -= alpha * ap
+        r -= r.mean()
         # One CG step changes 0.5 x.A x - b.x by exactly -0.5 alpha (r.z).
         energy.append(energy[-1] - 0.5 * alpha * rz)
         res = np.linalg.norm(r) / bnorm
@@ -148,7 +159,8 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
         rz_new = np.vdot(r, z).real
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
     raise SolverError(
         f"CG did not reach tol={tol} within {maxiter} iterations (residual {res:.3e})",
         SolveReport(maxiter, float(res), tol, "cg", energy),

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from homfield import solver
+from homfield.environment import EnvironmentLaw
+from homfield.experiments import ExperimentConfig
+from homfield.homogenization import estimate_ahom
 from homfield.cli import (
     EXIT_ASSERT,
     EXIT_CONFIG,
@@ -105,6 +108,19 @@ def test_ahom_constant_csv(tmp_path):
     assert (out / "ahom.csv").read_bytes() == (out2 / "ahom.csv").read_bytes()
 
 
+def test_ahom_runlog_records_solve_telemetry(tmp_path):
+    cfg = _write_config(tmp_path, "n = 8\nd = 2\nlaw = bernoulli(0.5,1,2)\nM = 3\nseed = 4\n")
+    records = []
+    for name in ("o1", "o2"):
+        out = tmp_path / name
+        assert main(["ahom", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        records.append(json.loads((out / "runlog.jsonl").read_text().splitlines()[-1]))
+    est = estimate_ahom(EnvironmentLaw.bernoulli(0.5, 1, 2), 8, 3, seed=4)
+    assert records[0]["iterations"] == records[1]["iterations"] == est.iterations > 0
+    assert records[0]["max_residual"] == records[1]["max_residual"] == est.max_residual
+    assert 0 < est.max_residual <= 1e-8
+
+
 def test_rates_synthetic_self_test(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -203,6 +219,27 @@ def test_rates_without_law_is_config_error(tmp_path, capsys, experiment, law):
     )
     assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "needs an environment law" in capsys.readouterr().err
+
+
+def test_rates_reports_estimated_ahom(tmp_path, capsys):
+    # an unset ahom is estimated once, announced, recorded, and gives the
+    # same rates as configuring the recorded value
+    body = "n = 4,8,16\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\nkset = 1,0\nM = 2\n"
+    out = tmp_path / "est"
+    assert main(["rates", "--config", _write_config(tmp_path, body), "--out", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "M=32" in err and "N=16" in err
+    rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
+    assert rec["ahom_estimated"] is True
+    assert rec["ahom"] == ExperimentConfig(
+        d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16)).resolve_ahom()
+
+    fixed = tmp_path / "fixed"
+    cfg = _write_config(tmp_path, body + f"ahom = {rec['ahom']!r}\n", name="fixed.ini")
+    assert main(["rates", "--config", cfg, "--out", str(fixed)]) == EXIT_OK
+    assert "estimating" not in capsys.readouterr().err
+    assert json.loads((fixed / "runlog.jsonl").read_text())["ahom_estimated"] is False
+    assert (fixed / "rates_pseudo.csv").read_bytes() == (out / "rates_pseudo.csv").read_bytes()
 
 
 def test_rates_pseudo_without_kset_is_config_error(tmp_path, capsys):

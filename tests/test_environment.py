@@ -160,6 +160,23 @@ def test_apply_operator_matches_stencil_definition():
             assert out.values[i, j] == pytest.approx(N**2 * acc, rel=1e-10)
 
 
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_apply_operator_matches_roll_stencil(d, N):
+    grid = TorusGrid(N, d)
+    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 4)
+    rng = np.random.default_rng(N * d)
+    real = rng.standard_normal(grid.shape)
+    for v in (real, real + 1j * rng.standard_normal(grid.shape)):
+        ref = np.zeros_like(v)
+        for axis in range(d):
+            flux = a.weights[axis] * (v - np.roll(v, -1, axis=axis))
+            ref = ref + flux - np.roll(flux, 1, axis=axis)
+        out = apply_operator(a, LatticeField(grid, v)).values
+        assert out.dtype == v.dtype
+        assert np.allclose(out, N**2 * ref, rtol=1e-14, atol=0)
+
+
 def test_dump_load_roundtrip(tmp_path):
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 4)

@@ -75,6 +75,22 @@ def test_estimate_ahom_deterministic():
     assert e1.mean != e3.mean
 
 
+def test_estimate_ahom_reports_solve_telemetry():
+    law = EnvironmentLaw.bernoulli(0.5, 1, 2)
+    est = estimate_ahom(law, 8, 3, seed=2, tol=1e-9)
+    iterations, worst = 0, 0.0
+    for rep in range(3):
+        a = sample_environment(law, TorusGrid(8, 2),
+                               np.random.SeedSequence(2, spawn_key=(10_000 + rep,)))
+        for axis in range(2):
+            corr = solve_corrector(a, axis, tol=1e-9)
+            iterations += corr.iterations
+            worst = max(worst, corr.residual)
+    assert est.iterations == iterations > 0
+    assert est.max_residual == worst
+    assert 0 < est.max_residual <= 1e-9
+
+
 def test_estimate_ahom_validates_m():
     with pytest.raises(ValueError):
         estimate_ahom(EnvironmentLaw.uniform(1, 2), 8, 1, seed=0)

@@ -18,6 +18,8 @@ from homfield.lattice import (
 from homfield.solver import (
     SolverError,
     _inv_sqrt_quadrature,
+    _spectral_apply,
+    _spectral_multiplier,
     green_column,
     pseudo_eigenfunction,
     solve_dense,
@@ -74,6 +76,28 @@ def test_one_dimensional_closed_form():
     u_ref = np.concatenate([[0.0], -np.cumsum(d)[:-1]])
     u_ref -= u_ref.mean()
     assert np.allclose(u.values, u_ref, atol=1e-7)
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 8, 15])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spectral_apply_real_matches_complex_transform(d, N):
+    # the half-spectrum path must equal the full complex transform, odd N
+    # and the Nyquist layer of even N included
+    grid = TorusGrid(N, d)
+    v = np.random.default_rng(N + d).standard_normal(grid.shape)
+    for exponent, shift in ((-1.0, 0.0), (-0.5, 0.0), (-1.0, 3.5)):
+        mult = _spectral_multiplier(grid, exponent, shift)
+        out = _spectral_apply(v, mult)
+        ref = np.fft.ifftn(np.fft.fftn(v) * mult).real
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_real_solve_returns_float64():
+    grid = TorusGrid(16, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 2)
+    u, _ = solve_heterogeneous(a, _random_rhs(grid, 8))
+    assert u.values.dtype == np.float64
 
 
 def test_complex_rhs():
