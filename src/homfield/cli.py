@@ -27,10 +27,13 @@ them)::
                                   # (rates says so on stderr)
     expect_slope = -2             # optional rate assertion ...
     slope_tol = 0.3               # ... |slope - expect| <= tol, else exit 4
-    backend = krylov              # cov/sample backend override: krylov
-                                  # (shifted CG solves, to tol) | dense;
-                                  # for cov it picks how A^(-1/2) phi_k is
-                                  # computed, once per mode and environment
+    backend = krylov              # how A^(-1/2) is applied (sample, cov):
+                                  # spectral (exact FFT, no law only) |
+                                  # dense (eigh, up to 4096 sites) |
+                                  # krylov (shifted CG solves, to tol);
+                                  # default spectral without a law, krylov
+                                  # with one; cov applies it once per mode
+                                  # and environment
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 assertion failure.
@@ -214,7 +217,9 @@ def cmd_sample(args, cfg) -> int:
     law = _parse_law(cfg)
     tol = _get(cfg, "tol", default=DEFAULT_TOL, cast=float)
     seed = _seed(args, cfg)
-    backend = args.backend or cfg.get("backend") or None
+    backend = cfg.get("backend") or None
+    if args.heatmap and d != 2:
+        raise ConfigError("heatmaps require d = 2")
     grid = TorusGrid(N, d)
     t0 = time.time()
     smp = _sample_field(kind, grid, law, seed, backend, tol)
@@ -222,8 +227,6 @@ def cmd_sample(args, cfg) -> int:
     dump_path = os.path.join(args.out, f"field_{smp.kind}_N{N}_seed{seed}.hf")
     dump_field(smp, dump_path)
     if args.heatmap:
-        if d != 2:
-            raise ConfigError("heatmaps require d = 2")
         write_heatmap(smp, dump_path.replace(".hf", ".ppm"), h, seed,
                       grayscale=args.grayscale)
     write_runlog(args.out, {
@@ -310,9 +313,11 @@ def cmd_rates(args, cfg) -> int:
         ns = _parse_ns(_get(cfg, "n"))
         series = RateSeries.from_points("synthetic_nm2", [(n, n**-2.0, 0.0) for n in ns])
     elif experiment == "pseudo":
+        _get(cfg, "kset")  # checked before ahom is estimated
         ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed, "gff"))
         series = pseudo_eigen_rate(ecfg)
     elif experiment == "bilap":
+        _get(cfg, "beta")  # checked before ahom is estimated
         ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed, "bilap"))
         series = bilap_error_rate(ecfg).series
     elif experiment == "disc":
@@ -347,7 +352,7 @@ def cmd_rates(args, cfg) -> int:
 def cmd_cov(args, cfg) -> int:
     seed = _seed(args, cfg)
     ecfg = _experiment_config(cfg, seed, "gff")
-    backend = args.backend or cfg.get("backend") or "krylov"
+    backend = cfg.get("backend") or None
     t0 = time.time()
     report = gff_covariance_limit(ecfg, backend=backend)
     h = config_hash(cfg)
@@ -457,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--heatmap", action="store_true", help="also write a P6 heatmap")
     parser.add_argument("--grayscale", action="store_true",
                         help="grayscale palette instead of diverging")
-    parser.add_argument("--backend", help="solver/sampler backend override")
     return parser
 
 

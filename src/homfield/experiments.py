@@ -21,10 +21,10 @@ from .lattice import (
     eigenvalue_discrete,
     fourier_mode,
 )
-from .sampler import _operator_eigh, formal_constant, sample_noise
+from .sampler import formal_constant, sample_noise
 from .solver import (
     DEFAULT_TOL,
-    _inv_sqrt,
+    inv_sqrt,
     pseudo_eigenfunction,
     solve_heterogeneous,
     solve_homogeneous,
@@ -137,7 +137,6 @@ class ExperimentConfig:
     ahom: float = None
     tol: float = DEFAULT_TOL
     mode_cutoff: int = None
-    spectral_cutoff: int = None
 
     def __post_init__(self):
         if self.field_kind not in GFF_KINDS + BILAP_KINDS:
@@ -266,7 +265,7 @@ class CovarianceReport:
 
 
 def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = None,
-                         backend: str = "krylov") -> CovarianceReport:
+                         backend: str = None) -> CovarianceReport:
     """Empirical covariance of the formal free-field coefficients over the
     configured modes, averaged over samples and environments, and the
     noise-exact covariance over the same environments.
@@ -279,12 +278,10 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
     needs one inverse square root per mode, not one per draw: the rows
     v_k = A^(-1/2) conj(phi_k) form V, every draw's coefficients come from
     a product with V, and the noise-exact covariance is proportional to
-    V V^H. ``backend`` picks how V is computed for an environment law:
-    "krylov" (shifted-solve quadrature, to cfg.tol) or "dense"
-    (eigendecomposition, small grids). Without a law V is exact,
-    lambda^(N)_k^(-1/2) conj(phi_k). The dense backend draws the noise of an
-    environment as one block; the others draw it per sample, as
-    :func:`homfield.sampler.sample_gff` would.
+    V V^H. V comes from one :func:`homfield.solver.inv_sqrt` call per
+    environment, with ``backend`` and cfg.tol passed through. The dense
+    backend draws the noise of an environment as one block; the others draw
+    it per sample, as :func:`homfield.sampler.sample_gff` would.
     """
     if N is None:
         N = max(cfg.Ns)
@@ -294,21 +291,9 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
         raise ValueError("covariance estimation needs at least 100 replicates")
     if not cfg.kset:
         raise ValueError("a nonempty k-set is required")
-    if cfg.law is not None and backend not in ("krylov", "dense"):
-        raise ValueError(f"unknown covariance backend {backend!r}")
     grid = TorusGrid(N, cfg.d)
     scale = formal_constant("gff", cfg.d) * grid.N ** (grid.d / 2.0) / grid.n
-    modes = np.stack([fourier_mode(grid, k).values.ravel().conj() for k in cfg.kset])
-
-    def inv_sqrt_modes(a):
-        if a is None:
-            lam = np.asarray([eigenvalue_discrete(N, k) for k in cfg.kset])
-            return modes / np.sqrt(lam)[:, None]
-        if backend == "dense":
-            inv_sqrt, evecs = _operator_eigh(a)
-            return ((modes @ evecs) * inv_sqrt) @ evecs.T
-        return np.stack([_inv_sqrt(a, m.reshape(grid.shape), cfg.tol).ravel()
-                         for m in modes])
+    modes = np.stack([fourier_mode(grid, k).values.conj() for k in cfg.kset])
 
     def coefficients(a, v, env_idx):
         if a is not None and backend == "dense":
@@ -325,7 +310,7 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
     for env_idx in range(cfg.replicates):
         a = (None if cfg.law is None
              else sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx)))
-        v = inv_sqrt_modes(a)
+        v = inv_sqrt(grid, a, modes, backend=backend, tol=cfg.tol).reshape(len(modes), -1)
         blocks.append(scale * coefficients(a, v, env_idx))
         exacts.append(scale**2 * (v @ v.conj().T))
     coeffs = np.concatenate(blocks, axis=0)
@@ -580,6 +565,6 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
         raise ValueError(
             f"beta={cfg.beta} below the summability threshold d/4 - 1"
         )
-    kcut = cfg.spectral_cutoff or 2 * max(cfg.Ns)
+    kcut = 2 * max(cfg.Ns)
     points = [(N, truncation_error(N, cfg.d, cfg.beta, kcut), 0.0) for N in cfg.Ns]
     return RateSeries.from_points("truncation_sq_error", points)

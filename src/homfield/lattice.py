@@ -132,10 +132,6 @@ class LatticeField:
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values))
 
-    @classmethod
-    def zeros(cls, grid: TorusGrid, dtype=float) -> "LatticeField":
-        return cls(grid, np.zeros(grid.shape, dtype=dtype))
-
     def mean(self):
         return self.values.mean()
 

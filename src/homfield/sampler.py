@@ -4,10 +4,11 @@ discrete free fields and bi-Laplacian fields, and the rescaled spectral
 
 The free-field covariance is the pseudo-inverse of the (possibly
 heterogeneous) divergence-form operator, so sampling amounts to applying the
-inverse square root of that operator to site-wise white noise. Three
-backends do this: exact FFT synthesis (homogeneous only), a dense
-eigendecomposition, and, for larger grids, a quadrature over shifted
-conjugate-gradient solves.
+inverse square root of that operator to site-wise white noise, through
+:func:`homfield.solver.inv_sqrt`. Its ``backend`` is "spectral" (exact FFT
+synthesis, homogeneous only; the default without an environment), "dense"
+(an eigendecomposition, small grids) or "krylov" (a quadrature over shifted
+conjugate-gradient solves; the default with an environment).
 """
 
 from __future__ import annotations
@@ -18,22 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # apply_operator stays bound here: perfbench's tracer test checks its wrapper.
-from .environment import Conductances, apply_operator, operator_matrix  # noqa: F401
+from .environment import Conductances, apply_operator  # noqa: F401
 from .lattice import LatticeField, SpectralField, TorusGrid, _read_values, dft
-from .solver import (
-    DEFAULT_TOL,
-    _inv_sqrt,
-    _spectral_apply,
-    _spectral_multiplier,
-    solve_heterogeneous,
-    solve_homogeneous,
-)
+from .solver import DEFAULT_TOL, inv_sqrt, solve_heterogeneous, solve_homogeneous
 
 __all__ = [
     "FieldSample",
     "NoiseHierarchy",
     "sample_noise",
-    "coarsen_noise",
     "sample_gff",
     "sample_bilaplacian",
     "formal_field",
@@ -111,50 +104,19 @@ class NoiseHierarchy:
         return LatticeField(TorusGrid(N, grid.d), out * r ** (-grid.d / 2.0))
 
 
-def coarsen_noise(hierarchy: NoiseHierarchy, N: int) -> LatticeField:
-    return hierarchy.level(N)
-
-
-def _operator_eigh(a: Conductances) -> tuple:
-    """Eigenvectors of the dense operator and the inverse square roots of its
-    eigenvalues, zero on the constant kernel: (inv_sqrt, evecs)."""
-    evals, evecs = np.linalg.eigh(operator_matrix(a))
-    keep = evals > 1e-10 * evals.max()
-    return np.where(keep, 1.0 / np.sqrt(np.abs(evals)), 0.0), evecs
-
-
 def sample_gff(grid: TorusGrid, a: Conductances | None, seed, backend: str = None,
                tol: float = DEFAULT_TOL) -> FieldSample:
     """Sample a discrete free field with covariance given by the Green's
     function of the (homogeneous or environment) operator.
 
-    ``a=None`` selects the homogeneous field. Backends: "spectral" (exact,
-    homogeneous only), "dense" (exact eigendecomposition, small grids) and
-    "krylov" (inverse square root as a quadrature over shifted CG solves,
-    each to relative residual tol). The dense and krylov backends consume the
-    same seed-coupled noise vector and agree up to tol.
+    ``a=None`` selects the homogeneous field. The field is
+    :func:`homfield.solver.inv_sqrt` applied to seed-coupled white noise;
+    ``backend`` and ``tol`` are passed through, so every backend consumes
+    the same noise vector, and the dense and krylov backends agree up to tol.
     """
-    homogeneous = a is None
-    if backend is None:
-        backend = "spectral" if homogeneous else "krylov"
-    if backend == "spectral" and not homogeneous:
-        raise ValueError("spectral backend requires the homogeneous operator")
-    if not homogeneous and a.grid != grid:
-        raise ValueError("environment grid mismatch")
-
     z = sample_noise(grid, seed)
-    op = Conductances.constant(grid, 1.0) if homogeneous else a
-    if backend == "spectral":
-        values = _spectral_apply(z.values, _spectral_multiplier(grid, -0.5, 0.0))
-    elif backend == "dense":
-        inv_sqrt, evecs = _operator_eigh(op)
-        values = evecs @ (inv_sqrt * (evecs.T @ z.values.ravel()))
-    elif backend == "krylov":
-        values = _inv_sqrt(op, z.values, tol)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    values = values - values.mean()
-    kind = "gff_hom" if homogeneous else "gff_env"
+    values = inv_sqrt(grid, a, z.values, backend=backend, tol=tol)
+    kind = "gff_hom" if a is None else "gff_env"
     return FieldSample(kind, LatticeField(grid, values), environment=a, noise=z)
 
 

@@ -1,13 +1,21 @@
-"""Mean-zero elliptic solves on the torus.
+"""Mean-zero elliptic solves on the torus, and the inverse square root of
+the operator.
 
 Three backends cover the operators -Lap_N and -div a grad:
 
 * ``spectral``: exact FFT diagonalization, homogeneous operator only;
 * ``cg``: conjugate gradient on the mean-zero subspace, preconditioned by
-  the homogeneous spectral inverse, for real and complex right-hand sides,
-  and as shifted solves that sum to the operator's inverse square root; the
-  preconditioner applies real FFTs (``rfftn``/``irfftn``) to real residuals;
-* ``dense``: pseudo-inverse of the explicitly assembled matrix, small grids.
+  the homogeneous spectral inverse, for real and complex right-hand sides;
+  the preconditioner applies real FFTs (``rfftn``/``irfftn``) to real
+  residuals;
+* ``dense``: eigendecomposition of the explicitly assembled matrix, small
+  grids.
+
+:func:`inv_sqrt` is the one entry point for A^(-1/2) on the mean-zero
+subspace, and the one place that picks its backend: ``spectral`` (exact,
+homogeneous only; the default without an environment), ``dense`` (one
+``eigh``, up to 4096 sites) or ``krylov`` (a quadrature over shifted CG
+solves, each to relative residual tol; the default with an environment).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ __all__ = [
     "solve_heterogeneous",
     "solve_dense",
     "green_column",
+    "inv_sqrt",
     "pseudo_eigenfunction",
     "default_max_iterations",
 ]
@@ -64,8 +73,8 @@ def default_max_iterations(grid: TorusGrid) -> int:
 
 
 def _require_mean_zero(rhs: LatticeField) -> None:
-    scale = np.max(np.abs(rhs.values))
-    if scale > 0 and abs(rhs.mean()) > MEAN_ZERO_RTOL * scale:
+    if not rhs.is_mean_zero(MEAN_ZERO_RTOL):
+        scale = np.max(np.abs(rhs.values))
         raise ValueError(
             f"right-hand side must be mean-zero; relative mean is "
             f"{abs(rhs.mean()) / scale:.3e}"
@@ -88,17 +97,18 @@ def _spectral_multiplier(grid: TorusGrid, exponent: float, shift: float) -> np.n
 def _spectral_apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """Apply a multiplier from ``_spectral_multiplier`` to site values.
 
-    Real values go through the half-spectrum real transforms. The
-    multiplier is even in k, so the half spectrum takes its first N//2 + 1
-    entries along the last axis, and the product keeps the Hermitian
-    symmetry that makes the result real.
+    The transforms run over the trailing ``mult.ndim`` axes, so fields
+    stacked along leading axes are mapped one by one. Real values go through
+    the half-spectrum real transforms. The multiplier is even in k, so the
+    half spectrum takes its first N//2 + 1 entries along the last axis, and
+    the product keeps the Hermitian symmetry that makes the result real.
     """
+    axes = tuple(range(-mult.ndim, 0))
     if np.iscomplexobj(values):
-        return np.fft.ifftn(np.fft.fftn(values) * mult)
-    axes = tuple(range(values.ndim))
+        return np.fft.ifftn(np.fft.fftn(values, axes=axes) * mult, axes=axes)
     spec = np.fft.rfftn(values, axes=axes)
     spec *= mult[..., : values.shape[-1] // 2 + 1]
-    return np.fft.irfftn(spec, s=values.shape, axes=axes)
+    return np.fft.irfftn(spec, s=values.shape[-mult.ndim:], axes=axes)
 
 
 def solve_homogeneous(grid: TorusGrid, rhs: LatticeField) -> LatticeField:
@@ -188,25 +198,62 @@ def _inv_sqrt_quadrature(lo: float, hi: float, tol: float) -> tuple:
     return shifts, weights
 
 
-def _inv_sqrt(a: Conductances, values: np.ndarray, tol: float) -> np.ndarray:
-    """Apply the inverse square root of the operator on the mean-zero
-    subspace as sum_j w_j (A + s_j)^(-1) z, one shifted PCG solve per node.
+def _dense_power(a: Conductances, values: np.ndarray, exponent: float) -> np.ndarray:
+    """A^exponent on the mean-zero subspace, applied to the fields stacked
+    along the leading axes of ``values``, from one ``eigh`` of the dense
+    operator matrix. Eigenvalues below 1e-10 of the largest span the
+    constant kernel and map to 0."""
+    evals, evecs = np.linalg.eigh(operator_matrix(a))
+    keep = evals > 1e-10 * evals.max()
+    power = np.zeros_like(evals)
+    power[keep] = evals[keep] ** exponent
+    flat = values.reshape(-1, a.grid.n)
+    return (((flat @ evecs) * power) @ evecs.T).reshape(values.shape)
 
-    The spectrum of A on that subspace lies in [4 N^2 sin^2(pi/N), 4 d Lambda
-    N^2], because every weight lies in [1, Lambda].
+
+def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
+             backend: str = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Apply A^(-1/2) on the mean-zero subspace to the fields stacked along
+    the leading axes of ``values`` (trailing axes ``grid.shape``, real or
+    complex), with A = -Lap_N when ``a`` is None; the backends are listed in
+    the module docstring. Returns the mean-zero images.
+
+    Krylov sums w_j (A + s_j)^(-1) z over the nodes of
+    :func:`_inv_sqrt_quadrature`, one shifted PCG solve per node and field.
+    The nodes are computed once per call for the interval
+    [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum of A on the
+    mean-zero subspace because every weight lies in [1, Lambda].
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    grid = a.grid
-    lo = eigenvalue_discrete(grid.N, (1,))
-    hi = 4.0 * grid.d * a.ellipticity * grid.N**2
-    shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
-    z = values - values.mean()
-    maxiter = default_max_iterations(grid)
-    out = np.zeros_like(z)
-    for s, w in zip(shifts, weights):
-        out += w * _pcg(a, z, tol, maxiter, shift=s)[0]
-    return out
+    if backend is None:
+        backend = "spectral" if a is None else "krylov"
+    if a is None:
+        if backend != "spectral":
+            a = Conductances.constant(grid, 1.0)
+    elif a.grid != grid:
+        raise ValueError("environment grid mismatch")
+    elif backend == "spectral":
+        raise ValueError("spectral backend requires the homogeneous operator")
+    if backend == "spectral":
+        out = _spectral_apply(values, _spectral_multiplier(grid, -0.5, 0.0))
+    elif backend == "dense":
+        out = _dense_power(a, values, -0.5)
+    elif backend == "krylov":
+        if not 0 < tol < 1:
+            raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
+        lo = eigenvalue_discrete(grid.N, (1,))
+        hi = 4.0 * grid.d * a.ellipticity * grid.N**2
+        shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
+        maxiter = default_max_iterations(grid)
+        fields = values.reshape((-1,) + grid.shape)
+        out = np.zeros_like(fields)
+        for z, acc in zip(fields, out):
+            z = z - z.mean()
+            for s, w in zip(shifts, weights):
+                acc += w * _pcg(a, z, tol, maxiter, shift=s)[0]
+        out = out.reshape(values.shape)
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
 
 
 def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT_TOL,
@@ -230,12 +277,11 @@ def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT
 
 
 def solve_dense(a: Conductances, rhs: LatticeField) -> LatticeField:
-    """Pseudo-inverse solve via the dense operator matrix (oracle path)."""
+    """Mean-zero solve via the eigendecomposition of the dense operator
+    matrix (oracle path)."""
     _require_mean_zero(rhs)
-    mat = operator_matrix(a)
-    sol = np.linalg.pinv(mat, rcond=1e-12) @ rhs.values.ravel()
-    sol = sol - sol.mean()
-    return LatticeField(a.grid, sol.reshape(a.grid.shape))
+    sol = _dense_power(a, rhs.values, -1.0)
+    return LatticeField(a.grid, sol - sol.mean())
 
 
 def _delta_rhs(grid: TorusGrid, y) -> LatticeField:

@@ -249,3 +249,31 @@ def test_rates_pseudo_without_kset_is_config_error(tmp_path, capsys):
     )
     assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "kset" in capsys.readouterr().err
+
+
+def test_sample_heatmap_rejects_d3_before_sampling(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "d = 3\nn = 4\nfield = gff\n")
+    out = tmp_path / "o"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--heatmap"]) == EXIT_CONFIG
+    assert "d = 2" in capsys.readouterr().err
+    assert not list(out.glob("*.hf"))
+
+
+@pytest.mark.parametrize("experiment, missing", [("pseudo", "kset"), ("bilap", "beta")])
+def test_rates_missing_key_fails_before_estimating_ahom(tmp_path, capsys, experiment, missing):
+    body = "n = 4,8,16\nlaw = bernoulli(0.5,1,2)\nkset = 1,0\nbeta = 0.75\n"
+    body = "".join(line + "\n" for line in body.splitlines() if not line.startswith(missing))
+    cfg = _write_config(tmp_path, body + f"experiment = {experiment}\n")
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert missing in err
+    assert "estimating" not in err
+
+
+def test_cov_unknown_backend_is_config_error(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "n = 8\nd = 2\nkset = 1,0; 0,1\nM = 2\nnoise_replicates = 60\nbackend = bogus\n",
+    )
+    assert main(["cov", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown backend" in capsys.readouterr().err

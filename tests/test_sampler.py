@@ -9,7 +9,6 @@ from homfield.lattice import TorusGrid, dft, fourier_mode
 from homfield.sampler import (
     FieldSample,
     NoiseHierarchy,
-    coarsen_noise,
     dump_field,
     formal_constant,
     formal_field,
@@ -36,7 +35,7 @@ def test_noise_hierarchy_nested_consistency():
     direct = h.level(4)
     via_intermediate = NoiseHierarchy(h.level(8)).level(4)
     assert np.allclose(direct.values, via_intermediate.values, atol=1e-12)
-    assert coarsen_noise(h, 16) is h.finest
+    assert h.level(16) is h.finest
     with pytest.raises(ValueError):
         h.level(5)
 
@@ -187,7 +186,7 @@ def test_shifted_solve_cap_raises_solver_error(monkeypatch):
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 3)
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
     with pytest.raises(SolverError) as err:
-        solver._inv_sqrt(a, sample_noise(grid, 4).values, 1e-8)
+        solver.inv_sqrt(grid, a, sample_noise(grid, 4).values, "krylov", 1e-8)
     assert err.value.report.iterations == 3
     assert err.value.report.backend == "cg"
 

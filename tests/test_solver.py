@@ -21,6 +21,7 @@ from homfield.solver import (
     _spectral_apply,
     _spectral_multiplier,
     green_column,
+    inv_sqrt,
     pseudo_eigenfunction,
     solve_dense,
     solve_heterogeneous,
@@ -132,11 +133,13 @@ def test_pcg_iterations_do_not_grow_with_size(N):
 def test_mean_zero_enforced():
     grid = TorusGrid(8, 2)
     a = Conductances.constant(grid, 1.0)
-    bad = LatticeField(grid, np.ones(grid.shape))
-    with pytest.raises(ValueError):
-        solve_heterogeneous(a, bad)
-    with pytest.raises(ValueError):
-        solve_homogeneous(grid, bad)
+    nan = _random_rhs(grid).values
+    nan[0, 0] = np.nan
+    for bad in (LatticeField(grid, np.ones(grid.shape)), LatticeField(grid, nan)):
+        with pytest.raises(ValueError, match="mean-zero"):
+            solve_heterogeneous(a, bad)
+        with pytest.raises(ValueError, match="mean-zero"):
+            solve_homogeneous(grid, bad)
 
 
 def test_solver_error_on_iteration_cap():
@@ -218,3 +221,67 @@ def test_inv_sqrt_node_count_reaches_tol():
                     shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
                     approx = (weights[:, None] / (shifts[:, None] + lam)).sum(axis=0)
                     assert np.max(np.abs(approx * np.sqrt(lam) - 1.0)) <= tol
+
+
+
+def _inv_sqrt_inputs(grid):
+    # a stack of two real fields and one complex field, none of them mean-zero
+    rng = np.random.default_rng(11)
+    real = rng.standard_normal((2,) + grid.shape) + 0.5
+    cplx = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return real, cplx
+
+
+def _rel_err(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def test_inv_sqrt_backends_agree_on_laplacian():
+    grid = TorusGrid(8, 2)
+    for values in _inv_sqrt_inputs(grid):
+        ref = inv_sqrt(grid, None, values, "spectral")
+        assert ref.shape == values.shape
+        assert np.max(np.abs(ref.mean(axis=(-2, -1)))) < 1e-15
+        for backend in (None, "dense", "krylov"):
+            assert _rel_err(inv_sqrt(grid, None, values, backend), ref) < 1e-7
+        # applied twice it is the mean-zero inverse of -Lap_N
+        fields = values.reshape((-1,) + grid.shape)
+        twice = inv_sqrt(grid, None, ref).reshape(fields.shape)
+        for field, out in zip(fields, twice):
+            solved = solve_homogeneous(grid, LatticeField(grid, field - field.mean()))
+            assert _rel_err(out, solved.values) < 1e-12
+
+
+def test_inv_sqrt_dense_and_krylov_agree_on_environment():
+    grid = TorusGrid(8, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    for values in _inv_sqrt_inputs(grid):
+        dense = inv_sqrt(grid, a, values, "dense")
+        assert _rel_err(inv_sqrt(grid, a, values), dense) < 1e-7
+        assert _rel_err(inv_sqrt(grid, a, values, "krylov"), dense) < 1e-7
+
+
+@pytest.mark.parametrize("backend", ["spectral", "dense", "krylov"])
+def test_inv_sqrt_stack_matches_field_by_field(backend):
+    grid = TorusGrid(8, 2)
+    a = (None if backend == "spectral"
+         else sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5))
+    real, cplx = _inv_sqrt_inputs(grid)
+    stack = np.stack([real[0], real[1], cplx])
+    out = inv_sqrt(grid, a, stack, backend)
+    for field, image in zip(stack, out):
+        assert np.allclose(image, inv_sqrt(grid, a, field, backend), rtol=0, atol=1e-13)
+
+
+def test_inv_sqrt_rejects_bad_backend():
+    grid = TorusGrid(8, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    values = _inv_sqrt_inputs(grid)[0]
+    with pytest.raises(ValueError, match="unknown backend"):
+        inv_sqrt(grid, None, values, "bogus")
+    with pytest.raises(ValueError, match="unknown backend"):
+        inv_sqrt(grid, a, values, "bogus")
+    with pytest.raises(ValueError, match="homogeneous"):
+        inv_sqrt(grid, a, values, "spectral")
+    with pytest.raises(ValueError, match="grid mismatch"):
+        inv_sqrt(TorusGrid(4, 2), a, values[:, :4, :4])
