@@ -5,8 +5,10 @@ four-panel shared-noise figure.
 Subcommands: ``sample``, ``ahom``, ``rates``, ``cov``, ``figure1``.
 
 Configuration is a flat INI file with a single ``[run]`` section, parsed by
-:mod:`configparser`. Grammar (keys are optional unless a command requires
-them)::
+:mod:`configparser`. Every key is read once, before any work starts; a
+blank value counts as absent, and a value that does not parse is a
+configuration error naming its key. Grammar (keys are optional unless a
+command requires them)::
 
     [run]
     d = 2                         # dimension
@@ -14,13 +16,16 @@ them)::
     law = bernoulli(0.5,1,2)      # constant(c) | uniform(lo,hi) | bernoulli(p,a,b)
                                   # omit or "homogeneous" for unit conductances
     field = bilap                 # sample: gff | bilap
-    beta = 0.75                   # Sobolev order (bilap/disc experiments)
+    beta = 0.75                   # Sobolev order (bilap/disc experiments); any
+                                  # value, 0 included, must pass the threshold
+                                  # beta > d/4 (gff) or d/4 - 1/2 (bilap)
     kset = 1,0; 0,1; 1,1          # frequency list, components comma-separated
     M = 16                        # environment replicates
     noise_replicates = 200        # noise draws per environment (cov / bilap MC)
     seed = 0                      # master seed (u64); --seed overrides
     tol = 1e-8                    # iterative solver tolerance
-    mode_cutoff = 2               # sup-norm truncation of mode sums (bilap)
+    mode_cutoff = 2               # sup-norm truncation of mode sums (bilap),
+                                  # >= 1; omit for the whole window
     experiment = pseudo           # rates: pseudo | bilap | disc | synthetic
                                   # (pseudo and bilap need a law)
     ahom = 1.4142135623730951     # effective coefficient; omit to estimate
@@ -34,6 +39,12 @@ them)::
                                   # default spectral without a law, krylov
                                   # with one; cov applies it once per mode
                                   # and environment
+
+Every subcommand appends one JSON record to ``runlog.jsonl`` in the output
+directory. Each record carries ``command``, ``config``, ``config_hash``
+(sha256 of the sorted ``[run]`` keys), ``seed`` and ``wall_s``, plus the
+subcommand's own results; ``figure1`` also writes its record to
+``figure1_report.json``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 assertion failure.
@@ -107,35 +118,39 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _get(cfg, key, default=None, cast=str):
-    if key not in cfg or str(cfg[key]).strip() == "":
-        if default is None:
+_REQUIRED = object()
+
+
+def _get(cfg, key, default=_REQUIRED, cast=str):
+    """The stripped value of ``key`` passed through ``cast``. A blank or
+    absent key gives ``default``, or a ConfigError when it is required; a
+    value that ``cast`` rejects gives a ConfigError naming the key."""
+    text = cfg.get(key, "").strip()
+    if not text:
+        if default is _REQUIRED:
             raise ConfigError(f"config key {key!r} is required for this command")
         return default
     try:
-        return cast(cfg[key])
+        return cast(text)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 def _parse_ns(text) -> tuple:
-    return tuple(int(v) for v in str(text).split(","))
+    return tuple(int(v) for v in text.split(","))
 
 
 def _parse_kset(text) -> tuple:
-    out = []
-    for part in str(text).split(";"):
-        part = part.strip()
-        if part:
-            out.append(tuple(int(v) for v in part.split(",")))
-    return tuple(out)
+    return tuple(tuple(int(v) for v in part.split(","))
+                 for part in text.split(";") if part.strip())
 
 
-def _parse_law(cfg):
-    text = str(cfg.get("law", "")).strip()
-    if not text or text == "homogeneous":
-        return None
-    return EnvironmentLaw.parse(text)
+def _parse_law(text):
+    return None if text == "homogeneous" else EnvironmentLaw.parse(text)
+
+
+def _law(cfg):
+    return _get(cfg, "law", default=None, cast=_parse_law)
 
 
 def _seed(args, cfg) -> int:
@@ -144,9 +159,16 @@ def _seed(args, cfg) -> int:
     return _get(cfg, "seed", default=0, cast=int)
 
 
-def write_runlog(out_dir, record) -> None:
-    with open(os.path.join(out_dir, "runlog.jsonl"), "a") as fh:
+def write_runlog(args, cfg, seed, t0, **fields) -> dict:
+    """Append one record to ``runlog.jsonl`` in the output directory and
+    return it: the command's ``fields`` plus the envelope every record
+    carries (command, config, config_hash, seed, wall_s since ``t0``)."""
+    record = {"command": args.command, "config": cfg,
+              "config_hash": config_hash(cfg), "seed": seed,
+              "wall_s": time.time() - t0, **fields}
+    with open(os.path.join(args.out, "runlog.jsonl"), "a") as fh:
         fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -204,35 +226,31 @@ def _sample_field(kind, grid, law, seed, backend, tol):
     if kind == "gff":
         return sample_gff(grid, a, np.random.SeedSequence(seed, spawn_key=(2,)),
                           backend=backend, tol=tol)
-    if kind == "bilap":
-        noise = sample_noise(grid, np.random.SeedSequence(seed, spawn_key=(2,)))
-        return sample_bilaplacian(grid, a, noise, tol=tol)
-    raise ConfigError(f"unknown field kind {kind!r} (expected gff or bilap)")
+    noise = sample_noise(grid, np.random.SeedSequence(seed, spawn_key=(2,)))
+    return sample_bilaplacian(grid, a, noise, tol=tol)
 
 
 def cmd_sample(args, cfg) -> int:
     d = _get(cfg, "d", default=2, cast=int)
     N = _get(cfg, "n", cast=int)
     kind = _get(cfg, "field", default="bilap")
-    law = _parse_law(cfg)
+    law = _law(cfg)
     tol = _get(cfg, "tol", default=DEFAULT_TOL, cast=float)
     seed = _seed(args, cfg)
-    backend = cfg.get("backend") or None
+    backend = _get(cfg, "backend", default=None)
+    if kind not in ("gff", "bilap"):
+        raise ConfigError(f"unknown field kind {kind!r} (expected gff or bilap)")
     if args.heatmap and d != 2:
         raise ConfigError("heatmaps require d = 2")
     grid = TorusGrid(N, d)
     t0 = time.time()
     smp = _sample_field(kind, grid, law, seed, backend, tol)
-    h = config_hash(cfg)
     dump_path = os.path.join(args.out, f"field_{smp.kind}_N{N}_seed{seed}.hf")
     dump_field(smp, dump_path)
     if args.heatmap:
-        write_heatmap(smp, dump_path.replace(".hf", ".ppm"), h, seed,
+        write_heatmap(smp, dump_path.replace(".hf", ".ppm"), config_hash(cfg), seed,
                       grayscale=args.grayscale)
-    write_runlog(args.out, {
-        "command": "sample", "config": cfg, "config_hash": h, "seed": seed,
-        "wall_s": time.time() - t0, "dump": os.path.basename(dump_path),
-    })
+    write_runlog(args, cfg, seed, t0, dump=os.path.basename(dump_path))
     print(f"wrote {dump_path}")
     return EXIT_OK
 
@@ -241,23 +259,17 @@ def cmd_ahom(args, cfg) -> int:
     d = _get(cfg, "d", default=2, cast=int)
     N = _get(cfg, "n", cast=int)
     M = _get(cfg, "m", default=16, cast=int)
-    law = _parse_law(cfg)
+    law = _law(cfg)
     if law is None:
         raise ConfigError("ahom needs an environment law")
     tol = _get(cfg, "tol", default=DEFAULT_TOL, cast=float)
     seed = _seed(args, cfg)
     t0 = time.time()
     est = estimate_ahom(law, N, M, seed, d=d, tol=tol)
-    h = config_hash(cfg)
-    csv_path = os.path.join(args.out, "ahom.csv")
-    write_ahom_csv(csv_path, [est], d)
-    write_runlog(args.out, {
-        "command": "ahom", "config": cfg, "config_hash": h, "seed": seed,
-        "wall_s": time.time() - t0, "ahom_mean": est.mean,
-        "ahom_stderr": est.stderr, "samples": est.samples,
-        "failures": est.failures, "iterations": est.iterations,
-        "max_residual": est.max_residual,
-    })
+    write_ahom_csv(os.path.join(args.out, "ahom.csv"), [est], d)
+    write_runlog(args, cfg, seed, t0, ahom_mean=est.mean, ahom_stderr=est.stderr,
+                 samples=est.samples, failures=est.failures,
+                 iterations=est.iterations, max_residual=est.max_residual)
     print(f"ahom = {est.mean:.6f} +- {est.stderr:.2e} ({est.samples} samples)")
     return EXIT_OK
 
@@ -271,21 +283,19 @@ def _write_rate_csv(path, series: RateSeries) -> None:
 
 
 def _experiment_config(cfg, seed, field_kind) -> ExperimentConfig:
-    law = _parse_law(cfg)
-    ahom_text = str(cfg.get("ahom", "")).strip()
     return ExperimentConfig(
         d=_get(cfg, "d", default=2, cast=int),
-        law=law,
+        law=_law(cfg),
         field_kind=field_kind,
-        beta=_get(cfg, "beta", default=0, cast=float) or None,
-        Ns=_parse_ns(_get(cfg, "n")),
-        kset=_parse_kset(cfg.get("kset", "")),
+        beta=_get(cfg, "beta", default=None, cast=float),
+        Ns=_get(cfg, "n", cast=_parse_ns),
+        kset=_get(cfg, "kset", default=(), cast=_parse_kset),
         replicates=_get(cfg, "m", default=8, cast=int),
         noise_replicates=_get(cfg, "noise_replicates", default=32, cast=int),
         seed=seed,
-        ahom=float(ahom_text) if ahom_text else None,
+        ahom=_get(cfg, "ahom", default=None, cast=float),
         tol=_get(cfg, "tol", default=DEFAULT_TOL, cast=float),
-        mode_cutoff=_get(cfg, "mode_cutoff", default=0, cast=int) or None,
+        mode_cutoff=_get(cfg, "mode_cutoff", default=None, cast=int),
     )
 
 
@@ -306,11 +316,13 @@ def _with_ahom(ecfg: ExperimentConfig) -> tuple:
 def cmd_rates(args, cfg) -> int:
     experiment = _get(cfg, "experiment")
     seed = _seed(args, cfg)
+    expect = _get(cfg, "expect_slope", default=None, cast=float)
+    slope_tol = _get(cfg, "slope_tol", default=0.3, cast=float)
     t0 = time.time()
     ahom_record = {}
     if experiment == "synthetic":
         # harness self-test: exact power law injected instead of measurement
-        ns = _parse_ns(_get(cfg, "n"))
+        ns = _get(cfg, "n", cast=_parse_ns)
         series = RateSeries.from_points("synthetic_nm2", [(n, n**-2.0, 0.0) for n in ns])
     elif experiment == "pseudo":
         _get(cfg, "kset")  # checked before ahom is estimated
@@ -321,41 +333,29 @@ def cmd_rates(args, cfg) -> int:
         ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed, "bilap"))
         series = bilap_error_rate(ecfg).series
     elif experiment == "disc":
-        ecfg = _experiment_config(cfg, seed, "bilap")
-        series = discretization_rate(ecfg)
+        series = discretization_rate(_experiment_config(cfg, seed, "bilap"))
     else:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    h = config_hash(cfg)
     _write_rate_csv(os.path.join(args.out, f"rates_{experiment}.csv"), series)
-    slope = series.corrected[0] if series.corrected else series.slope
-    record = {
-        "command": "rates", "experiment": experiment, "config": cfg,
-        "config_hash": h, "seed": seed, "wall_s": time.time() - t0,
-        "slope": series.slope, "half_width": series.half_width,
-        "corrected_slope": series.corrected[0] if series.corrected else None,
-        **ahom_record,
-    }
-    write_runlog(args.out, record)
+    corrected = series.corrected[0] if series.corrected else None
+    write_runlog(args, cfg, seed, t0, experiment=experiment, slope=series.slope,
+                 half_width=series.half_width, corrected_slope=corrected,
+                 **ahom_record)
     print(f"{series.quantity}: slope {series.slope:+.3f} "
           f"(half-width {series.half_width:.3f})"
-          + (f", log-corrected {series.corrected[0]:+.3f}" if series.corrected else ""))
-    expect = str(cfg.get("expect_slope", "")).strip()
-    if expect:
-        tol = _get(cfg, "slope_tol", default=0.3, cast=float)
-        if abs(slope - float(expect)) > tol:
-            raise AssertionFailure(
-                f"slope {slope:+.3f} outside {expect} +- {tol}"
-            )
+          + (f", log-corrected {corrected:+.3f}" if series.corrected else ""))
+    slope = series.slope if corrected is None else corrected
+    if expect is not None and abs(slope - expect) > slope_tol:
+        raise AssertionFailure(f"slope {slope:+.3f} outside {expect:g} +- {slope_tol}")
     return EXIT_OK
 
 
 def cmd_cov(args, cfg) -> int:
     seed = _seed(args, cfg)
     ecfg = _experiment_config(cfg, seed, "gff")
-    backend = cfg.get("backend") or None
+    backend = _get(cfg, "backend", default=None)
     t0 = time.time()
     report = gff_covariance_limit(ecfg, backend=backend)
-    h = config_hash(cfg)
     path = os.path.join(args.out, "covariance.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -368,13 +368,10 @@ def cmd_cov(args, cfg) -> int:
                     repr(float(np.imag(report.covariance[i, j]))),
                     repr(float(report.stderr[i, j])),
                 ])
-    write_runlog(args.out, {
-        "command": "cov", "config": cfg, "config_hash": h, "seed": seed,
-        "wall_s": time.time() - t0, "fitted_constant": report.fitted_constant,
-        "max_offdiag_z": report.max_offdiag_z(),
-        "offdiag_frobenius": report.offdiag_frobenius(),
-        "offdiag_frobenius_exact": report.offdiag_frobenius(exact=True),
-    })
+    write_runlog(args, cfg, seed, t0, fitted_constant=report.fitted_constant,
+                 max_offdiag_z=report.max_offdiag_z(),
+                 offdiag_frobenius=report.offdiag_frobenius(),
+                 offdiag_frobenius_exact=report.offdiag_frobenius(exact=True))
     print(f"fitted constant {report.fitted_constant:.5f}, "
           f"max off-diagonal |z| {report.max_offdiag_z():.2f}")
     if report.max_offdiag_z() > 4.0:
@@ -429,14 +426,10 @@ def cmd_figure1(args, cfg) -> int:
         tests[name] = {"agreeing_sites": agree, "sites": grid.n,
                        "p_value": float(res.pvalue)}
         passed = bool(passed and res.pvalue < 0.01)
-    report = {
-        "command": "figure1", "config": cfg, "config_hash": h, "seed": seed,
-        "N": n_side, "wall_s": time.time() - t0, "sign_tests": tests,
-        "passed": passed,
-    }
+    report = write_runlog(args, cfg, seed, t0, N=n_side, sign_tests=tests,
+                          passed=passed)
     with open(os.path.join(args.out, "figure1_report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
-    write_runlog(args.out, report)
     for name, t in tests.items():
         print(f"{name}: {t['agreeing_sites']}/{t['sites']} sites agree, "
               f"p = {t['p_value']:.3e}")
@@ -480,10 +473,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else {}
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](args, cfg)
-    except (ConfigError, configparser.Error) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

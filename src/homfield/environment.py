@@ -244,16 +244,24 @@ def apply_operator(a: Conductances, f: LatticeField) -> LatticeField:
 
 def operator_matrix(a: Conductances) -> np.ndarray:
     """Dense matrix of the operator in the canonical site basis (for small
-    grids and oracle checks)."""
+    grids and oracle checks).
+
+    Each edge {x, x + e_i} adds a_i(x) to both diagonal entries and -a_i(x)
+    to both off-diagonal ones, summed in the order of
+    :func:`apply_operator`, so the matrix equals its columns exactly.
+    """
     grid = a.grid
     n = grid.n
     if n > 4096:
         raise ValueError(f"dense operator with {n} sites is too large")
+    sites = np.arange(n).reshape(grid.shape)
     mat = np.zeros((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        col = apply_operator(a, LatticeField(grid, eye[j].reshape(grid.shape)))
-        mat[:, j] = col.values.ravel()
+    for axis in range(grid.d):
+        x, y = sites.ravel(), np.roll(sites, -1, axis).ravel()
+        w = a.weights[axis].ravel()
+        np.add.at(mat, (np.concatenate([x, y, x, y]), np.concatenate([x, y, y, x])),
+                  np.concatenate([w, w, -w, -w]))
+    mat *= grid.N**2
     return mat
 
 

@@ -7,6 +7,7 @@ expected logarithmic correction is divided out before fitting.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ from .lattice import (
     dft,
     eigenvalue_continuum,
     eigenvalue_discrete,
+    eigenvalues_continuum,
+    eigenvalues_discrete,
     fourier_mode,
 )
 from .sampler import formal_constant, sample_noise
@@ -150,6 +153,8 @@ class ExperimentConfig:
                     f"beta={self.beta} violates the convergence threshold "
                     f"beta > {threshold} for {self.field_kind} in d={self.d}"
                 )
+        if self.mode_cutoff is not None and self.mode_cutoff < 1:
+            raise ValueError(f"mode_cutoff must be at least 1, got {self.mode_cutoff}")
         object.__setattr__(self, "Ns", tuple(int(n) for n in self.Ns))
         if any(b <= a for a, b in zip(self.Ns, self.Ns[1:])):
             raise ValueError("Ns must be strictly increasing")
@@ -490,15 +495,11 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     enumerated up to sup-norm kcut; the analytic remainder bound must stay
     below 10% of the partial sum.
     """
-    rng = np.arange(-kcut, kcut + 1)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    msq = sum(g.astype(float) ** 2 for g in grids)
-    lo, hi = -(N // 2), N - N // 2 - 1
-    inside = np.ones(msq.shape, dtype=bool)
-    for g in grids:
-        inside &= (g >= lo) & (g <= hi)
-    mask = (~inside) & (msq > 0)
-    lam = 4.0 * np.pi**2 * msq[mask]
+    lam = eigenvalues_continuum(TorusGrid(2 * kcut + 1, d))
+    c = np.arange(-kcut, kcut + 1)
+    in_window = (c >= -(N // 2)) & (c <= N - N // 2 - 1)
+    outside = ~functools.reduce(np.logical_and.outer, [in_window] * d)
+    lam = lam[outside & (lam > 0)]
     partial = float(np.sum(lam ** (-2.0 * beta - 2.0)))
     remainder = (4.0 * np.pi**2) ** (-2.0 * beta - 2.0) * _shell_tail_bound(
         d, 4.0 * beta + 4.0, kcut
@@ -528,18 +529,8 @@ def coupling_error(N: int, d: int, beta: float) -> float:
     reported separately (see :func:`discretization_rate`).
     """
     grid = TorusGrid(N, d)
-    coords = grid.coordinates_1d().astype(float)
-    sinc = np.ones(grid.shape)
-    lam_n = np.zeros(grid.shape)
-    lam = np.zeros(grid.shape)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = N
-        c = coords.reshape(shape)
-        x = np.pi * c / N
-        sinc = sinc * np.where(c == 0, 1.0, np.sin(x) / np.where(x == 0, 1.0, x))
-        lam_n = lam_n + 4.0 * N**2 * np.sin(x) ** 2
-        lam = lam + 4.0 * np.pi**2 * c**2
+    sinc = functools.reduce(np.multiply.outer, [np.sinc(grid.coordinates_1d() / N)] * d)
+    lam_n, lam = eigenvalues_discrete(grid), eigenvalues_continuum(grid)
     mask = lam > 0
     lam, lam_n, b = lam[mask], lam_n[mask], sinc[mask]
     per_mode = (1.0 / lam_n - 1.0 / lam) ** 2 + 2.0 * (1.0 - b) / (lam_n * lam)

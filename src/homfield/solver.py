@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class SolveReport:
     residual: float
     tolerance: float
     backend: str
-    energy_history: list = field(default_factory=list, repr=False)
 
 
 class SolverError(RuntimeError):
@@ -128,8 +127,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     is at most Lambda for every shift. The operator is real symmetric, so
     complex right-hand sides iterate in place with Hermitian inner products.
     Iterates on the mean-zero subspace; the mean is projected out of every
-    update. Tracks the quadratic functional 0.5 x.A x - b.x, whose decrease
-    is equivalent to the decrease of the energy norm of the error.
+    update.
 
     Returns (x, report); raises SolverError when the iteration cap is hit
     before the relative residual reaches tol.
@@ -150,7 +148,6 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     z = _spectral_apply(r, precond)
     p = z.copy()
     rz = np.vdot(r, z).real
-    energy = [0.0]
     for it in range(1, maxiter + 1):
         ap = matvec(p)
         if shift:
@@ -160,11 +157,9 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
         x -= x.mean()
         r -= alpha * ap
         r -= r.mean()
-        # One CG step changes 0.5 x.A x - b.x by exactly -0.5 alpha (r.z).
-        energy.append(energy[-1] - 0.5 * alpha * rz)
         res = np.linalg.norm(r) / bnorm
         if res <= tol:
-            return x, SolveReport(it, float(res), tol, "cg", energy)
+            return x, SolveReport(it, float(res), tol, "cg")
         z = _spectral_apply(r, precond)
         rz_new = np.vdot(r, z).real
         beta = rz_new / rz
@@ -173,7 +168,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
         p += z
     raise SolverError(
         f"CG did not reach tol={tol} within {maxiter} iterations (residual {res:.3e})",
-        SolveReport(maxiter, float(res), tol, "cg", energy),
+        SolveReport(maxiter, float(res), tol, "cg"),
     )
 
 
@@ -256,24 +251,21 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
 
 
-def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT_TOL,
-                        maxiter: int = None):
+def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT_TOL):
     """Mean-zero solution of -div a grad u = rhs by preconditioned conjugate
     gradient; ``rhs`` may be real or complex.
 
-    Returns (solution, report); raises SolverError when the iteration cap is
-    hit before the relative residual reaches tol.
+    Returns (solution, report); raises SolverError when the cap of
+    :func:`default_max_iterations` is hit before the relative residual
+    reaches tol.
     """
     if rhs.grid != a.grid:
         raise ValueError("rhs grid mismatch")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     _require_mean_zero(rhs)
-    grid = a.grid
-    if maxiter is None:
-        maxiter = default_max_iterations(grid)
-    x, report = _pcg(a, rhs.values, tol, maxiter)
-    return LatticeField(grid, x), report
+    x, report = _pcg(a, rhs.values, tol, default_max_iterations(a.grid))
+    return LatticeField(a.grid, x), report
 
 
 def solve_dense(a: Conductances, rhs: LatticeField) -> LatticeField:

@@ -1,10 +1,12 @@
+import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from homfield import solver
+from homfield import cli, solver
 from homfield.environment import EnvironmentLaw
 from homfield.experiments import ExperimentConfig
 from homfield.homogenization import estimate_ahom
@@ -277,3 +279,96 @@ def test_cov_unknown_backend_is_config_error(tmp_path, capsys):
     )
     assert main(["cov", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "unknown backend" in capsys.readouterr().err
+
+
+def test_rates_beta_zero_meets_the_threshold_check(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "n = 4,8,16\nexperiment = bilap\nlaw = bernoulli(0.5,1,2)\nbeta = 0\n")
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "violates the convergence threshold" in err
+    assert "estimating" not in err
+
+
+def test_rates_bad_expect_slope_fails_before_running(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "n = 8,16,32\nexperiment = synthetic\nexpect_slope = abc\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "expect_slope" in capsys.readouterr().err
+    assert not list(out.glob("rates_*.csv"))
+
+
+@pytest.mark.parametrize("command, body, key", [
+    ("rates", "n = 4,8,16\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\nkset = 1,0\n"
+              "ahom = x1.4\n", "ahom"),
+    ("sample", "n = 8\nlaw = constant(1,2)\n", "law"),
+    ("cov", "n = 8\nkset = 1,0; 0,x\nM = 2\nnoise_replicates = 60\n", "kset"),
+])
+def test_unparsable_value_names_its_key(tmp_path, capsys, command, body, key):
+    cfg = _write_config(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_rates_mode_cutoff_zero_is_config_error(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "n = 4,8,16\nexperiment = bilap\nlaw = bernoulli(0.5,1,2)\nbeta = 0.75\n"
+                  "ahom = 1.4\nM = 2\nmode_cutoff = 0\n")
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "mode_cutoff" in capsys.readouterr().err
+
+
+def test_blank_value_counts_as_absent(tmp_path):
+    body = "n = 8,16,32\nexperiment = synthetic\n"
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    cfg = _write_config(tmp_path, body + "expect_slope =\nbackend =\nseed =\n", name="blank.ini")
+    assert main(["rates", "--config", cfg, "--out", str(out1)]) == EXIT_OK
+    assert main(["rates", "--config", _write_config(tmp_path, body), "--out", str(out2)]) == EXIT_OK
+    assert (out1 / "rates_synthetic.csv").read_bytes() == (out2 / "rates_synthetic.csv").read_bytes()
+    assert json.loads((out1 / "runlog.jsonl").read_text())["seed"] == 0
+
+
+def test_sample_checks_field_before_drawing_the_environment(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("environment drawn before the field kind was checked")
+
+    monkeypatch.setattr(cli, "sample_environment", fail)
+    cfg = _write_config(tmp_path, "n = 8\nlaw = bernoulli(0.5,1,2)\nfield = membrane\n")
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "unknown field kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, body, extra", [
+    ("sample", "n = 8\nfield = gff\n", {"dump"}),
+    ("ahom", "n = 8\nlaw = constant(1.5)\nM = 2\n", {"ahom_mean", "iterations"}),
+    ("rates", "n = 8,16,32\nexperiment = synthetic\n", {"experiment", "slope"}),
+    ("cov", "n = 8\nkset = 1,0; 0,1\nM = 2\nnoise_replicates = 60\n", {"fitted_constant"}),
+    ("figure1", "n = 16\n", {"sign_tests", "passed"}),
+])
+def test_every_runlog_record_carries_the_envelope(tmp_path, command, body, extra):
+    cfg_path = _write_config(tmp_path, body + "seed = 3\n")
+    out = tmp_path / "o"
+    main([command, "--config", cfg_path, "--out", str(out)])
+    record = json.loads((out / "runlog.jsonl").read_text())
+    cfg = load_config(cfg_path)
+    assert {k: record[k] for k in ("command", "config", "config_hash", "seed")} == {
+        "command": command, "config": cfg, "config_hash": config_hash(cfg), "seed": 3}
+    assert record["wall_s"] >= 0
+    assert extra <= record.keys()
+    if command == "figure1":
+        assert json.loads((out / "figure1_report.json").read_text()) == record
+
+
+def _ini_keys(lines) -> set:
+    return {m.group(1).lower() for m in map(re.compile(r"^\s*(\w+) = ").match, lines) if m}
+
+
+def test_every_config_key_is_documented():
+    read = set(re.findall(r'_get\(cfg, "(\w+)"', inspect.getsource(cli)))
+    assert {"beta", "mode_cutoff", "ahom", "expect_slope", "backend", "law"} <= read
+    grammar = cli.__doc__.split("\n    [run]\n", 1)[1].split("\n\n", 1)[0]
+    assert read <= _ini_keys(grammar.splitlines())
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        ini = fh.read().split("```ini", 1)[1].split("```", 1)[0]
+    assert read <= _ini_keys(ini.splitlines())

@@ -177,6 +177,19 @@ def test_apply_operator_matches_roll_stencil(d, N):
         assert np.allclose(out, N**2 * ref, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+def test_operator_matrix_equals_operator_columns(d, N):
+    # N = 2 makes the neighbours x + e_i and x - e_i one site
+    grid = TorusGrid(N, d)
+    for law in (EnvironmentLaw.uniform(1, 2), EnvironmentLaw.bernoulli(0.5, 1, 2)):
+        a = sample_environment(law, grid, 7)
+        eye = np.eye(grid.n)
+        columns = np.stack([apply_operator(a, LatticeField(grid, e.reshape(grid.shape)))
+                            .values.ravel() for e in eye], axis=1)
+        assert np.array_equal(operator_matrix(a), columns)
+
+
 def test_dump_load_roundtrip(tmp_path):
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 4)

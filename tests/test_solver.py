@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homfield import solver
 from homfield.environment import (
     Conductances,
     EnvironmentLaw,
@@ -142,21 +143,32 @@ def test_mean_zero_enforced():
             solve_homogeneous(grid, bad)
 
 
-def test_solver_error_on_iteration_cap():
+def test_solver_error_on_iteration_cap(monkeypatch):
+    monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 2)
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     rhs = _random_rhs(grid, 3)
     with pytest.raises(SolverError) as err:
-        solve_heterogeneous(a, rhs, tol=1e-14, maxiter=2)
+        solve_heterogeneous(a, rhs, tol=1e-14)
     assert err.value.report.iterations == 2
 
 
 def test_energy_history_decreases():
+    # CG runs the same iterates whatever its tolerance, so looser tolerances
+    # stop it after fewer steps: 0.5 x.Ax - b.x over those stopping points
+    # is the energy along one run
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 6)
     rhs = _random_rhs(grid, 4)
-    _, report = solve_heterogeneous(a, rhs, tol=1e-10)
-    energy = np.asarray(report.energy_history)
+    energy = {0: 0.0}
+    for k in range(1, 41):
+        x, report = solve_heterogeneous(a, rhs, tol=10 ** (-0.25 * k))
+        ax = apply_operator(a, x).values
+        energy[report.iterations] = float(0.5 * np.sum(x.values * ax)
+                                          - np.sum(rhs.values * x.values))
+    n = max(energy)
+    assert sorted(energy) == list(range(n + 1))
+    energy = np.asarray([energy[it] for it in range(n + 1)])
     assert len(energy) > 2
     assert np.all(np.diff(energy) <= 1e-12)
 
