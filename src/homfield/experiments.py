@@ -8,6 +8,7 @@ expected logarithmic correction is divided out before fitting.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,8 +115,6 @@ class RateSeries:
 # configuration
 
 
-GFF_KINDS = ("gff",)
-BILAP_KINDS = ("bilap",)
 AHOM_ESTIMATE_M = 32   # environments behind an estimated ahom
 
 
@@ -142,17 +141,20 @@ class ExperimentConfig:
     mode_cutoff: int = None
 
     def __post_init__(self):
-        if self.field_kind not in GFF_KINDS + BILAP_KINDS:
+        if self.field_kind not in ("gff", "bilap"):
             raise ValueError(f"unknown field kind {self.field_kind!r}")
         if self.beta is not None:
             threshold = self.d / 4.0
-            if self.field_kind in BILAP_KINDS:
+            if self.field_kind == "bilap":
                 threshold -= 0.5
             if self.beta <= threshold:
                 raise ValueError(
                     f"beta={self.beta} violates the convergence threshold "
                     f"beta > {threshold} for {self.field_kind} in d={self.d}"
                 )
+        for name in ("replicates", "noise_replicates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.mode_cutoff is not None and self.mode_cutoff < 1:
             raise ValueError(f"mode_cutoff must be at least 1, got {self.mode_cutoff}")
         object.__setattr__(self, "Ns", tuple(int(n) for n in self.Ns))
@@ -165,27 +167,54 @@ class ExperimentConfig:
             if not any(k):
                 raise ValueError("k = 0 is excluded from every experiment")
 
-    def resolve_ahom(self, N: int = None, M: int = AHOM_ESTIMATE_M) -> float:
+    def resolve_ahom(self) -> float:
         """Effective coefficient to use: the configured value, or an estimate
-        from the largest ladder size when none was given."""
+        from AHOM_ESTIMATE_M environments at the largest ladder size when
+        none was given."""
         if self.ahom is not None:
             return float(self.ahom)
         if self.law is None:
             return 1.0
-        n_est = N if N is not None else max(self.Ns)
-        est = estimate_ahom(self.law, n_est, M, seed=self.seed + 77, d=self.d)
-        return est.mean
+        return estimate_ahom(self.law, max(self.Ns), AHOM_ESTIMATE_M,
+                             seed=self.seed + 77, d=self.d).mean
 
 
 def _replicate_seed(cfg: ExperimentConfig, tag: int, rep: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(cfg.seed, spawn_key=(tag, rep))
 
 
-def _mean_stderr(values) -> tuple:
-    values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return mean, stderr
+def _ladder(cfg: ExperimentConfig, tag: int, per_env, sizes=None) -> list:
+    """(N, mean, stderr) of per_env(a, rep) over the environments
+    _replicate_seed(cfg, tag + i, rep) at the i-th size of cfg.Ns, for
+    every size or only those in ``sizes``; one tag means one set of draws."""
+    points = []
+    for i, N in enumerate(cfg.Ns):
+        if sizes is not None and N not in sizes:
+            continue
+        grid = TorusGrid(N, cfg.d)
+        vals = np.asarray([
+            per_env(sample_environment(cfg.law, grid, _replicate_seed(cfg, tag + i, rep)), rep)
+            for rep in range(cfg.replicates)], dtype=float)
+        stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        points.append((N, float(vals.mean()), stderr))
+    return points
+
+
+def _rate_series(cfg: ExperimentConfig, quantity: str, points) -> RateSeries:
+    """The fitted series of a Monte-Carlo ladder, with the log correction in
+    d = 2. Under a constant law the values are at solver-tolerance level,
+    and fewer than 3 sizes cannot be fitted: both give NaN slope fields."""
+    if cfg.law.variant == "constant" or len(points) < 3:
+        nan = float("nan")
+        return RateSeries(quantity, tuple(points), nan, nan, nan)
+    return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2))
+
+
+def _pseudo_sq_error(a, ahom: float, k, tol: float) -> float:
+    """Squared l2 distance between the pseudo-eigenfunction of mode k in
+    environment a and the Fourier mode phi_k."""
+    phi = pseudo_eigenfunction(a, ahom, k, tol=tol)
+    return (phi - fourier_mode(a.grid, k)).norm() ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -208,23 +237,8 @@ def pseudo_eigen_rate(cfg: ExperimentConfig, k=None) -> RateSeries:
     if cfg.law is None:
         raise ValueError("pseudo_eigen_rate needs an environment law")
     ahom = cfg.resolve_ahom()
-    constant_law = cfg.law.variant == "constant"
-    points = []
-    for n_idx, N in enumerate(cfg.Ns):
-        grid = TorusGrid(N, cfg.d)
-        mode = fourier_mode(grid, k)
-        vals = []
-        for rep in range(cfg.replicates):
-            a = sample_environment(cfg.law, grid, _replicate_seed(cfg, n_idx, rep))
-            phi = pseudo_eigenfunction(a, ahom, k, tol=cfg.tol)
-            vals.append((phi - mode).norm() ** 2)
-        mean, stderr = _mean_stderr(vals)
-        points.append((N, mean, stderr))
-    if constant_law or len(points) < 3:
-        nan = float("nan")
-        return RateSeries("pseudo_eigen_sq_error", tuple(points), nan, nan, nan)
-    return RateSeries.from_points("pseudo_eigen_sq_error", points,
-                                  log_correct=(cfg.d == 2))
+    points = _ladder(cfg, 0, lambda a, rep: _pseudo_sq_error(a, ahom, k, cfg.tol))
+    return _rate_series(cfg, "pseudo_eigen_sq_error", points)
 
 
 # ---------------------------------------------------------------------------
@@ -339,57 +353,38 @@ def _mode_representatives(grid: TorusGrid, cutoff: int):
     """Nonzero frequencies of the grid with sup-norm at most cutoff, grouped
     into conjugate pairs: yields (k, multiplicity) with multiplicity 2 when
     -k is a distinct in-window frequency, else 1."""
-    win_lo = -(grid.N // 2)
-    win_hi = grid.N - grid.N // 2 - 1
-    if cutoff is None:
-        lo, hi = win_lo, win_hi
-        cutoff = max(-win_lo, win_hi)
-    else:
-        lo = max(win_lo, -cutoff)
-        hi = min(win_hi, cutoff)
-    rng = range(lo, hi + 1)
-    seen = set()
-    for k in np.ndindex(*([len(rng)] * grid.d)):
-        kvec = tuple(rng[i] for i in k)
-        if not any(kvec):
-            continue
-        if kvec in seen:
-            continue
+    lo, hi = -(grid.N // 2), grid.N - grid.N // 2 - 1
+    if cutoff is not None:
+        lo, hi = max(lo, -cutoff), min(hi, cutoff)
+    for kvec in itertools.product(range(lo, hi + 1), repeat=grid.d):
+        # -k, wrapped at -N/2, lies in the same range, so each pair is
+        # yielded once, at its lexicographically first member.
         neg = tuple(c if 2 * c == -grid.N else -c for c in kvec)
-        in_window = grid.frequency_in_range(neg)
-        if in_window and neg != kvec and max(abs(c) for c in neg) <= cutoff:
-            seen.add(neg)
-            yield kvec, 2
-        else:
-            yield kvec, 1
+        if any(kvec) and kvec <= neg:
+            yield kvec, 1 if neg == kvec else 2
 
 
 def _bilap_exact_in_noise(cfg: ExperimentConfig, a, ahom: float, modes) -> float:
     """Noise-exact squared H^{-beta} error of the coupled bi-Laplacian pair
     for one environment: a weighted mode sum of pseudo-eigenfunction errors."""
-    grid = a.grid
     cb = formal_constant("bilap", cfg.d)
     total = 0.0
     for k, mult in modes:
-        lam_n = eigenvalue_discrete(grid.N, k)
-        lam = eigenvalue_continuum(k)
-        phi = pseudo_eigenfunction(a, ahom, k, tol=cfg.tol)
-        err = (phi - fourier_mode(grid, k)).norm() ** 2
-        total += mult * lam ** (-2.0 * cfg.beta) * cb**2 * err / (ahom * lam_n) ** 2
+        err = _pseudo_sq_error(a, ahom, k, cfg.tol)
+        total += (mult * eigenvalue_continuum(k) ** (-2.0 * cfg.beta) * cb**2 * err
+                  / (ahom * eigenvalue_discrete(a.grid.N, k)) ** 2)
     return total
 
 
-def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, modes, env_idx: int) -> tuple:
-    """Shared-noise Monte-Carlo estimator of the same squared error norm."""
+def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, modes, env_idx: int) -> float:
+    """Shared-noise Monte-Carlo estimate of the same squared error norm,
+    averaged over cfg.noise_replicates draws."""
     grid = a.grid
     cb = formal_constant("bilap", cfg.d)
     scale = cb * grid.N ** (grid.d / 2.0)
-    weights = []
-    kidx = []
-    for k, mult in modes:
-        weights.append(mult * eigenvalue_continuum(k) ** (-2.0 * cfg.beta))
-        kidx.append(grid.index_of(k))
-    weights = np.asarray(weights)
+    weights = np.asarray([mult * eigenvalue_continuum(k) ** (-2.0 * cfg.beta)
+                          for k, mult in modes])
+    kidx = tuple(np.array([grid.index_of(k) for k, _ in modes]).T)
     vals = []
     for s in range(cfg.noise_replicates):
         noise = sample_noise(grid, np.random.SeedSequence(cfg.seed, spawn_key=(300, env_idx, s)))
@@ -398,9 +393,9 @@ def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, modes, env_idx: in
         u_hom = solve_homogeneous(grid, rhs)
         diff = LatticeField(grid, u_env.values - u_hom.values / ahom)
         spec = dft(diff)
-        coeffs = scale * np.asarray([spec.coefficients[i] for i in kidx])
+        coeffs = scale * spec.coefficients[kidx]
         vals.append(float(np.sum(weights * np.abs(coeffs) ** 2)))
-    return _mean_stderr(vals)
+    return float(np.mean(vals))
 
 
 @dataclass(frozen=True)
@@ -425,30 +420,17 @@ def bilap_error_rate(cfg: ExperimentConfig, mc_at=()) -> BilapErrorResult:
     if cfg.law is None:
         raise ValueError("bilap_error_rate needs an environment law")
     ahom = cfg.resolve_ahom()
-    constant_law = cfg.law.variant == "constant"
-    points = []
-    mc, exact_at_mc = {}, {}
-    for n_idx, N in enumerate(cfg.Ns):
-        grid = TorusGrid(N, cfg.d)
-        modes = list(_mode_representatives(grid, cfg.mode_cutoff))
-        exact_vals, mc_means = [], []
-        for rep in range(cfg.replicates):
-            a = sample_environment(cfg.law, grid, _replicate_seed(cfg, 100 + n_idx, rep))
-            exact_vals.append(_bilap_exact_in_noise(cfg, a, ahom, modes))
-            if N in mc_at:
-                mc_means.append(_bilap_monte_carlo(cfg, a, ahom, modes, rep)[0])
-        mean, stderr = _mean_stderr(exact_vals)
-        points.append((N, mean, stderr))
-        if N in mc_at:
-            mc[N] = _mean_stderr(mc_means)
-            exact_at_mc[N] = (mean, stderr)
-    if constant_law or len(points) < 3:
-        series = RateSeries("bilap_sq_error", tuple(points),
-                            float("nan"), float("nan"), float("nan"))
-    else:
-        series = RateSeries.from_points("bilap_sq_error", points,
-                                        log_correct=(cfg.d == 2))
-    return BilapErrorResult(series, mc, exact_at_mc)
+    modes = {N: list(_mode_representatives(TorusGrid(N, cfg.d), cfg.mode_cutoff))
+             for N in cfg.Ns}
+    points = _ladder(cfg, 100, lambda a, rep: _bilap_exact_in_noise(
+        cfg, a, ahom, modes[a.grid.N]))
+    # The same tag redraws the environments behind the exact points.
+    mc = {N: (mean, stderr) for N, mean, stderr in _ladder(
+        cfg, 100, lambda a, rep: _bilap_monte_carlo(cfg, a, ahom, modes[a.grid.N], rep),
+        sizes=mc_at)}
+    exact = {N: (mean, stderr) for N, mean, stderr in points}
+    return BilapErrorResult(_rate_series(cfg, "bilap_sq_error", points), mc,
+                            {N: exact[N] for N in mc})
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +534,6 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
     """
     if cfg.beta is None:
         raise ValueError("discretization_rate needs a Sobolev order beta")
-    if cfg.beta <= cfg.d / 4.0 - 1.0:
-        raise ValueError(
-            f"beta={cfg.beta} below the summability threshold d/4 - 1"
-        )
     kcut = 2 * max(cfg.Ns)
     points = [(N, truncation_error(N, cfg.d, cfg.beta, kcut), 0.0) for N in cfg.Ns]
     return RateSeries.from_points("truncation_sq_error", points)

@@ -206,6 +206,12 @@ def _dense_power(a: Conductances, values: np.ndarray, exponent: float) -> np.nda
     return (((flat @ evecs) * power) @ evecs.T).reshape(values.shape)
 
 
+def _check_tol(tol: float) -> None:
+    # written so that a NaN tolerance fails the check
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
+
+
 def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
              backend: str = None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply A^(-1/2) on the mean-zero subspace to the fields stacked along
@@ -233,8 +239,7 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     elif backend == "dense":
         out = _dense_power(a, values, -0.5)
     elif backend == "krylov":
-        if not 0 < tol < 1:
-            raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
+        _check_tol(tol)
         lo = eigenvalue_discrete(grid.N, (1,))
         hi = 4.0 * grid.d * a.ellipticity * grid.N**2
         shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
@@ -261,8 +266,7 @@ def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT
     """
     if rhs.grid != a.grid:
         raise ValueError("rhs grid mismatch")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     _require_mean_zero(rhs)
     x, report = _pcg(a, rhs.values, tol, default_max_iterations(a.grid))
     return LatticeField(a.grid, x), report

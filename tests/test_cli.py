@@ -63,6 +63,14 @@ def test_missing_config_file():
     assert main(["sample", "--config", "/nonexistent.ini", "--out", "/tmp"]) == EXIT_CONFIG
 
 
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "n = 8\n")
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+
+
 def test_missing_section(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[other]\nn = 8\n")
@@ -142,6 +150,31 @@ def test_rates_slope_assertion_failure(tmp_path):
     assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_ASSERT
 
 
+def test_rates_nan_slope_fails_expect_slope(tmp_path, capsys):
+    # a constant law leaves nothing to fit, so the slope is NaN
+    cfg = _write_config(
+        tmp_path,
+        "n = 4,8,16\nexperiment = pseudo\nlaw = constant(1.5)\nahom = 1.5\n"
+        "kset = 1,0\nM = 1\nexpect_slope = -2\n",
+    )
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_ASSERT
+    assert "slope +nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,name", [("m", "0", "replicates"),
+                                            ("m", "-3", "replicates"),
+                                            ("noise_replicates", "0", "noise_replicates")])
+def test_rates_fewer_than_one_replicate_is_config_error(tmp_path, capsys, key, value, name):
+    cfg = _write_config(
+        tmp_path,
+        f"n = 4,8,16\nexperiment = pseudo\nlaw = constant(1.5)\nahom = 1.5\n"
+        f"kset = 1,0\n{key} = {value}\n",
+    )
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert re.search(rf"\b{name} must be at least 1, got {value}", capsys.readouterr().err)
+    assert not (tmp_path / "rates_pseudo.csv").exists()
+
+
 def test_rates_disc(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -201,6 +234,12 @@ def test_sample_shifted_solve_cap_is_solver_failure(tmp_path, monkeypatch, capsy
     cfg = _write_config(tmp_path, "n = 16\nlaw = bernoulli(0.5,1,2)\nfield = gff\n")
     assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_sample_nan_tolerance_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "n = 8\nlaw = uniform(1,2)\nfield = bilap\ntol = nan\n")
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "tolerance must lie in (0, 1), got nan" in capsys.readouterr().err
 
 
 def test_sample_gff_random_law_n256(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,13 @@ def test_config_validation():
         ExperimentConfig(d=2, Ns=(8,), kset=((1, 0, 0),))
 
 
+@pytest.mark.parametrize("name", ["replicates", "noise_replicates"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_config_rejects_fewer_than_one_replicate(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {value}$"):
+        ExperimentConfig(d=2, Ns=(8, 16), **{name: value})
+
+
 def test_config_resolve_ahom():
     cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(8,), ahom=1.4)
     assert cfg.resolve_ahom() == 1.4
@@ -140,6 +149,23 @@ def test_mode_representatives_cover_window():
     # with a cutoff: all nonzero modes with sup-norm <= 2
     count2 = sum(mult for _, mult in _mode_representatives(grid, 2))
     assert count2 == 5 * 5 - 1
+
+
+@pytest.mark.parametrize("N,d,cutoff", [(2, 1, None), (7, 1, 2), (5, 2, 1),
+                                         (6, 2, 4), (4, 3, None), (6, 3, 2)])
+def test_mode_representatives_pair_each_frequency_once(N, d, cutoff):
+    grid = TorusGrid(N, d)
+    reps = list(_mode_representatives(grid, cutoff))
+    covered = []
+    for k, mult in reps:
+        pair = {grid.index_of(k), grid.index_of(-np.asarray(k))}
+        assert len(pair) == mult
+        covered += pair
+    c = N if cutoff is None else cutoff
+    window = [grid.index_of(k) for k in itertools.product(range(-(N // 2), N - N // 2), repeat=d)
+              if any(k) and max(map(abs, k)) <= c]
+    assert sorted(covered) == sorted(window)
+    assert [k for k, _ in reps] == sorted(k for k, _ in reps)
 
 
 def test_truncation_error_remainder_guard():

@@ -1,0 +1,65 @@
+"""Fuzz the binary dump loaders: a truncated or byte-flipped HFENV1 or
+HFFLD1 dump either loads or raises ValueError, never anything else.
+
+Needs hypothesis (the ``test`` extra); the module is skipped without it.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from homfield.environment import (  # noqa: E402
+    EnvironmentLaw,
+    dump_environment,
+    load_environment,
+    sample_environment,
+)
+from homfield.lattice import TorusGrid  # noqa: E402
+from homfield.sampler import dump_field, load_field, sample_bilaplacian, sample_noise  # noqa: E402
+
+# Small grids keep the header a large share of the bytes, so flips hit it often.
+GRID = TorusGrid(2, 2)
+FUZZ = settings(max_examples=150, deadline=None, database=None)
+LOADERS = [load_environment, load_field]
+
+
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory):
+    """Valid dump bytes per loader, and a path to write fuzzed bytes to."""
+    root = tmp_path_factory.mktemp("dumps")
+    a = sample_environment(EnvironmentLaw.uniform(1, 2), GRID, 0)
+    dump_environment(a, root / "env")
+    dump_field(sample_bilaplacian(GRID, a, sample_noise(GRID, 1)), root / "field")
+    valid = {load_environment: (root / "env").read_bytes(),
+             load_field: (root / "field").read_bytes()}
+    return valid, root / "fuzzed"
+
+
+def _loads_or_value_error(load, data, path):
+    path.write_bytes(data)
+    try:
+        load(path)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("load", LOADERS)
+@FUZZ
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_dump(dumps, load, cut):
+    valid, path = dumps
+    data = valid[load]
+    _loads_or_value_error(load, data[:int(cut * len(data))], path)
+
+
+@pytest.mark.parametrize("load", LOADERS)
+@FUZZ
+@given(flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.integers(1, 255)), min_size=1, max_size=4))
+def test_byte_flipped_dump(dumps, load, flips):
+    valid, path = dumps
+    data = bytearray(valid[load])
+    for where, mask in flips:
+        data[int(where * len(data))] ^= mask
+    _loads_or_value_error(load, bytes(data), path)

@@ -143,6 +143,13 @@ def test_mean_zero_enforced():
             solve_homogeneous(grid, bad)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, float("nan")])
+def test_solve_heterogeneous_rejects_bad_tolerance(tol):
+    grid = TorusGrid(8, 2)
+    with pytest.raises(ValueError, match="tolerance must lie in"):
+        solve_heterogeneous(Conductances.constant(grid, 1.0), _random_rhs(grid), tol=tol)
+
+
 def test_solver_error_on_iteration_cap(monkeypatch):
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 2)
     grid = TorusGrid(16, 2)
