@@ -392,12 +392,24 @@ FIGURE1_PANELS = (
 )
 
 
+def _binomial_upper_tail(k: int, n: int) -> float:
+    """P(X >= k) for X ~ Bin(n, 1/2), exactly: the shorter of the sums
+    sum_(j <= n-k) C(n, j) and 2^n - sum_(j < k) C(n, j) in integers,
+    divided once by 2^n (correctly rounded; 0.0 where it underflows)."""
+    upper = n - k + 1 <= k
+    total, binom = 0, 1
+    for j in range(n - k + 1 if upper else k):
+        total += binom
+        binom = binom * (n - j) // (j + 1)
+    return (total if upper else 2**n - total) / 2**n
+
+
 def cmd_figure1(args, cfg) -> int:
     """Four shared-noise heatmaps of the driven field across environments,
-    plus a sign test that the Bernoulli panels correlate site-wise with the
-    constant-environment panel."""
-    from scipy.stats import binomtest
-
+    plus a one-sided sign test that the Bernoulli panels correlate
+    site-wise with the constant-environment panel: the exact binomial tail
+    P(X >= agreeing sites) for X ~ Bin(sites, 1/2), which must be below
+    0.01."""
     seed = _seed(args, cfg)
     tol = _get(cfg, "tol", default=DEFAULT_TOL, cast=float)
     n_side = _get(cfg, "n", default=FIGURE1_N, cast=int)
@@ -420,10 +432,9 @@ def cmd_figure1(args, cfg) -> int:
     for name in ("bernoulli_a", "bernoulli_b"):
         other = fields[name].field.centered().values
         agree = int(np.count_nonzero(ref * other > 0))
-        res = binomtest(agree, grid.n, 0.5, alternative="greater")
-        tests[name] = {"agreeing_sites": agree, "sites": grid.n,
-                       "p_value": float(res.pvalue)}
-        passed = bool(passed and res.pvalue < 0.01)
+        p_value = _binomial_upper_tail(agree, grid.n)
+        tests[name] = {"agreeing_sites": agree, "sites": grid.n, "p_value": p_value}
+        passed = passed and p_value < 0.01
     report = write_runlog(args, cfg, seed, t0, N=n_side, sign_tests=tests,
                           passed=passed)
     with open(os.path.join(args.out, "figure1_report.json"), "w") as fh:
@@ -467,6 +478,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    made_out = not os.path.exists(args.out)
     try:
         cfg = load_config(args.config) if args.config else {}
         try:
@@ -475,6 +487,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
         return COMMANDS[args.command](args, cfg)
     except (ValueError, configparser.Error) as exc:
+        if made_out and os.path.isdir(args.out) and not os.listdir(args.out):
+            os.rmdir(args.out)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -176,7 +176,7 @@ class ExperimentConfig:
         if self.law is None:
             return 1.0
         return estimate_ahom(self.law, max(self.Ns), AHOM_ESTIMATE_M,
-                             seed=self.seed + 77, d=self.d).mean
+                             seed=self.seed + 77, d=self.d, tol=self.tol).mean
 
 
 def _replicate_seed(cfg: ExperimentConfig, tag: int, rep: int) -> np.random.SeedSequence:

@@ -180,14 +180,28 @@ def _inv_sqrt_quadrature(lo: float, hi: float, tol: float) -> tuple:
     substitution t = sqrt(lo) sc(u | 1 - lo/hi), u in [0, K] (Hale, Higham &
     Trefethen, SIAM J. Numer. Anal. 46, 2008). The error decays like
     exp(-2 pi^2 n / log(16 hi/lo)), which fixes the node count n.
-    """
-    from scipy.special import ellipj, ellipk
 
-    k2 = 1.0 - lo / hi
-    big_k = ellipk(k2)
+    K(m) and sn, cn, dn(u | m) come from the arithmetic-geometric mean of 1
+    and sqrt(1 - m) (Abramowitz & Stegun 16.4, the cephes ``ellpj``
+    algorithm): K = pi / (2 a_M), and the phases phi_M = 2^M a_M u,
+    phi_(j-1) = (phi_j + arcsin((c_j / a_j) sin phi_j)) / 2 give
+    sn = sin phi_0, cn = cos phi_0, dn = cn / cos(phi_1 - phi_0). For
+    lo == hi (m = 0) there is no AGM step and dn = 1.
+    """
+    a, b, c = 1.0, math.sqrt(lo / hi), math.sqrt(1.0 - lo / hi)
+    ratios = []
+    # bounded: rounding can leave c one ulp above the stop test for good
+    while c > 1e-16 * a and len(ratios) < 16:
+        a, b, c = (a + b) / 2, math.sqrt(a * b), (a - b) / 2
+        ratios.append(c / a)
+    big_k = math.pi / (2.0 * a)
     n = math.ceil(math.log(16.0 * hi / lo) * math.log(40.0 / tol) / (2.0 * math.pi**2))
     u = (np.arange(n) + 0.5) * big_k / n
-    sn, cn, dn, _ = ellipj(u, k2)
+    phi = prev = 2.0 ** len(ratios) * a * u
+    for ratio in reversed(ratios):
+        prev, phi = phi, (phi + np.arcsin(ratio * np.sin(phi))) / 2
+    sn, cn = np.sin(phi), np.cos(phi)
+    dn = cn / np.cos(prev - phi) if ratios else np.ones_like(u)
     shifts = lo * (sn / cn) ** 2
     weights = 2.0 * math.sqrt(lo) * big_k / (math.pi * n) * dn / cn**2
     return shifts, weights

@@ -2,6 +2,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,6 +195,17 @@ def test_rates_unknown_experiment(tmp_path):
     assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_config_error_removes_the_out_directory_it_created(tmp_path):
+    cfg = _write_config(tmp_path, "n = 8,16,32\nexperiment = warp\n")
+    out = tmp_path / "fresh"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    # a directory that was there before the run stays
+    out.mkdir()
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert out.is_dir()
+
+
 def test_cov_small_homogeneous(tmp_path):
     cfg = _write_config(
         tmp_path,
@@ -227,6 +240,40 @@ def test_figure1_small(tmp_path):
         assert (out / f"figure1_{name}.ppm").exists()
         side = json.loads((out / f"figure1_{name}.ppm.json").read_text())
         assert side["config_hash"] == report["config_hash"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 2304, 22500])
+def test_binomial_upper_tail_matches_scipy(n):
+    binomtest = pytest.importorskip("scipy.stats").binomtest
+    for k in {0, 1, n // 2, n // 2 + 1, n - 1, n}:
+        ref = binomtest(k, n, 0.5, alternative="greater").pvalue
+        assert cli._binomial_upper_tail(k, n) == pytest.approx(ref, rel=1e-12, abs=0)
+    if n > 1074:
+        # 2^-n is below the smallest subnormal double
+        assert cli._binomial_upper_tail(n, n) == 0.0
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # scipy.stats and scipy.special cost about a second of every cold start
+    law = "law = bernoulli(0.5,1,2)\n"
+    bodies = {
+        "figure1": "n = 16\n",
+        "sample": "n = 8\nfield = gff\n" + law,
+        "cov": "n = 8\nkset = 1,0; 0,1\nM = 2\nnoise_replicates = 50\nseed = 1\n"
+               "backend = krylov\n" + law,
+    }
+    calls = [[cmd, "--config", _write_config(tmp_path, body, f"{cmd}.ini"),
+              "--out", str(tmp_path / cmd)] for cmd, body in bodies.items()]
+    script = ("import sys\nfrom homfield.cli import main\n"
+              f"codes = [main(argv) for argv in {calls!r}]\n"
+              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_sample_shifted_solve_cap_is_solver_failure(tmp_path, monkeypatch, capsys):

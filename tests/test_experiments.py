@@ -1,8 +1,10 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from homfield import experiments
 from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.experiments import (
     ExperimentConfig,
@@ -102,6 +104,19 @@ def test_config_resolve_ahom():
     assert cfg.resolve_ahom() == 1.4
     cfg2 = ExperimentConfig(d=2, law=None, Ns=(8,))
     assert cfg2.resolve_ahom() == 1.0
+
+
+def test_resolve_ahom_estimates_at_the_configured_tol(monkeypatch):
+    seen = {}
+
+    def fake_estimate(law, N, M, seed, d=2, **kwargs):
+        seen.update(N=N, d=d, **kwargs)
+        return SimpleNamespace(mean=1.5)
+
+    monkeypatch.setattr(experiments, "estimate_ahom", fake_estimate)
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(8, 16), tol=1e-6)
+    assert cfg.resolve_ahom() == 1.5
+    assert seen == {"N": 16, "d": 2, "tol": 1e-6}
 
 
 # ---------------------------------------------------------------------------

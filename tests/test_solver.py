@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -242,6 +243,28 @@ def test_inv_sqrt_node_count_reaches_tol():
                     assert np.max(np.abs(approx * np.sqrt(lam) - 1.0)) <= tol
 
 
+def test_inv_sqrt_nodes_match_scipy_elliptic_functions():
+    # The AGM values of K(m) and sn, cn, dn(u | m) against scipy's cephes
+    # ellipk/ellipj, over the grid of the node-count test; N=2, d=1 with
+    # Lambda=1 is the degenerate interval lo == hi (m = 0).
+    special = pytest.importorskip("scipy.special")
+    degenerate = 0
+    for d, lam_max, N, tol in itertools.product(
+            (1, 2, 3), (1.0, 2.0, 10.0), (2, 3, 5, 8, 16, 32, 64, 128, 256, 512, 1024),
+            (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)):
+        lo = 4.0 * N**2 * math.sin(math.pi / N) ** 2
+        hi = 4.0 * d * lam_max * N**2
+        degenerate += lo == hi
+        shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
+        n = len(shifts)
+        big_k = special.ellipk(1.0 - lo / hi)
+        sn, cn, dn, _ = special.ellipj((np.arange(n) + 0.5) * big_k / n, 1.0 - lo / hi)
+        np.testing.assert_allclose(shifts, lo * (sn / cn) ** 2, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(
+            weights, 2.0 * math.sqrt(lo) * big_k / (math.pi * n) * dn / cn**2,
+            rtol=1e-10, atol=0)
+    assert degenerate == 5
+
 
 def _inv_sqrt_inputs(grid):
     # a stack of two real fields and one complex field, none of them mean-zero
@@ -271,8 +294,9 @@ def test_inv_sqrt_backends_agree_on_laplacian():
             assert _rel_err(out, solved.values) < 1e-12
 
 
-def test_inv_sqrt_dense_and_krylov_agree_on_environment():
-    grid = TorusGrid(8, 2)
+@pytest.mark.parametrize("d, N", [(1, 16), (2, 8), (3, 8)])
+def test_inv_sqrt_dense_and_krylov_agree_on_environment(d, N):
+    grid = TorusGrid(N, d)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     for values in _inv_sqrt_inputs(grid):
         dense = inv_sqrt(grid, a, values, "dense")
