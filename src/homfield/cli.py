@@ -12,9 +12,11 @@ command requires them)::
 
     [run]
     d = 2                         # dimension
-    N = 64                        # grid side (rates: comma list, e.g. 8,16,32)
+    N = 64                        # grid side, >= 2 (rates: increasing comma
+                                  # list of sides >= 2, e.g. 8,16,32)
     law = bernoulli(0.5,1,2)      # constant(c) | uniform(lo,hi) | bernoulli(p,a,b)
-                                  # omit or "homogeneous" for unit conductances
+                                  # with finite atoms in [1, Lambda]; omit or
+                                  # "homogeneous" for unit conductances
     field = bilap                 # sample: gff | bilap
     beta = 0.75                   # Sobolev order (bilap/disc experiments); any
                                   # value, 0 included, must pass the threshold
@@ -251,7 +253,7 @@ def cmd_sample(args, cfg) -> int:
     dump_path = os.path.join(args.out, f"field_{smp.kind}_N{N}_seed{seed}.hf")
     dump_field(smp, dump_path)
     if args.heatmap:
-        write_heatmap(smp, dump_path.replace(".hf", ".ppm"), config_hash(cfg), seed,
+        write_heatmap(smp, os.path.splitext(dump_path)[0] + ".ppm", config_hash(cfg), seed,
                       grayscale=args.grayscale)
     write_runlog(args, cfg, seed, t0, dump=os.path.basename(dump_path))
     print(f"wrote {dump_path}")
@@ -325,7 +327,7 @@ def cmd_rates(args, cfg) -> int:
     ahom_record = {}
     if experiment == "synthetic":
         # harness self-test: exact power law injected instead of measurement
-        ns = _get(cfg, "n", cast=_parse_ns)
+        ns = _experiment_config(cfg, seed, "bilap").Ns
         series = RateSeries.from_points("synthetic_nm2", [(n, n**-2.0, 0.0) for n in ns])
     elif experiment == "pseudo":
         _get(cfg, "kset")  # checked before ahom is estimated

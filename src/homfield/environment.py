@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeField, TorusGrid, _read_values
+from .lattice import LatticeField, TorusGrid, _read_values, _rng
 
 __all__ = [
     "EnvironmentLaw",
@@ -22,7 +22,6 @@ __all__ = [
     "sample_environment",
     "project",
     "extend",
-    "project_extend",
     "apply_operator",
     "operator_matrix",
     "dump_environment",
@@ -37,14 +36,13 @@ class EnvironmentLaw:
     """Product law for i.i.d. edge conductances.
 
     Variants: ``constant(c)``, ``uniform(lo, hi)`` and ``bernoulli(p, a, b)``
-    where the Bernoulli law puts mass p on b and 1-p on a. Atoms must lie in
-    (1, Lambda]; ``allow_boundary_atom`` admits the closed interval [1, Lambda]
-    so that laws like 1 + Ber(0.5) with an atom at exactly 1 are usable.
+    where the Bernoulli law puts mass p on b and 1-p on a. Every parameter
+    is finite and every atom lies in [1, Lambda], as :class:`Conductances`
+    requires; Lambda is the largest atom.
     """
 
     variant: str
     params: tuple
-    allow_boundary_atom: bool = True
 
     @classmethod
     def constant(cls, c: float) -> "EnvironmentLaw":
@@ -57,22 +55,19 @@ class EnvironmentLaw:
         return cls("uniform", (float(lo), float(hi)))
 
     @classmethod
-    def bernoulli(cls, p: float, a: float, b: float,
-                  allow_boundary_atom: bool = True) -> "EnvironmentLaw":
+    def bernoulli(cls, p: float, a: float, b: float) -> "EnvironmentLaw":
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli probability must be in [0, 1], got {p}")
-        return cls("bernoulli", (float(p), float(a), float(b)), allow_boundary_atom)
+        return cls("bernoulli", (float(p), float(a), float(b)))
 
     def __post_init__(self):
         if self.variant not in ("constant", "uniform", "bernoulli"):
             raise ValueError(f"unknown law variant {self.variant!r}")
-        lo = min(self.atoms_range)
-        floor = 1.0 if self.allow_boundary_atom else np.nextafter(1.0, 2.0)
-        if lo < floor:
-            raise ValueError(
-                f"law {self} has support down to {lo}, below the ellipticity "
-                f"lower bound"
-            )
+        if not all(np.isfinite(self.params)):
+            raise ValueError(f"law {self.describe()} has a non-finite parameter")
+        if min(self.atoms_range) < 1.0:
+            raise ValueError(f"law {self.describe()} has support below 1, the "
+                             f"ellipticity lower bound")
 
     @property
     def atoms_range(self) -> tuple:
@@ -154,10 +149,6 @@ class Conductances:
     def constant(cls, grid: TorusGrid, c: float) -> "Conductances":
         return cls(grid, np.full((grid.d,) + grid.shape, float(c)))
 
-    def edge_weight(self, x, axis: int) -> float:
-        """Weight of the edge from site x to x + e_axis (periodic)."""
-        return float(self.weights[(axis,) + self.grid.index_of(x)])
-
 
 def sample_environment(law: EnvironmentLaw, grid: TorusGrid, seed) -> Conductances:
     """Draw i.i.d. edge weights from the law, reproducibly.
@@ -167,13 +158,7 @@ def sample_environment(law: EnvironmentLaw, grid: TorusGrid, seed) -> Conductanc
     """
     weights = np.empty((grid.d,) + grid.shape)
     for axis in range(grid.d):
-        if isinstance(seed, np.random.SeedSequence):
-            ss = np.random.SeedSequence(seed.entropy,
-                                        spawn_key=seed.spawn_key + (axis,))
-        else:
-            ss = np.random.SeedSequence(seed, spawn_key=(axis,))
-        rng = np.random.Generator(np.random.Philox(ss))
-        weights[axis] = law.draw(rng, grid.shape)
+        weights[axis] = law.draw(_rng(seed, axis), grid.shape)
     return Conductances(grid, weights, ellipticity=law.ellipticity)
 
 
@@ -204,11 +189,6 @@ def extend(a: Conductances, M: int) -> Conductances:
     src = np.mod((np.arange(M) - M // 2) + N // 2, N)
     sel = np.ix_(range(a.grid.d), *([src] * a.grid.d))
     return Conductances(target, a.weights[sel], ellipticity=a.ellipticity)
-
-
-def project_extend(a: Conductances, N: int) -> Conductances:
-    """The composite a_N: project to side N, then tile back periodically."""
-    return extend(project(a, N), a.grid.N)
 
 
 def apply_operator(a: Conductances, f: LatticeField) -> LatticeField:

@@ -18,6 +18,7 @@ from .homogenization import estimate_ahom
 from .lattice import (
     LatticeField,
     TorusGrid,
+    _rng,
     dft,
     eigenvalue_continuum,
     eigenvalue_discrete,
@@ -158,6 +159,8 @@ class ExperimentConfig:
         if self.mode_cutoff is not None and self.mode_cutoff < 1:
             raise ValueError(f"mode_cutoff must be at least 1, got {self.mode_cutoff}")
         object.__setattr__(self, "Ns", tuple(int(n) for n in self.Ns))
+        if any(n < 2 for n in self.Ns):
+            raise ValueError(f"every ladder size must be at least 2, got {self.Ns}")
         if any(b <= a for a, b in zip(self.Ns, self.Ns[1:])):
             raise ValueError("Ns must be strictly increasing")
         object.__setattr__(self, "kset", tuple(tuple(int(c) for c in k) for k in self.kset))
@@ -283,11 +286,11 @@ class CovarianceReport:
         return np.abs(diag - target) / np.where(err > 0, err, np.inf)
 
 
-def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = None,
-                         backend: str = None) -> CovarianceReport:
+def gff_covariance_limit(cfg: ExperimentConfig, backend: str = None) -> CovarianceReport:
     """Empirical covariance of the formal free-field coefficients over the
-    configured modes, averaged over samples and environments, and the
-    noise-exact covariance over the same environments.
+    configured modes at N = max(cfg.Ns), averaged over cfg.noise_replicates
+    samples in each of cfg.replicates environments, and the noise-exact
+    covariance over the same environments.
 
     In the limit the matrix is diagonal with entries proportional to
     1/lambda_k; the proportionality constant is fitted once across modes.
@@ -302,10 +305,7 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
     backend draws the noise of an environment as one block; the others draw
     it per sample, as :func:`homfield.sampler.sample_gff` would.
     """
-    if N is None:
-        N = max(cfg.Ns)
-    if samples is None:
-        samples = cfg.noise_replicates
+    N, samples = max(cfg.Ns), cfg.noise_replicates
     if samples * cfg.replicates < 100:
         raise ValueError("covariance estimation needs at least 100 replicates")
     if not cfg.kset:
@@ -316,9 +316,7 @@ def gff_covariance_limit(cfg: ExperimentConfig, N: int = None, samples: int = No
 
     def coefficients(a, v, env_idx):
         if a is not None and backend == "dense":
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(cfg.seed, spawn_key=(201, env_idx))))
-            return rng.standard_normal((grid.n, samples)).T @ v.T
+            return _rng(cfg.seed, 201, env_idx).standard_normal((grid.n, samples)).T @ v.T
         # One draw at a time keeps memory at |kset| x N^d, not samples x N^d.
         return np.stack([
             v @ sample_noise(grid, np.random.SeedSequence(

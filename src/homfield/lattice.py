@@ -122,6 +122,15 @@ def _read_values(fh, grid: TorusGrid, leading: tuple = ()) -> np.ndarray:
     return data.reshape(tuple(leading) + grid.shape).copy()
 
 
+def _rng(seed, *key) -> np.random.Generator:
+    """Philox generator of the stream ``key`` under ``seed``: an int seed
+    becomes SeedSequence(seed, spawn_key=key), and a SeedSequence has its
+    spawn_key extended by key."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed, key = seed.entropy, seed.spawn_key + key
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 @dataclass(frozen=True)
 class LatticeField:
     """Scalar function on the discrete torus with normalized l2 structure."""
@@ -178,9 +187,6 @@ class SpectralField:
     def coefficient(self, k) -> complex:
         k = self.grid.check_frequency(k)
         return complex(self.coefficients[self.grid.index_of(k)])
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coefficients) ** 2)))
 
 
 def fourier_mode(grid: TorusGrid, k) -> LatticeField:
@@ -254,19 +260,14 @@ def idft(spec: SpectralField) -> LatticeField:
     return LatticeField(spec.grid, values)
 
 
-def sobolev_norm(spec: SpectralField, beta: float, grid_eigenvalues: bool = False) -> float:
-    """Spectral Sobolev norm (sum_{k != 0} |c_k|^2 lambda_k^{2 beta})^{1/2}.
+def sobolev_norm(spec: SpectralField, beta: float) -> float:
+    """Spectral Sobolev norm (sum_{k != 0} |c_k|^2 lambda_k^{2 beta})^{1/2},
+    weighted by the continuum eigenvalues lambda_k = 4*pi^2*|k|^2.
 
-    beta may be negative. By default the continuum eigenvalues 4*pi^2*|k|^2
-    weight the modes; ``grid_eigenvalues=True`` substitutes the eigenvalues of
-    the discrete Laplacian instead.
+    beta may be negative.
     """
     grid = spec.grid
-    if grid_eigenvalues:
-        lam = eigenvalues_discrete(grid)
-    else:
-        lam = eigenvalues_continuum(grid)
-    lam = lam.copy()
+    lam = eigenvalues_continuum(grid)
     lam[grid.origin_index] = 1.0  # k = 0 is excluded below
     weights = lam ** (2.0 * beta)
     mags = np.abs(spec.coefficients) ** 2

@@ -20,7 +20,7 @@ import numpy as np
 
 # apply_operator stays bound here: perfbench's tracer test checks its wrapper.
 from .environment import Conductances, apply_operator  # noqa: F401
-from .lattice import LatticeField, SpectralField, TorusGrid, _read_values, dft
+from .lattice import LatticeField, SpectralField, TorusGrid, _read_values, _rng, dft
 from .solver import DEFAULT_TOL, inv_sqrt, solve_heterogeneous, solve_homogeneous
 
 __all__ = [
@@ -43,9 +43,7 @@ FIELD_KINDS = ("gff_hom", "gff_env", "bilap_hom", "bilap_env")
 class FieldSample:
     kind: str
     field: LatticeField
-    environment: Conductances = None
     noise: LatticeField = None
-    scaled: bool = False
 
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
@@ -60,16 +58,9 @@ def formal_constant(kind: str, d: int) -> float:
     return 1.0 / (2.0 * d)
 
 
-def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def sample_noise(grid: TorusGrid, seed) -> LatticeField:
     """I.i.d. standard normal values per site, reproducible from the seed."""
-    rng = _generator(seed)
-    return LatticeField(grid, rng.standard_normal(grid.shape))
+    return LatticeField(grid, _rng(seed).standard_normal(grid.shape))
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,7 @@ def sample_gff(grid: TorusGrid, a: Conductances | None, seed, backend: str = Non
     z = sample_noise(grid, seed)
     values = inv_sqrt(grid, a, z.values, backend=backend, tol=tol)
     kind = "gff_hom" if a is None else "gff_env"
-    return FieldSample(kind, LatticeField(grid, values), environment=a, noise=z)
+    return FieldSample(kind, LatticeField(grid, values), noise=z)
 
 
 def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: LatticeField,
@@ -134,22 +125,19 @@ def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: LatticeFi
         u = solve_homogeneous(grid, rhs)
         return FieldSample("bilap_hom", u, noise=noise)
     u, _ = solve_heterogeneous(a, rhs, tol=tol)
-    return FieldSample("bilap_env", u, environment=a, noise=noise)
+    return FieldSample("bilap_env", u, noise=noise)
 
 
-def formal_field(sample: FieldSample, apply_constant: bool = True) -> SpectralField:
+def formal_field(sample: FieldSample) -> SpectralField:
     """Spectral coefficients of the rescaled point-mass field.
 
     Coefficient at k is c * N^{d/2} * (f, phi_k) with c the kind-dependent
-    constant (skipped when ``apply_constant`` is false); modes outside the
-    grid's frequency window are identically zero by convention.
+    :func:`formal_constant`; modes outside the grid's frequency window are
+    identically zero by convention.
     """
     grid = sample.field.grid
-    spec = dft(sample.field)
-    scale = grid.N ** (grid.d / 2.0)
-    if apply_constant:
-        scale *= formal_constant(sample.kind, grid.d)
-    return SpectralField(grid, spec.coefficients * scale)
+    scale = grid.N ** (grid.d / 2.0) * formal_constant(sample.kind, grid.d)
+    return SpectralField(grid, dft(sample.field).coefficients * scale)
 
 
 _KIND_TAGS = {kind: kind.encode().ljust(12, b"\0") for kind in FIELD_KINDS}

@@ -130,7 +130,7 @@ def test_criterion_6_gff_covariance_limit():
             cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff",
                                    Ns=(N,), kset=kset, replicates=8,
                                    noise_replicates=2000, seed=61)
-            return gff_covariance_limit(cfg, N=N, backend="dense")
+            return gff_covariance_limit(cfg, backend="dense")
 
         rep16 = run(16)
         rep64 = run(64)

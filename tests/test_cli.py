@@ -100,6 +100,23 @@ def test_sample_heatmap_sidecar(tmp_path):
     assert len(sidecar["config_hash"]) == 64
 
 
+def test_sample_heatmap_beside_a_dump_in_an_hf_directory(tmp_path):
+    # the heatmap path comes from the dump's file name, not from every ".hf"
+    cfg = _write_config(tmp_path, "n = 8\nfield = bilap\nseed = 0\n")
+    out = tmp_path / "runs.hf"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--heatmap"]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "field_bilap_hom_N8_seed0.hf", "field_bilap_hom_N8_seed0.ppm",
+        "field_bilap_hom_N8_seed0.ppm.json", "runlog.jsonl"]
+
+
+@pytest.mark.parametrize("law", ["uniform(1,inf)", "constant(inf)", "bernoulli(0.5,1,inf)"])
+def test_sample_non_finite_law_is_config_error(tmp_path, capsys, law):
+    cfg = _write_config(tmp_path, f"n = 8\nlaw = {law}\nfield = bilap\n")
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config key 'law'" in capsys.readouterr().err
+
+
 def test_sample_bad_law(tmp_path):
     cfg = _write_config(tmp_path, "n = 8\nlaw = cauchy(1)\nseed = 0\n")
     assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -188,6 +205,15 @@ def test_rates_disc(tmp_path):
     csv_text = (out / "rates_disc.csv").read_text()
     assert csv_text.splitlines()[0] == "quantity,N,value,stderr"
     assert len(csv_text.strip().splitlines()) == 5
+
+
+@pytest.mark.parametrize("experiment, ns", [("synthetic", "8,16,0"), ("disc", "0,8,16"),
+                                             ("disc", "-4,8,16"), ("disc", "1,8,16")])
+def test_rates_ladder_size_below_two_is_config_error(tmp_path, capsys, experiment, ns):
+    cfg = _write_config(tmp_path, f"n = {ns}\nexperiment = {experiment}\nbeta = 0.75\n")
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "ladder size must be at least 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rates_*.csv"))
 
 
 def test_rates_unknown_experiment(tmp_path):

@@ -13,7 +13,6 @@ from homfield.environment import (
     load_environment,
     operator_matrix,
     project,
-    project_extend,
     sample_environment,
 )
 from homfield.lattice import LatticeField, TorusGrid
@@ -36,10 +35,15 @@ def test_law_rejects_support_below_one():
         EnvironmentLaw.uniform(0.5, 2.0)
     with pytest.raises(ValueError):
         EnvironmentLaw.constant(0.9)
-    with pytest.raises(ValueError):
-        EnvironmentLaw.bernoulli(0.5, 1.0, 2.0, allow_boundary_atom=False)
-    # boundary atom at exactly 1 is admitted by default (laws like 1 + Ber)
+    # boundary atom at exactly 1 is admitted (laws like 1 + Ber)
     EnvironmentLaw.bernoulli(0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("text", ["constant(inf)", "constant(nan)", "uniform(1,inf)",
+                                  "bernoulli(0.5,1,inf)", "bernoulli(0.5,nan,2)"])
+def test_law_rejects_non_finite_parameters(text):
+    with pytest.raises(ValueError, match="non-finite"):
+        EnvironmentLaw.parse(text)
 
 
 def test_law_parse_errors():
@@ -89,8 +93,7 @@ def test_conductances_validation():
         Conductances(grid, np.full((2, 4, 4), np.nan))
     with pytest.raises(ValueError):
         Conductances(grid, np.ones((2, 4, 4)), ellipticity=float("nan"))
-    c = Conductances.constant(grid, 1.5)
-    assert c.edge_weight((0, 0), 0) == 1.5
+    assert np.all(Conductances.constant(grid, 1.5).weights == 1.5)
 
 
 def test_project_extend_roundtrip():
@@ -105,7 +108,7 @@ def test_project_extend_roundtrip():
 def test_project_extend_composite_is_periodic():
     grid = TorusGrid(12, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 9)
-    pn = project_extend(a, 4)
+    pn = extend(project(a, 4), 12)
     assert pn.grid.N == 12
     w = pn.weights
     assert np.array_equal(w[:, :4, :4], w[:, 4:8, 4:8])

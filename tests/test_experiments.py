@@ -92,6 +92,12 @@ def test_config_validation():
         ExperimentConfig(d=2, Ns=(8,), kset=((1, 0, 0),))
 
 
+@pytest.mark.parametrize("Ns", [(8, 16, 0), (0, 8, 16), (-4, 8, 16), (1, 8, 16)])
+def test_config_rejects_ladder_sizes_below_two(Ns):
+    with pytest.raises(ValueError, match="ladder size must be at least 2"):
+        ExperimentConfig(d=2, Ns=Ns)
+
+
 @pytest.mark.parametrize("name", ["replicates", "noise_replicates"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_config_rejects_fewer_than_one_replicate(name, value):
@@ -265,7 +271,7 @@ def test_gff_covariance_homogeneous_diagonal():
     cfg = ExperimentConfig(d=2, law=None, field_kind="gff", Ns=(16,),
                            kset=((1, 0), (0, 1)), replicates=2,
                            noise_replicates=400, seed=2)
-    rep = gff_covariance_limit(cfg, N=16)
+    rep = gff_covariance_limit(cfg)
     assert rep.max_offdiag_z() < 4.0
     assert np.all(rep.diagonal_z() < 4.0)
     assert rep.fitted_constant > 0
@@ -275,7 +281,7 @@ def test_gff_covariance_homogeneous_exact_is_diagonal():
     cfg = ExperimentConfig(d=2, law=None, field_kind="gff", Ns=(8,),
                            kset=((1, 0), (0, 1), (1, 1)), replicates=2,
                            noise_replicates=50, seed=2)
-    rep = gff_covariance_limit(cfg, N=8)
+    rep = gff_covariance_limit(cfg)
     lam = np.asarray([eigenvalue_discrete(8, k) for k in cfg.kset])
     expected = formal_constant("gff", 2) ** 2 / lam
     assert np.allclose(np.diag(rep.exact_covariance), expected, rtol=1e-12, atol=0)
@@ -300,8 +306,8 @@ def test_gff_covariance_krylov_keeps_per_draw_realization():
     coeffs = np.asarray(coeffs)
     reference = np.mean(coeffs[:, :, None] * coeffs[:, None, :].conj(), axis=0)
 
-    krylov = gff_covariance_limit(cfg, N=16, backend="krylov")
-    dense = gff_covariance_limit(cfg, N=16, backend="dense")
+    krylov = gff_covariance_limit(cfg, backend="krylov")
+    dense = gff_covariance_limit(cfg, backend="dense")
     peak = np.abs(reference).max()
     assert np.abs(krylov.covariance - reference).max() < 1e-6 * peak
     exact_peak = np.abs(dense.exact_covariance).max()
@@ -313,7 +319,7 @@ def test_gff_covariance_krylov_beyond_dense_limit():
     cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(128,),
                            kset=((1, 0), (0, 1), (1, 1), (2, 0)), replicates=2,
                            noise_replicates=50, seed=5)
-    rep = gff_covariance_limit(cfg, N=128, backend="krylov")
+    rep = gff_covariance_limit(cfg, backend="krylov")
     exact = rep.exact_covariance
     assert np.allclose(exact, exact.conj().T, rtol=0, atol=1e-14 * np.abs(exact).max())
     gap = np.abs(np.real(np.diag(rep.covariance)) - np.real(np.diag(exact)))
@@ -333,7 +339,7 @@ def test_gff_covariance_dense_exact_matches_empirical_scale():
     cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(8,),
                            kset=((1, 0), (0, 1)), replicates=3,
                            noise_replicates=300, seed=6)
-    rep = gff_covariance_limit(cfg, N=8, backend="dense")
+    rep = gff_covariance_limit(cfg, backend="dense")
     assert rep.exact_covariance is not None
     emp = np.real(np.diag(rep.covariance))
     exact = np.real(np.diag(rep.exact_covariance))

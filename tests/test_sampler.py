@@ -128,8 +128,6 @@ def test_formal_field_scaling():
     spec = formal_field(smp)
     expected = formal_constant("bilap", 2) * grid.N ** (grid.d / 2.0)
     assert spec.coefficient(k) == pytest.approx(expected)
-    raw = formal_field(smp, apply_constant=False)
-    assert raw.coefficient(k) == pytest.approx(grid.N ** (grid.d / 2.0))
 
 
 def test_formal_coefficient_identity_bilap():
