@@ -39,11 +39,14 @@ command requires them)::
                                   # than 3 sizes) fails it too
     backend = krylov              # how A^(-1/2) is applied (sample, cov):
                                   # spectral (exact FFT, no law only) |
-                                  # dense (eigh, up to 4096 sites) |
+                                  # dense (eigh, up to 4096 sites; in cov
+                                  # with a law: A^(-1/2) to rounding by
+                                  # shifted CG solves at tol 1e-13, and one
+                                  # noise block per environment) |
                                   # krylov (shifted CG solves, to tol);
                                   # default spectral without a law, krylov
                                   # with one; cov applies it once per mode
-                                  # and environment
+                                  # and environment, all modes together
 
 Every subcommand appends one JSON record to ``runlog.jsonl`` in the output
 directory. Each record carries ``command``, ``config``, ``config_hash``

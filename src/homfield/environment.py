@@ -201,14 +201,27 @@ def apply_operator(a: Conductances, f: LatticeField) -> LatticeField:
     """
     if f.grid != a.grid:
         raise ValueError("field and environment live on different grids")
-    v = f.values
-    dtype = np.result_type(v, a.weights)
-    out = np.zeros(v.shape, dtype)
-    flux = np.empty(v.shape, dtype)
-    for axis in range(a.grid.d):
-        # Index tuples for sites 0..N-2, 1..N-1, 0 and N-1 along this axis.
+    out = np.empty(f.values.shape, np.result_type(f.values, a.weights))
+    _stencil(a, f.values, out, np.empty_like(out))
+    return LatticeField(f.grid, out)
+
+
+def _stencil(a: Conductances, v: np.ndarray, out: np.ndarray, flux: np.ndarray) -> None:
+    """Write the operator applied to ``v`` into ``out``, for fields stacked
+    along the leading axes of ``v`` (trailing axes ``a.grid.shape``).
+
+    ``flux`` is scratch space of the shape and dtype of ``out``; both are
+    overwritten, so an iterative solve can keep them for its whole run. Each
+    field goes through the same elementwise operations in the same order, so
+    a stack maps bit for bit like its fields one at a time.
+    """
+    d = a.grid.d
+    out.fill(0)
+    for axis in range(d):
+        # Index tuples for sites 0..N-2, 1..N-1, 0 and N-1 along this axis,
+        # counted from the trailing end so that leading stack axes pass.
         head, tail, first, last = (
-            (slice(None),) * axis + (s,) for s in
+            (Ellipsis, s) + (slice(None),) * (d - 1 - axis) for s in
             (slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None)))
         # flux(x) = a_i(x) (f(x) - f(x+e_i)), the last layer wrapping round
         np.subtract(v[head], v[tail], out=flux[head])
@@ -219,7 +232,6 @@ def apply_operator(a: Conductances, f: LatticeField) -> LatticeField:
         out[tail] -= flux[head]
         out[first] -= flux[last]
     out *= a.grid.N**2
-    return LatticeField(f.grid, out)
 
 
 def operator_matrix(a: Conductances) -> np.ndarray:

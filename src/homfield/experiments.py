@@ -117,6 +117,7 @@ class RateSeries:
 
 
 AHOM_ESTIMATE_M = 32   # environments behind an estimated ahom
+_EXACT_V_TOL = 1e-13  # krylov tolerance of cov's dense V, about eigh's rounding
 
 
 @dataclass(frozen=True)
@@ -301,9 +302,12 @@ def gff_covariance_limit(cfg: ExperimentConfig, backend: str = None) -> Covarian
     v_k = A^(-1/2) conj(phi_k) form V, every draw's coefficients come from
     a product with V, and the noise-exact covariance is proportional to
     V V^H. V comes from one :func:`homfield.solver.inv_sqrt` call per
-    environment, with ``backend`` and cfg.tol passed through. The dense
-    backend draws the noise of an environment as one block; the others draw
-    it per sample, as :func:`homfield.sampler.sample_gff` would.
+    environment, with ``backend`` and cfg.tol passed through. With an
+    environment, ``backend="dense"`` means "V to rounding, and the noise of
+    an environment drawn as one block": V then comes from the krylov
+    quadrature at tolerance 1e-13, within about 1e-13 of the ``eigh`` V at
+    a small fraction of its cost at N=64. Otherwise the noise is drawn per
+    sample, as :func:`homfield.sampler.sample_gff` would.
     """
     N, samples = max(cfg.Ns), cfg.noise_replicates
     if samples * cfg.replicates < 100:
@@ -313,9 +317,11 @@ def gff_covariance_limit(cfg: ExperimentConfig, backend: str = None) -> Covarian
     grid = TorusGrid(N, cfg.d)
     scale = formal_constant("gff", cfg.d) * grid.N ** (grid.d / 2.0) / grid.n
     modes = np.stack([fourier_mode(grid, k).values.conj() for k in cfg.kset])
+    block_noise = cfg.law is not None and backend == "dense"
+    v_backend, v_tol = ("krylov", _EXACT_V_TOL) if block_noise else (backend, cfg.tol)
 
-    def coefficients(a, v, env_idx):
-        if a is not None and backend == "dense":
+    def coefficients(v, env_idx):
+        if block_noise:
             return _rng(cfg.seed, 201, env_idx).standard_normal((grid.n, samples)).T @ v.T
         # One draw at a time keeps memory at |kset| x N^d, not samples x N^d.
         return np.stack([
@@ -327,8 +333,8 @@ def gff_covariance_limit(cfg: ExperimentConfig, backend: str = None) -> Covarian
     for env_idx in range(cfg.replicates):
         a = (None if cfg.law is None
              else sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx)))
-        v = inv_sqrt(grid, a, modes, backend=backend, tol=cfg.tol).reshape(len(modes), -1)
-        blocks.append(scale * coefficients(a, v, env_idx))
+        v = inv_sqrt(grid, a, modes, backend=v_backend, tol=v_tol).reshape(len(modes), -1)
+        blocks.append(scale * coefficients(v, env_idx))
         exacts.append(scale**2 * (v @ v.conj().T))
     coeffs = np.concatenate(blocks, axis=0)
     total = coeffs.shape[0]

@@ -6,6 +6,7 @@ from scipy import stats
 
 from homfield.environment import (
     Conductances,
+    _stencil,
     EnvironmentLaw,
     apply_operator,
     dump_environment,
@@ -169,15 +170,26 @@ def test_apply_operator_matches_roll_stencil(d, N):
     grid = TorusGrid(N, d)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 4)
     rng = np.random.default_rng(N * d)
-    real = rng.standard_normal(grid.shape)
-    for v in (real, real + 1j * rng.standard_normal(grid.shape)):
-        ref = np.zeros_like(v)
-        for axis in range(d):
-            flux = a.weights[axis] * (v - np.roll(v, -1, axis=axis))
-            ref = ref + flux - np.roll(flux, 1, axis=axis)
-        out = apply_operator(a, LatticeField(grid, v)).values
-        assert out.dtype == v.dtype
-        assert np.allclose(out, N**2 * ref, rtol=1e-14, atol=0)
+    real = rng.standard_normal((3,) + grid.shape)
+    for stack in (real, real + 1j * rng.standard_normal(real.shape)):
+        outs = []
+        for v in stack:
+            ref = np.zeros_like(v)
+            for axis in range(d):
+                flux = a.weights[axis] * (v - np.roll(v, -1, axis=axis))
+                ref = ref + flux - np.roll(flux, 1, axis=axis)
+            out = apply_operator(a, LatticeField(grid, v)).values
+            assert out.dtype == v.dtype
+            assert np.allclose(out, N**2 * ref, rtol=1e-14, atol=0)
+            outs.append(out)
+        # the solver's kernel maps a stack, and its buffers may hold garbage
+        out, flux = np.full(stack.shape, np.nan, stack.dtype), np.empty_like(stack)
+        _stencil(a, stack, out, flux)
+        assert np.array_equal(out, np.stack(outs))
+        # a stack with two leading axes maps the same way
+        _stencil(a, stack.reshape((3, 1) + grid.shape), out.reshape((3, 1) + grid.shape),
+                 flux.reshape((3, 1) + grid.shape))
+        assert np.array_equal(out, np.stack(outs))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -22,6 +22,7 @@ from homfield.experiments import (
 )
 from homfield.lattice import TorusGrid, dft, eigenvalue_discrete
 from homfield.sampler import formal_constant, sample_gff
+from homfield.solver import inv_sqrt
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
@@ -333,6 +334,27 @@ def test_gff_covariance_insufficient_replicates():
                            seed=0)
     with pytest.raises(ValueError):
         gff_covariance_limit(cfg)
+
+
+def test_gff_covariance_dense_v_matches_eigh(monkeypatch):
+    # with an environment, cov's dense V comes from the shifted-solve
+    # quadrature; the dense backend's eigh is its independent oracle
+    calls = []
+
+    def spy(grid, a, values, backend, tol):
+        v = inv_sqrt(grid, a, values, backend=backend, tol=tol)
+        calls.append((a, values, v))
+        return v
+
+    monkeypatch.setattr(experiments, "inv_sqrt", spy)
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(16,),
+                           kset=((1, 0), (0, 1), (1, 1), (2, 0)), replicates=2,
+                           noise_replicates=50, seed=61)
+    gff_covariance_limit(cfg, backend="dense")
+    assert len(calls) == cfg.replicates
+    for a, values, v in calls:
+        eigh = inv_sqrt(a.grid, a, values, backend="dense")
+        assert np.abs(v - eigh).max() < 1e-12 * np.abs(eigh).max()
 
 
 def test_gff_covariance_dense_exact_matches_empirical_scale():

@@ -161,6 +161,93 @@ def test_solver_error_on_iteration_cap(monkeypatch):
     assert err.value.report.iterations == 2
 
 
+def _pcg_stack(grid, dtype):
+    # two random fields, not mean-zero, around a smooth mode
+    rng = np.random.default_rng(12)
+    noise = rng.standard_normal((2,) + grid.shape) + 0.25
+    if dtype == complex:
+        noise = noise + 1j * rng.standard_normal(noise.shape)
+    mode = fourier_mode(grid, (1, 0)).values
+    return np.stack([noise[0], mode if dtype == complex else mode.real, noise[1]])
+
+
+@pytest.mark.parametrize("shift", [0.0, 37.5])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pcg_stack_matches_field_by_field(dtype, shift):
+    grid = TorusGrid(16, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    stack = _pcg_stack(grid, dtype)
+    x, report = solver._pcg(a, stack, 1e-10, 500, shift)
+    assert x.dtype == stack.dtype
+    singles = [solver._pcg(a, field[None], 1e-10, 500, shift) for field in stack]
+    for image, (single, rep) in zip(x, singles):
+        assert _rel_err(image, single[0]) < 1e-13
+    assert report.iterations == max(rep.iterations for _, rep in singles)
+    assert report.residual == pytest.approx(max(rep.residual for _, rep in singles),
+                                            rel=1e-6)
+
+
+def test_pcg_field_that_converges_early_keeps_its_iterate():
+    grid = TorusGrid(16, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    rng = np.random.default_rng(0)
+    early = rng.standard_normal(grid.shape)
+    late = fourier_mode(grid, (1, 0)).values.real
+    own, own_report = solver._pcg(a, early[None], 1e-10, 500)
+    x, report = solver._pcg(a, np.stack([early, late]), 1e-10, 500)
+    # premise: the stack iterates past the point where the first field stops
+    assert own_report.iterations < report.iterations
+    # one more step would move it by about tol, far above this bound
+    assert _rel_err(x[0], own[0]) < 1e-14
+
+
+def test_pcg_zero_field_in_a_stack_returns_zeros():
+    grid = TorusGrid(16, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    for dtype in (float, complex):
+        stack = _pcg_stack(grid, dtype)
+        stack[1] = 0.0
+        x, report = solver._pcg(a, stack, 1e-10, 500, 2.0)
+        assert np.array_equal(x[1], np.zeros(grid.shape))
+        single, _ = solver._pcg(a, stack[[0]], 1e-10, 500, 2.0)
+        assert _rel_err(x[0], single[0]) < 1e-13
+        x, report = solver._pcg(a, np.zeros((2,) + grid.shape, dtype), 1e-10, 500)
+        assert not np.any(x) and report.iterations == 0 and report.residual == 0.0
+
+
+def test_stack_error_on_iteration_cap_reports_worst_residual(monkeypatch):
+    monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 2)
+    grid = TorusGrid(16, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    stack = _pcg_stack(grid, complex)
+    residuals = []
+    for field in stack:
+        with pytest.raises(SolverError) as err:
+            inv_sqrt(grid, a, field, "krylov", tol=1e-14)
+        residuals.append(err.value.report.residual)
+    with pytest.raises(SolverError) as err:
+        inv_sqrt(grid, a, stack, "krylov", tol=1e-14)
+    assert err.value.report.iterations == 2
+    assert err.value.report.residual == pytest.approx(max(residuals), rel=1e-10)
+    assert len(set(residuals)) == 3
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-13])
+@pytest.mark.parametrize("N", [7, 16, 33, 128])
+def test_solutions_are_mean_zero_without_projections(N, tol):
+    # CG centres its solution once on return; its iterates carry no projection
+    grid = TorusGrid(N, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, N)
+    rng = np.random.default_rng(N)
+    real = rng.standard_normal(grid.shape) + 0.5
+    for values in (real, real + 1j * rng.standard_normal(grid.shape)):
+        rhs = LatticeField(grid, values - values.mean())
+        u, _ = solve_heterogeneous(a, rhs, tol=tol)
+        assert u.is_mean_zero(1e-12)
+        image = LatticeField(grid, inv_sqrt(grid, a, values, "krylov", tol=tol))
+        assert image.is_mean_zero(1e-12)
+
+
 def test_energy_history_decreases():
     # CG runs the same iterates whatever its tolerance, so looser tolerances
     # stop it after fewer steps: 0.5 x.Ax - b.x over those stopping points
