@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 ENV_MAGIC = b"HFENV1"
+_DENSE_SITES = 4096  # largest grid of the dense backends
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def operator_matrix(a: Conductances) -> np.ndarray:
     """
     grid = a.grid
     n = grid.n
-    if n > 4096:
+    if n > _DENSE_SITES:
         raise ValueError(f"dense operator with {n} sites is too large")
     sites = np.arange(n).reshape(grid.shape)
     mat = np.zeros((n, n))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import EnvironmentLaw, sample_environment
+from .environment import _DENSE_SITES, EnvironmentLaw, sample_environment
 from .homogenization import estimate_ahom
 from .lattice import (
     LatticeField,
@@ -306,8 +306,9 @@ def gff_covariance_limit(cfg: ExperimentConfig, backend: str = None) -> Covarian
     environment, ``backend="dense"`` means "V to rounding, and the noise of
     an environment drawn as one block": V then comes from the krylov
     quadrature at tolerance 1e-13, within about 1e-13 of the ``eigh`` V at
-    a small fraction of its cost at N=64. Otherwise the noise is drawn per
-    sample, as :func:`homfield.sampler.sample_gff` would.
+    a small fraction of its cost at N=64, and like ``eigh`` it is limited
+    to 4096 sites. Otherwise the noise is drawn per sample, as
+    :func:`homfield.sampler.sample_gff` would.
     """
     N, samples = max(cfg.Ns), cfg.noise_replicates
     if samples * cfg.replicates < 100:
@@ -318,6 +319,9 @@ def gff_covariance_limit(cfg: ExperimentConfig, backend: str = None) -> Covarian
     scale = formal_constant("gff", cfg.d) * grid.N ** (grid.d / 2.0) / grid.n
     modes = np.stack([fourier_mode(grid, k).values.conj() for k in cfg.kset])
     block_noise = cfg.law is not None and backend == "dense"
+    if block_noise and grid.n > _DENSE_SITES:
+        # the noise block holds N^d x samples draws
+        raise ValueError(f"dense backend with {grid.n} sites is too large")
     v_backend, v_tol = ("krylov", _EXACT_V_TOL) if block_noise else (backend, cfg.tol)
 
     def coefficients(v, env_idx):

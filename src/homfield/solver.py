@@ -16,8 +16,8 @@ subspace, and the one place that picks its backend: ``spectral`` (exact,
 homogeneous only; the default without an environment), ``dense`` (one
 ``eigh``, up to 4096 sites; the independent oracle for the quadrature) or
 ``krylov`` (a quadrature over shifted CG solves, each to relative residual
-tol, with the fields of a small grid solved together at each shift; the
-default with an environment).
+tol, with all fields solved together at each shift; the default with an
+environment).
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# apply_operator stays bound here: perfbench's tracer test checks its wrapper.
+# apply_operator stays bound here only for perfbench's tracer test, which
+# checks its wrapper; that tracer no longer sees _pcg's stencil work, and
+# goes with the stencil count of ROADMAP items 1 and 5.
 from .environment import Conductances, _stencil, apply_operator, operator_matrix  # noqa: F401
 from .lattice import (
     LatticeField,
@@ -52,12 +54,6 @@ __all__ = [
 
 MEAN_ZERO_RTOL = 1e-10
 DEFAULT_TOL = 1e-8
-# Sites per stack of fields that one shifted PCG solves together in the
-# krylov A^(-1/2). Stacking saves per-iteration overhead while the stack
-# stays in cache: for 4 complex modes in d = 2 it won up to N=80, broke
-# even at N=96 and lost at N=128, so from 2^14 / N^d < 2 on each field is
-# solved alone.
-_STACK_SITES = 2**14
 
 
 @dataclass
@@ -277,10 +273,9 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     the module docstring. Returns the mean-zero images.
 
     Krylov sums w_j (A + s_j)^(-1) z over the nodes of
-    :func:`_inv_sqrt_quadrature`. At each node, the fields go to one
-    shifted PCG in stacks of at most ``_STACK_SITES`` sites, so that a
-    stack shares the loop and each field keeps its own stopping test. The
-    nodes are computed once per call for the interval
+    :func:`_inv_sqrt_quadrature`. At each node, all fields go to one
+    shifted PCG, which they share while each keeps its own stopping test.
+    The nodes are computed once per call for the interval
     [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum of A on the
     mean-zero subspace because every weight lies in [1, Lambda].
     """
@@ -305,11 +300,8 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
         maxiter = default_max_iterations(grid)
         fields = values.reshape((-1,) + grid.shape)
         out = np.zeros(fields.shape, np.result_type(fields, np.float64))
-        group = max(1, _STACK_SITES // grid.n)
         for s, w in zip(shifts, weights):
-            for start in range(0, len(fields), group):
-                stack = slice(start, start + group)
-                out[stack] += w * _pcg(a, fields[stack], tol, maxiter, shift=s)[0]
+            out += w * _pcg(a, fields, tol, maxiter, shift=s)[0]
         out = out.reshape(values.shape)
     else:
         raise ValueError(f"unknown backend {backend!r}")

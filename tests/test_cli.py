@@ -393,6 +393,16 @@ def test_cov_unknown_backend_is_config_error(tmp_path, capsys):
     assert "unknown backend" in capsys.readouterr().err
 
 
+def test_cov_dense_with_a_law_keeps_the_site_limit(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "n = 128\nd = 2\nlaw = bernoulli(0.5,1,2)\nkset = 1,0; 0,1\nM = 2\n"
+        "noise_replicates = 50\nbackend = dense\n",
+    )
+    assert main(["cov", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "16384 sites is too large" in capsys.readouterr().err
+
+
 def test_rates_beta_zero_meets_the_threshold_check(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, "n = 4,8,16\nexperiment = bilap\nlaw = bernoulli(0.5,1,2)\nbeta = 0\n")
