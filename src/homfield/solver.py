@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # apply_operator stays bound here only for perfbench's tracer test, which
-# checks its wrapper; that tracer no longer sees _pcg's stencil work, and
-# goes with the stencil count of ROADMAP items 1 and 5.
+# checks its wrapper. That tracer no longer sees _pcg's stencil work; drop
+# the binding once ROADMAP item 1 or 5 counts stencil applications.
 from .environment import Conductances, _stencil, apply_operator, operator_matrix  # noqa: F401
 from .lattice import (
     LatticeField,
