@@ -46,7 +46,8 @@ command requires them)::
                                   # krylov (shifted CG solves, to tol);
                                   # default spectral without a law, krylov
                                   # with one; cov applies it once per mode
-                                  # and environment, all modes together
+                                  # and environment, the modes together in
+                                  # chunks of at most 256 KiB
 
 Every subcommand appends one JSON record to ``runlog.jsonl`` in the output
 directory. Each record carries ``command``, ``config``, ``config_hash``
@@ -347,7 +348,8 @@ def cmd_rates(args, cfg) -> int:
     _write_rate_csv(os.path.join(args.out, f"rates_{experiment}.csv"), series)
     corrected = series.corrected[0] if series.corrected else None
     write_runlog(args, cfg, seed, t0, experiment=experiment, slope=series.slope,
-                 half_width=series.half_width, corrected_slope=corrected,
+                 half_width=series.half_width, t_half_width=series.t_half_width,
+                 corrected_slope=corrected,
                  **ahom_record)
     print(f"{series.quantity}: slope {series.slope:+.3f} "
           f"(half-width {series.half_width:.3f})"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,8 @@ from .lattice import (
 from .sampler import formal_constant, sample_noise
 from .solver import (
     DEFAULT_TOL,
+    _pseudo_eigenfunctions,
     inv_sqrt,
-    pseudo_eigenfunction,
     solve_heterogeneous,
     solve_homogeneous,
 )
@@ -56,13 +57,43 @@ __all__ = [
 # rate fitting
 
 
+# 0.975 quantiles of Student's t with 3..30 degrees of freedom
+_T975 = (3.182446, 2.776445, 2.570582, 2.446912, 2.364624, 2.306004, 2.262157,
+         2.228139, 2.200985, 2.178813, 2.160369, 2.144787, 2.131450, 2.119905,
+         2.109816, 2.100922, 2.093024, 2.085963, 2.079614, 2.073873, 2.068658,
+         2.063899, 2.059539, 2.055529, 2.051831, 2.048407, 2.045230, 2.042272)
+_Z975 = 1.959963984540054  # the normal 0.975 quantile
+
+
+def _t975(dof: int) -> float:
+    """The 0.975 quantile of Student's t with ``dof`` degrees of freedom:
+    closed forms for 1 and 2, the table to 30, and beyond it the
+    Cornish-Fisher expansion of Abramowitz & Stegun 26.7.5 (error below
+    3e-8)."""
+    p = 0.975
+    if dof == 1:
+        return math.tan(math.pi * (p - 0.5))
+    if dof == 2:
+        return (2 * p - 1) / math.sqrt(2 * p * (1 - p))
+    if dof <= 30:
+        return _T975[dof - 3]
+    z = _Z975
+    terms = ((z**3 + z) / 4,
+             (5 * z**5 + 16 * z**3 + 3 * z) / 96,
+             (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384,
+             (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160)
+    return z + sum(g / dof**i for i, g in enumerate(terms, 1))
+
+
 def fit_rate(points) -> tuple:
     """Least-squares fit of log(value) against log(N).
 
     ``points`` is a sequence of (N, value) pairs with positive values, at
-    least three of them. Returns (slope, intercept, half_width) where the
-    half width is twice the standard error of the slope estimated from the
-    fit residuals.
+    least three of them. Returns (slope, intercept, half_width,
+    t_half_width), where half_width is twice the standard error of the
+    slope estimated from the fit residuals, and t_half_width the 95 %
+    t-quantile (len(points) - 2 degrees of freedom) times that standard
+    error.
     """
     points = sorted(points)
     if len(points) < 3:
@@ -82,17 +113,19 @@ def fit_rate(points) -> tuple:
     resid = y - (intercept + slope * x)
     dof = len(points) - 2
     sigma2 = np.sum(resid**2) / dof
-    half_width = 2.0 * float(np.sqrt(sigma2 / sxx))
-    return float(slope), float(intercept), half_width
+    stderr = float(np.sqrt(sigma2 / sxx))
+    return float(slope), float(intercept), 2.0 * stderr, _t975(dof) * stderr
 
 
 @dataclass(frozen=True)
 class RateSeries:
     """Measured values over an N ladder with the fitted log-log slope.
 
-    ``corrected`` holds the (slope, intercept, half_width) fit of
-    value / log(N), used in d = 2 where the bounds carry a log factor;
-    it is None otherwise.
+    ``half_width`` is twice the slope's standard error and
+    ``t_half_width`` its 95 % t-quantile half-width (see :func:`fit_rate`).
+    ``corrected`` holds the (slope, intercept, half_width, t_half_width)
+    fit of value / log(N), used in d = 2 where the bounds carry a log
+    factor; it is None otherwise.
     """
 
     quantity: str
@@ -100,16 +133,17 @@ class RateSeries:
     slope: float
     intercept: float
     half_width: float
+    t_half_width: float
     corrected: tuple = None
 
     @classmethod
     def from_points(cls, quantity: str, points, log_correct: bool = False) -> "RateSeries":
         points = tuple(sorted(points))
-        slope, intercept, hw = fit_rate([(n, v) for n, v, _ in points])
+        fit = fit_rate([(n, v) for n, v, _ in points])
         corrected = None
         if log_correct:
             corrected = fit_rate([(n, v / np.log(n)) for n, v, _ in points])
-        return cls(quantity, points, slope, intercept, hw, corrected)
+        return cls(quantity, points, *fit, corrected)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +244,16 @@ def _rate_series(cfg: ExperimentConfig, quantity: str, points) -> RateSeries:
     and fewer than 3 sizes cannot be fitted: both give NaN slope fields."""
     if cfg.law.variant == "constant" or len(points) < 3:
         nan = float("nan")
-        return RateSeries(quantity, tuple(points), nan, nan, nan)
+        return RateSeries(quantity, tuple(points), nan, nan, nan, nan)
     return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2))
 
 
-def _pseudo_sq_error(a, ahom: float, k, tol: float) -> float:
-    """Squared l2 distance between the pseudo-eigenfunction of mode k in
-    environment a and the Fourier mode phi_k."""
-    phi = pseudo_eigenfunction(a, ahom, k, tol=tol)
-    return (phi - fourier_mode(a.grid, k)).norm() ** 2
+def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
+    """Squared l2 distances between the pseudo-eigenfunctions of the modes
+    ks in environment a and their Fourier modes phi_k, from one stacked
+    solve."""
+    phis, us = _pseudo_eigenfunctions(a, ahom, ks, tol)
+    return [LatticeField(a.grid, u - phi).norm() ** 2 for phi, u in zip(phis, us)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +276,7 @@ def pseudo_eigen_rate(cfg: ExperimentConfig, k=None) -> RateSeries:
     if cfg.law is None:
         raise ValueError("pseudo_eigen_rate needs an environment law")
     ahom = cfg.resolve_ahom()
-    points = _ladder(cfg, 0, lambda a, rep: _pseudo_sq_error(a, ahom, k, cfg.tol))
+    points = _ladder(cfg, 0, lambda a, rep: _pseudo_sq_error(a, ahom, [k], cfg.tol)[0])
     return _rate_series(cfg, "pseudo_eigen_sq_error", points)
 
 
@@ -376,9 +411,9 @@ def _bilap_exact_in_noise(cfg: ExperimentConfig, a, ahom: float, modes) -> float
     """Noise-exact squared H^{-beta} error of the coupled bi-Laplacian pair
     for one environment: a weighted mode sum of pseudo-eigenfunction errors."""
     cb = formal_constant("bilap", cfg.d)
+    errs = _pseudo_sq_error(a, ahom, [k for k, _ in modes], cfg.tol)
     total = 0.0
-    for k, mult in modes:
-        err = _pseudo_sq_error(a, ahom, k, cfg.tol)
+    for (k, mult), err in zip(modes, errs):
         total += (mult * eigenvalue_continuum(k) ** (-2.0 * cfg.beta) * cb**2 * err
                   / (ahom * eigenvalue_discrete(a.grid.N, k)) ** 2)
     return total

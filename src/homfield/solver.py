@@ -16,8 +16,8 @@ subspace, and the one place that picks its backend: ``spectral`` (exact,
 homogeneous only; the default without an environment), ``dense`` (one
 ``eigh``, up to 4096 sites; the independent oracle for the quadrature) or
 ``krylov`` (a quadrature over shifted CG solves, each to relative residual
-tol, with all fields solved together at each shift; the default with an
-environment).
+tol, with the fields solved together at each shift in chunks of at most
+256 KiB; the default with an environment).
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ __all__ = [
 
 MEAN_ZERO_RTOL = 1e-10
 DEFAULT_TOL = 1e-8
+# Largest stack that _pcg iterates as one: with the ~7 arrays of a step it
+# stays inside a 2 MiB L2 cache.
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -98,7 +101,8 @@ def _spectral_multiplier(grid: TorusGrid, exponent: float, shift: float) -> np.n
     return mult
 
 
-def _spectral_apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
+def _spectral_apply(values: np.ndarray, mult: np.ndarray, spec: np.ndarray = None,
+                    out: np.ndarray = None) -> np.ndarray:
     """Apply a multiplier from ``_spectral_multiplier`` to site values.
 
     The transforms run over the trailing ``mult.ndim`` axes, so fields
@@ -106,13 +110,26 @@ def _spectral_apply(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     the half-spectrum real transforms. The multiplier is even in k, so the
     half spectrum takes its first N//2 + 1 entries along the last axis, and
     the product keeps the Hermitian symmetry that makes the result real.
+
+    ``spec`` (complex, the shape of the spectrum) and ``out`` (the shape and
+    dtype of ``values``) are optional buffers that an iterative solve keeps
+    for its whole run; without them each call allocates its own. The
+    spectrum is transformed back in place, one axis at a time, in the axis
+    order of ``np.fft.irfftn`` (first to last) and ``np.fft.ifftn`` (last to
+    first), so the result equals theirs bit for bit.
     """
     axes = tuple(range(-mult.ndim, 0))
     if np.iscomplexobj(values):
-        return np.fft.ifftn(np.fft.fftn(values, axes=axes) * mult, axes=axes)
-    spec = np.fft.rfftn(values, axes=axes)
+        spec = np.fft.fftn(values, axes=axes, out=spec)
+        spec *= mult
+        for axis in axes[:0:-1]:
+            np.fft.ifft(spec, axis=axis, out=spec)
+        return np.fft.ifft(spec, axis=axes[0], out=out)
+    spec = np.fft.rfftn(values, axes=axes, out=spec)
     spec *= mult[..., : values.shape[-1] // 2 + 1]
-    return np.fft.irfftn(spec, s=values.shape[-mult.ndim:], axes=axes)
+    for axis in axes[:-1]:
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, n=values.shape[-1], axis=-1, out=out)
 
 
 def solve_homogeneous(grid: TorusGrid, rhs: LatticeField) -> LatticeField:
@@ -133,7 +150,7 @@ def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
-         shift: float = 0.0) -> tuple:
+         shift: float = 0.0, out: np.ndarray = None) -> tuple:
     """CG for the divergence-form operator plus ``shift`` times the identity,
     preconditioned by the spectral inverse of -Lap_N + shift, for the
     right-hand sides stacked along the first axis of ``b``.
@@ -141,18 +158,39 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     Since -Lap_N <= A <= Lambda (-Lap_N), the preconditioned condition number
     is at most Lambda for every shift. The operator is real symmetric, so
     complex right-hand sides iterate in place with Hermitian inner products.
-    The fields share one loop, but each keeps its own step lengths and
-    stopping test, and leaves the loop when its relative residual reaches
-    tol: its iterates are those of its own solve, up to the rounding of the
-    inner products. The means of the right-hand sides are removed once.
-    The iterates then stay mean-zero up to rounding without a projection,
-    because the preconditioner zeroes the mean mode and every operator
-    output sums to zero; x is centred once on return.
+
+    A stack of more than _CHUNK_BYTES goes through the loop in consecutive
+    chunks of max(1, _CHUNK_BYTES // field bytes) fields, so that the arrays
+    of a step stay in cache. Within a chunk the fields share one loop, but
+    each keeps its own step lengths and stopping test, and leaves the loop
+    when its relative residual reaches tol: its iterates are those of its
+    own solve, up to the rounding of the inner products. The means of the
+    right-hand sides are removed once. The iterates then stay mean-zero up
+    to rounding without a projection, because the preconditioner zeroes the
+    mean mode and every operator output sums to zero; x is centred once on
+    return.
+
+    ``out``, of the shape of ``b`` and the dtype of x, receives x when
+    given. It may be ``b`` itself: each chunk is read before its rows are
+    overwritten, so a caller done with its right-hand sides saves a stack.
 
     Returns (x, report), the report holding the largest iteration count and
     the worst final residual of the stack; raises SolverError when the
-    iteration cap is hit before every relative residual reaches tol.
+    iteration cap is hit before every relative residual of a chunk reaches
+    tol.
     """
+    x = np.empty(b.shape, np.result_type(b, np.float64)) if out is None else out
+    chunk = max(1, _CHUNK_BYTES // (a.grid.n * x.itemsize))
+    reports = [_pcg_chunk(a, b[i:i + chunk], tol, maxiter, shift, x[i:i + chunk])
+               for i in range(0, len(b), chunk)]
+    return x, SolveReport(max((r.iterations for r in reports), default=0),
+                          max((r.residual for r in reports), default=0.0), tol, "cg")
+
+
+def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
+               shift: float, out: np.ndarray) -> SolveReport:
+    """The loop of :func:`_pcg` for one chunk of its stack; writes the
+    solutions into ``out`` and returns the chunk's report."""
     precond = _spectral_multiplier(a.grid, -1.0, shift)
     axes = tuple(range(1, b.ndim))
     col = (-1,) + (1,) * len(axes)        # one coefficient per field
@@ -160,19 +198,22 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     b -= b.mean(axis=axes, keepdims=True)
     bnorm = np.sqrt(_dots(b, b))
     live = np.flatnonzero(bnorm)          # fields still iterating
+    out.fill(0)
     if not live.size:
-        return np.zeros_like(b), SolveReport(0, 0.0, tol, "cg")
-    shape = b.shape
+        return SolveReport(0, 0.0, tol, "cg")
     r, bnorm = b[live], bnorm[live]
     del b                                 # r holds the live rows
     x = np.zeros_like(r)
-    z = _spectral_apply(r, precond)
+    # kept for the whole solve, each iteration using the rows of live
+    # fields; flux is the stencil's scratch and then the step buffer, spec
+    # and z are the preconditioner's spectrum and output
+    ap_buf, flux_buf, z_buf = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    n = r.shape[-1]                       # real fields keep a half spectrum
+    spec_buf = np.empty(r.shape[:-1] + (n // 2 + 1 if np.isrealobj(r) else n,), np.complex128)
+    z = _spectral_apply(r, precond, spec_buf, z_buf)
     p = z.copy()
     rz = _dots(r, z)
     res = np.ones(len(live))
-    # kept for the whole solve, each iteration using the rows of live
-    # fields; flux is the stencil's scratch and then the step buffer
-    ap_buf, flux_buf = np.empty_like(r), np.empty_like(r)
     solved = []                           # (fields, iterates) that left
     worst = 0.0
     for it in range(1, maxiter + 1):
@@ -193,7 +234,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
                 v[keep] for v in (live, x, r, p, rz, res, bnorm))
             if not live.size:
                 break
-        z = _spectral_apply(r, precond)
+        z = _spectral_apply(r, precond, spec_buf[: len(live)], z_buf[: len(live)])
         rz_new = _dots(r, z)
         p *= (rz_new / rz).reshape(col)
         p += z
@@ -204,11 +245,10 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
             f"CG did not reach tol={tol} within {maxiter} iterations (residual {worst:.3e})",
             SolveReport(maxiter, worst, tol, "cg"),
         )
-    out = np.zeros(shape, x.dtype)
     for fields, iterates in solved:
         out[fields] = iterates
     out -= out.mean(axis=axes, keepdims=True)
-    return out, SolveReport(it, worst, tol, "cg")
+    return SolveReport(it, worst, tol, "cg")
 
 
 def _inv_sqrt_quadrature(lo: float, hi: float, tol: float) -> tuple:
@@ -273,8 +313,9 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     the module docstring. Returns the mean-zero images.
 
     Krylov sums w_j (A + s_j)^(-1) z over the nodes of
-    :func:`_inv_sqrt_quadrature`. At each node, all fields go to one
-    shifted PCG, which they share while each keeps its own stopping test.
+    :func:`_inv_sqrt_quadrature`. At each node, the fields go to one
+    shifted PCG, which solves them together in chunks sized in bytes, each
+    field keeping its own stopping test.
     The nodes are computed once per call for the interval
     [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum of A on the
     mean-zero subspace because every weight lies in [1, Lambda].
@@ -353,6 +394,25 @@ def green_column(a: Conductances | None, grid: TorusGrid, y,
     return u
 
 
+def _pseudo_eigenfunctions(a: Conductances, ahom: float, ks, tol: float) -> tuple:
+    """The Fourier modes phi_k of the frequencies ``ks`` and the solutions
+    u_k of -div a grad u_k = ahom * lambda_k^(N) * phi_k, each stacked along
+    the first axis, from one stacked PCG."""
+    grid = a.grid
+    ks = [grid.check_frequency(k) for k in ks]
+    if not all(np.any(k) for k in ks):
+        raise ValueError("pseudo-eigenfunctions are defined for k != 0 only")
+    if ahom <= 0:
+        raise ValueError(f"ahom must be positive, got {ahom}")
+    _check_tol(tol)
+    phis = np.empty((len(ks),) + grid.shape, np.complex128)
+    rhs = np.empty_like(phis)
+    for phi, b, k in zip(phis, rhs, ks):
+        phi[...] = fourier_mode(grid, k).values
+        np.multiply(ahom * eigenvalue_discrete(grid.N, k), phi, out=b)
+    return phis, _pcg(a, rhs, tol, default_max_iterations(grid), out=rhs)[0]
+
+
 def pseudo_eigenfunction(a: Conductances, ahom: float, k,
                          tol: float = DEFAULT_TOL) -> LatticeField:
     """Solution of -div a grad u = ahom * lambda_k^(N) * phi_k.
@@ -360,13 +420,4 @@ def pseudo_eigenfunction(a: Conductances, ahom: float, k,
     Converges to the Fourier mode phi_k as N grows; for constant a = ahom it
     equals phi_k up to solver tolerance.
     """
-    grid = a.grid
-    k = grid.check_frequency(k)
-    if not np.any(k):
-        raise ValueError("pseudo-eigenfunctions are defined for k != 0 only")
-    if ahom <= 0:
-        raise ValueError(f"ahom must be positive, got {ahom}")
-    lam = eigenvalue_discrete(grid.N, k)
-    rhs = LatticeField(grid, ahom * lam * fourier_mode(grid, k).values)
-    u, _ = solve_heterogeneous(a, rhs, tol=tol)
-    return u
+    return LatticeField(a.grid, _pseudo_eigenfunctions(a, ahom, [k], tol)[1][0])

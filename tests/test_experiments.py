@@ -20,9 +20,9 @@ from homfield.experiments import (
     truncation_error,
     _mode_representatives,
 )
-from homfield.lattice import TorusGrid, dft, eigenvalue_discrete
+from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
 from homfield.sampler import formal_constant, sample_gff
-from homfield.solver import inv_sqrt
+from homfield.solver import inv_sqrt, pseudo_eigenfunction
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
@@ -32,21 +32,22 @@ BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
 
 def test_fit_rate_exact_power_law():
-    slope, _, hw = fit_rate([(n, n**-2.0) for n in (16, 32, 64, 128)])
+    slope, _, hw, t_hw = fit_rate([(n, n**-2.0) for n in (16, 32, 64, 128)])
     assert slope == pytest.approx(-2.0, abs=1e-12)
     assert hw < 1e-12
+    assert t_hw < 1e-12
 
 
 def test_fit_rate_constant():
-    slope, _, _ = fit_rate([(n, 3.7) for n in (8, 16, 32)])
+    slope, _, _, _ = fit_rate([(n, 3.7) for n in (8, 16, 32)])
     assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_rate_log_corrected_power_law():
     pts = [(n, n**-2.0 * np.log(n)) for n in (16, 32, 64, 128, 256)]
-    raw, _, _ = fit_rate(pts)
+    raw, _, _, _ = fit_rate(pts)
     assert -2.0 < raw < -1.6
-    corrected, _, _ = fit_rate([(n, v / np.log(n)) for n, v in pts])
+    corrected, _, _, _ = fit_rate([(n, v / np.log(n)) for n, v in pts])
     assert corrected == pytest.approx(-2.0, abs=0.02)
 
 
@@ -57,6 +58,24 @@ def test_fit_rate_validation():
         fit_rate([(8, 1.0), (16, -0.5), (32, 0.1)])
     with pytest.raises(ValueError):
         fit_rate([(8, 1.0), (8, 0.5), (16, 0.2)])
+
+
+def test_fit_rate_t_half_width():
+    # 4 points leave 2 degrees of freedom: t_0.975 = 4.30, against the 2 of 2 SE
+    pts = [(16, 1.0), (32, 0.3), (64, 0.06), (128, 0.02)]
+    slope, _, hw, t_hw = fit_rate(pts)
+    assert t_hw / hw == pytest.approx(4.302652729749462 / 2, rel=1e-14)
+    rs = RateSeries.from_points("q", [(n, v, 0.0) for n, v in pts], log_correct=True)
+    assert (rs.slope, rs.half_width, rs.t_half_width) == (slope, hw, t_hw)
+    assert rs.corrected[3] / rs.corrected[2] == pytest.approx(4.302652729749462 / 2)
+
+
+def test_t_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for dof in list(range(1, 61)) + [100, 1000, 10**6]:
+        ref = stats.t.ppf(0.975, dof)
+        tol = 1e-12 if dof <= 2 else 5e-7
+        assert experiments._t975(dof) == pytest.approx(ref, abs=tol)
 
 
 def test_rate_series_from_points():
@@ -162,6 +181,21 @@ def test_block_modes_have_unit_mass():
         # the alias series decays like 1/m^2, so the truncated mass
         # approaches 1 only at O(1/kcut)
         assert total == pytest.approx(1.0, abs=0.02)
+
+
+def test_stacked_pseudo_errors_equal_one_mode_results():
+    # 12 complex modes at N=64 go through the stacked PCG in 3 chunks
+    grid = TorusGrid(64, 2)
+    a = sample_environment(BERNOULLI, grid, 4)
+    ahom = np.sqrt(2.0)
+    ks = [k for k, _ in _mode_representatives(grid, 2)]
+    stacked = experiments._pseudo_sq_error(a, ahom, ks, 1e-8)
+    assert len(stacked) == 12
+    for k, err in zip(ks, stacked):
+        one = experiments._pseudo_sq_error(a, ahom, [k], 1e-8)[0]
+        own = (pseudo_eigenfunction(a, ahom, k, tol=1e-8) - fourier_mode(grid, k)).norm() ** 2
+        assert one == pytest.approx(err, rel=1e-14, abs=0)
+        assert own == pytest.approx(err, rel=1e-14, abs=0)
 
 
 def test_mode_representatives_cover_window():

@@ -96,6 +96,33 @@ def test_spectral_apply_real_matches_complex_transform(d, N):
         assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
+@pytest.mark.parametrize("N", [7, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_buffered_spectral_apply_equals_numpy_nd_transforms(dtype, d, N):
+    # bit for bit, which pins the axis order of the in-place inverse
+    # transform: numpy's irfftn runs its leading axes first to last, ifftn
+    # runs from the last axis to the first
+    grid = TorusGrid(N, d)
+    mult = _spectral_multiplier(grid, -1.0, 3.5)
+    axes = tuple(range(-d, 0))
+    rng = np.random.default_rng(N + d)
+    for lead in ((), (3,), (2, 2)):
+        v = rng.standard_normal(lead + grid.shape)
+        if dtype == complex:
+            v = v + 1j * rng.standard_normal(v.shape)
+            ref = np.fft.ifftn(np.fft.fftn(v, axes=axes) * mult, axes=axes)
+            spec = np.empty(v.shape, complex)
+        else:
+            ref = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * mult[..., : N // 2 + 1],
+                                s=grid.shape, axes=axes)
+            spec = np.empty(v.shape[:-1] + (N // 2 + 1,), complex)
+        out = np.full_like(v, np.nan)
+        assert _spectral_apply(v, mult, spec, out) is out
+        assert np.array_equal(out, ref)
+        assert np.array_equal(_spectral_apply(v, mult), ref)
+
+
 def test_real_solve_returns_float64():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 2)
@@ -230,6 +257,52 @@ def test_stack_error_on_iteration_cap_reports_worst_residual(monkeypatch):
     assert err.value.report.iterations == 2
     assert err.value.report.residual == pytest.approx(max(residuals), rel=1e-10)
     assert len(set(residuals)) == 3
+
+
+def _spy_chunks(monkeypatch):
+    sizes = []
+    chunk = solver._pcg_chunk
+
+    def spy(a, b, *args):
+        sizes.append(len(b))
+        return chunk(a, b, *args)
+
+    monkeypatch.setattr(solver, "_pcg_chunk", spy)
+    return sizes
+
+
+def test_pcg_splits_a_stack_into_chunks_of_256_kib(monkeypatch):
+    # 6 complex fields of 64^2 sites, 64 KiB each: chunks of 4 and 2
+    grid = TorusGrid(64, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((6,) + grid.shape) + 1j * rng.standard_normal((6,) + grid.shape)
+    stack[4] = fourier_mode(grid, (1, 2)).values  # a smooth mode converges sooner
+    singles = [solver._pcg(a, field[None], 1e-10, 500) for field in stack]
+    sizes = _spy_chunks(monkeypatch)
+    x, report = solver._pcg(a, stack, 1e-10, 500)
+    assert sizes == [4, 2]
+    for image, (single, _) in zip(x, singles):
+        assert _rel_err(image, single[0]) < 1e-13
+    reports = [rep for _, rep in singles]
+    assert len({rep.iterations for rep in reports}) > 1
+    assert report.iterations == max(rep.iterations for rep in reports)
+    assert report.residual == pytest.approx(max(rep.residual for rep in reports), rel=1e-6)
+
+
+def test_solver_error_in_a_later_chunk_carries_its_report(monkeypatch):
+    # the first chunk holds zero fields and returns at once; the second
+    # hits the iteration cap
+    grid = TorusGrid(64, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    stack = np.zeros((6,) + grid.shape, complex)
+    stack[4:] = fourier_mode(grid, (1, 0)).values
+    sizes = _spy_chunks(monkeypatch)
+    with pytest.raises(SolverError) as err:
+        solver._pcg(a, stack, 1e-14, 2)
+    assert sizes == [4, 2]
+    assert err.value.report.iterations == 2
+    assert err.value.report.residual > 1e-14
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-13])
