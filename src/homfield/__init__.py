@@ -8,7 +8,6 @@ from .lattice import (
     fourier_mode,
     dft,
     idft,
-    sobolev_norm,
 )
 from .environment import (
     EnvironmentLaw,
@@ -29,7 +28,6 @@ from .sampler import (
     sample_noise,
     sample_gff,
     sample_bilaplacian,
-    formal_field,
 )
 from .experiments import (
     ExperimentConfig,

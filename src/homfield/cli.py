@@ -346,14 +346,15 @@ def cmd_rates(args, cfg) -> int:
     else:
         raise ConfigError(f"unknown experiment {experiment!r}")
     _write_rate_csv(os.path.join(args.out, f"rates_{experiment}.csv"), series)
-    corrected = series.corrected[0] if series.corrected else None
+    corrected, _, corrected_hw, corrected_t_hw = series.corrected or (None,) * 4
     write_runlog(args, cfg, seed, t0, experiment=experiment, slope=series.slope,
                  half_width=series.half_width, t_half_width=series.t_half_width,
-                 corrected_slope=corrected,
-                 **ahom_record)
+                 corrected_slope=corrected, corrected_half_width=corrected_hw,
+                 corrected_t_half_width=corrected_t_hw, **ahom_record)
     print(f"{series.quantity}: slope {series.slope:+.3f} "
           f"(half-width {series.half_width:.3f})"
-          + (f", log-corrected {corrected:+.3f}" if series.corrected else ""))
+          + (f", log-corrected {corrected:+.3f} (half-width {corrected_hw:.3f})"
+             if series.corrected else ""))
     slope = series.slope if corrected is None else corrected
     # written so that a NaN slope fails the assertion
     if expect is not None and not abs(slope - expect) <= slope_tol:

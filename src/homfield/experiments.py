@@ -1,8 +1,10 @@
 """Monte-Carlo convergence experiments: pseudo-eigenfunction error rates,
 spectral covariance of the environment free field, coupled bi-Laplacian
-error norms, and the closed-form discretization error of the homogeneous
-field. Log-log slopes are fitted by ordinary least squares; in d = 2 the
-expected logarithmic correction is divided out before fitting.
+error norms, and the closed-form window-truncation error of the
+homogeneous field. Log-log slopes are fitted by ordinary least squares; in
+d = 2 the expected logarithmic correction is divided out before fitting.
+Fields enter as formal coefficients c N^(d/2) (f, phi_k), c from
+:func:`formal_constant`; H^(-beta) norms weight mode k by lambda_k^(-2 beta).
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from .lattice import (
     eigenvalue_continuum,
     eigenvalue_discrete,
     eigenvalues_continuum,
-    eigenvalues_discrete,
     fourier_mode,
 )
-from .sampler import formal_constant, sample_noise
+from .sampler import sample_noise
 from .solver import (
     DEFAULT_TOL,
     _pseudo_eigenfunctions,
@@ -47,10 +48,16 @@ __all__ = [
     "BilapErrorResult",
     "discretization_rate",
     "truncation_error",
-    "coupling_error",
-    "block_inner_product",
-    "sine_ratio",
+    "formal_constant",
 ]
+
+
+def formal_constant(kind: str, d: int) -> float:
+    """Scaling constant c of the formal field c N^(d/2) (f, phi_k):
+    (2d)^(-1/2) for free fields, (2d)^(-1) for bi-Laplacian fields."""
+    if kind.startswith("gff"):
+        return (2.0 * d) ** -0.5
+    return 1.0 / (2.0 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -407,37 +414,30 @@ def _mode_representatives(grid: TorusGrid, cutoff: int):
             yield kvec, 1 if neg == kvec else 2
 
 
-def _bilap_exact_in_noise(cfg: ExperimentConfig, a, ahom: float, modes) -> float:
+def _bilap_exact_in_noise(a, ahom: float, ks, weights, cb: float, tol: float) -> float:
     """Noise-exact squared H^{-beta} error of the coupled bi-Laplacian pair
-    for one environment: a weighted mode sum of pseudo-eigenfunction errors."""
-    cb = formal_constant("bilap", cfg.d)
-    errs = _pseudo_sq_error(a, ahom, [k for k, _ in modes], cfg.tol)
-    total = 0.0
-    for (k, mult), err in zip(modes, errs):
-        total += (mult * eigenvalue_continuum(k) ** (-2.0 * cfg.beta) * cb**2 * err
-                  / (ahom * eigenvalue_discrete(a.grid.N, k)) ** 2)
-    return total
+    for one environment: the pseudo-eigenfunction errors of the modes ks,
+    each weighted by its Sobolev weight and cb^2 / (ahom lambda_k^(N))^2."""
+    errs = _pseudo_sq_error(a, ahom, ks, tol)
+    return float(sum(w * cb**2 * err / (ahom * eigenvalue_discrete(a.grid.N, k)) ** 2
+                     for k, w, err in zip(ks, weights, errs)))
 
 
-def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, modes, env_idx: int) -> float:
+def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: float,
+                       env_idx: int) -> float:
     """Shared-noise Monte-Carlo estimate of the same squared error norm,
     averaged over cfg.noise_replicates draws."""
     grid = a.grid
-    cb = formal_constant("bilap", cfg.d)
     scale = cb * grid.N ** (grid.d / 2.0)
-    weights = np.asarray([mult * eigenvalue_continuum(k) ** (-2.0 * cfg.beta)
-                          for k, mult in modes])
-    kidx = tuple(np.array([grid.index_of(k) for k, _ in modes]).T)
+    kidx = tuple(np.array([grid.index_of(k) for k in ks]).T)
     vals = []
     for s in range(cfg.noise_replicates):
         noise = sample_noise(grid, np.random.SeedSequence(cfg.seed, spawn_key=(300, env_idx, s)))
         rhs = noise.centered()
         u_env, _ = solve_heterogeneous(a, rhs, tol=cfg.tol)
         u_hom = solve_homogeneous(grid, rhs)
-        diff = LatticeField(grid, u_env.values - u_hom.values / ahom)
-        spec = dft(diff)
-        coeffs = scale * spec.coefficients[kidx]
-        vals.append(float(np.sum(weights * np.abs(coeffs) ** 2)))
+        spec = dft(LatticeField(grid, u_env.values - u_hom.values / ahom))
+        vals.append(float(np.sum(weights * np.abs(scale * spec.coefficients[kidx]) ** 2)))
     return float(np.mean(vals))
 
 
@@ -463,13 +463,17 @@ def bilap_error_rate(cfg: ExperimentConfig, mc_at=()) -> BilapErrorResult:
     if cfg.law is None:
         raise ValueError("bilap_error_rate needs an environment law")
     ahom = cfg.resolve_ahom()
-    modes = {N: list(_mode_representatives(TorusGrid(N, cfg.d), cfg.mode_cutoff))
-             for N in cfg.Ns}
+    cb = formal_constant("bilap", cfg.d)
+    modes = {}  # N -> the representative modes and their weights mult lambda_k^(-2 beta)
+    for N in cfg.Ns:
+        reps = list(_mode_representatives(TorusGrid(N, cfg.d), cfg.mode_cutoff))
+        modes[N] = ([k for k, _ in reps],
+                    np.asarray([m * eigenvalue_continuum(k) ** (-2.0 * cfg.beta) for k, m in reps]))
     points = _ladder(cfg, 100, lambda a, rep: _bilap_exact_in_noise(
-        cfg, a, ahom, modes[a.grid.N]))
+        a, ahom, *modes[a.grid.N], cb, cfg.tol))
     # The same tag redraws the environments behind the exact points.
     mc = {N: (mean, stderr) for N, mean, stderr in _ladder(
-        cfg, 100, lambda a, rep: _bilap_monte_carlo(cfg, a, ahom, modes[a.grid.N], rep),
+        cfg, 100, lambda a, rep: _bilap_monte_carlo(cfg, a, ahom, *modes[a.grid.N], cb, rep),
         sizes=mc_at)}
     exact = {N: (mean, stderr) for N, mean, stderr in points}
     return BilapErrorResult(_rate_series(cfg, "bilap_sq_error", points), mc,
@@ -478,23 +482,6 @@ def bilap_error_rate(cfg: ExperimentConfig, mc_at=()) -> BilapErrorResult:
 
 # ---------------------------------------------------------------------------
 # closed-form discretization error of the homogeneous field
-
-
-def sine_ratio(N: int, m: int) -> float:
-    """One-dimensional factor of the block/mode inner product:
-    sin(pi m / N) / (pi m), equal to 1/N at m = 0."""
-    if m == 0:
-        return 1.0 / N
-    return float(np.sin(np.pi * m / N) / (np.pi * m))
-
-
-def block_inner_product(N: int, k, y) -> complex:
-    """Exact inner product of the continuum mode exp(2 pi i k.x) with the
-    indicator of the cell of side 1/N centred at the grid point y/N."""
-    k = np.asarray(k, dtype=int)
-    y = np.asarray(y, dtype=float)
-    phase = np.exp(2j * np.pi * np.dot(k, y) / N)
-    return complex(phase * np.prod([sine_ratio(N, int(m)) for m in k]))
 
 
 def _shell_tail_bound(d: int, p: float, kcut: int) -> float:
@@ -537,31 +524,6 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     return partial
 
 
-def coupling_error(N: int, d: int, beta: float) -> float:
-    """Squared H^{-beta} distance, on the shared frequency window, between
-    the coupled discrete and continuum homogeneous bi-Laplacian fields.
-
-    Per in-window mode k the two coefficients multiply correlated unit
-    Gaussians of the shared white noise, with correlation equal to the block
-    inner product b(k) = prod_i sinc(pi k_i / N), so the second moment is
-
-        (1/lambda^(N)_k - 1/lambda_k)^2 + 2 (1 - b(k)) / (lambda^(N)_k lambda_k).
-
-    Exact, no truncation. The b(k)-mismatch term decays like N^{-2} per
-    mode, so in the regime where the mode sum converges this component is
-    of the same N^{-2} order as the environment-coupling errors and
-    dominates the window-truncation component; the two are therefore
-    reported separately (see :func:`discretization_rate`).
-    """
-    grid = TorusGrid(N, d)
-    sinc = functools.reduce(np.multiply.outer, [np.sinc(grid.coordinates_1d() / N)] * d)
-    lam_n, lam = eigenvalues_discrete(grid), eigenvalues_continuum(grid)
-    mask = lam > 0
-    lam, lam_n, b = lam[mask], lam_n[mask], sinc[mask]
-    per_mode = (1.0 / lam_n - 1.0 / lam) ** 2 + 2.0 * (1.0 - b) / (lam_n * lam)
-    return float(np.sum(lam ** (-2.0 * beta) * per_mode))
-
-
 def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
     """Closed-form window-truncation error of the discrete homogeneous
     bi-Laplacian field against its continuum limit, over the N ladder.
@@ -570,10 +532,10 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
     lambda_k^{-2 beta - 2} of the continuum field over frequencies outside
     the grid window (see :func:`truncation_error`), the component of the
     coupled discretization error that carries the d - 4 - 4 beta exponent.
-    The complementary in-window coupling component is an independent closed
-    form (:func:`coupling_error`); it decays at the slower universal N^{-2}
-    order whenever the mode sum converges and is deliberately kept out of
-    this fit so the truncation exponent remains identifiable.
+    The complementary in-window coupling component decays at the slower
+    universal N^{-2} order whenever the mode sum converges, and is
+    deliberately kept out of this fit so the truncation exponent remains
+    identifiable.
     """
     if cfg.beta is None:
         raise ValueError("discretization_rate needs a Sobolev order beta")

@@ -10,7 +10,7 @@ environments estimates the homogenized coefficient.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "solve_corrector",
     "effective_sample",
     "effective_matrix",
-    "flux_sample",
     "estimate_ahom",
     "write_ahom_csv",
 ]
@@ -111,14 +110,6 @@ def effective_matrix(a: Conductances, correctors) -> np.ndarray:
                 val += np.sum(a.weights[axis] * grads[i][axis] * grads[j][axis])
             mat[i, j] = mat[j, i] = val / grid.n
     return mat
-
-
-def flux_sample(a: Conductances, corrector: CorrectorSolution) -> float:
-    """Average flux <a (e_i + grad chi_i) . e_i>; equals the energy form up to
-    the corrector equation's tolerance."""
-    i = corrector.direction
-    grads = _corrected_gradients(a, corrector)
-    return float(np.sum(a.weights[i] * grads[i]) / a.grid.n)
 
 
 def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,

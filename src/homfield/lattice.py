@@ -1,4 +1,4 @@
-"""Discrete torus geometry, Fourier transforms and spectral Sobolev norms.
+"""Discrete torus geometry, lattice fields and Fourier transforms.
 
 The domain is the d-dimensional discrete torus with N sites per axis.
 Integer site coordinates run over the symmetric window [-floor(N/2),
@@ -30,7 +30,6 @@ __all__ = [
     "eigenvalues_continuum",
     "dft",
     "idft",
-    "sobolev_norm",
 ]
 
 
@@ -160,16 +159,8 @@ class LatticeField:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.grid.n))
 
-    def __add__(self, other):
-        return LatticeField(self.grid, self.values + other.values)
-
     def __sub__(self, other):
         return LatticeField(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        return LatticeField(self.grid, self.values * c)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -258,18 +249,3 @@ def idft(spec: SpectralField) -> LatticeField:
     c0 = np.fft.ifftshift(spec.coefficients) * spec.grid.n
     values = np.fft.fftshift(np.fft.ifftn(c0))
     return LatticeField(spec.grid, values)
-
-
-def sobolev_norm(spec: SpectralField, beta: float) -> float:
-    """Spectral Sobolev norm (sum_{k != 0} |c_k|^2 lambda_k^{2 beta})^{1/2},
-    weighted by the continuum eigenvalues lambda_k = 4*pi^2*|k|^2.
-
-    beta may be negative.
-    """
-    grid = spec.grid
-    lam = eigenvalues_continuum(grid)
-    lam[grid.origin_index] = 1.0  # k = 0 is excluded below
-    weights = lam ** (2.0 * beta)
-    mags = np.abs(spec.coefficients) ** 2
-    mags[grid.origin_index] = 0.0
-    return float(np.sqrt(np.sum(mags * weights)))

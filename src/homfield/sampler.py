@@ -1,6 +1,5 @@
 """Gaussian field samplers: white noise with fine-to-coarse coupling,
-discrete free fields and bi-Laplacian fields, and the rescaled spectral
-("formal") representation used by the convergence experiments.
+discrete free fields and bi-Laplacian fields, and their binary dumps.
 
 The free-field covariance is the pseudo-inverse of the (possibly
 heterogeneous) divergence-form operator, so sampling amounts to applying the
@@ -14,13 +13,13 @@ conjugate-gradient solves; the default with an environment).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # apply_operator stays bound here: perfbench's tracer test checks its wrapper.
 from .environment import Conductances, apply_operator  # noqa: F401
-from .lattice import LatticeField, SpectralField, TorusGrid, _read_values, _rng, dft
+from .lattice import LatticeField, TorusGrid, _read_values, _rng
 from .solver import DEFAULT_TOL, inv_sqrt, solve_heterogeneous, solve_homogeneous
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "sample_noise",
     "sample_gff",
     "sample_bilaplacian",
-    "formal_field",
-    "formal_constant",
     "dump_field",
     "load_field",
 ]
@@ -43,19 +40,10 @@ FIELD_KINDS = ("gff_hom", "gff_env", "bilap_hom", "bilap_env")
 class FieldSample:
     kind: str
     field: LatticeField
-    noise: LatticeField = None
 
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
-
-
-def formal_constant(kind: str, d: int) -> float:
-    """Scaling constant of the formal field: (2d)^{-1/2} for free fields,
-    (2d)^{-1} for bi-Laplacian fields."""
-    if kind.startswith("gff"):
-        return (2.0 * d) ** -0.5
-    return 1.0 / (2.0 * d)
 
 
 def sample_noise(grid: TorusGrid, seed) -> LatticeField:
@@ -107,8 +95,7 @@ def sample_gff(grid: TorusGrid, a: Conductances | None, seed, backend: str = Non
     """
     z = sample_noise(grid, seed)
     values = inv_sqrt(grid, a, z.values, backend=backend, tol=tol)
-    kind = "gff_hom" if a is None else "gff_env"
-    return FieldSample(kind, LatticeField(grid, values), noise=z)
+    return FieldSample("gff_hom" if a is None else "gff_env", LatticeField(grid, values))
 
 
 def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: LatticeField,
@@ -122,22 +109,8 @@ def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: LatticeFi
         raise ValueError("noise grid mismatch")
     rhs = noise.centered()
     if a is None:
-        u = solve_homogeneous(grid, rhs)
-        return FieldSample("bilap_hom", u, noise=noise)
-    u, _ = solve_heterogeneous(a, rhs, tol=tol)
-    return FieldSample("bilap_env", u, noise=noise)
-
-
-def formal_field(sample: FieldSample) -> SpectralField:
-    """Spectral coefficients of the rescaled point-mass field.
-
-    Coefficient at k is c * N^{d/2} * (f, phi_k) with c the kind-dependent
-    :func:`formal_constant`; modes outside the grid's frequency window are
-    identically zero by convention.
-    """
-    grid = sample.field.grid
-    scale = grid.N ** (grid.d / 2.0) * formal_constant(sample.kind, grid.d)
-    return SpectralField(grid, dft(sample.field).coefficients * scale)
+        return FieldSample("bilap_hom", solve_homogeneous(grid, rhs))
+    return FieldSample("bilap_env", solve_heterogeneous(a, rhs, tol=tol)[0])
 
 
 _KIND_TAGS = {kind: kind.encode().ljust(12, b"\0") for kind in FIELD_KINDS}

@@ -9,7 +9,7 @@ Three backends cover the operators -Lap_N and -div a grad:
   the preconditioner applies real FFTs (``rfftn``/``irfftn``) to real
   residuals;
 * ``dense``: eigendecomposition of the explicitly assembled matrix, small
-  grids.
+  grids; it serves A^(-1/2) only.
 
 :func:`inv_sqrt` is the one entry point for A^(-1/2) on the mean-zero
 subspace, and the one place that picks its backend: ``spectral`` (exact,
@@ -45,7 +45,6 @@ __all__ = [
     "SolverError",
     "solve_homogeneous",
     "solve_heterogeneous",
-    "solve_dense",
     "green_column",
     "inv_sqrt",
     "pseudo_eigenfunction",
@@ -63,8 +62,6 @@ _CHUNK_BYTES = 256 * 1024
 class SolveReport:
     iterations: int
     residual: float
-    tolerance: float
-    backend: str
 
 
 class SolverError(RuntimeError):
@@ -184,7 +181,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     reports = [_pcg_chunk(a, b[i:i + chunk], tol, maxiter, shift, x[i:i + chunk])
                for i in range(0, len(b), chunk)]
     return x, SolveReport(max((r.iterations for r in reports), default=0),
-                          max((r.residual for r in reports), default=0.0), tol, "cg")
+                          max((r.residual for r in reports), default=0.0))
 
 
 def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
@@ -200,7 +197,7 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     live = np.flatnonzero(bnorm)          # fields still iterating
     out.fill(0)
     if not live.size:
-        return SolveReport(0, 0.0, tol, "cg")
+        return SolveReport(0, 0.0)
     r, bnorm = b[live], bnorm[live]
     del b                                 # r holds the live rows
     x = np.zeros_like(r)
@@ -243,12 +240,12 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
         worst = max(worst, float(res.max()))
         raise SolverError(
             f"CG did not reach tol={tol} within {maxiter} iterations (residual {worst:.3e})",
-            SolveReport(maxiter, worst, tol, "cg"),
+            SolveReport(maxiter, worst),
         )
     for fields, iterates in solved:
         out[fields] = iterates
     out -= out.mean(axis=axes, keepdims=True)
-    return SolveReport(it, worst, tol, "cg")
+    return SolveReport(it, worst)
 
 
 def _inv_sqrt_quadrature(lo: float, hi: float, tol: float) -> tuple:
@@ -363,14 +360,6 @@ def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT
     _require_mean_zero(rhs)
     x, report = _pcg(a, rhs.values[None], tol, default_max_iterations(a.grid))
     return LatticeField(a.grid, x[0]), report
-
-
-def solve_dense(a: Conductances, rhs: LatticeField) -> LatticeField:
-    """Mean-zero solve via the eigendecomposition of the dense operator
-    matrix (oracle path)."""
-    _require_mean_zero(rhs)
-    sol = _dense_power(a, rhs.values, -1.0)
-    return LatticeField(a.grid, sol - sol.mean())
 
 
 def _delta_rhs(grid: TorusGrid, y) -> LatticeField:

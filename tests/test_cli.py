@@ -10,7 +10,7 @@ import pytest
 
 from homfield import cli, solver
 from homfield.environment import EnvironmentLaw
-from homfield.experiments import ExperimentConfig
+from homfield.experiments import ExperimentConfig, pseudo_eigen_rate
 from homfield.homogenization import estimate_ahom
 from homfield.cli import (
     EXIT_ASSERT,
@@ -205,6 +205,29 @@ def test_rates_disc(tmp_path):
     csv_text = (out / "rates_disc.csv").read_text()
     assert csv_text.splitlines()[0] == "quantity,N,value,stderr"
     assert len(csv_text.strip().splitlines()) == 5
+
+
+def test_rates_d2_records_the_corrected_fit(tmp_path, capsys):
+    # in d = 2 expect_slope judges the log-corrected fit, so its half-widths
+    # go next to its slope; without a correction they are null
+    out = tmp_path / "o"
+    body = ("d = 2\nn = 4,8,16\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\n"
+            "kset = 1,0\nM = 2\nahom = 1.4142135623730951\n")
+    assert main(["rates", "--config", _write_config(tmp_path, body), "--out", str(out)]) == EXIT_OK
+    series = pseudo_eigen_rate(ExperimentConfig(
+        d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), field_kind="gff", Ns=(4, 8, 16),
+        kset=((1, 0),), replicates=2, ahom=2**0.5))
+    slope, _, hw, t_hw = series.corrected
+    rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
+    assert (rec["corrected_slope"], rec["corrected_half_width"],
+            rec["corrected_t_half_width"]) == (slope, hw, t_hw)
+    assert f"log-corrected {slope:+.3f} (half-width {hw:.3f})" in capsys.readouterr().out
+
+    body = "d = 1\nn = 8,16,32\nexperiment = synthetic\n"
+    assert main(["rates", "--config", _write_config(tmp_path, body, name="syn.ini"),
+                 "--out", str(out)]) == EXIT_OK
+    rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
+    assert rec["corrected_half_width"] is None and rec["corrected_t_half_width"] is None
 
 
 @pytest.mark.parametrize("experiment, ns", [("synthetic", "8,16,0"), ("disc", "0,8,16"),

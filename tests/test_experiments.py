@@ -10,18 +10,16 @@ from homfield.experiments import (
     ExperimentConfig,
     RateSeries,
     bilap_error_rate,
-    block_inner_product,
-    coupling_error,
     discretization_rate,
     fit_rate,
+    formal_constant,
     gff_covariance_limit,
     pseudo_eigen_rate,
-    sine_ratio,
     truncation_error,
     _mode_representatives,
 )
 from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
-from homfield.sampler import formal_constant, sample_gff
+from homfield.sampler import sample_gff
 from homfield.solver import inv_sqrt, pseudo_eigenfunction
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
@@ -146,41 +144,7 @@ def test_resolve_ahom_estimates_at_the_configured_tol(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# block inner products and closed forms
-
-
-def test_sine_ratio_zero_frequency():
-    assert sine_ratio(8, 0) == pytest.approx(1.0 / 8)
-    assert sine_ratio(8, 4) == pytest.approx(np.sin(np.pi / 2) / (4 * np.pi))
-
-
-def test_block_inner_product_against_quadrature():
-    # midpoint quadrature at 1e6 points over the cell
-    N, k, y = 8, (1, 0), (2, 3)
-    val = block_inner_product(N, k, y)
-    m = 1000
-    t = (np.arange(m) + 0.5) / (m * N) - 1.0 / (2 * N)
-    fx = np.mean(np.exp(2j * np.pi * k[0] * (y[0] / N + t)))
-    fy = np.mean(np.exp(2j * np.pi * k[1] * (y[1] / N + t)))
-    assert abs(val - fx * fy / N**2) < 1e-6
-
-
-def test_block_modes_have_unit_mass():
-    # sum over all aliases of |N^d prod sine_ratio|^2 equals 1: check the
-    # truncated sum approaches 1 from below
-    N, d = 4, 2
-    kcut = 200
-    rng = np.arange(-kcut, kcut + 1)
-    for k in [(1, 0), (1, 1)]:
-        total = 0.0
-        for m0 in rng[np.mod(rng - k[0], N) == 0]:
-            for m1 in rng[np.mod(rng - k[1], N) == 0]:
-                b = N**d * sine_ratio(N, int(m0)) * sine_ratio(N, int(m1))
-                total += b * b
-        assert total < 1.0
-        # the alias series decays like 1/m^2, so the truncated mass
-        # approaches 1 only at O(1/kcut)
-        assert total == pytest.approx(1.0, abs=0.02)
+# bi-Laplacian mode sums and closed forms
 
 
 def test_stacked_pseudo_errors_equal_one_mode_results():
@@ -196,6 +160,36 @@ def test_stacked_pseudo_errors_equal_one_mode_results():
         own = (pseudo_eigenfunction(a, ahom, k, tol=1e-8) - fourier_mode(grid, k)).norm() ** 2
         assert one == pytest.approx(err, rel=1e-14, abs=0)
         assert own == pytest.approx(err, rel=1e-14, abs=0)
+
+
+def test_bilap_exact_sum_pins_weights_and_scale(monkeypatch):
+    # sum over every nonzero k with |k|_inf <= 2 of
+    # lambda_k^(-2 beta) c_b^2 |u_k - phi_k|^2 / (ahom lambda_k^(N))^2,
+    # with c_b = 1/(2d) = 1/4 and each of the 24 modes counted once
+    calls = []
+    exact_in_noise = experiments._bilap_exact_in_noise
+
+    def spy(a, *args):
+        value = exact_in_noise(a, *args)
+        calls.append((a, value))
+        return value
+
+    monkeypatch.setattr(experiments, "_bilap_exact_in_noise", spy)
+    N, beta, ahom, tol = 16, 0.75, np.sqrt(2.0), 1e-8
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, beta=beta, Ns=(N,), replicates=1,
+                           ahom=ahom, tol=tol, mode_cutoff=2, seed=3)
+    res = bilap_error_rate(cfg)
+    (a, value), = calls
+    assert res.series.points == ((N, value, 0.0),)
+    expected = 0.0
+    for k in itertools.product(range(-2, 3), repeat=2):
+        if not any(k):
+            continue
+        lam = 4.0 * np.pi**2 * (k[0] ** 2 + k[1] ** 2)
+        lam_n = 4.0 * N**2 * (np.sin(np.pi * k[0] / N) ** 2 + np.sin(np.pi * k[1] / N) ** 2)
+        err = (pseudo_eigenfunction(a, ahom, k, tol=tol) - fourier_mode(a.grid, k)).norm() ** 2
+        expected += lam ** (-2 * beta) * 0.25**2 * err / (ahom * lam_n) ** 2
+    assert value == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_mode_representatives_cover_window():
@@ -236,12 +230,6 @@ def test_truncation_error_cutoff_stable():
     b = truncation_error(8, 2, 0.75, kcut=128)
     assert b == pytest.approx(a, rel=1e-3)
     assert b > a  # larger cutoff captures more positive mass
-
-
-def test_coupling_error_positive_and_decreasing():
-    vals = [coupling_error(N, 2, 0.75) for N in (8, 16, 32)]
-    assert all(v > 0 for v in vals)
-    assert vals[0] > vals[1] > vals[2]
 
 
 def test_discretization_rate_slope():

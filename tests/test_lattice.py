@@ -3,7 +3,6 @@ import pytest
 
 from homfield.lattice import (
     LatticeField,
-    SpectralField,
     TorusGrid,
     dft,
     eigenvalue_continuum,
@@ -12,7 +11,6 @@ from homfield.lattice import (
     eigenvalues_discrete,
     fourier_mode,
     idft,
-    sobolev_norm,
 )
 
 
@@ -107,23 +105,6 @@ def test_dft_of_mode_is_delta():
     expected[grid.index_of((2, -1))] = 1.0
     assert np.allclose(spec.coefficients, expected, atol=1e-13)
     assert spec.coefficient((2, -1)) == pytest.approx(1.0)
-
-
-def test_sobolev_norm_single_mode():
-    grid = TorusGrid(16, 2)
-    k = (2, 1)
-    spec = dft(fourier_mode(grid, k))
-    for beta in (0.75, -0.5, 1.0):
-        assert sobolev_norm(spec, beta) == pytest.approx(
-            eigenvalue_continuum(k) ** beta, rel=1e-12)
-
-
-def test_sobolev_norm_ignores_zero_mode():
-    grid = TorusGrid(8, 2)
-    spec = SpectralField(grid, np.zeros(grid.shape))
-    coeffs = spec.coefficients.copy()
-    coeffs[grid.origin_index] = 5.0
-    assert sobolev_norm(SpectralField(grid, coeffs), 0.75) == 0.0
 
 
 def test_eigenvalue_grids_match_scalars():

@@ -5,13 +5,12 @@ import pytest
 
 from homfield.environment import Conductances, EnvironmentLaw, sample_environment
 from homfield import solver
+from homfield.experiments import formal_constant
 from homfield.lattice import TorusGrid, dft, fourier_mode
 from homfield.sampler import (
     FieldSample,
     NoiseHierarchy,
     dump_field,
-    formal_constant,
-    formal_field,
     load_field,
     sample_bilaplacian,
     sample_gff,
@@ -53,7 +52,6 @@ def test_gff_backends_agree():
     dense = sample_gff(grid, a, 7, backend="dense")
     krylov = sample_gff(grid, a, 7, backend="krylov", tol=1e-10)
     assert np.max(np.abs(dense.field.values - krylov.field.values)) < 1e-6
-    assert np.array_equal(dense.noise.values, krylov.noise.values)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, 50.0])
@@ -121,15 +119,6 @@ def test_formal_constants():
     assert formal_constant("gff_hom", 3) == pytest.approx(6.0**-0.5)
 
 
-def test_formal_field_scaling():
-    grid = TorusGrid(8, 2)
-    k = (2, 1)
-    smp = FieldSample("bilap_hom", fourier_mode(grid, k))
-    spec = formal_field(smp)
-    expected = formal_constant("bilap", 2) * grid.N ** (grid.d / 2.0)
-    assert spec.coefficient(k) == pytest.approx(expected)
-
-
 def test_formal_coefficient_identity_bilap():
     # coefficient of the driven field at mode k equals
     # (noise, phi_k) / lambda^(N)_k exactly, for the homogeneous operator
@@ -186,7 +175,6 @@ def test_shifted_solve_cap_raises_solver_error(monkeypatch):
     with pytest.raises(SolverError) as err:
         solver.inv_sqrt(grid, a, sample_noise(grid, 4).values, "krylov", 1e-8)
     assert err.value.report.iterations == 3
-    assert err.value.report.backend == "cg"
 
 
 def test_field_sample_kind_validation():
