@@ -6,9 +6,9 @@ Subcommands: ``sample``, ``ahom``, ``rates``, ``cov``, ``figure1``.
 
 Configuration is a flat INI file with a single ``[run]`` section, parsed by
 :mod:`configparser`. Every key is read once, before any work starts; a
-blank value counts as absent, and a value that does not parse is a
-configuration error naming its key. Grammar (keys are optional unless a
-command requires them)::
+blank value counts as absent, and a key outside the grammar or a value
+that does not parse is a configuration error naming its key. Grammar (keys
+are optional unless a command requires them)::
 
     [run]
     d = 2                         # dimension
@@ -37,17 +37,6 @@ command requires them)::
     slope_tol = 0.3               # ... |slope - expect| <= tol, else exit 4;
                                   # a NaN slope (constant law, or fewer
                                   # than 3 sizes) fails it too
-    backend = krylov              # how A^(-1/2) is applied (sample, cov):
-                                  # spectral (exact FFT, no law only) |
-                                  # dense (eigh, up to 4096 sites; in cov
-                                  # with a law: A^(-1/2) to rounding by
-                                  # shifted CG solves at tol 1e-13, and one
-                                  # noise block per environment) |
-                                  # krylov (shifted CG solves, to tol);
-                                  # default spectral without a law, krylov
-                                  # with one; cov applies it once per mode
-                                  # and environment, the modes together in
-                                  # chunks of at most 256 KiB
 
 Every subcommand appends one JSON record to ``runlog.jsonl`` in the output
 directory. Each record carries ``command``, ``config``, ``config_hash``
@@ -111,6 +100,11 @@ class AssertionFailure(RuntimeError):
 # configuration
 
 
+# the [run] keys of the grammar, as configparser lowercases them
+_CONFIG_KEYS = ("d", "n", "law", "field", "beta", "kset", "m", "noise_replicates", "seed",
+                "tol", "mode_cutoff", "experiment", "ahom", "expect_slope", "slope_tol")
+
+
 def load_config(path) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -118,7 +112,12 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config file {path}")
     if "run" not in parser:
         raise ConfigError(f"config {path} is missing the [run] section")
-    return dict(parser["run"])
+    cfg = dict(parser["run"])
+    unknown = [key for key in cfg if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r} (expected one of "
+                          f"{', '.join(_CONFIG_KEYS)})")
+    return cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -163,9 +162,11 @@ def _law(cfg):
 
 
 def _seed(args, cfg) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _get(cfg, "seed", default=0, cast=int)
+    seed = _get(cfg, "seed", default=0, cast=int) if args.seed is None else args.seed
+    if seed < 0:
+        key = "--seed" if args.seed is not None else "config key 'seed'"
+        raise ConfigError(f"{key}: must be non-negative, got {seed}")
+    return seed
 
 
 def write_runlog(args, cfg, seed, t0, **fields) -> dict:
@@ -228,17 +229,6 @@ def write_heatmap(sample, path, cfg_hash, seed, grayscale=False) -> None:
 # commands
 
 
-def _sample_field(kind, grid, law, seed, backend, tol):
-    a = None
-    if law is not None:
-        a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(1,)))
-    if kind == "gff":
-        return sample_gff(grid, a, np.random.SeedSequence(seed, spawn_key=(2,)),
-                          backend=backend, tol=tol)
-    noise = sample_noise(grid, np.random.SeedSequence(seed, spawn_key=(2,)))
-    return sample_bilaplacian(grid, a, noise, tol=tol)
-
-
 def cmd_sample(args, cfg) -> int:
     d = _get(cfg, "d", default=2, cast=int)
     N = _get(cfg, "n", cast=int)
@@ -246,14 +236,19 @@ def cmd_sample(args, cfg) -> int:
     law = _law(cfg)
     tol = _get(cfg, "tol", default=DEFAULT_TOL, cast=float)
     seed = _seed(args, cfg)
-    backend = _get(cfg, "backend", default=None)
     if kind not in ("gff", "bilap"):
         raise ConfigError(f"unknown field kind {kind!r} (expected gff or bilap)")
     if args.heatmap and d != 2:
         raise ConfigError("heatmaps require d = 2")
     grid = TorusGrid(N, d)
     t0 = time.time()
-    smp = _sample_field(kind, grid, law, seed, backend, tol)
+    a = None if law is None else sample_environment(
+        law, grid, np.random.SeedSequence(seed, spawn_key=(1,)))
+    noise_seed = np.random.SeedSequence(seed, spawn_key=(2,))
+    if kind == "gff":
+        smp = sample_gff(grid, a, noise_seed, tol=tol)
+    else:
+        smp = sample_bilaplacian(grid, a, sample_noise(grid, noise_seed), tol=tol)
     dump_path = os.path.join(args.out, f"field_{smp.kind}_N{N}_seed{seed}.hf")
     dump_field(smp, dump_path)
     if args.heatmap:
@@ -365,9 +360,8 @@ def cmd_rates(args, cfg) -> int:
 def cmd_cov(args, cfg) -> int:
     seed = _seed(args, cfg)
     ecfg = _experiment_config(cfg, seed, "gff")
-    backend = _get(cfg, "backend", default=None)
     t0 = time.time()
-    report = gff_covariance_limit(ecfg, backend=backend)
+    report = gff_covariance_limit(ecfg)
     path = os.path.join(args.out, "covariance.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 ENV_MAGIC = b"HFENV1"
-_DENSE_SITES = 4096  # largest grid of the dense backends
+_DENSE_SITES = 4096  # largest grid of operator_matrix
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environment import _DENSE_SITES, EnvironmentLaw, sample_environment
+from .environment import EnvironmentLaw, sample_environment
 from .homogenization import estimate_ahom
 from .lattice import (
     LatticeField,
     TorusGrid,
-    _rng,
     dft,
     eigenvalue_continuum,
     eigenvalue_discrete,
@@ -157,8 +156,7 @@ class RateSeries:
 # configuration
 
 
-AHOM_ESTIMATE_M = 32   # environments behind an estimated ahom
-_EXACT_V_TOL = 1e-13  # krylov tolerance of cov's dense V, about eigh's rounding
+AHOM_ESTIMATE_M = 32  # environments behind an estimated ahom
 
 
 @dataclass(frozen=True)
@@ -267,19 +265,17 @@ def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
 # pseudo-eigenfunction convergence
 
 
-def pseudo_eigen_rate(cfg: ExperimentConfig, k=None) -> RateSeries:
-    """Mean squared l2 distance between the pseudo-eigenfunction and the
-    Fourier mode over the N ladder, with its fitted slope.
+def pseudo_eigen_rate(cfg: ExperimentConfig) -> RateSeries:
+    """Mean squared l2 distance between the pseudo-eigenfunction of the
+    first mode of cfg.kset and its Fourier mode over the N ladder, with its
+    fitted slope.
 
     For a constant law the distance is at solver-tolerance level and the fit
     is skipped (slope fields are NaN).
     """
-    if k is None:
-        if not cfg.kset:
-            raise ValueError("pseudo_eigen_rate needs a mode: set kset")
-        k = cfg.kset[0]
-    if not any(k):
-        raise ValueError("k must be nonzero")
+    if not cfg.kset:
+        raise ValueError("pseudo_eigen_rate needs a mode: set kset")
+    k = cfg.kset[0]
     if cfg.law is None:
         raise ValueError("pseudo_eigen_rate needs an environment law")
     ahom = cfg.resolve_ahom()
@@ -329,7 +325,7 @@ class CovarianceReport:
         return np.abs(diag - target) / np.where(err > 0, err, np.inf)
 
 
-def gff_covariance_limit(cfg: ExperimentConfig, backend: str = None) -> CovarianceReport:
+def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
     """Empirical covariance of the formal free-field coefficients over the
     configured modes at N = max(cfg.Ns), averaged over cfg.noise_replicates
     samples in each of cfg.replicates environments, and the noise-exact
@@ -344,13 +340,8 @@ def gff_covariance_limit(cfg: ExperimentConfig, backend: str = None) -> Covarian
     v_k = A^(-1/2) conj(phi_k) form V, every draw's coefficients come from
     a product with V, and the noise-exact covariance is proportional to
     V V^H. V comes from one :func:`homfield.solver.inv_sqrt` call per
-    environment, with ``backend`` and cfg.tol passed through. With an
-    environment, ``backend="dense"`` means "V to rounding, and the noise of
-    an environment drawn as one block": V then comes from the krylov
-    quadrature at tolerance 1e-13, within about 1e-13 of the ``eigh`` V at
-    a small fraction of its cost at N=64, and like ``eigh`` it is limited
-    to 4096 sites. Otherwise the noise is drawn per sample, as
-    :func:`homfield.sampler.sample_gff` would.
+    environment at cfg.tol, and the noise of each draw is the one
+    :func:`homfield.sampler.sample_gff` would draw.
     """
     N, samples = max(cfg.Ns), cfg.noise_replicates
     if samples * cfg.replicates < 100:
@@ -360,39 +351,27 @@ def gff_covariance_limit(cfg: ExperimentConfig, backend: str = None) -> Covarian
     grid = TorusGrid(N, cfg.d)
     scale = formal_constant("gff", cfg.d) * grid.N ** (grid.d / 2.0) / grid.n
     modes = np.stack([fourier_mode(grid, k).values.conj() for k in cfg.kset])
-    block_noise = cfg.law is not None and backend == "dense"
-    if block_noise and grid.n > _DENSE_SITES:
-        # the noise block holds N^d x samples draws
-        raise ValueError(f"dense backend with {grid.n} sites is too large")
-    v_backend, v_tol = ("krylov", _EXACT_V_TOL) if block_noise else (backend, cfg.tol)
-
-    def coefficients(v, env_idx):
-        if block_noise:
-            return _rng(cfg.seed, 201, env_idx).standard_normal((grid.n, samples)).T @ v.T
-        # One draw at a time keeps memory at |kset| x N^d, not samples x N^d.
-        return np.stack([
-            v @ sample_noise(grid, np.random.SeedSequence(
-                cfg.seed, spawn_key=(201, env_idx, s))).values.ravel()
-            for s in range(samples)])
-
     blocks, exacts = [], []
     for env_idx in range(cfg.replicates):
         a = (None if cfg.law is None
              else sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx)))
-        v = inv_sqrt(grid, a, modes, backend=v_backend, tol=v_tol).reshape(len(modes), -1)
-        blocks.append(scale * coefficients(v, env_idx))
+        v = inv_sqrt(grid, a, modes, tol=cfg.tol).reshape(len(modes), -1)
+        # One draw at a time keeps memory at |kset| x N^d, not samples x N^d.
+        blocks.append(scale * np.stack([
+            v @ sample_noise(grid, np.random.SeedSequence(
+                cfg.seed, spawn_key=(201, env_idx, s))).values.ravel()
+            for s in range(samples)]))
         exacts.append(scale**2 * (v @ v.conj().T))
     coeffs = np.concatenate(blocks, axis=0)
-    total = coeffs.shape[0]
     products = np.einsum("si,sj->sij", coeffs, coeffs.conj())
     cov = products.mean(axis=0)
-    stderr = products.std(axis=0, ddof=1) / np.sqrt(total)
+    stderr = products.std(axis=0, ddof=1) / np.sqrt(len(coeffs))
 
     lam = np.asarray([eigenvalue_continuum(k) for k in cfg.kset])
     diag = np.real(np.diag(cov))
     fitted = float(np.sum(diag / lam) / np.sum(1.0 / lam**2))
     return CovarianceReport(N, cfg.kset, cov, np.real(stderr), fitted,
-                            total, cfg.replicates, np.mean(exacts, axis=0))
+                            len(coeffs), cfg.replicates, np.mean(exacts, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,8 @@ discrete free fields and bi-Laplacian fields, and their binary dumps.
 The free-field covariance is the pseudo-inverse of the (possibly
 heterogeneous) divergence-form operator, so sampling amounts to applying the
 inverse square root of that operator to site-wise white noise, through
-:func:`homfield.solver.inv_sqrt`. Its ``backend`` is "spectral" (exact FFT
-synthesis, homogeneous only; the default without an environment), "dense"
-(an eigendecomposition, small grids) or "krylov" (a quadrature over shifted
-conjugate-gradient solves; the default with an environment).
+:func:`homfield.solver.inv_sqrt`: exact FFT synthesis without an
+environment, a quadrature over shifted conjugate-gradient solves with one.
 """
 
 from __future__ import annotations
@@ -83,18 +81,17 @@ class NoiseHierarchy:
         return LatticeField(TorusGrid(N, grid.d), out * r ** (-grid.d / 2.0))
 
 
-def sample_gff(grid: TorusGrid, a: Conductances | None, seed, backend: str = None,
+def sample_gff(grid: TorusGrid, a: Conductances | None, seed,
                tol: float = DEFAULT_TOL) -> FieldSample:
     """Sample a discrete free field with covariance given by the Green's
     function of the (homogeneous or environment) operator.
 
     ``a=None`` selects the homogeneous field. The field is
-    :func:`homfield.solver.inv_sqrt` applied to seed-coupled white noise;
-    ``backend`` and ``tol`` are passed through, so every backend consumes
-    the same noise vector, and the dense and krylov backends agree up to tol.
+    :func:`homfield.solver.inv_sqrt` applied to seed-coupled white noise,
+    with ``tol`` passed through (it bounds the environment quadrature).
     """
     z = sample_noise(grid, seed)
-    values = inv_sqrt(grid, a, z.values, backend=backend, tol=tol)
+    values = inv_sqrt(grid, a, z.values, tol=tol)
     return FieldSample("gff_hom" if a is None else "gff_env", LatticeField(grid, values))
 
 

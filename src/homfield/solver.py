@@ -1,23 +1,19 @@
 """Mean-zero elliptic solves on the torus, and the inverse square root of
 the operator.
 
-Three backends cover the operators -Lap_N and -div a grad:
+Two methods cover the operators -Lap_N and -div a grad:
 
-* ``spectral``: exact FFT diagonalization, homogeneous operator only;
-* ``cg``: conjugate gradient on the mean-zero subspace, preconditioned by
-  the homogeneous spectral inverse, for real and complex right-hand sides;
-  the preconditioner applies real FFTs (``rfftn``/``irfftn``) to real
-  residuals;
-* ``dense``: eigendecomposition of the explicitly assembled matrix, small
-  grids; it serves A^(-1/2) only.
+* exact FFT diagonalization, for the homogeneous operator;
+* conjugate gradient on the mean-zero subspace, preconditioned by the
+  homogeneous spectral inverse, for real and complex right-hand sides; the
+  preconditioner applies real FFTs (``rfftn``/``irfftn``) to real
+  residuals.
 
 :func:`inv_sqrt` is the one entry point for A^(-1/2) on the mean-zero
-subspace, and the one place that picks its backend: ``spectral`` (exact,
-homogeneous only; the default without an environment), ``dense`` (one
-``eigh``, up to 4096 sites; the independent oracle for the quadrature) or
-``krylov`` (a quadrature over shifted CG solves, each to relative residual
-tol, with the fields solved together at each shift in chunks of at most
-256 KiB; the default with an environment).
+subspace, and its input picks the method: without an environment, exact
+FFT synthesis; with one, a quadrature over shifted CG solves, each to
+relative residual tol, with the fields solved together at each shift in
+chunks of at most 256 KiB.
 """
 
 from __future__ import annotations
@@ -287,7 +283,8 @@ def _dense_power(a: Conductances, values: np.ndarray, exponent: float) -> np.nda
     """A^exponent on the mean-zero subspace, applied to the fields stacked
     along the leading axes of ``values``, from one ``eigh`` of the dense
     operator matrix. Eigenvalues below 1e-10 of the largest span the
-    constant kernel and map to 0."""
+    constant kernel and map to 0. An O(n^3) oracle for small grids; the
+    package itself does not call it."""
     evals, evecs = np.linalg.eigh(operator_matrix(a))
     keep = evals > 1e-10 * evals.max()
     power = np.zeros_like(evals)
@@ -303,34 +300,26 @@ def _check_tol(tol: float) -> None:
 
 
 def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
-             backend: str = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+             tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply A^(-1/2) on the mean-zero subspace to the fields stacked along
     the leading axes of ``values`` (trailing axes ``grid.shape``, real or
-    complex), with A = -Lap_N when ``a`` is None; the backends are listed in
-    the module docstring. Returns the mean-zero images.
+    complex), with A = -Lap_N when ``a`` is None. Returns the mean-zero
+    images.
 
-    Krylov sums w_j (A + s_j)^(-1) z over the nodes of
+    Without an environment the images are exact, from the FFT. With one
+    they sum w_j (A + s_j)^(-1) z over the nodes of
     :func:`_inv_sqrt_quadrature`. At each node, the fields go to one
-    shifted PCG, which solves them together in chunks sized in bytes, each
-    field keeping its own stopping test.
+    shifted PCG to tol, which solves them together in chunks sized in
+    bytes, each field keeping its own stopping test.
     The nodes are computed once per call for the interval
     [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum of A on the
     mean-zero subspace because every weight lies in [1, Lambda].
     """
-    if backend is None:
-        backend = "spectral" if a is None else "krylov"
     if a is None:
-        if backend != "spectral":
-            a = Conductances.constant(grid, 1.0)
-    elif a.grid != grid:
-        raise ValueError("environment grid mismatch")
-    elif backend == "spectral":
-        raise ValueError("spectral backend requires the homogeneous operator")
-    if backend == "spectral":
         out = _spectral_apply(values, _spectral_multiplier(grid, -0.5, 0.0))
-    elif backend == "dense":
-        out = _dense_power(a, values, -0.5)
-    elif backend == "krylov":
+    else:
+        if a.grid != grid:
+            raise ValueError("environment grid mismatch")
         _check_tol(tol)
         lo = eigenvalue_discrete(grid.N, (1,))
         hi = 4.0 * grid.d * a.ellipticity * grid.N**2
@@ -341,8 +330,6 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
         for s, w in zip(shifts, weights):
             out += w * _pcg(a, fields, tol, maxiter, shift=s)[0]
         out = out.reshape(values.shape)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
 
 

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from homfield import solver
 from homfield.cli import EXIT_OK, main
 from homfield.environment import (
     Conductances,
@@ -28,6 +29,7 @@ from homfield.experiments import (
 from homfield.homogenization import estimate_ahom, solve_corrector
 from homfield.lattice import LatticeField, TorusGrid, dft, fourier_mode, idft
 from homfield.sampler import (
+    FieldSample,
     NoiseHierarchy,
     sample_bilaplacian,
     sample_gff,
@@ -130,7 +132,7 @@ def test_criterion_6_gff_covariance_limit():
             cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff",
                                    Ns=(N,), kset=kset, replicates=8,
                                    noise_replicates=2000, seed=61)
-            return gff_covariance_limit(cfg, backend="dense")
+            return gff_covariance_limit(cfg)
 
         rep16 = run(16)
         rep64 = run(64)
@@ -173,11 +175,12 @@ def test_criterion_7_sampler_correctness_oracles():
             stderr = prods.std(ddof=1) / np.sqrt(Mb)
             assert abs(prods.mean() - exact[xi, yi]) < 4 * stderr
 
-        # dense and Krylov backends agree on the same noise
+        # the Krylov sampler agrees with the dense eigh oracle on the same noise
         grid8 = TorusGrid(8, 2)
         a8 = sample_environment(EnvironmentLaw.uniform(1, 2), grid8, 75)
-        dense = sample_gff(grid8, a8, 76, backend="dense")
-        krylov = sample_gff(grid8, a8, 76, backend="krylov", tol=1e-8)
+        dense = FieldSample("gff_env", LatticeField(grid8, solver._dense_power(
+            a8, sample_noise(grid8, 76).values, -0.5)))
+        krylov = sample_gff(grid8, a8, 76, tol=1e-8)
         assert np.max(np.abs(dense.field.values - krylov.field.values)) < 1e-4
 
 
@@ -213,7 +216,7 @@ def test_criterion_8_structural_properties():
 
         # mean-zero invariants on every sampled field
         assert sample_gff(grid, None, 84).field.is_mean_zero(rtol=1e-9)
-        assert sample_gff(grid, a, 84, backend="krylov").field.is_mean_zero(rtol=1e-9)
+        assert sample_gff(grid, a, 84).field.is_mean_zero(rtol=1e-9)
         noise = sample_noise(grid, 85)
         assert sample_bilaplacian(grid, a, noise).field.is_mean_zero(rtol=1e-9)
 

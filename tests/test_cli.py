@@ -308,8 +308,7 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     bodies = {
         "figure1": "n = 16\n",
         "sample": "n = 8\nfield = gff\n" + law,
-        "cov": "n = 8\nkset = 1,0; 0,1\nM = 2\nnoise_replicates = 50\nseed = 1\n"
-               "backend = krylov\n" + law,
+        "cov": "n = 8\nkset = 1,0; 0,1\nM = 2\nnoise_replicates = 50\nseed = 1\n" + law,
     }
     calls = [[cmd, "--config", _write_config(tmp_path, body, f"{cmd}.ini"),
               "--out", str(tmp_path / cmd)] for cmd, body in bodies.items()]
@@ -407,23 +406,28 @@ def test_rates_missing_key_fails_before_estimating_ahom(tmp_path, capsys, experi
     assert "estimating" not in err
 
 
-def test_cov_unknown_backend_is_config_error(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path,
-        "n = 8\nd = 2\nkset = 1,0; 0,1\nM = 2\nnoise_replicates = 60\nbackend = bogus\n",
-    )
-    assert main(["cov", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "unknown backend" in capsys.readouterr().err
+@pytest.mark.parametrize("command, body, key", [
+    ("rates", "n = 8,16,32\nexperiment = synthetic\ntl = 1e-13\n", "tl"),
+    ("sample", "n = 8\nlaw = bernoulli(0.5,1,2)\nfield = gff\nbackend = dense\n", "backend"),
+], ids=["misspelt", "retired"])
+def test_key_outside_the_grammar_is_config_error(tmp_path, capsys, command, body, key):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_cov_dense_with_a_law_keeps_the_site_limit(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path,
-        "n = 128\nd = 2\nlaw = bernoulli(0.5,1,2)\nkset = 1,0; 0,1\nM = 2\n"
-        "noise_replicates = 50\nbackend = dense\n",
-    )
-    assert main(["cov", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "16384 sites is too large" in capsys.readouterr().err
+@pytest.mark.parametrize("command, body, argv, key", [
+    ("rates", "n = 8,16,32\nexperiment = synthetic\nseed = -5\n", [], "config key 'seed'"),
+    ("ahom", "n = 8\nlaw = constant(1.5)\nM = 2\n", ["--seed", "-5"], "--seed"),
+], ids=["config", "flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command, body, argv, key):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(out)] + argv) == EXIT_CONFIG
+    assert f"{key}: must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rates_beta_zero_meets_the_threshold_check(tmp_path, capsys):
@@ -466,7 +470,7 @@ def test_rates_mode_cutoff_zero_is_config_error(tmp_path, capsys):
 def test_blank_value_counts_as_absent(tmp_path):
     body = "n = 8,16,32\nexperiment = synthetic\n"
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    cfg = _write_config(tmp_path, body + "expect_slope =\nbackend =\nseed =\n", name="blank.ini")
+    cfg = _write_config(tmp_path, body + "expect_slope =\nahom =\nseed =\n", name="blank.ini")
     assert main(["rates", "--config", cfg, "--out", str(out1)]) == EXIT_OK
     assert main(["rates", "--config", _write_config(tmp_path, body), "--out", str(out2)]) == EXIT_OK
     assert (out1 / "rates_synthetic.csv").read_bytes() == (out2 / "rates_synthetic.csv").read_bytes()
@@ -509,11 +513,14 @@ def _ini_keys(lines) -> set:
 
 
 def test_every_config_key_is_documented():
+    # the keys read, the keys accepted and the keys documented in the cli
+    # docstring and the README are one set, so none can go stale
     read = set(re.findall(r'_get\(cfg, "(\w+)"', inspect.getsource(cli)))
-    assert {"beta", "mode_cutoff", "ahom", "expect_slope", "backend", "law"} <= read
+    assert len(cli._CONFIG_KEYS) == len(set(cli._CONFIG_KEYS))
+    assert read == set(cli._CONFIG_KEYS)
     grammar = cli.__doc__.split("\n    [run]\n", 1)[1].split("\n\n", 1)[0]
-    assert read <= _ini_keys(grammar.splitlines())
+    assert _ini_keys(grammar.splitlines()) == read
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         ini = fh.read().split("```ini", 1)[1].split("```", 1)[0]
-    assert read <= _ini_keys(ini.splitlines())
+    assert _ini_keys(ini.splitlines()) == read

@@ -205,6 +205,13 @@ def test_operator_matrix_equals_operator_columns(d, N):
         assert np.array_equal(operator_matrix(a), columns)
 
 
+def test_operator_matrix_rejects_grid_beyond_site_limit():
+    grid = TorusGrid(65, 2)
+    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
+    with pytest.raises(ValueError, match="4225 sites"):
+        operator_matrix(a)
+
+
 def test_dump_load_roundtrip(tmp_path):
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 4)

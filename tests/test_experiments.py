@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from homfield import experiments
+from homfield import experiments, solver
 from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.experiments import (
     ExperimentConfig,
@@ -20,7 +21,7 @@ from homfield.experiments import (
 )
 from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
 from homfield.sampler import sample_gff
-from homfield.solver import inv_sqrt, pseudo_eigenfunction
+from homfield.solver import pseudo_eigenfunction
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
@@ -264,8 +265,8 @@ def test_pseudo_eigen_k_dependence():
     cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(16,),
                            kset=((1, 0),), replicates=12, seed=4,
                            ahom=float(np.sqrt(2)))
-    v1 = pseudo_eigen_rate(cfg, k=(1, 0)).points[0][1]
-    v2 = pseudo_eigen_rate(cfg, k=(2, 0)).points[0][1]
+    v1 = pseudo_eigen_rate(cfg).points[0][1]
+    v2 = pseudo_eigen_rate(dataclasses.replace(cfg, kset=((2, 0),))).points[0][1]
     assert v2 > v1
     assert v2 / v1 <= 16 * 1.5
 
@@ -318,23 +319,27 @@ def test_gff_covariance_krylov_keeps_per_draw_realization():
                            kset=kset, replicates=2, noise_replicates=50, seed=4)
     grid = TorusGrid(16, 2)
     scale = formal_constant("gff", 2) * grid.N
-    coeffs = []
+    coeffs, exacts = [], []
     for env in range(cfg.replicates):
         a = sample_environment(BERNOULLI, grid,
                                np.random.SeedSequence(cfg.seed, spawn_key=(200, env)))
         for s in range(cfg.noise_replicates):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env, s))
-            spec = dft(sample_gff(grid, a, seed, backend="krylov", tol=cfg.tol).field)
+            spec = dft(sample_gff(grid, a, seed, tol=cfg.tol).field)
             coeffs.append([scale * spec.coefficient(k) for k in kset])
+        # the noise-exact covariance from the eigh oracle's V = A^(-1/2) conj(phi_k)
+        modes = np.stack([fourier_mode(grid, k).values.conj() for k in kset])
+        v = solver._dense_power(a, modes, -0.5).reshape(len(kset), -1) * scale / grid.n
+        exacts.append(v @ v.conj().T)
     coeffs = np.asarray(coeffs)
     reference = np.mean(coeffs[:, :, None] * coeffs[:, None, :].conj(), axis=0)
+    exact = np.mean(exacts, axis=0)
 
-    krylov = gff_covariance_limit(cfg, backend="krylov")
-    dense = gff_covariance_limit(cfg, backend="dense")
+    krylov = gff_covariance_limit(cfg)
     peak = np.abs(reference).max()
     assert np.abs(krylov.covariance - reference).max() < 1e-6 * peak
-    exact_peak = np.abs(dense.exact_covariance).max()
-    assert np.abs(krylov.exact_covariance - dense.exact_covariance).max() < 1e-6 * exact_peak
+    exact_peak = np.abs(exact).max()
+    assert np.abs(krylov.exact_covariance - exact).max() < 1e-6 * exact_peak
 
 
 def test_gff_covariance_krylov_beyond_dense_limit():
@@ -342,7 +347,7 @@ def test_gff_covariance_krylov_beyond_dense_limit():
     cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(128,),
                            kset=((1, 0), (0, 1), (1, 1), (2, 0)), replicates=2,
                            noise_replicates=50, seed=5)
-    rep = gff_covariance_limit(cfg, backend="krylov")
+    rep = gff_covariance_limit(cfg)
     exact = rep.exact_covariance
     assert np.allclose(exact, exact.conj().T, rtol=0, atol=1e-14 * np.abs(exact).max())
     gap = np.abs(np.real(np.diag(rep.covariance)) - np.real(np.diag(exact)))
@@ -358,32 +363,11 @@ def test_gff_covariance_insufficient_replicates():
         gff_covariance_limit(cfg)
 
 
-def test_gff_covariance_dense_v_matches_eigh(monkeypatch):
-    # with an environment, cov's dense V comes from the shifted-solve
-    # quadrature; the dense backend's eigh is its independent oracle
-    calls = []
-
-    def spy(grid, a, values, backend, tol):
-        v = inv_sqrt(grid, a, values, backend=backend, tol=tol)
-        calls.append((a, values, v))
-        return v
-
-    monkeypatch.setattr(experiments, "inv_sqrt", spy)
-    cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(16,),
-                           kset=((1, 0), (0, 1), (1, 1), (2, 0)), replicates=2,
-                           noise_replicates=50, seed=61)
-    gff_covariance_limit(cfg, backend="dense")
-    assert len(calls) == cfg.replicates
-    for a, values, v in calls:
-        eigh = inv_sqrt(a.grid, a, values, backend="dense")
-        assert np.abs(v - eigh).max() < 1e-12 * np.abs(eigh).max()
-
-
 def test_gff_covariance_dense_exact_matches_empirical_scale():
     cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(8,),
                            kset=((1, 0), (0, 1)), replicates=3,
                            noise_replicates=300, seed=6)
-    rep = gff_covariance_limit(cfg, backend="dense")
+    rep = gff_covariance_limit(cfg)
     assert rep.exact_covariance is not None
     emp = np.real(np.diag(rep.covariance))
     exact = np.real(np.diag(rep.exact_covariance))

@@ -47,11 +47,12 @@ def test_noise_hierarchy_unit_variance():
 
 
 def test_gff_backends_agree():
+    # the Krylov sampler against the eigh oracle on the same noise
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
-    dense = sample_gff(grid, a, 7, backend="dense")
-    krylov = sample_gff(grid, a, 7, backend="krylov", tol=1e-10)
-    assert np.max(np.abs(dense.field.values - krylov.field.values)) < 1e-6
+    dense = solver._dense_power(a, sample_noise(grid, 7).values, -0.5)
+    krylov = sample_gff(grid, a, 7, tol=1e-10)
+    assert np.max(np.abs(dense - krylov.field.values)) < 1e-6
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, 50.0])
@@ -59,27 +60,13 @@ def test_gff_krylov_rejects_bad_tolerance(tol):
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
     with pytest.raises(ValueError):
-        sample_gff(grid, a, 7, backend="krylov", tol=tol)
-
-
-def test_gff_spectral_requires_homogeneous():
-    grid = TorusGrid(8, 2)
-    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
-    with pytest.raises(ValueError):
-        sample_gff(grid, a, 0, backend="spectral")
-
-
-def test_gff_dense_rejects_grid_beyond_operator_limit():
-    grid = TorusGrid(65, 2)
-    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
-    with pytest.raises(ValueError, match="4225 sites"):
-        sample_gff(grid, a, 7, backend="dense")
+        sample_gff(grid, a, 7, tol=tol)
 
 
 def test_sampled_fields_mean_zero():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 4)
-    gff = sample_gff(grid, a, 1, backend="krylov")
+    gff = sample_gff(grid, a, 1)
     assert gff.field.is_mean_zero(rtol=1e-9)
     hom = sample_gff(grid, None, 1)
     assert hom.field.is_mean_zero(rtol=1e-9)
@@ -173,7 +160,7 @@ def test_shifted_solve_cap_raises_solver_error(monkeypatch):
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 3)
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
     with pytest.raises(SolverError) as err:
-        solver.inv_sqrt(grid, a, sample_noise(grid, 4).values, "krylov", 1e-8)
+        solver.inv_sqrt(grid, a, sample_noise(grid, 4).values, 1e-8)
     assert err.value.report.iterations == 3
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -256,10 +257,10 @@ def test_stack_error_on_iteration_cap_reports_worst_residual(monkeypatch):
     residuals = []
     for field in stack:
         with pytest.raises(SolverError) as err:
-            inv_sqrt(grid, a, field, "krylov", tol=1e-14)
+            inv_sqrt(grid, a, field, tol=1e-14)
         residuals.append(err.value.report.residual)
     with pytest.raises(SolverError) as err:
-        inv_sqrt(grid, a, stack, "krylov", tol=1e-14)
+        inv_sqrt(grid, a, stack, tol=1e-14)
     assert err.value.report.iterations == 2
     assert err.value.report.residual == pytest.approx(max(residuals), rel=1e-10)
     assert len(set(residuals)) == 3
@@ -323,7 +324,7 @@ def test_solutions_are_mean_zero_without_projections(N, tol):
         rhs = LatticeField(grid, values - values.mean())
         u, _ = solve_heterogeneous(a, rhs, tol=tol)
         assert u.is_mean_zero(1e-12)
-        image = LatticeField(grid, inv_sqrt(grid, a, values, "krylov", tol=tol))
+        image = LatticeField(grid, inv_sqrt(grid, a, values, tol=tol))
         assert image.is_mean_zero(1e-12)
 
 
@@ -445,13 +446,16 @@ def _rel_err(x, ref):
 
 
 def test_inv_sqrt_backends_agree_on_laplacian():
+    # the exact FFT path without an environment, against the quadrature and
+    # the eigh oracle on unit conductances
     grid = TorusGrid(8, 2)
+    unit = Conductances.constant(grid, 1.0)
     for values in _inv_sqrt_inputs(grid):
-        ref = inv_sqrt(grid, None, values, "spectral")
+        ref = inv_sqrt(grid, None, values)
         assert ref.shape == values.shape
         assert np.max(np.abs(ref.mean(axis=(-2, -1)))) < 1e-15
-        for backend in (None, "dense", "krylov"):
-            assert _rel_err(inv_sqrt(grid, None, values, backend), ref) < 1e-7
+        assert _rel_err(inv_sqrt(grid, unit, values), ref) < 1e-7
+        assert _rel_err(solver._dense_power(unit, values, -0.5), ref) < 1e-7
         # applied twice it is the mean-zero inverse of -Lap_N
         fields = values.reshape((-1,) + grid.shape)
         twice = inv_sqrt(grid, None, ref).reshape(fields.shape)
@@ -465,32 +469,29 @@ def test_inv_sqrt_dense_and_krylov_agree_on_environment(d, N):
     grid = TorusGrid(N, d)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     for values in _inv_sqrt_inputs(grid):
-        dense = inv_sqrt(grid, a, values, "dense")
+        dense = solver._dense_power(a, values, -0.5)
         assert _rel_err(inv_sqrt(grid, a, values), dense) < 1e-7
-        assert _rel_err(inv_sqrt(grid, a, values, "krylov"), dense) < 1e-7
 
 
-@pytest.mark.parametrize("backend", ["spectral", "dense", "krylov"])
-def test_inv_sqrt_stack_matches_field_by_field(backend):
+@pytest.mark.parametrize("method", ["spectral", "dense", "krylov"])
+def test_inv_sqrt_stack_matches_field_by_field(method):
+    # "dense" is the eigh oracle that the tests apply to stacks of modes
     grid = TorusGrid(8, 2)
-    a = (None if backend == "spectral"
+    a = (None if method == "spectral"
          else sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5))
+    apply = (functools.partial(solver._dense_power, a, exponent=-0.5) if method == "dense"
+             else functools.partial(inv_sqrt, grid, a))
     real, cplx = _inv_sqrt_inputs(grid)
     stack = np.stack([real[0], real[1], cplx])
-    out = inv_sqrt(grid, a, stack, backend)
+    out = apply(stack)
     for field, image in zip(stack, out):
-        assert np.allclose(image, inv_sqrt(grid, a, field, backend), rtol=0, atol=1e-13)
+        assert np.allclose(image, apply(field), rtol=0, atol=1e-13)
 
 
 def test_inv_sqrt_rejects_bad_backend():
+    # the environment picks the method, so it must live on the same grid
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     values = _inv_sqrt_inputs(grid)[0]
-    with pytest.raises(ValueError, match="unknown backend"):
-        inv_sqrt(grid, None, values, "bogus")
-    with pytest.raises(ValueError, match="unknown backend"):
-        inv_sqrt(grid, a, values, "bogus")
-    with pytest.raises(ValueError, match="homogeneous"):
-        inv_sqrt(grid, a, values, "spectral")
     with pytest.raises(ValueError, match="grid mismatch"):
         inv_sqrt(TorusGrid(4, 2), a, values[:, :4, :4])
