@@ -22,6 +22,7 @@ are optional unless a command requires them)::
                                   # value, 0 included, must pass the threshold
                                   # beta > d/4 (gff) or d/4 - 1/2 (bilap)
     kset = 1,0; 0,1; 1,1          # frequency list, components comma-separated
+                                  # (rates pseudo: exactly one frequency)
     M = 16                        # environment replicates, >= 1
     noise_replicates = 200        # noise draws per environment (cov / bilap
                                   # MC), >= 1
@@ -329,7 +330,10 @@ def cmd_rates(args, cfg) -> int:
         ns = _experiment_config(cfg, seed, "bilap").Ns
         series = RateSeries.from_points("synthetic_nm2", [(n, n**-2.0, 0.0) for n in ns])
     elif experiment == "pseudo":
-        _get(cfg, "kset")  # checked before ahom is estimated
+        # checked before ahom is estimated
+        if len(_get(cfg, "kset", cast=_parse_kset)) != 1:
+            raise ConfigError("config key 'kset': experiment = pseudo measures one mode; "
+                              "give one frequency")
         ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed, "gff"))
         series = pseudo_eigen_rate(ecfg)
     elif experiment == "bilap":

@@ -266,16 +266,17 @@ def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
 
 
 def pseudo_eigen_rate(cfg: ExperimentConfig) -> RateSeries:
-    """Mean squared l2 distance between the pseudo-eigenfunction of the
-    first mode of cfg.kset and its Fourier mode over the N ladder, with its
-    fitted slope.
+    """Mean squared l2 distance between the pseudo-eigenfunction of the one
+    mode of cfg.kset and its Fourier mode over the N ladder, with its fitted
+    slope.
 
     For a constant law the distance is at solver-tolerance level and the fit
     is skipped (slope fields are NaN).
     """
-    if not cfg.kset:
-        raise ValueError("pseudo_eigen_rate needs a mode: set kset")
-    k = cfg.kset[0]
+    if len(cfg.kset) != 1:
+        raise ValueError(f"pseudo_eigen_rate measures one mode: set kset to one "
+                         f"frequency, got {len(cfg.kset)}")
+    k, = cfg.kset
     if cfg.law is None:
         raise ValueError("pseudo_eigen_rate needs an environment law")
     ahom = cfg.resolve_ahom()

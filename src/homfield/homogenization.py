@@ -16,7 +16,14 @@ import numpy as np
 
 from .environment import Conductances, EnvironmentLaw, sample_environment
 from .lattice import LatticeField, TorusGrid
-from .solver import DEFAULT_TOL, SolverError, solve_heterogeneous
+from .solver import (
+    DEFAULT_TOL,
+    SolverError,
+    _check_tol,
+    _pcg,
+    default_max_iterations,
+    solve_heterogeneous,
+)
 
 __all__ = [
     "CorrectorSolution",
@@ -80,17 +87,9 @@ def _corrected_gradients(a: Conductances, corr: CorrectorSolution) -> list:
     return grads
 
 
-def effective_sample(a: Conductances, correctors) -> float:
-    """Energy average (1/d) sum_i <(e_i + grad chi_i) . a (e_i + grad chi_i)>.
-
-    Equals c exactly for the constant environment a = c, and lies between the
-    minimum and maximum edge weight for any environment.
-    """
-    return float(np.trace(effective_matrix(a, correctors)) / a.grid.d)
-
-
-def effective_matrix(a: Conductances, correctors) -> np.ndarray:
-    """Full d x d effective-coefficient matrix from the corrector energies."""
+def _by_direction(a: Conductances, correctors) -> list:
+    """The correctors sorted by direction, checked to cover each axis of
+    ``a``'s grid once."""
     grid = a.grid
     correctors = list(correctors)
     if len(correctors) != grid.d:
@@ -101,7 +100,39 @@ def effective_matrix(a: Conductances, correctors) -> np.ndarray:
     for c in by_dir:
         if c.chi.grid != grid:
             raise ValueError("corrector solved on a different grid")
-    grads = [_corrected_gradients(a, c) for c in by_dir]
+    return by_dir
+
+
+def _mean_energy(a: Conductances, chis) -> float:
+    """(1/d) sum_i <(e_i + grad chi_i) . a (e_i + grad chi_i)> for the
+    corrector values ``chis`` of the axes i = 0 .. d-1, in that order."""
+    grid = a.grid
+    diag = np.empty(grid.d)
+    for i, chi in enumerate(chis):
+        val = 0.0
+        for axis in range(grid.d):
+            g = grid.N * (np.roll(chi, -1, axis=axis) - chi)
+            if axis == i:
+                g = g + 1.0
+            val += np.sum(a.weights[axis] * g * g)
+        diag[i] = val / grid.n
+    return float(np.sum(diag) / grid.d)
+
+
+def effective_sample(a: Conductances, correctors) -> float:
+    """Energy average (1/d) sum_i <(e_i + grad chi_i) . a (e_i + grad chi_i)>,
+    the trace of :func:`effective_matrix` over d.
+
+    Equals c exactly for the constant environment a = c, and lies between the
+    minimum and maximum edge weight for any environment.
+    """
+    return _mean_energy(a, [c.chi.values for c in _by_direction(a, correctors)])
+
+
+def effective_matrix(a: Conductances, correctors) -> np.ndarray:
+    """Full d x d effective-coefficient matrix from the corrector energies."""
+    grid = a.grid
+    grads = [_corrected_gradients(a, c) for c in _by_direction(a, correctors)]
     mat = np.empty((grid.d, grid.d))
     for i in range(grid.d):
         for j in range(i, grid.d):
@@ -117,28 +148,35 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
     """Monte-Carlo mean and standard error of the energy estimator over M
     independent environments.
 
-    Replicates draw from counter-based substreams of the master seed. Solver
-    failures are tolerated up to M/2; beyond that the estimate aborts.
+    The d correctors of an environment are solved as one PCG stack, each
+    with its own stopping test, so they equal their :func:`solve_corrector`
+    solutions. Replicates draw from counter-based substreams of the master
+    seed. Solver failures are tolerated up to M/2; beyond that the estimate
+    aborts.
     """
     if M < 2:
         raise ValueError(f"need at least 2 replicates, got {M}")
+    _check_tol(tol)
     grid = TorusGrid(N, d)
+    maxiter = default_max_iterations(grid)
     values = []
     failures = iterations = 0
     max_residual = 0.0
+    counts = np.empty(d, np.int64)
     for rep in range(M):
         rep_seed = np.random.SeedSequence(seed, spawn_key=(10_000 + rep,))
         a = sample_environment(law, grid, rep_seed)
+        rhs = np.stack([corrector_rhs(a, axis).values for axis in range(d)])
         try:
-            correctors = [solve_corrector(a, axis, tol=tol) for axis in range(d)]
+            chis, report = _pcg(a, rhs, tol, maxiter, out=rhs, iters=counts)
         except SolverError:
             failures += 1
             if failures > M // 2:
                 raise
             continue
-        iterations += sum(c.iterations for c in correctors)
-        max_residual = max(max_residual, *(c.residual for c in correctors))
-        values.append(effective_sample(a, correctors))
+        iterations += int(counts.sum())
+        max_residual = max(max_residual, report.residual)
+        values.append(_mean_energy(a, chis))
     values = np.asarray(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0

@@ -7,19 +7,24 @@ Two methods cover the operators -Lap_N and -div a grad:
 * conjugate gradient on the mean-zero subspace, preconditioned by the
   homogeneous spectral inverse, for real and complex right-hand sides; the
   preconditioner applies real FFTs (``rfftn``/``irfftn``) to real
-  residuals.
+  residuals. One CG engine solves a stack of right-hand sides in chunks of
+  at most 256 KiB, and a stack of several chunks on every CPU the process
+  may use, one thread per CPU; each field's iterates do not depend on the
+  chunking or on the thread count.
 
 :func:`inv_sqrt` is the one entry point for A^(-1/2) on the mean-zero
 subspace, and its input picks the method: without an environment, exact
 FFT synthesis; with one, a quadrature over shifted CG solves, each to
-relative residual tol, with the fields solved together at each shift in
-chunks of at most 256 KiB.
+relative residual tol, with the fields solved together as one stack at
+each shift.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +142,21 @@ def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Re <u_i, v_i> for the fields i stacked along the first axis; a complex
     field is read as its real and imaginary parts side by side."""
     m = len(u)
-    u, v = (w.reshape(m, -1).view(np.float64) for w in (u, v))
-    # a batched matmul reaches BLAS; einsum made inv_sqrt 2-7 % slower
-    return (u[:, None, :] @ v[:, :, None]).reshape(m)
+    # vecdot reaches BLAS and equals the batched matmul bit for bit; einsum
+    # made inv_sqrt 2-7 % slower
+    return np.vecdot(*(w.reshape(m, -1).view(np.float64) for w in (u, v)))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
-         shift: float = 0.0, out: np.ndarray = None) -> tuple:
+         shift: float = 0.0, out: np.ndarray = None, iters: np.ndarray = None) -> tuple:
     """CG for the divergence-form operator plus ``shift`` times the identity,
     preconditioned by the spectral inverse of -Lap_N + shift, for the
     right-hand sides stacked along the first axis of ``b``.
@@ -152,12 +165,17 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     is at most Lambda for every shift. The operator is real symmetric, so
     complex right-hand sides iterate in place with Hermitian inner products.
 
-    A stack of more than _CHUNK_BYTES goes through the loop in consecutive
-    chunks of max(1, _CHUNK_BYTES // field bytes) fields, so that the arrays
-    of a step stay in cache. Within a chunk the fields share one loop, but
-    each keeps its own step lengths and stopping test, and leaves the loop
-    when its relative residual reaches tol: its iterates are those of its
-    own solve, up to the rounding of the inner products. The means of the
+    A stack of more than _CHUNK_BYTES is cut into consecutive chunks of
+    max(1, _CHUNK_BYTES // field bytes) fields, so that the arrays of a step
+    stay in one core's cache. The chunks are independent solves, and the
+    FFTs and array operations of a step release the GIL, so a stack of
+    several chunks is solved on every CPU the process may use: the calling
+    thread and one more thread per further CPU take the chunks in stack
+    order. A stack of one chunk runs in the calling thread alone. Within a
+    chunk the fields share one loop, but each keeps its own step lengths and
+    stopping test, and leaves the loop when its relative residual reaches
+    tol: its iterates are those of its own solve, up to the rounding of the
+    inner products, whatever thread runs its chunk. The means of the
     right-hand sides are removed once. The iterates then stay mean-zero up
     to rounding without a projection, because the preconditioner zeroes the
     mean mode and every operator output sums to zero; x is centred once on
@@ -166,48 +184,83 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     ``out``, of the shape of ``b`` and the dtype of x, receives x when
     given. It may be ``b`` itself: each chunk is read before its rows are
     overwritten, so a caller done with its right-hand sides saves a stack.
+    ``iters``, an integer array of length ``len(b)``, receives the
+    iteration count of each field when given.
 
     Returns (x, report), the report holding the largest iteration count and
     the worst final residual of the stack; raises SolverError when the
     iteration cap is hit before every relative residual of a chunk reaches
-    tol.
+    tol, with the report of the first such chunk in stack order.
     """
     x = np.empty(b.shape, np.result_type(b, np.float64)) if out is None else out
+    iters = np.empty(len(b), np.int64) if iters is None else iters
     chunk = max(1, _CHUNK_BYTES // (a.grid.n * x.itemsize))
-    reports = [_pcg_chunk(a, b[i:i + chunk], tol, maxiter, shift, x[i:i + chunk])
-               for i in range(0, len(b), chunk)]
-    return x, SolveReport(max((r.iterations for r in reports), default=0),
-                          max((r.residual for r in reports), default=0.0))
+    starts = range(0, len(b), chunk)
+    results = [None] * len(starts)        # a report or an exception per chunk
+    todo = iter(range(len(starts)))
+    lock = threading.Lock()
+
+    def work():
+        # chunks are handed out in stack order and none after a failure, so
+        # every chunk before a failing one has run: the first failure in
+        # stack order is the one a serial loop would meet
+        while True:
+            with lock:
+                j = next(todo, None)
+                if j is None or any(isinstance(r, Exception) for r in results):
+                    return
+            rows = slice(starts[j], starts[j] + chunk)
+            try:
+                results[j] = _pcg_chunk(a, b[rows], tol, maxiter, shift, x[rows], iters[rows])
+            except Exception as exc:      # re-raised by the caller after the join
+                results[j] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(_cpus(), len(starts)) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return x, SolveReport(max((r.iterations for r in results), default=0),
+                          max((r.residual for r in results), default=0.0))
 
 
 def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
-               shift: float, out: np.ndarray) -> SolveReport:
+               shift: float, out: np.ndarray, iters: np.ndarray) -> SolveReport:
     """The loop of :func:`_pcg` for one chunk of its stack; writes the
-    solutions into ``out`` and returns the chunk's report."""
+    solutions into ``out`` and the iteration counts into ``iters``, and
+    returns the chunk's report."""
     precond = _spectral_multiplier(a.grid, -1.0, shift)
     axes = tuple(range(1, b.ndim))
     col = (-1,) + (1,) * len(axes)        # one coefficient per field
-    b = np.array(b, dtype=np.result_type(b, np.float64))
-    b -= b.mean(axis=axes, keepdims=True)
-    bnorm = np.sqrt(_dots(b, b))
+    r = np.array(b, dtype=np.result_type(b, np.float64))
+    r -= r.mean(axis=axes, keepdims=True)
+    bnorm = np.sqrt(_dots(r, r))
     live = np.flatnonzero(bnorm)          # fields still iterating
     out.fill(0)
+    iters.fill(0)
     if not live.size:
         return SolveReport(0, 0.0)
-    r, bnorm = b[live], bnorm[live]
-    del b                                 # r holds the live rows
-    x = np.zeros_like(r)
+    if live.size < len(r):
+        r, bnorm = r[live], bnorm[live]
+        x = np.zeros_like(r)
+    else:
+        x = out                           # iterate in place until a field leaves
     # kept for the whole solve, each iteration using the rows of live
-    # fields; flux is the stencil's scratch and then the step buffer, spec
-    # and z are the preconditioner's spectrum and output
-    ap_buf, flux_buf, z_buf = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    # fields. spec, the preconditioner's spectrum, shares its memory with
+    # flux, the stencil's scratch and then the step buffer, and ap's buffer
+    # takes the preconditioned residual z: a step is done with flux and ap
+    # before the preconditioner writes spec and z.
     n = r.shape[-1]                       # real fields keep a half spectrum
     spec_buf = np.empty(r.shape[:-1] + (n // 2 + 1 if np.isrealobj(r) else n,), np.complex128)
-    z = _spectral_apply(r, precond, spec_buf, z_buf)
-    p = z.copy()
-    rz = _dots(r, z)
+    flux_buf = spec_buf.reshape(-1).view(r.dtype)[: r.size].reshape(r.shape)
+    ap_buf = np.empty_like(r)
+    p = _spectral_apply(r, precond, spec_buf, np.empty_like(r))
+    rz = _dots(r, p)
     res = np.ones(len(live))
-    solved = []                           # (fields, iterates) that left
     worst = 0.0
     for it in range(1, maxiter + 1):
         ap, step = ap_buf[: len(live)], flux_buf[: len(live)]
@@ -220,14 +273,15 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
         res = np.sqrt(_dots(r, r)) / bnorm
         done = res <= tol
         if done.any():
-            solved.append((live[done], x[done]))
+            out[live[done]] = x[done]
+            iters[live[done]] = it
             worst = max(worst, float(res[done].max()))
             keep = ~done
             live, x, r, p, rz, res, bnorm = (
                 v[keep] for v in (live, x, r, p, rz, res, bnorm))
             if not live.size:
                 break
-        z = _spectral_apply(r, precond, spec_buf[: len(live)], z_buf[: len(live)])
+        z = _spectral_apply(r, precond, spec_buf[: len(live)], ap_buf[: len(live)])
         rz_new = _dots(r, z)
         p *= (rz_new / rz).reshape(col)
         p += z
@@ -238,8 +292,6 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
             f"CG did not reach tol={tol} within {maxiter} iterations (residual {worst:.3e})",
             SolveReport(maxiter, worst),
         )
-    for fields, iterates in solved:
-        out[fields] = iterates
     out -= out.mean(axis=axes, keepdims=True)
     return SolveReport(it, worst)
 

@@ -303,25 +303,29 @@ def test_binomial_upper_tail_matches_scipy(n):
 
 
 def test_cli_runs_without_importing_scipy(tmp_path):
-    # scipy.stats and scipy.special cost about a second of every cold start
+    # scipy.stats and scipy.special cost about a second of every cold start,
+    # and concurrent.futures pulls in logging; ahom at N=192 solves its two
+    # 288 KiB correctors as two PCG chunks, on threads where there are CPUs
     law = "law = bernoulli(0.5,1,2)\n"
     bodies = {
         "figure1": "n = 16\n",
         "sample": "n = 8\nfield = gff\n" + law,
         "cov": "n = 8\nkset = 1,0; 0,1\nM = 2\nnoise_replicates = 50\nseed = 1\n" + law,
+        "ahom": "n = 192\nM = 2\n" + law,
     }
     calls = [[cmd, "--config", _write_config(tmp_path, body, f"{cmd}.ini"),
               "--out", str(tmp_path / cmd)] for cmd, body in bodies.items()]
     script = ("import sys\nfrom homfield.cli import main\n"
               f"codes = [main(argv) for argv in {calls!r}]\n"
-              "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+              "print(codes, sorted(m for m in sys.modules\n"
+              "                    if m.split('.')[0] == 'scipy' or m == 'concurrent.futures'))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_sample_shifted_solve_cap_is_solver_failure(tmp_path, monkeypatch, capsys):
@@ -393,6 +397,21 @@ def test_sample_heatmap_rejects_d3_before_sampling(tmp_path, capsys):
     assert main(["sample", "--config", cfg, "--out", str(out), "--heatmap"]) == EXIT_CONFIG
     assert "d = 2" in capsys.readouterr().err
     assert not list(out.glob("*.hf"))
+
+
+def test_rates_pseudo_with_several_modes_is_config_error(tmp_path, capsys):
+    # the pseudo rate measures one mode; more used to be dropped silently
+    cfg = _write_config(tmp_path, "n = 4,8,16\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\n"
+                                  "kset = 1,0; 2,0; 1,1\nM = 2\n")
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "kset" in err
+    assert "estimating" not in err
+    assert not (tmp_path / "rates_pseudo.csv").exists()
+    ecfg = ExperimentConfig(d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), field_kind="gff",
+                            Ns=(4, 8, 16), kset=((1, 0), (2, 0)), replicates=2, ahom=1.4)
+    with pytest.raises(ValueError, match="kset"):
+        pseudo_eigen_rate(ecfg)
 
 
 @pytest.mark.parametrize("experiment, missing", [("pseudo", "kset"), ("bilap", "beta")])

@@ -99,6 +99,25 @@ def test_estimate_ahom_reports_solve_telemetry():
     assert 0 < est.max_residual <= 1e-9
 
 
+@pytest.mark.parametrize("N, d", [(64, 2), (192, 2), (12, 3)])
+def test_estimate_ahom_equals_its_corrector_solves(N, d):
+    # N=64: both correctors in one PCG chunk; N=192: one chunk each
+    law = EnvironmentLaw.uniform(1, 3)
+    est = estimate_ahom(law, N, 2, seed=4, d=d)
+    values, iterations, worst = [], 0, 0.0
+    for rep in range(2):
+        a = sample_environment(law, TorusGrid(N, d),
+                               np.random.SeedSequence(4, spawn_key=(10_000 + rep,)))
+        corrs = [solve_corrector(a, axis) for axis in range(d)]
+        values.append(effective_sample(a, corrs))
+        assert values[-1] == np.trace(effective_matrix(a, corrs)) / d
+        iterations += sum(c.iterations for c in corrs)
+        worst = max(worst, *(c.residual for c in corrs))
+    assert est.mean == float(np.mean(values))
+    assert est.stderr == float(np.std(values, ddof=1) / np.sqrt(2))
+    assert (est.iterations, est.max_residual) == (iterations, worst)
+
+
 def test_estimate_ahom_validates_m():
     with pytest.raises(ValueError):
         estimate_ahom(EnvironmentLaw.uniform(1, 2), 8, 1, seed=0)

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -288,7 +290,7 @@ def test_pcg_splits_a_stack_into_chunks_of_256_kib(monkeypatch):
     singles = [solver._pcg(a, field[None], 1e-10, 500) for field in stack]
     sizes = _spy_chunks(monkeypatch)
     x, report = solver._pcg(a, stack, 1e-10, 500)
-    assert sizes == [4, 2]
+    assert sorted(sizes) == [2, 4]        # chunks on several CPUs run in any order
     for image, (single, _) in zip(x, singles):
         assert _rel_err(image, single[0]) < 1e-13
     reports = [rep for _, rep in singles]
@@ -307,9 +309,81 @@ def test_solver_error_in_a_later_chunk_carries_its_report(monkeypatch):
     sizes = _spy_chunks(monkeypatch)
     with pytest.raises(SolverError) as err:
         solver._pcg(a, stack, 1e-14, 2)
-    assert sizes == [4, 2]
+    assert sorted(sizes) == [2, 4]
     assert err.value.report.iterations == 2
     assert err.value.report.residual > 1e-14
+
+
+def _pcg_on_cpus(monkeypatch, cpus, *args, **kwargs):
+    """_pcg as run by a process that may use ``cpus`` CPUs; returns the
+    solution, the report and the per-field iteration counts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    iters = np.full(len(args[1]), -1)
+    x, report = solver._pcg(*args, iters=iters, **kwargs)
+    return x, report, iters
+
+
+@pytest.mark.parametrize("N, modes", [(256, 0), (64, 12)], ids=["real-N256", "complex-N64"])
+def test_chunks_on_every_cpu_equal_one_cpu(monkeypatch, N, modes):
+    # real N=256: 2 fields of 512 KiB, one chunk each; complex N=64: 12 modes
+    # of 64 KiB in 3 chunks of 4
+    all_cpus = solver._cpus()
+    grid = TorusGrid(N, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 7)
+    if modes:
+        ks = [(k1, k2) for k1 in range(1, 4) for k2 in range(4)][:modes]
+        stack = np.stack([fourier_mode(grid, k).values for k in ks])
+    else:
+        stack = np.random.default_rng(4).standard_normal((2,) + grid.shape)
+    x1, rep1, it1 = _pcg_on_cpus(monkeypatch, 1, a, stack, 1e-8, 2000, shift=0.5)
+    for cpus in {all_cpus, 3}:
+        x, rep, it = _pcg_on_cpus(monkeypatch, cpus, a, stack, 1e-8, 2000, shift=0.5)
+        assert np.array_equal(x, x1)
+        assert rep == rep1
+        assert np.array_equal(it, it1)
+    assert it1.min() > 0 and it1.max() == rep1.iterations
+
+
+def test_threaded_chunks_each_run_once(monkeypatch):
+    # 16 real fields of 128 KiB in 8 chunks of 2, on more threads than CPUs,
+    # switching threads as often as the interpreter allows
+    grid = TorusGrid(128, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 8)
+    stack = np.random.default_rng(5).standard_normal((16,) + grid.shape)
+    x1, rep1, it1 = _pcg_on_cpus(monkeypatch, 1, a, stack, 1e-6, 500)
+    sizes = _spy_chunks(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        x, rep, it = _pcg_on_cpus(monkeypatch, 8, a, stack, 1e-6, 500)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sizes == [2] * 8
+    assert np.array_equal(x, x1)
+    assert rep == rep1
+    assert np.array_equal(it, it1)
+
+
+def test_threaded_solver_error_is_the_first_failing_chunk(monkeypatch):
+    # 6 complex fields of 64 KiB in chunks of 4 and 2; both chunks hit the
+    # cap, and the error carries the first chunk's report on any CPU count
+    grid = TorusGrid(64, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    stack = np.stack([fourier_mode(grid, (k, 1)).values for k in range(1, 7)])
+    reports = []
+    for cpus in (1, 2, 6):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        with pytest.raises(SolverError) as err:
+            solver._pcg(a, stack, 1e-14, 3)
+        reports.append(err.value.report)
+    chunk_reports = []
+    for rows in (stack[:4], stack[4:]):
+        with pytest.raises(SolverError) as err:
+            solver._pcg(a, rows, 1e-14, 3)
+        chunk_reports.append(err.value.report)
+    assert chunk_reports[0] != chunk_reports[1]
+    assert reports == [chunk_reports[0]] * 3
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-13])
