@@ -372,10 +372,8 @@ def test_threaded_solver_error_is_the_first_failing_chunk(monkeypatch):
     stack = np.stack([fourier_mode(grid, (k, 1)).values for k in range(1, 7)])
     reports = []
     for cpus in (1, 2, 6):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
         with pytest.raises(SolverError) as err:
-            solver._pcg(a, stack, 1e-14, 3)
+            _pcg_on_cpus(monkeypatch, cpus, a, stack, 1e-14, 3)
         reports.append(err.value.report)
     chunk_reports = []
     for rows in (stack[:4], stack[4:]):
