@@ -15,14 +15,8 @@ from .environment import (
     sample_environment,
     apply_operator,
 )
-from .solver import (
-    solve_homogeneous,
-    solve_heterogeneous,
-    green_column,
-    pseudo_eigenfunction,
-    SolverError,
-)
-from .homogenization import solve_corrector, effective_sample, estimate_ahom
+from .solver import solve_homogeneous, solve_heterogeneous, SolverError
+from .homogenization import estimate_ahom
 from .sampler import (
     NoiseHierarchy,
     sample_noise,

@@ -24,8 +24,7 @@ are optional unless a command requires them)::
     kset = 1,0; 0,1; 1,1          # frequency list, components comma-separated
                                   # (rates pseudo: exactly one frequency)
     M = 16                        # environment replicates, >= 1
-    noise_replicates = 200        # noise draws per environment (cov / bilap
-                                  # MC), >= 1
+    noise_replicates = 200        # cov: noise draws per environment, >= 1
     seed = 0                      # master seed (u64); --seed overrides
     tol = 1e-8                    # iterative solver tolerance, in (0, 1)
     mode_cutoff = 2               # sup-norm truncation of mode sums (bilap),
@@ -72,7 +71,7 @@ from .sampler import (
     sample_gff,
     sample_noise,
 )
-from .solver import DEFAULT_TOL, SolverError
+from .solver import DEFAULT_TOL, SolverError, _check_tol
 from .experiments import (
     AHOM_ESTIMATE_M,
     ExperimentConfig,
@@ -162,6 +161,16 @@ def _law(cfg):
     return _get(cfg, "law", default=None, cast=_parse_law)
 
 
+def _parse_tol(text) -> float:
+    tol = float(text)
+    _check_tol(tol)
+    return tol
+
+
+def _tol(cfg) -> float:
+    return _get(cfg, "tol", default=DEFAULT_TOL, cast=_parse_tol)
+
+
 def _seed(args, cfg) -> int:
     seed = _get(cfg, "seed", default=0, cast=int) if args.seed is None else args.seed
     if seed < 0:
@@ -235,7 +244,7 @@ def cmd_sample(args, cfg) -> int:
     N = _get(cfg, "n", cast=int)
     kind = _get(cfg, "field", default="bilap")
     law = _law(cfg)
-    tol = _get(cfg, "tol", default=DEFAULT_TOL, cast=float)
+    tol = _tol(cfg)
     seed = _seed(args, cfg)
     if kind not in ("gff", "bilap"):
         raise ConfigError(f"unknown field kind {kind!r} (expected gff or bilap)")
@@ -267,7 +276,7 @@ def cmd_ahom(args, cfg) -> int:
     law = _law(cfg)
     if law is None:
         raise ConfigError("ahom needs an environment law")
-    tol = _get(cfg, "tol", default=DEFAULT_TOL, cast=float)
+    tol = _tol(cfg)
     seed = _seed(args, cfg)
     t0 = time.time()
     est = estimate_ahom(law, N, M, seed, d=d, tol=tol)
@@ -299,7 +308,7 @@ def _experiment_config(cfg, seed, field_kind) -> ExperimentConfig:
         noise_replicates=_get(cfg, "noise_replicates", default=32, cast=int),
         seed=seed,
         ahom=_get(cfg, "ahom", default=None, cast=float),
-        tol=_get(cfg, "tol", default=DEFAULT_TOL, cast=float),
+        tol=_tol(cfg),
         mode_cutoff=_get(cfg, "mode_cutoff", default=None, cast=int),
     )
 
@@ -339,7 +348,7 @@ def cmd_rates(args, cfg) -> int:
     elif experiment == "bilap":
         _get(cfg, "beta")  # checked before ahom is estimated
         ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed, "bilap"))
-        series = bilap_error_rate(ecfg).series
+        series = bilap_error_rate(ecfg)
     elif experiment == "disc":
         series = discretization_rate(_experiment_config(cfg, seed, "bilap"))
     else:
@@ -417,7 +426,7 @@ def cmd_figure1(args, cfg) -> int:
     P(X >= agreeing sites) for X ~ Bin(sites, 1/2), which must be below
     0.01."""
     seed = _seed(args, cfg)
-    tol = _get(cfg, "tol", default=DEFAULT_TOL, cast=float)
+    tol = _tol(cfg)
     n_side = _get(cfg, "n", default=FIGURE1_N, cast=int)
     grid = TorusGrid(n_side, 2)
     noise = sample_noise(grid, np.random.SeedSequence(seed, spawn_key=(2,)))

@@ -21,20 +21,13 @@ from .homogenization import estimate_ahom
 from .lattice import (
     LatticeField,
     TorusGrid,
-    dft,
     eigenvalue_continuum,
     eigenvalue_discrete,
     eigenvalues_continuum,
     fourier_mode,
 )
 from .sampler import sample_noise
-from .solver import (
-    DEFAULT_TOL,
-    _pseudo_eigenfunctions,
-    inv_sqrt,
-    solve_heterogeneous,
-    solve_homogeneous,
-)
+from .solver import DEFAULT_TOL, _pseudo_eigenfunctions, inv_sqrt
 
 __all__ = [
     "RateSeries",
@@ -44,7 +37,6 @@ __all__ = [
     "pseudo_eigen_rate",
     "gff_covariance_limit",
     "bilap_error_rate",
-    "BilapErrorResult",
     "discretization_rate",
     "truncation_error",
     "formal_constant",
@@ -226,14 +218,12 @@ def _replicate_seed(cfg: ExperimentConfig, tag: int, rep: int) -> np.random.Seed
     return np.random.SeedSequence(cfg.seed, spawn_key=(tag, rep))
 
 
-def _ladder(cfg: ExperimentConfig, tag: int, per_env, sizes=None) -> list:
+def _ladder(cfg: ExperimentConfig, tag: int, per_env) -> list:
     """(N, mean, stderr) of per_env(a, rep) over the environments
-    _replicate_seed(cfg, tag + i, rep) at the i-th size of cfg.Ns, for
-    every size or only those in ``sizes``; one tag means one set of draws."""
+    _replicate_seed(cfg, tag + i, rep) at the i-th size of cfg.Ns; one tag
+    means one set of draws."""
     points = []
     for i, N in enumerate(cfg.Ns):
-        if sizes is not None and N not in sizes:
-            continue
         grid = TorusGrid(N, cfg.d)
         vals = np.asarray([
             per_env(sample_environment(cfg.law, grid, _replicate_seed(cfg, tag + i, rep)), rep)
@@ -403,40 +393,13 @@ def _bilap_exact_in_noise(a, ahom: float, ks, weights, cb: float, tol: float) ->
                      for k, w, err in zip(ks, weights, errs)))
 
 
-def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: float,
-                       env_idx: int) -> float:
-    """Shared-noise Monte-Carlo estimate of the same squared error norm,
-    averaged over cfg.noise_replicates draws."""
-    grid = a.grid
-    scale = cb * grid.N ** (grid.d / 2.0)
-    kidx = tuple(np.array([grid.index_of(k) for k in ks]).T)
-    vals = []
-    for s in range(cfg.noise_replicates):
-        noise = sample_noise(grid, np.random.SeedSequence(cfg.seed, spawn_key=(300, env_idx, s)))
-        rhs = noise.centered()
-        u_env, _ = solve_heterogeneous(a, rhs, tol=cfg.tol)
-        u_hom = solve_homogeneous(grid, rhs)
-        spec = dft(LatticeField(grid, u_env.values - u_hom.values / ahom))
-        vals.append(float(np.sum(weights * np.abs(scale * spec.coefficients[kidx]) ** 2)))
-    return float(np.mean(vals))
-
-
-@dataclass(frozen=True)
-class BilapErrorResult:
-    series: RateSeries
-    monte_carlo: dict  # N -> (mean, stderr)
-    exact_at_mc: dict  # N -> (mean, stderr)
-
-
-def bilap_error_rate(cfg: ExperimentConfig, mc_at=()) -> BilapErrorResult:
+def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
     """Environment-averaged squared H^{-beta} distance between the
-    heterogeneous bi-Laplacian field and its rescaled homogeneous partner.
+    heterogeneous bi-Laplacian field and its rescaled homogeneous partner,
+    from the noise-exact per-mode identity, over the N ladder.
 
-    Uses the noise-exact per-mode identity for the rate series; at the sizes
-    in ``mc_at`` a shared-noise Monte-Carlo estimate is computed as an
-    internal cross-check. The mode sum runs over grid frequencies with
-    sup-norm at most ``cfg.mode_cutoff`` (whole window when None); both
-    estimators use the identical truncation.
+    The mode sum runs over grid frequencies with sup-norm at most
+    ``cfg.mode_cutoff`` (whole window when None).
     """
     if cfg.beta is None:
         raise ValueError("bilap_error_rate needs a Sobolev order beta")
@@ -451,13 +414,7 @@ def bilap_error_rate(cfg: ExperimentConfig, mc_at=()) -> BilapErrorResult:
                     np.asarray([m * eigenvalue_continuum(k) ** (-2.0 * cfg.beta) for k, m in reps]))
     points = _ladder(cfg, 100, lambda a, rep: _bilap_exact_in_noise(
         a, ahom, *modes[a.grid.N], cb, cfg.tol))
-    # The same tag redraws the environments behind the exact points.
-    mc = {N: (mean, stderr) for N, mean, stderr in _ladder(
-        cfg, 100, lambda a, rep: _bilap_monte_carlo(cfg, a, ahom, *modes[a.grid.N], cb, rep),
-        sizes=mc_at)}
-    exact = {N: (mean, stderr) for N, mean, stderr in points}
-    return BilapErrorResult(_rate_series(cfg, "bilap_sq_error", points), mc,
-                            {N: exact[N] for N in mc})
+    return _rate_series(cfg, "bilap_sq_error", points)
 
 
 # ---------------------------------------------------------------------------

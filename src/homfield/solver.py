@@ -31,7 +31,7 @@ import numpy as np
 
 # apply_operator stays bound here only for perfbench's tracer test, which
 # checks its wrapper. That tracer no longer sees _pcg's stencil work; drop
-# the binding once ROADMAP item 1 or 5 counts stencil applications.
+# the binding once ROADMAP item 7 counts stencil applications.
 from .environment import Conductances, _stencil, apply_operator, operator_matrix  # noqa: F401
 from .lattice import (
     LatticeField,
@@ -46,9 +46,7 @@ __all__ = [
     "SolverError",
     "solve_homogeneous",
     "solve_heterogeneous",
-    "green_column",
     "inv_sqrt",
-    "pseudo_eigenfunction",
     "default_max_iterations",
 ]
 
@@ -401,27 +399,6 @@ def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT
     return LatticeField(a.grid, x[0]), report
 
 
-def _delta_rhs(grid: TorusGrid, y) -> LatticeField:
-    values = np.full(grid.shape, -1.0 / grid.n)
-    values[grid.index_of(y)] += 1.0
-    return LatticeField(grid, values)
-
-
-def green_column(a: Conductances | None, grid: TorusGrid, y,
-                 tol: float = DEFAULT_TOL) -> LatticeField:
-    """Column G(., y) of the Green's function: the mean-zero solution of
-
-        (-div a grad G(., y))(x) = delta_{x,y} - 1/N^d.
-
-    Pass ``a=None`` for the unit-conductance torus, solved spectrally.
-    """
-    rhs = _delta_rhs(grid, y)
-    if a is None:
-        return solve_homogeneous(grid, rhs)
-    u, _ = solve_heterogeneous(a, rhs, tol=tol)
-    return u
-
-
 def _pseudo_eigenfunctions(a: Conductances, ahom: float, ks, tol: float) -> tuple:
     """The Fourier modes phi_k of the frequencies ``ks`` and the solutions
     u_k of -div a grad u_k = ahom * lambda_k^(N) * phi_k, each stacked along
@@ -440,12 +417,3 @@ def _pseudo_eigenfunctions(a: Conductances, ahom: float, ks, tol: float) -> tupl
         np.multiply(ahom * eigenvalue_discrete(grid.N, k), phi, out=b)
     return phis, _pcg(a, rhs, tol, default_max_iterations(grid), out=rhs)[0]
 
-
-def pseudo_eigenfunction(a: Conductances, ahom: float, k,
-                         tol: float = DEFAULT_TOL) -> LatticeField:
-    """Solution of -div a grad u = ahom * lambda_k^(N) * phi_k.
-
-    Converges to the Fourier mode phi_k as N grows; for constant a = ahom it
-    equals phi_k up to solver tolerance.
-    """
-    return LatticeField(a.grid, _pseudo_eigenfunctions(a, ahom, [k], tol)[1][0])

@@ -335,10 +335,21 @@ def test_sample_shifted_solve_cap_is_solver_failure(tmp_path, monkeypatch, capsy
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_sample_nan_tolerance_is_config_error(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "n = 8\nlaw = uniform(1,2)\nfield = bilap\ntol = nan\n")
-    assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "tolerance must lie in (0, 1), got nan" in capsys.readouterr().err
+@pytest.mark.parametrize("law", ["law = uniform(1,2)\n", ""], ids=["law", "no-law"])
+@pytest.mark.parametrize("command, body, tol", [
+    ("sample", "n = 8\nfield = bilap\n", "nan"),
+    ("sample", "n = 8\nfield = gff\n", "2"),
+    ("cov", "n = 8\nkset = 1,0\nM = 2\nnoise_replicates = 50\n", "5"),
+    ("rates", "n = 8,16,32\nexperiment = disc\nbeta = 0.75\n", "-1"),
+], ids=["sample-bilap", "sample-gff", "cov", "rates-disc"])
+def test_bad_tolerance_is_config_error(tmp_path, capsys, command, body, tol, law):
+    # every path checks tol, also those that solve nothing without a law
+    cfg = _write_config(tmp_path, f"{body}{law}tol = {tol}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config key 'tol': tolerance must lie in (0, 1), got {float(tol)}" in err
+    assert not out.exists()
 
 
 def test_sample_gff_random_law_n256(tmp_path):

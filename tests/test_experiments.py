@@ -19,9 +19,10 @@ from homfield.experiments import (
     truncation_error,
     _mode_representatives,
 )
-from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
+from homfield.lattice import LatticeField, TorusGrid, dft, eigenvalue_discrete, fourier_mode
 from homfield.sampler import sample_gff
-from homfield.solver import pseudo_eigenfunction
+from homfield.solver import _pseudo_eigenfunctions
+from reference import bilap_monte_carlo_point
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
@@ -158,7 +159,8 @@ def test_stacked_pseudo_errors_equal_one_mode_results():
     assert len(stacked) == 12
     for k, err in zip(ks, stacked):
         one = experiments._pseudo_sq_error(a, ahom, [k], 1e-8)[0]
-        own = (pseudo_eigenfunction(a, ahom, k, tol=1e-8) - fourier_mode(grid, k)).norm() ** 2
+        u = LatticeField(grid, _pseudo_eigenfunctions(a, ahom, [k], 1e-8)[1][0])
+        own = (u - fourier_mode(grid, k)).norm() ** 2
         assert one == pytest.approx(err, rel=1e-14, abs=0)
         assert own == pytest.approx(err, rel=1e-14, abs=0)
 
@@ -181,14 +183,15 @@ def test_bilap_exact_sum_pins_weights_and_scale(monkeypatch):
                            ahom=ahom, tol=tol, mode_cutoff=2, seed=3)
     res = bilap_error_rate(cfg)
     (a, value), = calls
-    assert res.series.points == ((N, value, 0.0),)
+    assert res.points == ((N, value, 0.0),)
     expected = 0.0
     for k in itertools.product(range(-2, 3), repeat=2):
         if not any(k):
             continue
         lam = 4.0 * np.pi**2 * (k[0] ** 2 + k[1] ** 2)
         lam_n = 4.0 * N**2 * (np.sin(np.pi * k[0] / N) ** 2 + np.sin(np.pi * k[1] / N) ** 2)
-        err = (pseudo_eigenfunction(a, ahom, k, tol=tol) - fourier_mode(a.grid, k)).norm() ** 2
+        u = LatticeField(a.grid, _pseudo_eigenfunctions(a, ahom, [k], tol)[1][0])
+        err = (u - fourier_mode(a.grid, k)).norm() ** 2
         expected += lam ** (-2 * beta) * 0.25**2 * err / (ahom * lam_n) ** 2
     assert value == pytest.approx(expected, rel=1e-13, abs=0)
 
@@ -276,7 +279,7 @@ def test_bilap_error_constant_law_trivial():
                            beta=0.75, Ns=(8, 16, 32), replicates=2, seed=0,
                            ahom=2.0, mode_cutoff=2)
     res = bilap_error_rate(cfg)
-    for _, v, _ in res.series.points:
+    for _, v, _ in res.points:
         assert v < 1e-16
 
 
@@ -284,9 +287,8 @@ def test_bilap_estimators_cross_validate():
     cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="bilap", beta=0.75,
                            Ns=(8, 16), replicates=6, noise_replicates=24,
                            seed=1, ahom=float(np.sqrt(2)), mode_cutoff=2)
-    res = bilap_error_rate(cfg, mc_at=(8,))
-    ex_m, ex_s = res.exact_at_mc[8]
-    mc_m, mc_s = res.monte_carlo[8]
+    (_, ex_m, ex_s), _ = bilap_error_rate(cfg).points
+    mc_m, mc_s = bilap_monte_carlo_point(cfg, 8)
     z = abs(ex_m - mc_m) / np.hypot(ex_s, mc_s)
     assert z < 3.0
 

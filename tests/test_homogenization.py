@@ -5,49 +5,43 @@ import pytest
 
 from homfield.environment import Conductances, EnvironmentLaw, sample_environment
 from homfield.homogenization import (
-    _corrected_gradients,
+    _mean_energy,
     corrector_rhs,
-    effective_matrix,
-    effective_sample,
     estimate_ahom,
-    solve_corrector,
     write_ahom_csv,
 )
-from homfield.lattice import TorusGrid
+from homfield.lattice import LatticeField, TorusGrid
+from reference import solve_corrector
 
 
-def flux_sample(a, corrector):
-    """Average flux <a (e_i + grad chi_i) . e_i>; equals the energy form up to
-    the corrector equation's tolerance."""
-    i = corrector.direction
-    grads = _corrected_gradients(a, corrector)
-    return float(np.sum(a.weights[i] * grads[i]) / a.grid.n)
+def flux_sample(a, axis, chi):
+    """Average flux <a (e_i + grad chi_i) . e_i> for i = axis; equals the
+    energy form up to the corrector equation's tolerance."""
+    grad = a.grid.N * (np.roll(chi.values, -1, axis=axis) - chi.values) + 1.0
+    return float(np.sum(a.weights[axis] * grad) / a.grid.n)
 
 
 def test_corrector_rhs_mean_zero():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 0)
     for axis in range(2):
-        rhs = corrector_rhs(a, axis)
+        rhs = LatticeField(grid, corrector_rhs(a, axis))
         assert rhs.is_mean_zero()
 
 
 def test_constant_environment_corrector_vanishes():
     grid = TorusGrid(16, 2)
     a = Conductances.constant(grid, 1.5)
-    corrs = [solve_corrector(a, axis) for axis in range(2)]
-    for c in corrs:
-        assert np.max(np.abs(c.chi.values)) < 1e-12
-    assert effective_sample(a, corrs) == pytest.approx(1.5, abs=1e-10)
-    mat = effective_matrix(a, corrs)
-    assert np.allclose(mat, 1.5 * np.eye(2), atol=1e-10)
+    chis = [solve_corrector(a, axis)[0].values for axis in range(2)]
+    for chi in chis:
+        assert np.max(np.abs(chi)) < 1e-12
+    assert _mean_energy(a, chis) == pytest.approx(1.5, abs=1e-10)
 
 
 def test_effective_sample_between_harmonic_and_arithmetic_mean():
     grid = TorusGrid(32, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 1)
-    corrs = [solve_corrector(a, axis) for axis in range(2)]
-    val = effective_sample(a, corrs)
+    val = _mean_energy(a, [solve_corrector(a, axis)[0].values for axis in range(2)])
     harmonic = 1.0 / np.mean(1.0 / a.weights)
     arithmetic = np.mean(a.weights)
     assert harmonic - 1e-9 <= val <= arithmetic + 1e-9
@@ -56,10 +50,10 @@ def test_effective_sample_between_harmonic_and_arithmetic_mean():
 def test_flux_equals_energy():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 2)
-    corrs = [solve_corrector(a, axis, tol=1e-11) for axis in range(2)]
-    mat = effective_matrix(a, corrs)
-    for axis in range(2):
-        assert flux_sample(a, corrs[axis]) == pytest.approx(mat[axis, axis], abs=1e-6)
+    chis = [solve_corrector(a, axis, tol=1e-11)[0] for axis in range(2)]
+    fluxes = [flux_sample(a, axis, chi) for axis, chi in enumerate(chis)]
+    energy = _mean_energy(a, [chi.values for chi in chis])
+    assert np.mean(fluxes) == pytest.approx(energy, abs=1e-6)
 
 
 def test_one_dimensional_effective_is_harmonic_mean():
@@ -67,8 +61,7 @@ def test_one_dimensional_effective_is_harmonic_mean():
     # harmonic mean of the edge weights (constant flux through the cycle)
     grid = TorusGrid(64, 1)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
-    corr = solve_corrector(a, 0, tol=1e-12)
-    val = effective_sample(a, [corr])
+    val = _mean_energy(a, [solve_corrector(a, 0, tol=1e-12)[0].values])
     harmonic = 1.0 / np.mean(1.0 / a.weights[0])
     assert val == pytest.approx(harmonic, rel=1e-8)
 
@@ -91,9 +84,9 @@ def test_estimate_ahom_reports_solve_telemetry():
         a = sample_environment(law, TorusGrid(8, 2),
                                np.random.SeedSequence(2, spawn_key=(10_000 + rep,)))
         for axis in range(2):
-            corr = solve_corrector(a, axis, tol=1e-9)
-            iterations += corr.iterations
-            worst = max(worst, corr.residual)
+            _, report = solve_corrector(a, axis, tol=1e-9)
+            iterations += report.iterations
+            worst = max(worst, report.residual)
     assert est.iterations == iterations > 0
     assert est.max_residual == worst
     assert 0 < est.max_residual <= 1e-9
@@ -108,11 +101,10 @@ def test_estimate_ahom_equals_its_corrector_solves(N, d):
     for rep in range(2):
         a = sample_environment(law, TorusGrid(N, d),
                                np.random.SeedSequence(4, spawn_key=(10_000 + rep,)))
-        corrs = [solve_corrector(a, axis) for axis in range(d)]
-        values.append(effective_sample(a, corrs))
-        assert values[-1] == np.trace(effective_matrix(a, corrs)) / d
-        iterations += sum(c.iterations for c in corrs)
-        worst = max(worst, *(c.residual for c in corrs))
+        chis, reports = zip(*(solve_corrector(a, axis) for axis in range(d)))
+        values.append(_mean_energy(a, [chi.values for chi in chis]))
+        iterations += sum(r.iterations for r in reports)
+        worst = max(worst, *(r.residual for r in reports))
     assert est.mean == float(np.mean(values))
     assert est.stderr == float(np.std(values, ddof=1) / np.sqrt(2))
     assert (est.iterations, est.max_residual) == (iterations, worst)
@@ -121,16 +113,6 @@ def test_estimate_ahom_equals_its_corrector_solves(N, d):
 def test_estimate_ahom_validates_m():
     with pytest.raises(ValueError):
         estimate_ahom(EnvironmentLaw.uniform(1, 2), 8, 1, seed=0)
-
-
-def test_effective_matrix_validates_correctors():
-    grid = TorusGrid(8, 2)
-    a = Conductances.constant(grid, 1.0)
-    corr0 = solve_corrector(a, 0)
-    with pytest.raises(ValueError):
-        effective_matrix(a, [corr0])
-    with pytest.raises(ValueError):
-        effective_matrix(a, [corr0, corr0])
 
 
 def test_write_ahom_csv(tmp_path):

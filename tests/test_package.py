@@ -1,6 +1,7 @@
 """Every public name a module lists in ``__all__`` exists: the benchmark's
 tracer looks each one up, so a stale entry breaks a traced run. And no
-module imports a name it never uses (no linter runs in tier 1)."""
+module of the package or of the tests imports a name it never uses (no
+linter runs in tier 1)."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pytest
 
 MODULES = ["lattice", "environment", "solver", "homogenization", "sampler",
            "experiments", "cli"]
+TEST_FILES = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def test_package_imports():
@@ -68,3 +70,9 @@ def test_no_unused_imports(name):
     path = pathlib.Path(importlib.import_module(f"homfield.{name}").__file__)
     unused = unused_imports(path.read_text())
     assert not unused, f"homfield.{name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.stem)
+def test_no_unused_imports_in_tests(path):
+    unused = unused_imports(path.read_text())
+    assert not unused, f"tests/{path.name} imports names it never uses: {unused}"

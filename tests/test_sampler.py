@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from homfield.environment import Conductances, EnvironmentLaw, sample_environment
+from homfield.environment import EnvironmentLaw, sample_environment
 from homfield import solver
 from homfield.experiments import formal_constant
 from homfield.lattice import TorusGrid, dft, fourier_mode
@@ -16,7 +16,8 @@ from homfield.sampler import (
     sample_gff,
     sample_noise,
 )
-from homfield.solver import SolverError, green_column, solve_homogeneous
+from homfield.solver import SolverError, solve_homogeneous
+from reference import delta_rhs
 
 
 def test_noise_reproducible_and_standard():
@@ -82,7 +83,7 @@ def test_homogeneous_gff_variance_matches_green():
     vals = np.empty(M)
     for s in range(M):
         vals[s] = sample_gff(grid, None, np.random.SeedSequence(s)).field.values[origin]
-    g = green_column(None, grid, (0, 0))
+    g = solve_homogeneous(grid, delta_rhs(grid, (0, 0)))
     target = g.values[origin]
     stderr = np.std(vals**2) / np.sqrt(M)
     assert abs(np.mean(vals**2) - target) < 4 * stderr
