@@ -27,7 +27,7 @@ from .lattice import (
     fourier_mode,
 )
 from .sampler import sample_noise
-from .solver import DEFAULT_TOL, _pseudo_eigenfunctions, inv_sqrt
+from .solver import DEFAULT_TOL, _check_tol, _pseudo_eigenfunctions, inv_sqrt
 
 __all__ = [
     "RateSeries",
@@ -188,6 +188,7 @@ class ExperimentConfig:
         for name in ("replicates", "noise_replicates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        _check_tol(self.tol)
         if self.mode_cutoff is not None and self.mode_cutoff < 1:
             raise ValueError(f"mode_cutoff must be at least 1, got {self.mode_cutoff}")
         object.__setattr__(self, "Ns", tuple(int(n) for n in self.Ns))
@@ -393,6 +394,14 @@ def _bilap_exact_in_noise(a, ahom: float, ks, weights, cb: float, tol: float) ->
                      for k, w, err in zip(ks, weights, errs)))
 
 
+def _bilap_modes(cfg: ExperimentConfig, N: int) -> tuple:
+    """The representative modes k of the size-N grid and their weights
+    mult * lambda_k^(-2 beta)."""
+    reps = list(_mode_representatives(TorusGrid(N, cfg.d), cfg.mode_cutoff))
+    return ([k for k, _ in reps],
+            np.asarray([m * eigenvalue_continuum(k) ** (-2.0 * cfg.beta) for k, m in reps]))
+
+
 def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
     """Environment-averaged squared H^{-beta} distance between the
     heterogeneous bi-Laplacian field and its rescaled homogeneous partner,
@@ -407,11 +416,7 @@ def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
         raise ValueError("bilap_error_rate needs an environment law")
     ahom = cfg.resolve_ahom()
     cb = formal_constant("bilap", cfg.d)
-    modes = {}  # N -> the representative modes and their weights mult lambda_k^(-2 beta)
-    for N in cfg.Ns:
-        reps = list(_mode_representatives(TorusGrid(N, cfg.d), cfg.mode_cutoff))
-        modes[N] = ([k for k, _ in reps],
-                    np.asarray([m * eigenvalue_continuum(k) ** (-2.0 * cfg.beta) for k, m in reps]))
+    modes = {N: _bilap_modes(cfg, N) for N in cfg.Ns}
     points = _ladder(cfg, 100, lambda a, rep: _bilap_exact_in_noise(
         a, ahom, *modes[a.grid.N], cb, cfg.tol))
     return _rate_series(cfg, "bilap_sq_error", points)

@@ -3,17 +3,13 @@ engine: the delta right-hand side of a Green's-function column, one
 corrector solve, and the shared-noise Monte-Carlo estimate of the
 bi-Laplacian error norm that cross-checks the noise-exact one."""
 
+import dataclasses
+
 import numpy as np
 
-from homfield.environment import sample_environment
-from homfield.experiments import (
-    ExperimentConfig,
-    _mode_representatives,
-    _replicate_seed,
-    formal_constant,
-)
+from homfield.experiments import ExperimentConfig, _bilap_modes, _ladder, formal_constant
 from homfield.homogenization import corrector_rhs
-from homfield.lattice import LatticeField, TorusGrid, dft, eigenvalue_continuum
+from homfield.lattice import LatticeField, TorusGrid, dft
 from homfield.sampler import sample_noise
 from homfield.solver import DEFAULT_TOL, solve_heterogeneous, solve_homogeneous
 
@@ -53,14 +49,8 @@ def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: f
 def bilap_monte_carlo_point(cfg: ExperimentConfig, N: int) -> tuple:
     """(mean, stderr) of :func:`_bilap_monte_carlo` over the environments
     that ``bilap_error_rate(cfg)`` draws at the ladder size N, with its
-    modes, weights and scale."""
-    grid = TorusGrid(N, cfg.d)
-    reps = list(_mode_representatives(grid, cfg.mode_cutoff))
-    ks = [k for k, _ in reps]
-    weights = np.asarray([m * eigenvalue_continuum(k) ** (-2.0 * cfg.beta) for k, m in reps])
-    ahom, cb, tag = cfg.resolve_ahom(), formal_constant("bilap", cfg.d), 100 + cfg.Ns.index(N)
-    vals = np.asarray([
-        _bilap_monte_carlo(cfg, sample_environment(cfg.law, grid, _replicate_seed(cfg, tag, rep)),
-                           ahom, ks, weights, cb, rep)
-        for rep in range(cfg.replicates)], dtype=float)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    modes, weights and scale: the engine's own ``_ladder`` at the same tag."""
+    ahom, cb = cfg.resolve_ahom(), formal_constant("bilap", cfg.d)
+    ks, weights = _bilap_modes(cfg, N)
+    return tuple(_ladder(dataclasses.replace(cfg, Ns=(N,)), 100 + cfg.Ns.index(N),
+                         lambda a, rep: _bilap_monte_carlo(cfg, a, ahom, ks, weights, cb, rep))[0][1:])

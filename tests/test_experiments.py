@@ -125,6 +125,12 @@ def test_config_rejects_fewer_than_one_replicate(name, value):
         ExperimentConfig(d=2, Ns=(8, 16), **{name: value})
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0, 5.0, -1.0, float("nan")])
+def test_config_rejects_tolerance_outside_unit_interval(tol):
+    with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1\)"):
+        ExperimentConfig(d=2, Ns=(8, 16, 32), beta=0.75, tol=tol)
+
+
 def test_config_resolve_ahom():
     cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(8,), ahom=1.4)
     assert cfg.resolve_ahom() == 1.4

@@ -21,6 +21,19 @@ def flux_sample(a, axis, chi):
     return float(np.sum(a.weights[axis] * grad) / a.grid.n)
 
 
+def axis_energies(a, chis):
+    """Per-axis energies <(e_i + grad chi_i) . a (e_i + grad chi_i)>, the
+    terms whose mean is the energy estimator."""
+    grid = a.grid
+    energies = []
+    for i, chi in enumerate(chis):
+        grads = [grid.N * (np.roll(chi, -1, axis=axis) - chi) + (axis == i)
+                 for axis in range(grid.d)]
+        energies.append(sum(np.sum(a.weights[axis] * g * g) for axis, g in enumerate(grads))
+                        / grid.n)
+    return energies
+
+
 def test_corrector_rhs_mean_zero():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 0)
@@ -35,6 +48,7 @@ def test_constant_environment_corrector_vanishes():
     chis = [solve_corrector(a, axis)[0].values for axis in range(2)]
     for chi in chis:
         assert np.max(np.abs(chi)) < 1e-12
+    assert axis_energies(a, chis) == pytest.approx([1.5, 1.5], abs=1e-10)
     assert _mean_energy(a, chis) == pytest.approx(1.5, abs=1e-10)
 
 
@@ -51,9 +65,11 @@ def test_flux_equals_energy():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 2)
     chis = [solve_corrector(a, axis, tol=1e-11)[0] for axis in range(2)]
-    fluxes = [flux_sample(a, axis, chi) for axis, chi in enumerate(chis)]
-    energy = _mean_energy(a, [chi.values for chi in chis])
-    assert np.mean(fluxes) == pytest.approx(energy, abs=1e-6)
+    energies = axis_energies(a, [chi.values for chi in chis])
+    for axis, chi in enumerate(chis):
+        assert flux_sample(a, axis, chi) == pytest.approx(energies[axis], abs=1e-6)
+    assert np.mean(energies) == pytest.approx(_mean_energy(a, [chi.values for chi in chis]),
+                                              rel=1e-14)
 
 
 def test_one_dimensional_effective_is_harmonic_mean():
