@@ -20,7 +20,7 @@ are optional unless a command requires them)::
     field = bilap                 # sample: gff | bilap
     beta = 0.75                   # Sobolev order (bilap/disc experiments); any
                                   # value, 0 included, must pass the threshold
-                                  # beta > d/4 (gff) or d/4 - 1/2 (bilap)
+                                  # beta > d/4 - 1/2
     kset = 1,0; 0,1; 1,1          # frequency list, components comma-separated
                                   # (rates pseudo: exactly one frequency)
     M = 16                        # environment replicates, >= 1
@@ -31,8 +31,8 @@ are optional unless a command requires them)::
                                   # >= 1; omit for the whole window
     experiment = pseudo           # rates: pseudo | bilap | disc | synthetic
                                   # (pseudo and bilap need a law)
-    ahom = 1.4142135623730951     # effective coefficient; omit to estimate
-                                  # (rates says so on stderr)
+    ahom = 1.4142135623730951     # effective coefficient, finite and > 0;
+                                  # omit to estimate (rates says so on stderr)
     expect_slope = -2             # optional rate assertion ...
     slope_tol = 0.3               # ... |slope - expect| <= tol, else exit 4;
                                   # a NaN slope (constant law, or fewer
@@ -296,11 +296,10 @@ def _write_rate_csv(path, series: RateSeries) -> None:
             writer.writerow([series.quantity, n, repr(float(v)), repr(float(s))])
 
 
-def _experiment_config(cfg, seed, field_kind) -> ExperimentConfig:
+def _experiment_config(cfg, seed) -> ExperimentConfig:
     return ExperimentConfig(
         d=_get(cfg, "d", default=2, cast=int),
         law=_law(cfg),
-        field_kind=field_kind,
         beta=_get(cfg, "beta", default=None, cast=float),
         Ns=_get(cfg, "n", cast=_parse_ns),
         kset=_get(cfg, "kset", default=(), cast=_parse_kset),
@@ -336,21 +335,21 @@ def cmd_rates(args, cfg) -> int:
     ahom_record = {}
     if experiment == "synthetic":
         # harness self-test: exact power law injected instead of measurement
-        ns = _experiment_config(cfg, seed, "bilap").Ns
+        ns = _experiment_config(cfg, seed).Ns
         series = RateSeries.from_points("synthetic_nm2", [(n, n**-2.0, 0.0) for n in ns])
     elif experiment == "pseudo":
         # checked before ahom is estimated
         if len(_get(cfg, "kset", cast=_parse_kset)) != 1:
             raise ConfigError("config key 'kset': experiment = pseudo measures one mode; "
                               "give one frequency")
-        ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed, "gff"))
+        ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed))
         series = pseudo_eigen_rate(ecfg)
     elif experiment == "bilap":
         _get(cfg, "beta")  # checked before ahom is estimated
-        ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed, "bilap"))
+        ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed))
         series = bilap_error_rate(ecfg)
     elif experiment == "disc":
-        series = discretization_rate(_experiment_config(cfg, seed, "bilap"))
+        series = discretization_rate(_experiment_config(cfg, seed))
     else:
         raise ConfigError(f"unknown experiment {experiment!r}")
     _write_rate_csv(os.path.join(args.out, f"rates_{experiment}.csv"), series)
@@ -372,7 +371,7 @@ def cmd_rates(args, cfg) -> int:
 
 def cmd_cov(args, cfg) -> int:
     seed = _seed(args, cfg)
-    ecfg = _experiment_config(cfg, seed, "gff")
+    ecfg = _experiment_config(cfg, seed)
     t0 = time.time()
     report = gff_covariance_limit(ecfg)
     path = os.path.join(args.out, "covariance.csv")

@@ -30,16 +30,17 @@ __all__ = [
 
 ENV_MAGIC = b"HFENV1"
 _DENSE_SITES = 4096  # largest grid of operator_matrix
+_ARITY = {"constant": 1, "uniform": 2, "bernoulli": 3}  # parameters per law variant
 
 
 @dataclass(frozen=True)
 class EnvironmentLaw:
     """Product law for i.i.d. edge conductances.
 
-    Variants: ``constant(c)``, ``uniform(lo, hi)`` and ``bernoulli(p, a, b)``
-    where the Bernoulli law puts mass p on b and 1-p on a. Every parameter
-    is finite and every atom lies in [1, Lambda], as :class:`Conductances`
-    requires; Lambda is the largest atom.
+    Variants: ``constant(c)``, ``uniform(lo, hi)`` with lo < hi, and
+    ``bernoulli(p, a, b)`` with mass p in [0, 1] on b and 1-p on a. Every
+    parameter is checked on construction: finite, and every atom in
+    [1, Lambda] as :class:`Conductances` requires; Lambda is the largest atom.
     """
 
     variant: str
@@ -51,19 +52,22 @@ class EnvironmentLaw:
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "EnvironmentLaw":
-        if not lo < hi:
-            raise ValueError(f"uniform law needs lo < hi, got ({lo}, {hi})")
         return cls("uniform", (float(lo), float(hi)))
 
     @classmethod
     def bernoulli(cls, p: float, a: float, b: float) -> "EnvironmentLaw":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli probability must be in [0, 1], got {p}")
         return cls("bernoulli", (float(p), float(a), float(b)))
 
     def __post_init__(self):
-        if self.variant not in ("constant", "uniform", "bernoulli"):
+        if self.variant not in _ARITY:
             raise ValueError(f"unknown law variant {self.variant!r}")
+        if len(self.params) != _ARITY[self.variant]:
+            raise ValueError(f"{self.variant} law has {len(self.params)} "
+                             f"parameters, expected {_ARITY[self.variant]}")
+        if self.variant == "uniform" and not self.params[0] < self.params[1]:
+            raise ValueError(f"uniform law needs lo < hi, got {self.params}")
+        if self.variant == "bernoulli" and not 0.0 <= self.params[0] <= 1.0:
+            raise ValueError(f"bernoulli probability must be in [0, 1], got {self.params[0]}")
         if not all(np.isfinite(self.params)):
             raise ValueError(f"law {self.describe()} has a non-finite parameter")
         if min(self.atoms_range) < 1.0:
@@ -84,15 +88,6 @@ class EnvironmentLaw:
     def ellipticity(self) -> float:
         """Upper ellipticity bound Lambda implied by the parameters."""
         return max(self.atoms_range)
-
-    def mean(self) -> float:
-        if self.variant == "constant":
-            return self.params[0]
-        if self.variant == "uniform":
-            lo, hi = self.params
-            return 0.5 * (lo + hi)
-        p, a, b = self.params
-        return (1.0 - p) * a + p * b
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.variant == "constant":
@@ -125,18 +120,19 @@ class EnvironmentLaw:
 
 @dataclass(frozen=True)
 class Conductances:
-    """Edge-indexed environment on a torus grid, uniformly elliptic."""
+    """Edge-indexed environment on a torus grid whose weights lie in
+    [1, Lambda]; the bound Lambda = ``ellipticity`` is required."""
 
     grid: TorusGrid
     weights: np.ndarray = field(repr=False)
-    ellipticity: float = None
+    ellipticity: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         expected = (self.grid.d,) + self.grid.shape
         if w.shape != expected:
             raise ValueError(f"weights shape {w.shape}, expected {expected}")
-        lam = self.ellipticity if self.ellipticity is not None else float(w.max())
+        lam = float(self.ellipticity)
         # written so that NaN weights or a NaN lam fail the check
         if not (w.min() >= 1.0 and w.max() <= lam):
             raise ValueError(
@@ -144,11 +140,7 @@ class Conductances:
                 f"[{w.min()}, {w.max()}]"
             )
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "ellipticity", float(lam))
-
-    @classmethod
-    def constant(cls, grid: TorusGrid, c: float) -> "Conductances":
-        return cls(grid, np.full((grid.d,) + grid.shape, float(c)))
+        object.__setattr__(self, "ellipticity", lam)
 
 
 def sample_environment(law: EnvironmentLaw, grid: TorusGrid, seed) -> Conductances:

@@ -153,16 +153,12 @@ AHOM_ESTIMATE_M = 32  # environments behind an estimated ahom
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared configuration of the Monte-Carlo experiments.
-
-    ``field_kind`` selects the convergence regime being probed and gates the
-    admissible Sobolev orders: free-field experiments need beta > d/4,
-    bi-Laplacian experiments beta > d/4 - 1/2.
-    """
+    """Shared configuration of the Monte-Carlo experiments. Only the
+    bi-Laplacian experiments read ``beta``, so it must pass their
+    convergence threshold beta > d/4 - 1/2."""
 
     d: int
     law: EnvironmentLaw = None
-    field_kind: str = "bilap"
     beta: float = None
     Ns: tuple = ()
     kset: tuple = ()
@@ -174,17 +170,13 @@ class ExperimentConfig:
     mode_cutoff: int = None
 
     def __post_init__(self):
-        if self.field_kind not in ("gff", "bilap"):
-            raise ValueError(f"unknown field kind {self.field_kind!r}")
-        if self.beta is not None:
-            threshold = self.d / 4.0
-            if self.field_kind == "bilap":
-                threshold -= 0.5
-            if self.beta <= threshold:
-                raise ValueError(
-                    f"beta={self.beta} violates the convergence threshold "
-                    f"beta > {threshold} for {self.field_kind} in d={self.d}"
-                )
+        threshold = self.d / 4.0 - 0.5
+        if self.beta is not None and self.beta <= threshold:
+            raise ValueError(f"beta={self.beta} violates the convergence threshold "
+                             f"beta > {threshold} in d={self.d}")
+        # written so that a NaN ahom fails the check
+        if self.ahom is not None and not 0 < self.ahom < math.inf:
+            raise ValueError(f"ahom must be finite and positive, got {self.ahom}")
         for name in ("replicates", "noise_replicates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -285,13 +277,10 @@ class CovarianceReport:
     noise-exact (infinite-sample) covariance averaged over the same
     environments."""
 
-    N: int
     kset: tuple
     covariance: np.ndarray = field(repr=False)
     stderr: np.ndarray = field(repr=False)
     fitted_constant: float
-    samples: int
-    environments: int
     exact_covariance: np.ndarray = field(repr=False)
 
     def offdiag_frobenius(self, exact: bool = False) -> float:
@@ -362,8 +351,7 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
     lam = np.asarray([eigenvalue_continuum(k) for k in cfg.kset])
     diag = np.real(np.diag(cov))
     fitted = float(np.sum(diag / lam) / np.sum(1.0 / lam**2))
-    return CovarianceReport(N, cfg.kset, cov, np.real(stderr), fitted,
-                            len(coeffs), cfg.replicates, np.mean(exacts, axis=0))
+    return CovarianceReport(cfg.kset, cov, np.real(stderr), fitted, np.mean(exacts, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .environment import Conductances, EnvironmentLaw, sample_environment
 from .lattice import TorusGrid
-from .solver import DEFAULT_TOL, SolverError, _check_tol, _pcg, default_max_iterations
+from .solver import DEFAULT_TOL, SolverError, _pcg
 
 __all__ = ["AhomEstimate", "estimate_ahom", "write_ahom_csv"]
 
@@ -73,9 +73,7 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
     """
     if M < 2:
         raise ValueError(f"need at least 2 replicates, got {M}")
-    _check_tol(tol)
     grid = TorusGrid(N, d)
-    maxiter = default_max_iterations(grid)
     values = []
     failures = iterations = 0
     max_residual = 0.0
@@ -85,7 +83,7 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
         a = sample_environment(law, grid, rep_seed)
         rhs = np.stack([corrector_rhs(a, axis) for axis in range(d)])
         try:
-            chis, report = _pcg(a, rhs, tol, maxiter, out=rhs, iters=counts)
+            chis, report = _pcg(a, rhs, tol, out=rhs, iters=counts)
         except SolverError:
             failures += 1
             if failures > M // 2:

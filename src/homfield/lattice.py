@@ -55,37 +55,27 @@ class TorusGrid:
     def shape(self) -> tuple:
         return (self.N,) * self.d
 
-    @property
-    def origin_index(self) -> tuple:
-        """Array index of the site (or frequency) with coordinate 0."""
-        return (self.N // 2,) * self.d
-
     def coordinates_1d(self) -> np.ndarray:
         """Integer coordinates along one axis, [-floor(N/2), ceil(N/2))."""
         return np.arange(self.N) - self.N // 2
 
     def index_of(self, x) -> tuple:
-        """Array index of the site with integer coordinates x (periodic)."""
+        """Array index of the site (or frequency) with integer coordinates x
+        (periodic)."""
         x = np.asarray(x, dtype=int)
         if x.shape != (self.d,):
             raise ValueError(f"expected {self.d} coordinates, got shape {x.shape}")
         s = self.N // 2
         return tuple((np.mod(x + s, self.N)).tolist())
 
-    def frequency_in_range(self, k) -> bool:
-        k = np.asarray(k, dtype=int)
-        lo = -(self.N // 2)
-        hi = self.N - self.N // 2  # exclusive
-        return bool(np.all(k >= lo) and np.all(k < hi))
-
     def check_frequency(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=int)
         if k.shape != (self.d,):
             raise ValueError(f"expected {self.d} frequency components, got {k!r}")
-        if not self.frequency_in_range(k):
+        lo, hi = -(self.N // 2), self.N - self.N // 2  # hi exclusive
+        if not (np.all(k >= lo) and np.all(k < hi)):
             raise ValueError(
-                f"frequency {k.tolist()} outside the window [-{self.N // 2}, "
-                f"{self.N - self.N // 2}) for N={self.N}"
+                f"frequency {k.tolist()} outside the window [{lo}, {hi}) for N={self.N}"
             )
         return k
 
@@ -152,21 +142,15 @@ class LatticeField:
     def centered(self) -> "LatticeField":
         return LatticeField(self.grid, self.values - self.mean())
 
-    def inner(self, other: "LatticeField"):
-        """Normalized inner product (f, g) = N^-d sum f conj(g)."""
-        return np.vdot(other.values, self.values) / self.grid.n
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.grid.n))
-
-    def __sub__(self, other):
-        return LatticeField(self.grid, self.values - other.values)
 
 
 @dataclass(frozen=True)
 class SpectralField:
     """Fourier coefficients of a lattice field, indexed over the symmetric
-    frequency window in the same row-major layout as site values."""
+    frequency window in the same row-major layout as site values: the
+    coefficient of mode k is ``coefficients[grid.index_of(k)]``."""
 
     grid: TorusGrid
     coefficients: np.ndarray = field(repr=False)
@@ -174,10 +158,6 @@ class SpectralField:
     def __post_init__(self):
         coeffs = _check_values(self.grid, self.coefficients)
         object.__setattr__(self, "coefficients", np.asarray(coeffs, dtype=complex))
-
-    def coefficient(self, k) -> complex:
-        k = self.grid.check_frequency(k)
-        return complex(self.coefficients[self.grid.index_of(k)])
 
 
 def fourier_mode(grid: TorusGrid, k) -> LatticeField:

@@ -153,8 +153,8 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
-         shift: float = 0.0, out: np.ndarray = None, iters: np.ndarray = None) -> tuple:
+def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float = 0.0,
+         out: np.ndarray = None, iters: np.ndarray = None) -> tuple:
     """CG for the divergence-form operator plus ``shift`` times the identity,
     preconditioned by the spectral inverse of -Lap_N + shift, for the
     right-hand sides stacked along the first axis of ``b``.
@@ -186,10 +186,12 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
     iteration count of each field when given.
 
     Returns (x, report), the report holding the largest iteration count and
-    the worst final residual of the stack; raises SolverError when the
-    iteration cap is hit before every relative residual of a chunk reaches
-    tol, with the report of the first such chunk in stack order.
+    the worst final residual of the stack. Raises ValueError for a tol
+    outside (0, 1), and SolverError when the cap of default_max_iterations
+    is hit before every relative residual of a chunk reaches tol, with the
+    report of the first such chunk in stack order.
     """
+    _check_tol(tol)
     x = np.empty(b.shape, np.result_type(b, np.float64)) if out is None else out
     iters = np.empty(len(b), np.int64) if iters is None else iters
     chunk = max(1, _CHUNK_BYTES // (a.grid.n * x.itemsize))
@@ -209,7 +211,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
                     return
             rows = slice(starts[j], starts[j] + chunk)
             try:
-                results[j] = _pcg_chunk(a, b[rows], tol, maxiter, shift, x[rows], iters[rows])
+                results[j] = _pcg_chunk(a, b[rows], tol, shift, x[rows], iters[rows])
             except Exception as exc:      # re-raised by the caller after the join
                 results[j] = exc
 
@@ -226,12 +228,13 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
                           max((r.residual for r in results), default=0.0))
 
 
-def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, maxiter: int,
-               shift: float, out: np.ndarray, iters: np.ndarray) -> SolveReport:
+def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float,
+               out: np.ndarray, iters: np.ndarray) -> SolveReport:
     """The loop of :func:`_pcg` for one chunk of its stack; writes the
     solutions into ``out`` and the iteration counts into ``iters``, and
     returns the chunk's report."""
     precond = _spectral_multiplier(a.grid, -1.0, shift)
+    maxiter = default_max_iterations(a.grid)
     axes = tuple(range(1, b.ndim))
     col = (-1,) + (1,) * len(axes)        # one coefficient per field
     r = np.array(b, dtype=np.result_type(b, np.float64))
@@ -374,11 +377,10 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
         lo = eigenvalue_discrete(grid.N, (1,))
         hi = 4.0 * grid.d * a.ellipticity * grid.N**2
         shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
-        maxiter = default_max_iterations(grid)
         fields = values.reshape((-1,) + grid.shape)
         out = np.zeros(fields.shape, np.result_type(fields, np.float64))
         for s, w in zip(shifts, weights):
-            out += w * _pcg(a, fields, tol, maxiter, shift=s)[0]
+            out += w * _pcg(a, fields, tol, shift=s)[0]
         out = out.reshape(values.shape)
     return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
 
@@ -393,9 +395,8 @@ def solve_heterogeneous(a: Conductances, rhs: LatticeField, tol: float = DEFAULT
     """
     if rhs.grid != a.grid:
         raise ValueError("rhs grid mismatch")
-    _check_tol(tol)
     _require_mean_zero(rhs)
-    x, report = _pcg(a, rhs.values[None], tol, default_max_iterations(a.grid))
+    x, report = _pcg(a, rhs.values[None], tol)
     return LatticeField(a.grid, x[0]), report
 
 
@@ -409,11 +410,10 @@ def _pseudo_eigenfunctions(a: Conductances, ahom: float, ks, tol: float) -> tupl
         raise ValueError("pseudo-eigenfunctions are defined for k != 0 only")
     if ahom <= 0:
         raise ValueError(f"ahom must be positive, got {ahom}")
-    _check_tol(tol)
     phis = np.empty((len(ks),) + grid.shape, np.complex128)
     rhs = np.empty_like(phis)
     for phi, b, k in zip(phis, rhs, ks):
         phi[...] = fourier_mode(grid, k).values
         np.multiply(ahom * eigenvalue_discrete(grid.N, k), phi, out=b)
-    return phis, _pcg(a, rhs, tol, default_max_iterations(grid), out=rhs)[0]
+    return phis, _pcg(a, rhs, tol, out=rhs)[0]
 

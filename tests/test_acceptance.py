@@ -11,7 +11,6 @@ import numpy as np
 from homfield import solver
 from homfield.cli import EXIT_OK, main
 from homfield.environment import (
-    Conductances,
     EnvironmentLaw,
     extend,
     operator_matrix,
@@ -55,11 +54,11 @@ def test_criterion_1_constant_environment_degeneracy():
     with criterion(1, "constant-environment degeneracy"):
         c = 1.5
         grid = TorusGrid(16, 2)
-        a = Conductances.constant(grid, c)
+        a = sample_environment(EnvironmentLaw.constant(c), grid, 0)
         # pseudo-eigenfunctions equal Fourier modes
         for k in [(1, 0), (2, -3)]:
-            phi = LatticeField(grid, _pseudo_eigenfunctions(a, c, [k], 1e-12)[1][0])
-            assert (phi - fourier_mode(grid, k)).norm() < 1e-8
+            phi = _pseudo_eigenfunctions(a, c, [k], 1e-12)[1][0]
+            assert LatticeField(grid, phi - fourier_mode(grid, k).values).norm() < 1e-8
         # corrector is identically zero
         for axis in range(2):
             chi, _ = solve_corrector(a, axis, tol=1e-12)
@@ -69,12 +68,12 @@ def test_criterion_1_constant_environment_degeneracy():
         assert abs(est.mean - c) < 1e-10
         # both error fields vanish to solver tolerance
         cfg = ExperimentConfig(d=2, law=EnvironmentLaw.constant(c),
-                               field_kind="gff", Ns=(8, 16), kset=((1, 0),),
+                               Ns=(8, 16), kset=((1, 0),),
                                replicates=2, seed=0, ahom=c, tol=1e-12)
         for _, v, _ in pseudo_eigen_rate(cfg).points:
             assert v < 1e-16
         cfgb = ExperimentConfig(d=2, law=EnvironmentLaw.constant(c),
-                                field_kind="bilap", beta=0.75, Ns=(8, 16),
+                                beta=0.75, Ns=(8, 16),
                                 replicates=2, seed=0, ahom=c, tol=1e-12,
                                 mode_cutoff=2)
         for _, v, _ in bilap_error_rate(cfgb).points:
@@ -92,8 +91,7 @@ def test_criterion_2_effective_coefficient_oracles():
 
 def test_criterion_3_pseudo_eigenfunction_rate():
     with criterion(3, "pseudo-eigenfunction convergence rate -2"):
-        cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff",
-                               Ns=(16, 32, 64, 128), kset=((1, 0),),
+        cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(16, 32, 64, 128), kset=((1, 0),),
                                replicates=64, seed=31, ahom=SQRT2)
         rs = pseudo_eigen_rate(cfg)
         slope = rs.corrected[0]
@@ -102,8 +100,7 @@ def test_criterion_3_pseudo_eigenfunction_rate():
 
 def test_criterion_4_bilaplacian_error_rate():
     with criterion(4, "bi-Laplacian error norm rate -2 with MC cross-check"):
-        cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="bilap",
-                               beta=0.75, Ns=(16, 32, 64, 128),
+        cfg = ExperimentConfig(d=2, law=BERNOULLI, beta=0.75, Ns=(16, 32, 64, 128),
                                replicates=16, noise_replicates=32, seed=41,
                                ahom=SQRT2, mode_cutoff=2)
         series = bilap_error_rate(cfg)
@@ -119,7 +116,7 @@ def test_criterion_4_bilaplacian_error_rate():
 
 def test_criterion_5_discretization_rate():
     with criterion(5, "coupled discretization error rate -5"):
-        cfg = ExperimentConfig(d=2, field_kind="bilap", beta=0.75,
+        cfg = ExperimentConfig(d=2, beta=0.75,
                                Ns=(8, 16, 32, 64))
         rs = discretization_rate(cfg)
         target = 2.0 - 4.0 - 4.0 * 0.75
@@ -131,8 +128,7 @@ def test_criterion_6_gff_covariance_limit():
         kset = ((1, 0), (0, 1), (1, 1), (2, 0))
 
         def run(N):
-            cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff",
-                                   Ns=(N,), kset=kset, replicates=8,
+            cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(N,), kset=kset, replicates=8,
                                    noise_replicates=2000, seed=61)
             return gff_covariance_limit(cfg)
 

@@ -215,7 +215,7 @@ def test_rates_d2_records_the_corrected_fit(tmp_path, capsys):
             "kset = 1,0\nM = 2\nahom = 1.4142135623730951\n")
     assert main(["rates", "--config", _write_config(tmp_path, body), "--out", str(out)]) == EXIT_OK
     series = pseudo_eigen_rate(ExperimentConfig(
-        d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), field_kind="gff", Ns=(4, 8, 16),
+        d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16),
         kset=((1, 0),), replicates=2, ahom=2**0.5))
     slope, _, hw, t_hw = series.corrected
     rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
@@ -419,8 +419,8 @@ def test_rates_pseudo_with_several_modes_is_config_error(tmp_path, capsys):
     assert "kset" in err
     assert "estimating" not in err
     assert not (tmp_path / "rates_pseudo.csv").exists()
-    ecfg = ExperimentConfig(d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), field_kind="gff",
-                            Ns=(4, 8, 16), kset=((1, 0), (2, 0)), replicates=2, ahom=1.4)
+    ecfg = ExperimentConfig(d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16),
+                            kset=((1, 0), (2, 0)), replicates=2, ahom=1.4)
     with pytest.raises(ValueError, match="kset"):
         pseudo_eigen_rate(ecfg)
 
@@ -467,6 +467,29 @@ def test_rates_beta_zero_meets_the_threshold_check(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "violates the convergence threshold" in err
     assert "estimating" not in err
+
+
+@pytest.mark.parametrize("command, body", [
+    ("rates", "experiment = pseudo\nkset = 1,0\n"),
+    ("cov", "kset = 1,0\nnoise_replicates = 50\n"),
+], ids=["rates-pseudo", "cov"])
+def test_beta_read_by_no_experiment_meets_only_the_bilap_threshold(tmp_path, command, body):
+    # beta = 0.5 in d = 2 lies above d/4 - 1/2; neither command reads it
+    cfg = _write_config(tmp_path, f"n = 4,8,16\nlaw = bernoulli(0.5,1,2)\nM = 2\n"
+                                  f"ahom = 1.4\nbeta = 0.5\n{body}")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("experiment", ["pseudo", "bilap"])
+@pytest.mark.parametrize("ahom", ["nan", "inf", "0", "-1"])
+def test_non_finite_or_non_positive_ahom_is_config_error(tmp_path, capsys, experiment, ahom):
+    cfg = _write_config(tmp_path, f"n = 4,8,16\nexperiment = {experiment}\nkset = 1,0\n"
+                                  f"law = bernoulli(0.5,1,2)\nbeta = 0.75\nM = 2\n"
+                                  f"ahom = {ahom}\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "ahom must be finite and positive" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_rates_bad_expect_slope_fails_before_running(tmp_path, capsys):

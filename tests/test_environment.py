@@ -24,11 +24,7 @@ def test_law_constructors_and_parse():
     assert law.variant == "bernoulli"
     assert law.params == (0.5, 1.0, 2.0)
     assert law.ellipticity == 2.0
-    assert law.mean() == pytest.approx(1.5)
     assert EnvironmentLaw.parse(law.describe()) == law
-    uni = EnvironmentLaw.uniform(1, 2)
-    assert uni.mean() == pytest.approx(1.5)
-    assert EnvironmentLaw.constant(1.5).mean() == 1.5
 
 
 def test_law_rejects_support_below_one():
@@ -45,6 +41,16 @@ def test_law_rejects_support_below_one():
 def test_law_rejects_non_finite_parameters(text):
     with pytest.raises(ValueError, match="non-finite"):
         EnvironmentLaw.parse(text)
+
+
+@pytest.mark.parametrize("variant, params, message", [
+    ("bernoulli", (1.5, 1.0, 2.0), "probability"),
+    ("uniform", (2.0, 1.0), "lo < hi"),
+    ("constant", (1.0, 2.0), "has 2 parameters, expected 1"),
+])
+def test_law_checks_its_parameters_on_direct_construction(variant, params, message):
+    with pytest.raises(ValueError, match=message):
+        EnvironmentLaw(variant, params)
 
 
 def test_law_parse_errors():
@@ -87,14 +93,16 @@ def test_bernoulli_law_frequencies():
 def test_conductances_validation():
     grid = TorusGrid(4, 2)
     with pytest.raises(ValueError):
-        Conductances(grid, np.full((2, 4, 4), 0.5))
+        Conductances(grid, np.full((2, 4, 4), 0.5), ellipticity=2.0)
     with pytest.raises(ValueError):
-        Conductances(grid, np.ones((1, 4, 4)))
+        Conductances(grid, np.ones((1, 4, 4)), ellipticity=2.0)
     with pytest.raises(ValueError):
-        Conductances(grid, np.full((2, 4, 4), np.nan))
+        Conductances(grid, np.full((2, 4, 4), np.nan), ellipticity=2.0)
     with pytest.raises(ValueError):
         Conductances(grid, np.ones((2, 4, 4)), ellipticity=float("nan"))
-    assert np.all(Conductances.constant(grid, 1.5).weights == 1.5)
+    with pytest.raises(ValueError):
+        Conductances(grid, np.full((2, 4, 4), 2.5), ellipticity=2.0)
+    assert np.all(sample_environment(EnvironmentLaw.constant(1.5), grid, 0).weights == 1.5)
 
 
 def test_project_extend_roundtrip():
@@ -117,7 +125,7 @@ def test_project_extend_composite_is_periodic():
 
 def test_project_larger_than_source_raises():
     grid = TorusGrid(8, 2)
-    a = Conductances.constant(grid, 1.0)
+    a = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
     with pytest.raises(ValueError):
         project(a, 16)
     with pytest.raises(ValueError):

@@ -91,19 +91,13 @@ def test_rate_series_from_points():
 
 
 def test_config_beta_thresholds():
-    # free-field experiments need beta > d/4
+    # beta is read only by bi-Laplacian experiments, which need beta > d/4 - 1/2
     with pytest.raises(ValueError):
-        ExperimentConfig(d=2, field_kind="gff", beta=0.5, Ns=(8, 16))
-    ExperimentConfig(d=2, field_kind="gff", beta=0.51, Ns=(8, 16))
-    # bi-Laplacian experiments need beta > d/4 - 1/2
-    with pytest.raises(ValueError):
-        ExperimentConfig(d=2, field_kind="bilap", beta=0.0, Ns=(8, 16))
-    ExperimentConfig(d=2, field_kind="bilap", beta=0.25, Ns=(8, 16))
+        ExperimentConfig(d=2, beta=0.0, Ns=(8, 16))
+    ExperimentConfig(d=2, beta=0.25, Ns=(8, 16))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(d=2, field_kind="exotic", Ns=(8,))
     with pytest.raises(ValueError):
         ExperimentConfig(d=2, Ns=(16, 8))
     with pytest.raises(ValueError):
@@ -129,6 +123,12 @@ def test_config_rejects_fewer_than_one_replicate(name, value):
 def test_config_rejects_tolerance_outside_unit_interval(tol):
     with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1\)"):
         ExperimentConfig(d=2, Ns=(8, 16, 32), beta=0.75, tol=tol)
+
+
+@pytest.mark.parametrize("ahom", [float("nan"), float("inf"), 0.0, -1.0])
+def test_config_rejects_non_finite_or_non_positive_ahom(ahom):
+    with pytest.raises(ValueError, match="ahom must be finite and positive"):
+        ExperimentConfig(d=2, law=BERNOULLI, Ns=(8, 16), ahom=ahom)
 
 
 def test_config_resolve_ahom():
@@ -165,8 +165,8 @@ def test_stacked_pseudo_errors_equal_one_mode_results():
     assert len(stacked) == 12
     for k, err in zip(ks, stacked):
         one = experiments._pseudo_sq_error(a, ahom, [k], 1e-8)[0]
-        u = LatticeField(grid, _pseudo_eigenfunctions(a, ahom, [k], 1e-8)[1][0])
-        own = (u - fourier_mode(grid, k)).norm() ** 2
+        u = _pseudo_eigenfunctions(a, ahom, [k], 1e-8)[1][0]
+        own = LatticeField(grid, u - fourier_mode(grid, k).values).norm() ** 2
         assert one == pytest.approx(err, rel=1e-14, abs=0)
         assert own == pytest.approx(err, rel=1e-14, abs=0)
 
@@ -196,8 +196,8 @@ def test_bilap_exact_sum_pins_weights_and_scale(monkeypatch):
             continue
         lam = 4.0 * np.pi**2 * (k[0] ** 2 + k[1] ** 2)
         lam_n = 4.0 * N**2 * (np.sin(np.pi * k[0] / N) ** 2 + np.sin(np.pi * k[1] / N) ** 2)
-        u = LatticeField(a.grid, _pseudo_eigenfunctions(a, ahom, [k], tol)[1][0])
-        err = (u - fourier_mode(a.grid, k)).norm() ** 2
+        u = _pseudo_eigenfunctions(a, ahom, [k], tol)[1][0]
+        err = LatticeField(a.grid, u - fourier_mode(a.grid, k).values).norm() ** 2
         expected += lam ** (-2 * beta) * 0.25**2 * err / (ahom * lam_n) ** 2
     assert value == pytest.approx(expected, rel=1e-13, abs=0)
 
@@ -243,14 +243,14 @@ def test_truncation_error_cutoff_stable():
 
 
 def test_discretization_rate_slope():
-    cfg = ExperimentConfig(d=2, field_kind="bilap", beta=0.75, Ns=(8, 16, 32, 64))
+    cfg = ExperimentConfig(d=2, beta=0.75, Ns=(8, 16, 32, 64))
     rs = discretization_rate(cfg)
     assert abs(rs.slope - (2 - 4 - 4 * 0.75)) < 0.3
     assert all(s == 0.0 for _, _, s in rs.points)  # deterministic
 
 
 def test_discretization_rate_validates_beta():
-    cfg = ExperimentConfig(d=2, field_kind="bilap", Ns=(8, 16, 32))
+    cfg = ExperimentConfig(d=2, Ns=(8, 16, 32))
     with pytest.raises(ValueError):
         discretization_rate(cfg)
 
@@ -260,8 +260,8 @@ def test_discretization_rate_validates_beta():
 
 
 def test_pseudo_eigen_rate_constant_law_trivial():
-    cfg = ExperimentConfig(d=2, law=EnvironmentLaw.constant(1.5), field_kind="gff",
-                           Ns=(8, 16, 32), kset=((1, 0),), replicates=2,
+    cfg = ExperimentConfig(d=2, law=EnvironmentLaw.constant(1.5), Ns=(8, 16, 32),
+                           kset=((1, 0),), replicates=2,
                            seed=0, ahom=1.5)
     rs = pseudo_eigen_rate(cfg)
     for _, v, _ in rs.points:
@@ -271,7 +271,7 @@ def test_pseudo_eigen_rate_constant_law_trivial():
 
 def test_pseudo_eigen_k_dependence():
     # value grows with |k| but no faster than the quartic envelope allows
-    cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(16,),
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(16,),
                            kset=((1, 0),), replicates=12, seed=4,
                            ahom=float(np.sqrt(2)))
     v1 = pseudo_eigen_rate(cfg).points[0][1]
@@ -281,8 +281,8 @@ def test_pseudo_eigen_k_dependence():
 
 
 def test_bilap_error_constant_law_trivial():
-    cfg = ExperimentConfig(d=2, law=EnvironmentLaw.constant(2.0), field_kind="bilap",
-                           beta=0.75, Ns=(8, 16, 32), replicates=2, seed=0,
+    cfg = ExperimentConfig(d=2, law=EnvironmentLaw.constant(2.0), beta=0.75,
+                           Ns=(8, 16, 32), replicates=2, seed=0,
                            ahom=2.0, mode_cutoff=2)
     res = bilap_error_rate(cfg)
     for _, v, _ in res.points:
@@ -290,7 +290,7 @@ def test_bilap_error_constant_law_trivial():
 
 
 def test_bilap_estimators_cross_validate():
-    cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="bilap", beta=0.75,
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, beta=0.75,
                            Ns=(8, 16), replicates=6, noise_replicates=24,
                            seed=1, ahom=float(np.sqrt(2)), mode_cutoff=2)
     (_, ex_m, ex_s), _ = bilap_error_rate(cfg).points
@@ -300,7 +300,7 @@ def test_bilap_estimators_cross_validate():
 
 
 def test_gff_covariance_homogeneous_diagonal():
-    cfg = ExperimentConfig(d=2, law=None, field_kind="gff", Ns=(16,),
+    cfg = ExperimentConfig(d=2, law=None, Ns=(16,),
                            kset=((1, 0), (0, 1)), replicates=2,
                            noise_replicates=400, seed=2)
     rep = gff_covariance_limit(cfg)
@@ -310,7 +310,7 @@ def test_gff_covariance_homogeneous_diagonal():
 
 
 def test_gff_covariance_homogeneous_exact_is_diagonal():
-    cfg = ExperimentConfig(d=2, law=None, field_kind="gff", Ns=(8,),
+    cfg = ExperimentConfig(d=2, law=None, Ns=(8,),
                            kset=((1, 0), (0, 1), (1, 1)), replicates=2,
                            noise_replicates=50, seed=2)
     rep = gff_covariance_limit(cfg)
@@ -323,7 +323,7 @@ def test_gff_covariance_homogeneous_exact_is_diagonal():
 def test_gff_covariance_krylov_keeps_per_draw_realization():
     # Reference: one A^(-1/2)z draw per noise seed, projected by the DFT.
     kset = ((1, 0), (0, 1), (1, 1), (2, 0))
-    cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(16,),
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(16,),
                            kset=kset, replicates=2, noise_replicates=50, seed=4)
     grid = TorusGrid(16, 2)
     scale = formal_constant("gff", 2) * grid.N
@@ -334,7 +334,7 @@ def test_gff_covariance_krylov_keeps_per_draw_realization():
         for s in range(cfg.noise_replicates):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env, s))
             spec = dft(sample_gff(grid, a, seed, tol=cfg.tol).field)
-            coeffs.append([scale * spec.coefficient(k) for k in kset])
+            coeffs.append([scale * spec.coefficients[grid.index_of(k)] for k in kset])
         # the noise-exact covariance from the eigh oracle's V = A^(-1/2) conj(phi_k)
         modes = np.stack([fourier_mode(grid, k).values.conj() for k in kset])
         v = solver._dense_power(a, modes, -0.5).reshape(len(kset), -1) * scale / grid.n
@@ -352,7 +352,7 @@ def test_gff_covariance_krylov_keeps_per_draw_realization():
 
 def test_gff_covariance_krylov_beyond_dense_limit():
     # N=128 has 16384 sites, four times the dense operator's limit.
-    cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(128,),
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(128,),
                            kset=((1, 0), (0, 1), (1, 1), (2, 0)), replicates=2,
                            noise_replicates=50, seed=5)
     rep = gff_covariance_limit(cfg)
@@ -364,7 +364,7 @@ def test_gff_covariance_krylov_beyond_dense_limit():
 
 
 def test_gff_covariance_insufficient_replicates():
-    cfg = ExperimentConfig(d=2, law=None, field_kind="gff", Ns=(8,),
+    cfg = ExperimentConfig(d=2, law=None, Ns=(8,),
                            kset=((1, 0),), replicates=2, noise_replicates=10,
                            seed=0)
     with pytest.raises(ValueError):
@@ -372,7 +372,7 @@ def test_gff_covariance_insufficient_replicates():
 
 
 def test_gff_covariance_dense_exact_matches_empirical_scale():
-    cfg = ExperimentConfig(d=2, law=BERNOULLI, field_kind="gff", Ns=(8,),
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(8,),
                            kset=((1, 0), (0, 1)), replicates=3,
                            noise_replicates=300, seed=6)
     rep = gff_covariance_limit(cfg)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from homfield.environment import Conductances, EnvironmentLaw, sample_environment
+from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.homogenization import (
     _mean_energy,
     corrector_rhs,
@@ -44,7 +44,7 @@ def test_corrector_rhs_mean_zero():
 
 def test_constant_environment_corrector_vanishes():
     grid = TorusGrid(16, 2)
-    a = Conductances.constant(grid, 1.5)
+    a = sample_environment(EnvironmentLaw.constant(1.5), grid, 0)
     chis = [solve_corrector(a, axis)[0].values for axis in range(2)]
     for chi in chis:
         assert np.max(np.abs(chi)) < 1e-12

@@ -9,7 +9,6 @@ import pytest
 
 from homfield import solver
 from homfield.environment import (
-    Conductances,
     EnvironmentLaw,
     apply_operator,
     sample_environment,
@@ -51,7 +50,7 @@ def test_homogeneous_solve_inverts_operator():
     rhs = _random_rhs(grid)
     u = solve_homogeneous(grid, rhs)
     assert u.is_mean_zero()
-    a = Conductances.constant(grid, 1.0)
+    a = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
     back = apply_operator(a, u)
     assert np.allclose(back.values, rhs.values, atol=1e-9 * np.abs(rhs.values).max())
 
@@ -170,7 +169,7 @@ def test_pcg_iterations_do_not_grow_with_size(N):
 
 def test_mean_zero_enforced():
     grid = TorusGrid(8, 2)
-    a = Conductances.constant(grid, 1.0)
+    a = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
     nan = _random_rhs(grid).values
     nan[0, 0] = np.nan
     for bad in (LatticeField(grid, np.ones(grid.shape)), LatticeField(grid, nan)):
@@ -184,7 +183,11 @@ def test_mean_zero_enforced():
 def test_solve_heterogeneous_rejects_bad_tolerance(tol):
     grid = TorusGrid(8, 2)
     with pytest.raises(ValueError, match="tolerance must lie in"):
-        solve_heterogeneous(Conductances.constant(grid, 1.0), _random_rhs(grid), tol=tol)
+        solve_heterogeneous(sample_environment(EnvironmentLaw.constant(1.0), grid, 0),
+                            _random_rhs(grid), tol=tol)
+    with pytest.raises(ValueError, match="tolerance must lie in"):
+        solver._pcg(sample_environment(EnvironmentLaw.constant(1.0), grid, 0),
+                    _random_rhs(grid).values[None], tol)
 
 
 def test_solver_error_on_iteration_cap(monkeypatch):
@@ -213,9 +216,9 @@ def test_pcg_stack_matches_field_by_field(dtype, shift):
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     stack = _pcg_stack(grid, dtype)
-    x, report = solver._pcg(a, stack, 1e-10, 500, shift)
+    x, report = solver._pcg(a, stack, 1e-10, shift)
     assert x.dtype == stack.dtype
-    singles = [solver._pcg(a, field[None], 1e-10, 500, shift) for field in stack]
+    singles = [solver._pcg(a, field[None], 1e-10, shift) for field in stack]
     for image, (single, rep) in zip(x, singles):
         assert _rel_err(image, single[0]) < 1e-13
     assert report.iterations == max(rep.iterations for _, rep in singles)
@@ -229,8 +232,8 @@ def test_pcg_field_that_converges_early_keeps_its_iterate():
     rng = np.random.default_rng(0)
     early = rng.standard_normal(grid.shape)
     late = fourier_mode(grid, (1, 0)).values.real
-    own, own_report = solver._pcg(a, early[None], 1e-10, 500)
-    x, report = solver._pcg(a, np.stack([early, late]), 1e-10, 500)
+    own, own_report = solver._pcg(a, early[None], 1e-10)
+    x, report = solver._pcg(a, np.stack([early, late]), 1e-10)
     # premise: the stack iterates past the point where the first field stops
     assert own_report.iterations < report.iterations
     # one more step would move it by about tol, far above this bound
@@ -243,11 +246,11 @@ def test_pcg_zero_field_in_a_stack_returns_zeros():
     for dtype in (float, complex):
         stack = _pcg_stack(grid, dtype)
         stack[1] = 0.0
-        x, report = solver._pcg(a, stack, 1e-10, 500, 2.0)
+        x, report = solver._pcg(a, stack, 1e-10, 2.0)
         assert np.array_equal(x[1], np.zeros(grid.shape))
-        single, _ = solver._pcg(a, stack[[0]], 1e-10, 500, 2.0)
+        single, _ = solver._pcg(a, stack[[0]], 1e-10, 2.0)
         assert _rel_err(x[0], single[0]) < 1e-13
-        x, report = solver._pcg(a, np.zeros((2,) + grid.shape, dtype), 1e-10, 500)
+        x, report = solver._pcg(a, np.zeros((2,) + grid.shape, dtype), 1e-10)
         assert not np.any(x) and report.iterations == 0 and report.residual == 0.0
 
 
@@ -287,9 +290,9 @@ def test_pcg_splits_a_stack_into_chunks_of_256_kib(monkeypatch):
     rng = np.random.default_rng(3)
     stack = rng.standard_normal((6,) + grid.shape) + 1j * rng.standard_normal((6,) + grid.shape)
     stack[4] = fourier_mode(grid, (1, 2)).values  # a smooth mode converges sooner
-    singles = [solver._pcg(a, field[None], 1e-10, 500) for field in stack]
+    singles = [solver._pcg(a, field[None], 1e-10) for field in stack]
     sizes = _spy_chunks(monkeypatch)
-    x, report = solver._pcg(a, stack, 1e-10, 500)
+    x, report = solver._pcg(a, stack, 1e-10)
     assert sorted(sizes) == [2, 4]        # chunks on several CPUs run in any order
     for image, (single, _) in zip(x, singles):
         assert _rel_err(image, single[0]) < 1e-13
@@ -307,8 +310,9 @@ def test_solver_error_in_a_later_chunk_carries_its_report(monkeypatch):
     stack = np.zeros((6,) + grid.shape, complex)
     stack[4:] = fourier_mode(grid, (1, 0)).values
     sizes = _spy_chunks(monkeypatch)
+    monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 2)
     with pytest.raises(SolverError) as err:
-        solver._pcg(a, stack, 1e-14, 2)
+        solver._pcg(a, stack, 1e-14)
     assert sorted(sizes) == [2, 4]
     assert err.value.report.iterations == 2
     assert err.value.report.residual > 1e-14
@@ -335,9 +339,9 @@ def test_chunks_on_every_cpu_equal_one_cpu(monkeypatch, N, modes):
         stack = np.stack([fourier_mode(grid, k).values for k in ks])
     else:
         stack = np.random.default_rng(4).standard_normal((2,) + grid.shape)
-    x1, rep1, it1 = _pcg_on_cpus(monkeypatch, 1, a, stack, 1e-8, 2000, shift=0.5)
+    x1, rep1, it1 = _pcg_on_cpus(monkeypatch, 1, a, stack, 1e-8, shift=0.5)
     for cpus in {all_cpus, 3}:
-        x, rep, it = _pcg_on_cpus(monkeypatch, cpus, a, stack, 1e-8, 2000, shift=0.5)
+        x, rep, it = _pcg_on_cpus(monkeypatch, cpus, a, stack, 1e-8, shift=0.5)
         assert np.array_equal(x, x1)
         assert rep == rep1
         assert np.array_equal(it, it1)
@@ -350,12 +354,12 @@ def test_threaded_chunks_each_run_once(monkeypatch):
     grid = TorusGrid(128, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 8)
     stack = np.random.default_rng(5).standard_normal((16,) + grid.shape)
-    x1, rep1, it1 = _pcg_on_cpus(monkeypatch, 1, a, stack, 1e-6, 500)
+    x1, rep1, it1 = _pcg_on_cpus(monkeypatch, 1, a, stack, 1e-6)
     sizes = _spy_chunks(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        x, rep, it = _pcg_on_cpus(monkeypatch, 8, a, stack, 1e-6, 500)
+        x, rep, it = _pcg_on_cpus(monkeypatch, 8, a, stack, 1e-6)
     finally:
         sys.setswitchinterval(interval)
     assert sizes == [2] * 8
@@ -370,15 +374,16 @@ def test_threaded_solver_error_is_the_first_failing_chunk(monkeypatch):
     grid = TorusGrid(64, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     stack = np.stack([fourier_mode(grid, (k, 1)).values for k in range(1, 7)])
+    monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
     reports = []
     for cpus in (1, 2, 6):
         with pytest.raises(SolverError) as err:
-            _pcg_on_cpus(monkeypatch, cpus, a, stack, 1e-14, 3)
+            _pcg_on_cpus(monkeypatch, cpus, a, stack, 1e-14)
         reports.append(err.value.report)
     chunk_reports = []
     for rows in (stack[:4], stack[4:]):
         with pytest.raises(SolverError) as err:
-            solver._pcg(a, rows, 1e-14, 3)
+            solver._pcg(a, rows, 1e-14)
         chunk_reports.append(err.value.report)
     assert chunk_reports[0] != chunk_reports[1]
     assert reports == [chunk_reports[0]] * 3
@@ -451,16 +456,16 @@ def test_green_symmetry_all_pairs():
 
 def test_pseudo_eigenfunction_constant_environment():
     grid = TorusGrid(16, 2)
-    a = Conductances.constant(grid, 1.5)
+    a = sample_environment(EnvironmentLaw.constant(1.5), grid, 0)
     for k in [(1, 0), (2, -3)]:
-        phi = LatticeField(grid, _pseudo_eigenfunctions(a, 1.5, [k], 1e-12)[1][0])
+        phi = _pseudo_eigenfunctions(a, 1.5, [k], 1e-12)[1][0]
         mode = fourier_mode(grid, k)
-        assert (phi - mode).norm() < 1e-8
+        assert LatticeField(grid, phi - mode.values).norm() < 1e-8
 
 
 def test_pseudo_eigenfunction_rejects_zero_mode():
     grid = TorusGrid(8, 2)
-    a = Conductances.constant(grid, 1.0)
+    a = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
     with pytest.raises(ValueError):
         _pseudo_eigenfunctions(a, 1.0, [(0, 0)], solver.DEFAULT_TOL)
     with pytest.raises(ValueError):
@@ -521,7 +526,7 @@ def test_inv_sqrt_backends_agree_on_laplacian():
     # the exact FFT path without an environment, against the quadrature and
     # the eigh oracle on unit conductances
     grid = TorusGrid(8, 2)
-    unit = Conductances.constant(grid, 1.0)
+    unit = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
     for values in _inv_sqrt_inputs(grid):
         ref = inv_sqrt(grid, None, values)
         assert ref.shape == values.shape
