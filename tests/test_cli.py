@@ -328,6 +328,25 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at N=192 a corrector has 36864 entries, past the length where a
+    # threaded BLAS dot product splits its sum
+    cfg = _write_config(tmp_path, "n = 192\nM = 2\nlaw = bernoulli(0.5,1,2)\nseed = 0\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    csvs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "homfield.cli", "ahom", "--config", cfg,
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((out / "ahom.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_sample_shifted_solve_cap_is_solver_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
     cfg = _write_config(tmp_path, "n = 16\nlaw = bernoulli(0.5,1,2)\nfield = gff\n")
