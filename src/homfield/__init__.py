@@ -4,7 +4,6 @@ random conductance environments on the discrete torus."""
 from .lattice import (
     TorusGrid,
     LatticeField,
-    SpectralField,
     fourier_mode,
     dft,
     idft,
@@ -18,8 +17,8 @@ from .environment import (
 from .solver import solve_homogeneous, solve_heterogeneous, SolverError
 from .homogenization import estimate_ahom
 from .sampler import (
-    NoiseHierarchy,
     sample_noise,
+    coarsen,
     sample_gff,
     sample_bilaplacian,
 )

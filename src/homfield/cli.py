@@ -19,8 +19,8 @@ are optional unless a command requires them)::
                                   # "homogeneous" for unit conductances
     field = bilap                 # sample: gff | bilap
     beta = 0.75                   # Sobolev order (bilap/disc experiments); any
-                                  # value, 0 included, must pass the threshold
-                                  # beta > d/4 - 1/2
+                                  # value, 0 included, must be finite and pass
+                                  # the threshold beta > d/4 - 1/2
     kset = 1,0; 0,1; 1,1          # frequency list, components comma-separated
                                   # (rates pseudo: exactly one frequency)
     M = 16                        # environment replicates, >= 1
@@ -63,7 +63,7 @@ import time
 import numpy as np
 
 from .environment import EnvironmentLaw, sample_environment
-from .homogenization import estimate_ahom, write_ahom_csv
+from .homogenization import estimate_ahom
 from .lattice import TorusGrid
 from .sampler import (
     dump_field,
@@ -280,7 +280,9 @@ def cmd_ahom(args, cfg) -> int:
     seed = _seed(args, cfg)
     t0 = time.time()
     est = estimate_ahom(law, N, M, seed, d=d, tol=tol)
-    write_ahom_csv(os.path.join(args.out, "ahom.csv"), [est], d)
+    _write_csv(os.path.join(args.out, "ahom.csv"),
+               ["law", "d", "N", "M", "ahom_mean", "ahom_stderr", "seed"],
+               [[law.describe(), d, N, est.samples, repr(est.mean), repr(est.stderr), seed]])
     write_runlog(args, cfg, seed, t0, ahom_mean=est.mean, ahom_stderr=est.stderr,
                  samples=est.samples, failures=est.failures,
                  iterations=est.iterations, max_residual=est.max_residual)
@@ -288,12 +290,11 @@ def cmd_ahom(args, cfg) -> int:
     return EXIT_OK
 
 
-def _write_rate_csv(path, series: RateSeries) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["quantity", "N", "value", "stderr"])
-        for n, v, s in series.points:
-            writer.writerow([series.quantity, n, repr(float(v)), repr(float(s))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _experiment_config(cfg, seed) -> ExperimentConfig:
@@ -352,7 +353,10 @@ def cmd_rates(args, cfg) -> int:
         series = discretization_rate(_experiment_config(cfg, seed))
     else:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    _write_rate_csv(os.path.join(args.out, f"rates_{experiment}.csv"), series)
+    _write_csv(os.path.join(args.out, f"rates_{experiment}.csv"),
+               ["quantity", "N", "value", "stderr"],
+               [[series.quantity, n, repr(float(v)), repr(float(s))]
+                for n, v, s in series.points])
     corrected, _, corrected_hw, corrected_t_hw = series.corrected or (None,) * 4
     write_runlog(args, cfg, seed, t0, experiment=experiment, slope=series.slope,
                  half_width=series.half_width, t_half_width=series.t_half_width,
@@ -374,18 +378,14 @@ def cmd_cov(args, cfg) -> int:
     ecfg = _experiment_config(cfg, seed)
     t0 = time.time()
     report = gff_covariance_limit(ecfg)
-    path = os.path.join(args.out, "covariance.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k_row", "k_col", "re", "im", "stderr"])
-        for i, ki in enumerate(report.kset):
-            for j, kj in enumerate(report.kset):
-                writer.writerow([
-                    " ".join(map(str, ki)), " ".join(map(str, kj)),
-                    repr(float(np.real(report.covariance[i, j]))),
-                    repr(float(np.imag(report.covariance[i, j]))),
-                    repr(float(report.stderr[i, j])),
-                ])
+    _write_csv(os.path.join(args.out, "covariance.csv"),
+               ["k_row", "k_col", "re", "im", "stderr"],
+               [[" ".join(map(str, ki)), " ".join(map(str, kj)),
+                 repr(float(np.real(report.covariance[i, j]))),
+                 repr(float(np.imag(report.covariance[i, j]))),
+                 repr(float(report.stderr[i, j]))]
+                for i, ki in enumerate(report.kset)
+                for j, kj in enumerate(report.kset)])
     write_runlog(args, cfg, seed, t0, fitted_constant=report.fitted_constant,
                  max_offdiag_z=report.max_offdiag_z(),
                  offdiag_frobenius=report.offdiag_frobenius(),

@@ -167,8 +167,8 @@ def project(a: Conductances, N: int) -> Conductances:
         raise ValueError(f"cannot project side {M} onto larger side {N}")
     target = TorusGrid(N, a.grid.d)
     # Ambient array index of each target-site coordinate.
-    idx = [(c + M // 2) for c in (np.arange(N) - N // 2)]
-    sel = np.ix_(range(a.grid.d), *([np.asarray(i) for i in [idx] * a.grid.d]))
+    idx = target.coordinates_1d() - a.grid.coordinates_1d()[0]
+    sel = np.ix_(range(a.grid.d), *[idx] * a.grid.d)
     return Conductances(target, a.weights[sel], ellipticity=a.ellipticity)
 
 
@@ -179,8 +179,8 @@ def extend(a: Conductances, M: int) -> Conductances:
         raise ValueError(f"cannot extend side {N} onto smaller side {M}")
     target = TorusGrid(M, a.grid.d)
     # Target coordinate reduced into the source window, per axis.
-    src = np.mod((np.arange(M) - M // 2) + N // 2, N)
-    sel = np.ix_(range(a.grid.d), *([src] * a.grid.d))
+    src = np.mod(target.coordinates_1d() - a.grid.coordinates_1d()[0], N)
+    sel = np.ix_(range(a.grid.d), *[src] * a.grid.d)
     return Conductances(target, a.weights[sel], ellipticity=a.ellipticity)
 
 

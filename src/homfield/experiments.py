@@ -23,7 +23,6 @@ from .lattice import (
     TorusGrid,
     eigenvalue_continuum,
     eigenvalue_discrete,
-    eigenvalues_continuum,
     fourier_mode,
 )
 from .sampler import sample_noise
@@ -154,8 +153,8 @@ AHOM_ESTIMATE_M = 32  # environments behind an estimated ahom
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared configuration of the Monte-Carlo experiments. Only the
-    bi-Laplacian experiments read ``beta``, so it must pass their
-    convergence threshold beta > d/4 - 1/2."""
+    bi-Laplacian experiments read ``beta``, so it must be finite and pass
+    their convergence threshold beta > d/4 - 1/2."""
 
     d: int
     law: EnvironmentLaw = None
@@ -171,9 +170,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         threshold = self.d / 4.0 - 0.5
-        if self.beta is not None and self.beta <= threshold:
-            raise ValueError(f"beta={self.beta} violates the convergence threshold "
-                             f"beta > {threshold} in d={self.d}")
+        # written so that a NaN beta fails the check
+        if self.beta is not None and not threshold < self.beta < math.inf:
+            raise ValueError(f"beta={self.beta} is not finite or violates the convergence "
+                             f"threshold beta > {threshold} in d={self.d}")
         # written so that a NaN ahom fails the check
         if self.ahom is not None and not 0 < self.ahom < math.inf:
             raise ValueError(f"ahom must be finite and positive, got {self.ahom}")
@@ -299,7 +299,7 @@ class CovarianceReport:
     def diagonal_z(self) -> np.ndarray:
         """Distance of the diagonal from fitted_constant / lambda_k, in
         standard errors."""
-        lam = np.asarray([eigenvalue_continuum(k) for k in self.kset])
+        lam = eigenvalue_continuum(np.transpose(self.kset))
         target = self.fitted_constant / lam
         diag = np.real(np.diag(self.covariance))
         err = np.diag(self.stderr)
@@ -348,7 +348,7 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
     cov = products.mean(axis=0)
     stderr = products.std(axis=0, ddof=1) / np.sqrt(len(coeffs))
 
-    lam = np.asarray([eigenvalue_continuum(k) for k in cfg.kset])
+    lam = eigenvalue_continuum(np.transpose(cfg.kset))
     diag = np.real(np.diag(cov))
     fitted = float(np.sum(diag / lam) / np.sum(1.0 / lam**2))
     return CovarianceReport(cfg.kset, cov, np.real(stderr), fitted, np.mean(exacts, axis=0))
@@ -362,7 +362,8 @@ def _mode_representatives(grid: TorusGrid, cutoff: int):
     """Nonzero frequencies of the grid with sup-norm at most cutoff, grouped
     into conjugate pairs: yields (k, multiplicity) with multiplicity 2 when
     -k is a distinct in-window frequency, else 1."""
-    lo, hi = -(grid.N // 2), grid.N - grid.N // 2 - 1
+    c = grid.coordinates_1d()
+    lo, hi = c[0], c[-1]
     if cutoff is not None:
         lo, hi = max(lo, -cutoff), min(hi, cutoff)
     for kvec in itertools.product(range(lo, hi + 1), repeat=grid.d):
@@ -378,16 +379,18 @@ def _bilap_exact_in_noise(a, ahom: float, ks, weights, cb: float, tol: float) ->
     for one environment: the pseudo-eigenfunction errors of the modes ks,
     each weighted by its Sobolev weight and cb^2 / (ahom lambda_k^(N))^2."""
     errs = _pseudo_sq_error(a, ahom, ks, tol)
-    return float(sum(w * cb**2 * err / (ahom * eigenvalue_discrete(a.grid.N, k)) ** 2
-                     for k, w, err in zip(ks, weights, errs)))
+    lam = eigenvalue_discrete(a.grid.N, np.transpose(ks))
+    return float(sum(w * cb**2 * err / (ahom * lam_k) ** 2
+                     for lam_k, w, err in zip(lam, weights, errs)))
 
 
 def _bilap_modes(cfg: ExperimentConfig, N: int) -> tuple:
     """The representative modes k of the size-N grid and their weights
     mult * lambda_k^(-2 beta)."""
-    reps = list(_mode_representatives(TorusGrid(N, cfg.d), cfg.mode_cutoff))
-    return ([k for k, _ in reps],
-            np.asarray([m * eigenvalue_continuum(k) ** (-2.0 * cfg.beta) for k, m in reps]))
+    ks, mult = zip(*_mode_representatives(TorusGrid(N, cfg.d), cfg.mode_cutoff))
+    lam = eigenvalue_continuum(np.transpose(ks))
+    # one scalar power per mode: numpy's vectorized pow may differ from it in the last bit
+    return list(ks), np.asarray([m * lam_k ** (-2.0 * cfg.beta) for m, lam_k in zip(mult, lam)])
 
 
 def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
@@ -437,11 +440,11 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     enumerated up to sup-norm kcut; the analytic remainder bound must stay
     below 10% of the partial sum.
     """
-    lam = eigenvalues_continuum(TorusGrid(2 * kcut + 1, d))
-    c = np.arange(-kcut, kcut + 1)
-    in_window = (c >= -(N // 2)) & (c <= N - N // 2 - 1)
-    outside = ~functools.reduce(np.logical_and.outer, [in_window] * d)
-    lam = lam[outside & (lam > 0)]
+    ks = TorusGrid(2 * kcut + 1, d).coordinates()
+    window = TorusGrid(N, d).coordinates_1d()
+    inside = functools.reduce(np.logical_and, [(c >= window[0]) & (c <= window[-1]) for c in ks])
+    lam = eigenvalue_continuum(ks)
+    lam = lam[~inside & (lam > 0)]
     partial = float(np.sum(lam ** (-2.0 * beta - 2.0)))
     remainder = (4.0 * np.pi**2) ** (-2.0 * beta - 2.0) * _shell_tail_bound(
         d, 4.0 * beta + 4.0, kcut

@@ -9,7 +9,6 @@ environments estimates the homogenized coefficient.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .environment import Conductances, EnvironmentLaw, sample_environment
 from .lattice import TorusGrid
 from .solver import DEFAULT_TOL, SolverError, _pcg
 
-__all__ = ["AhomEstimate", "estimate_ahom", "write_ahom_csv"]
+__all__ = ["AhomEstimate", "estimate_ahom"]
 
 
 @dataclass(frozen=True)
@@ -26,9 +25,6 @@ class AhomEstimate:
     mean: float
     stderr: float
     samples: int
-    N: int
-    law: EnvironmentLaw
-    seed: object = None
     failures: int = 0
     # PCG iterations summed over the corrector solves of the replicates in
     # the estimate, and the worst final relative residual among those solves
@@ -95,16 +91,4 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
     values = np.asarray(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return AhomEstimate(mean, stderr, len(values), N, law, seed, failures,
-                        iterations, max_residual)
-
-
-def write_ahom_csv(path, estimates, d: int) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["law", "d", "N", "M", "ahom_mean", "ahom_stderr", "seed"])
-        for est in estimates:
-            writer.writerow([
-                est.law.describe(), d, est.N, est.samples,
-                repr(est.mean), repr(est.stderr), est.seed,
-            ])
+    return AhomEstimate(mean, stderr, len(values), failures, iterations, max_residual)

@@ -22,12 +22,9 @@ import numpy as np
 __all__ = [
     "TorusGrid",
     "LatticeField",
-    "SpectralField",
     "fourier_mode",
     "eigenvalue_discrete",
     "eigenvalue_continuum",
-    "eigenvalues_discrete",
-    "eigenvalues_continuum",
     "dft",
     "idft",
 ]
@@ -59,6 +56,11 @@ class TorusGrid:
         """Integer coordinates along one axis, [-floor(N/2), ceil(N/2))."""
         return np.arange(self.N) - self.N // 2
 
+    def coordinates(self) -> tuple:
+        """The d open integer coordinate arrays of the window, one per axis,
+        which broadcast to every site (or frequency) of the grid."""
+        return np.ix_(*[self.coordinates_1d()] * self.d)
+
     def index_of(self, x) -> tuple:
         """Array index of the site (or frequency) with integer coordinates x
         (periodic)."""
@@ -72,18 +74,16 @@ class TorusGrid:
         k = np.asarray(k, dtype=int)
         if k.shape != (self.d,):
             raise ValueError(f"expected {self.d} frequency components, got {k!r}")
-        lo, hi = -(self.N // 2), self.N - self.N // 2  # hi exclusive
-        if not (np.all(k >= lo) and np.all(k < hi)):
+        c = self.coordinates_1d()
+        if not (np.all(k >= c[0]) and np.all(k <= c[-1])):
             raise ValueError(
-                f"frequency {k.tolist()} outside the window [{lo}, {hi}) for N={self.N}"
+                f"frequency {k.tolist()} outside the window [{c[0]}, {c[-1]}] for N={self.N}"
             )
         return k
 
 
 def _check_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
-    if values.shape == (grid.n,):
-        values = values.reshape(grid.shape)
     if values.shape != grid.shape:
         raise ValueError(f"values of shape {values.shape} do not fit grid {grid.shape}")
     return values
@@ -146,86 +146,41 @@ class LatticeField:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.grid.n))
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a lattice field, indexed over the symmetric
-    frequency window in the same row-major layout as site values: the
-    coefficient of mode k is ``coefficients[grid.index_of(k)]``."""
-
-    grid: TorusGrid
-    coefficients: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        coeffs = _check_values(self.grid, self.coefficients)
-        object.__setattr__(self, "coefficients", np.asarray(coeffs, dtype=complex))
-
-
 def fourier_mode(grid: TorusGrid, k) -> LatticeField:
     """The complex exponential exp(2*pi*i*k.x) restricted to the grid.
 
     Has unit norm in the normalized l2 inner product.
     """
     k = grid.check_frequency(k)
-    x = grid.coordinates_1d() / grid.N
-    phase = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        shape = [1] * grid.d
-        shape[axis] = grid.N
-        phase = phase + k[axis] * x.reshape(shape)
+    phase = sum(k_i * (c_i / grid.N) for k_i, c_i in zip(k, grid.coordinates()))
     return LatticeField(grid, np.exp(2j * np.pi * phase))
 
 
-def eigenvalue_discrete(N: int, k) -> float:
-    """Eigenvalue of the N^2-normalized discrete Laplacian at frequency k."""
-    k = np.asarray(k, dtype=float)
-    return float(4.0 * N**2 * np.sum(np.sin(np.pi * k / N) ** 2))
+def eigenvalue_discrete(N: int, k):
+    """Eigenvalue sum_i 4 N^2 sin^2(pi k_i / N) of the N^2-normalized
+    discrete Laplacian at frequency k. Each component may be an array, for
+    instance those of :meth:`TorusGrid.coordinates`."""
+    return sum(4.0 * N**2 * np.sin(np.pi * k_i / N) ** 2 for k_i in k)
 
 
-def eigenvalue_continuum(k) -> float:
-    """Eigenvalue of the continuum Laplacian on the unit torus, 4*pi^2*|k|^2."""
-    k = np.asarray(k, dtype=float)
-    return float(4.0 * np.pi**2 * np.sum(k**2))
+def eigenvalue_continuum(k):
+    """Eigenvalue sum_i 4 pi^2 k_i^2 of the continuum Laplacian on the unit
+    torus; each component may be an array, as in :func:`eigenvalue_discrete`."""
+    return sum(4.0 * np.pi**2 * k_i**2 for k_i in k)
 
 
-def _freq_axes(grid: TorusGrid):
-    c = grid.coordinates_1d().astype(float)
-    axes = []
-    for axis in range(grid.d):
-        shape = [1] * grid.d
-        shape[axis] = grid.N
-        axes.append(c.reshape(shape))
-    return axes
-
-
-def eigenvalues_discrete(grid: TorusGrid) -> np.ndarray:
-    """Array of discrete-Laplacian eigenvalues over the frequency window."""
-    out = np.zeros(grid.shape)
-    for ax in _freq_axes(grid):
-        out = out + 4.0 * grid.N**2 * np.sin(np.pi * ax / grid.N) ** 2
-    return out
-
-
-def eigenvalues_continuum(grid: TorusGrid) -> np.ndarray:
-    """Array of continuum eigenvalues 4*pi^2*|k|^2 over the frequency window."""
-    out = np.zeros(grid.shape)
-    for ax in _freq_axes(grid):
-        out = out + 4.0 * np.pi**2 * ax**2
-    return out
-
-
-def dft(fld: LatticeField) -> SpectralField:
-    """Fourier coefficients (f, phi_k) for all k at once.
+def dft(fld: LatticeField) -> np.ndarray:
+    """Fourier coefficients (f, phi_k) for all k at once, in the site
+    layout: the coefficient of mode k is ``dft(f)[grid.index_of(k)]``.
 
     The site array lives on the symmetric window, so it is unshifted to the
     standard FFT layout first and the frequency axes are shifted back.
     """
     f0 = np.fft.ifftshift(fld.values)
-    coeffs = np.fft.fftshift(np.fft.fftn(f0)) / fld.grid.n
-    return SpectralField(fld.grid, coeffs)
+    return np.fft.fftshift(np.fft.fftn(f0)) / fld.grid.n
 
 
-def idft(spec: SpectralField) -> LatticeField:
+def idft(grid: TorusGrid, coefficients: np.ndarray) -> LatticeField:
     """Inverse of :func:`dft`; returns a complex-valued field."""
-    c0 = np.fft.ifftshift(spec.coefficients) * spec.grid.n
-    values = np.fft.fftshift(np.fft.ifftn(c0))
-    return LatticeField(spec.grid, values)
+    c0 = np.fft.ifftshift(coefficients) * grid.n
+    return LatticeField(grid, np.fft.fftshift(np.fft.ifftn(c0)))

@@ -22,8 +22,8 @@ from .solver import DEFAULT_TOL, inv_sqrt, solve_heterogeneous, solve_homogeneou
 
 __all__ = [
     "FieldSample",
-    "NoiseHierarchy",
     "sample_noise",
+    "coarsen",
     "sample_gff",
     "sample_bilaplacian",
     "dump_field",
@@ -49,36 +49,21 @@ def sample_noise(grid: TorusGrid, seed) -> LatticeField:
     return LatticeField(grid, _rng(seed).standard_normal(grid.shape))
 
 
-@dataclass(frozen=True)
-class NoiseHierarchy:
-    """A finest-level white noise together with its consistent coarsenings.
-
-    Coarse level N (dividing the finest side) aggregates disjoint blocks of
-    (N_max/N)^d finest values, scaled to keep unit variance per site. Blocks
-    are aligned with the site array, so coarsening through an intermediate
-    level gives exactly the same field as coarsening directly.
-    """
-
-    finest: LatticeField
-
-    @property
-    def n_max(self) -> int:
-        return self.finest.grid.N
-
-    def level(self, N: int) -> LatticeField:
-        grid = self.finest.grid
-        if N == self.n_max:
-            return self.finest
-        if self.n_max % N != 0:
-            raise ValueError(f"{N} does not divide the finest side {self.n_max}")
-        r = self.n_max // N
-        v = self.finest.values
-        shape = []
-        for _ in range(grid.d):
-            shape.extend([N, r])
-        blocks = v.reshape(shape)
-        out = blocks.sum(axis=tuple(range(1, 2 * grid.d, 2)))
-        return LatticeField(TorusGrid(N, grid.d), out * r ** (-grid.d / 2.0))
+def coarsen(noise: LatticeField, N: int) -> LatticeField:
+    """The white noise ``noise`` coarsened to side N, which must divide its
+    side: each coarse site sums a block of (N_noise/N)^d values, scaled to
+    keep unit variance per site. Blocks are aligned with the site array, so
+    coarsening through an intermediate side gives exactly the same field as
+    coarsening directly."""
+    grid = TorusGrid(N, noise.grid.d)
+    if N == noise.grid.N:
+        return noise
+    if noise.grid.N % N != 0:
+        raise ValueError(f"{N} does not divide the noise side {noise.grid.N}")
+    r = noise.grid.N // N
+    blocks = noise.values.reshape([N, r] * grid.d)
+    out = blocks.sum(axis=tuple(range(1, 2 * grid.d, 2)))
+    return LatticeField(grid, out * r ** (-grid.d / 2.0))
 
 
 def sample_gff(grid: TorusGrid, a: Conductances | None, seed,

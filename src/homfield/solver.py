@@ -33,13 +33,7 @@ import numpy as np
 # checks its wrapper. That tracer no longer sees _pcg's stencil work; drop
 # the binding once ROADMAP item 7 counts stencil applications.
 from .environment import Conductances, _stencil, apply_operator, operator_matrix  # noqa: F401
-from .lattice import (
-    LatticeField,
-    TorusGrid,
-    eigenvalue_discrete,
-    eigenvalues_discrete,
-    fourier_mode,
-)
+from .lattice import LatticeField, TorusGrid, eigenvalue_discrete, fourier_mode
 
 __all__ = [
     "SolveReport",
@@ -88,7 +82,7 @@ def _require_mean_zero(rhs: LatticeField) -> None:
 def _spectral_multiplier(grid: TorusGrid, exponent: float, shift: float) -> np.ndarray:
     """Read-only (lambda + shift)^exponent over the eigenvalues lambda of
     -Lap_N in standard FFT layout, with the zero mode set to 0."""
-    lam = eigenvalues_discrete(grid)
+    lam = eigenvalue_discrete(grid.N, grid.coordinates())
     mult = np.zeros_like(lam)
     mask = lam > 0
     mult[mask] = (lam[mask] + shift) ** exponent

@@ -42,7 +42,7 @@ def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: f
         u_env, _ = solve_heterogeneous(a, rhs, tol=cfg.tol)
         u_hom = solve_homogeneous(grid, rhs)
         spec = dft(LatticeField(grid, u_env.values - u_hom.values / ahom))
-        vals.append(float(np.sum(weights * np.abs(scale * spec.coefficients[kidx]) ** 2)))
+        vals.append(float(np.sum(weights * np.abs(scale * spec[kidx]) ** 2)))
     return float(np.mean(vals))
 
 

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import os
@@ -131,6 +132,11 @@ def test_ahom_constant_csv(tmp_path):
     assert rows[0].startswith("law,")
     assert "constant(1.5)" in rows[1]
     assert "1.5," in rows[1] or ",1.5," in rows[1]
+    with open(out / "ahom.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert len(records) == 1
+    assert records[0]["law"] == "constant(1.5)"
+    assert float(records[0]["ahom_mean"]) == pytest.approx(1.5, abs=1e-10)
     # rerun reproduces identical bytes
     out2 = tmp_path / "o2"
     assert main(["ahom", "--config", cfg, "--out", str(out2)]) == EXIT_OK
@@ -497,6 +503,18 @@ def test_beta_read_by_no_experiment_meets_only_the_bilap_threshold(tmp_path, com
     cfg = _write_config(tmp_path, f"n = 4,8,16\nlaw = bernoulli(0.5,1,2)\nM = 2\n"
                                   f"ahom = 1.4\nbeta = 0.5\n{body}")
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("experiment, n", [("bilap", "4,8,16"), ("disc", "8,16,32")])
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_non_finite_beta_is_config_error(tmp_path, capsys, experiment, n, beta):
+    cfg = _write_config(tmp_path, f"n = {n}\nexperiment = {experiment}\n"
+                                  f"law = bernoulli(0.5,1,2)\nM = 2\nahom = 1.4\n"
+                                  f"beta = {beta}\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"beta={beta} is not finite" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 @pytest.mark.parametrize("experiment", ["pseudo", "bilap"])

@@ -106,12 +106,13 @@ def test_conductances_validation():
 
 
 def test_project_extend_roundtrip():
-    grid = TorusGrid(8, 2)
-    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 5)
-    big = extend(a, 24)
-    assert big.grid.N == 24
-    back = project(big, 8)
-    assert np.array_equal(back.weights, a.weights)
+    # even, odd and mixed sides: the windows of N and M differ in parity
+    for N, M in [(8, 24), (5, 15), (5, 12), (8, 13)]:
+        a = sample_environment(EnvironmentLaw.uniform(1, 2), TorusGrid(N, 2), 5)
+        big = extend(a, M)
+        assert big.grid.N == M
+        back = project(big, N)
+        assert np.array_equal(back.weights, a.weights)
 
 
 def test_project_extend_composite_is_periodic():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -235,6 +236,17 @@ def test_truncation_error_remainder_guard():
     assert val > 0
 
 
+def test_truncation_error_matches_brute_force_sum():
+    beta, kcut = 0.75, 24
+    for N, d in itertools.product((7, 8), (1, 2)):
+        lo, hi = -(N // 2), (N - 1) // 2
+        ref = math.fsum(
+            (4 * np.pi**2 * sum(c * c for c in k)) ** (-2 * beta - 2)
+            for k in itertools.product(range(-kcut, kcut + 1), repeat=d)
+            if any(not lo <= c <= hi for c in k))
+        assert truncation_error(N, d, beta, kcut) == pytest.approx(ref, rel=1e-12)
+
+
 def test_truncation_error_cutoff_stable():
     a = truncation_error(8, 2, 0.75, kcut=64)
     b = truncation_error(8, 2, 0.75, kcut=128)
@@ -334,7 +346,7 @@ def test_gff_covariance_krylov_keeps_per_draw_realization():
         for s in range(cfg.noise_replicates):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env, s))
             spec = dft(sample_gff(grid, a, seed, tol=cfg.tol).field)
-            coeffs.append([scale * spec.coefficients[grid.index_of(k)] for k in kset])
+            coeffs.append([scale * spec[grid.index_of(k)] for k in kset])
         # the noise-exact covariance from the eigh oracle's V = A^(-1/2) conj(phi_k)
         modes = np.stack([fourier_mode(grid, k).values.conj() for k in kset])
         v = solver._dense_power(a, modes, -0.5).reshape(len(kset), -1) * scale / grid.n

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from homfield.homogenization import (
     _mean_energy,
     corrector_rhs,
     estimate_ahom,
-    write_ahom_csv,
 )
 from homfield.lattice import LatticeField, TorusGrid
 from reference import solve_corrector
@@ -129,15 +126,3 @@ def test_estimate_ahom_equals_its_corrector_solves(N, d):
 def test_estimate_ahom_validates_m():
     with pytest.raises(ValueError):
         estimate_ahom(EnvironmentLaw.uniform(1, 2), 8, 1, seed=0)
-
-
-def test_write_ahom_csv(tmp_path):
-    law = EnvironmentLaw.constant(1.5)
-    est = estimate_ahom(law, 8, 2, seed=0, d=2)
-    path = tmp_path / "ahom.csv"
-    write_ahom_csv(path, [est], 2)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 1
-    assert float(rows[0]["ahom_mean"]) == pytest.approx(1.5, abs=1e-10)
-    assert rows[0]["law"] == "constant(1.5)"

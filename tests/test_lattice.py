@@ -7,8 +7,6 @@ from homfield.lattice import (
     dft,
     eigenvalue_continuum,
     eigenvalue_discrete,
-    eigenvalues_continuum,
-    eigenvalues_discrete,
     fourier_mode,
     idft,
 )
@@ -35,6 +33,12 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         grid.check_frequency((4, 0))  # window is [-4, 4)
     assert grid.check_frequency((-4, 3)).tolist() == [-4, 3]
+    odd = TorusGrid(7, 1)  # window is [-3, 3]
+    for k in (-3, 3):
+        assert odd.check_frequency((k,)).tolist() == [k]
+    for k in (-4, 4):
+        with pytest.raises(ValueError):
+            odd.check_frequency((k,))
 
 
 def test_field_inner_product_normalization():
@@ -91,10 +95,10 @@ def test_dft_roundtrip_and_parseval():
     rng = np.random.default_rng(0)
     f = LatticeField(grid, rng.standard_normal(grid.shape))
     spec = dft(f)
-    back = idft(spec)
+    back = idft(grid, spec)
     assert np.allclose(back.values.real, f.values, atol=1e-12)
     assert np.max(np.abs(back.values.imag)) < 1e-12
-    assert np.linalg.norm(spec.coefficients) == pytest.approx(f.norm(), rel=1e-12)
+    assert np.linalg.norm(spec) == pytest.approx(f.norm(), rel=1e-12)
 
 
 def test_dft_of_mode_is_delta():
@@ -102,14 +106,14 @@ def test_dft_of_mode_is_delta():
     spec = dft(fourier_mode(grid, (2, -1)))
     expected = np.zeros(grid.shape, dtype=complex)
     expected[grid.index_of((2, -1))] = 1.0
-    assert np.allclose(spec.coefficients, expected, atol=1e-13)
-    assert spec.coefficients[grid.index_of((2, -1))] == pytest.approx(1.0)
+    assert np.allclose(spec, expected, atol=1e-13)
+    assert spec[grid.index_of((2, -1))] == pytest.approx(1.0)
 
 
 def test_eigenvalue_grids_match_scalars():
     grid = TorusGrid(8, 2)
-    lam_d = eigenvalues_discrete(grid)
-    lam_c = eigenvalues_continuum(grid)
+    lam_d = eigenvalue_discrete(grid.N, grid.coordinates())
+    lam_c = eigenvalue_continuum(grid.coordinates())
     for k in [(0, 0), (1, 0), (-4, 3)]:
         idx = grid.index_of(k)
         assert lam_d[idx] == pytest.approx(eigenvalue_discrete(8, k))

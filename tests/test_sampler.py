@@ -9,7 +9,7 @@ from homfield.experiments import formal_constant
 from homfield.lattice import TorusGrid, dft, fourier_mode
 from homfield.sampler import (
     FieldSample,
-    NoiseHierarchy,
+    coarsen,
     dump_field,
     load_field,
     sample_bilaplacian,
@@ -31,19 +31,19 @@ def test_noise_reproducible_and_standard():
 
 def test_noise_hierarchy_nested_consistency():
     grid = TorusGrid(16, 2)
-    h = NoiseHierarchy(sample_noise(grid, 1))
-    direct = h.level(4)
-    via_intermediate = NoiseHierarchy(h.level(8)).level(4)
+    finest = sample_noise(grid, 1)
+    direct = coarsen(finest, 4)
+    via_intermediate = coarsen(coarsen(finest, 8), 4)
     assert np.allclose(direct.values, via_intermediate.values, atol=1e-12)
-    assert h.level(16) is h.finest
-    with pytest.raises(ValueError):
-        h.level(5)
+    assert coarsen(finest, 16) is finest
+    for side in (0, -4, 5, 32):
+        with pytest.raises(ValueError):
+            coarsen(finest, side)
 
 
 def test_noise_hierarchy_unit_variance():
     grid = TorusGrid(64, 2)
-    h = NoiseHierarchy(sample_noise(grid, 2))
-    coarse = h.level(8)
+    coarse = coarsen(sample_noise(grid, 2), 8)
     assert abs(coarse.values.var() - 1.0) < 0.5  # 64 sites
 
 
@@ -118,7 +118,7 @@ def test_formal_coefficient_identity_bilap():
     for k in [(1, 0), (2, -3)]:
         lam = eigenvalue_discrete(grid.N, k)
         expected = np.vdot(fourier_mode(grid, k).values, noise.values) / grid.n / lam
-        assert spec.coefficients[grid.index_of(k)] == pytest.approx(expected, rel=1e-10)
+        assert spec[grid.index_of(k)] == pytest.approx(expected, rel=1e-10)
 
 
 def test_dump_load_field_roundtrip(tmp_path):
