@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from homfield.cli import EXIT_OK, main
 from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.homogenization import (
     _mean_energy,
@@ -126,3 +129,15 @@ def test_estimate_ahom_equals_its_corrector_solves(N, d):
 def test_estimate_ahom_validates_m():
     with pytest.raises(ValueError):
         estimate_ahom(EnvironmentLaw.uniform(1, 2), 8, 1, seed=0)
+
+
+def test_write_ahom_csv(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nn = 8\nd = 2\nlaw = constant(1.5)\nM = 2\nseed = 0\n")
+    out = tmp_path / "o"
+    assert main(["ahom", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    with open(out / "ahom.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert float(rows[0]["ahom_mean"]) == pytest.approx(1.5, abs=1e-10)
+    assert rows[0]["law"] == "constant(1.5)"
