@@ -14,7 +14,7 @@ from .environment import (
     sample_environment,
     apply_operator,
 )
-from .solver import solve_homogeneous, solve_heterogeneous, SolverError
+from .solver import solve, solve_homogeneous, SolverError
 from .homogenization import estimate_ahom
 from .sampler import (
     sample_noise,

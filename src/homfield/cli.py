@@ -74,6 +74,7 @@ from .sampler import (
 from .solver import DEFAULT_TOL, SolverError, _check_tol
 from .experiments import (
     AHOM_ESTIMATE_M,
+    CutoffError,
     ExperimentConfig,
     RateSeries,
     bilap_error_rate,
@@ -507,6 +508,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except CutoffError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except AssertionFailure as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)

@@ -38,6 +38,7 @@ __all__ = [
     "bilap_error_rate",
     "discretization_rate",
     "truncation_error",
+    "CutoffError",
     "formal_constant",
 ]
 
@@ -417,6 +418,10 @@ def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
 # closed-form discretization error of the homogeneous field
 
 
+class CutoffError(RuntimeError):
+    """A spectral cutoff too small for :func:`truncation_error`, on a valid config."""
+
+
 def _shell_tail_bound(d: int, p: float, kcut: int) -> float:
     """Upper bound on sum of |k|^{-p} over integer k with sup-norm > kcut.
 
@@ -450,7 +455,7 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
         d, 4.0 * beta + 4.0, kcut
     )
     if remainder > 0.1 * partial:
-        raise ValueError(
+        raise CutoffError(
             f"spectral cutoff {kcut} too small at N={N}: remainder bound "
             f"{remainder:.3e} exceeds 10% of the partial sum {partial:.3e}"
         )

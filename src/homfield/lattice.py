@@ -133,12 +133,6 @@ class LatticeField:
     def mean(self):
         return self.values.mean()
 
-    def is_mean_zero(self, rtol: float = 1e-12) -> bool:
-        scale = np.max(np.abs(self.values))
-        if scale == 0.0:
-            return True
-        return abs(self.mean()) <= rtol * scale
-
     def centered(self) -> "LatticeField":
         return LatticeField(self.grid, self.values - self.mean())
 

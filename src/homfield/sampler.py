@@ -1,11 +1,11 @@
 """Gaussian field samplers: white noise with fine-to-coarse coupling,
 discrete free fields and bi-Laplacian fields, and their binary dumps.
 
-The free-field covariance is the pseudo-inverse of the (possibly
-heterogeneous) divergence-form operator, so sampling amounts to applying the
-inverse square root of that operator to site-wise white noise, through
-:func:`homfield.solver.inv_sqrt`: exact FFT synthesis without an
-environment, a quadrature over shifted conjugate-gradient solves with one.
+Both fields apply a power of the (possibly heterogeneous) divergence-form
+operator A to site-wise white noise: the free field is A^(-1/2) of it,
+through :func:`homfield.solver.inv_sqrt`, and the bi-Laplacian field A^(-1)
+of the centred noise, through :func:`homfield.solver.solve`. Both are exact
+by FFT without an environment and use conjugate-gradient solves with one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 # apply_operator stays bound here: perfbench's tracer test checks its wrapper.
 from .environment import Conductances, apply_operator  # noqa: F401
 from .lattice import LatticeField, TorusGrid, _read_values, _rng
-from .solver import DEFAULT_TOL, inv_sqrt, solve_heterogeneous, solve_homogeneous
+from .solver import DEFAULT_TOL, inv_sqrt, solve
 
 __all__ = [
     "FieldSample",
@@ -82,17 +82,13 @@ def sample_gff(grid: TorusGrid, a: Conductances | None, seed,
 
 def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: LatticeField,
                        tol: float = DEFAULT_TOL) -> FieldSample:
-    """Solve the driven equation -div a grad u = noise - mean(noise).
-
-    Deterministic given (a, noise); pass ``a=None`` for the homogeneous
-    field, which is solved spectrally.
-    """
+    """The bi-Laplacian field u = A^(-1)(noise - mean(noise)), through
+    :func:`homfield.solver.solve`, with A = -div a grad, or -Lap_N when
+    ``a`` is None. Deterministic given (a, noise)."""
     if noise.grid != grid:
         raise ValueError("noise grid mismatch")
-    rhs = noise.centered()
-    if a is None:
-        return FieldSample("bilap_hom", solve_homogeneous(grid, rhs))
-    return FieldSample("bilap_env", solve_heterogeneous(a, rhs, tol=tol)[0])
+    values = solve(grid, a, noise.centered().values, tol)
+    return FieldSample("bilap_hom" if a is None else "bilap_env", LatticeField(grid, values))
 
 
 _KIND_TAGS = {kind: kind.encode().ljust(12, b"\0") for kind in FIELD_KINDS}

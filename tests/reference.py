@@ -1,7 +1,8 @@
 """Reference code that only the tests use, written over the package's
-engine: the delta right-hand side of a Green's-function column, one
-corrector solve, and the shared-noise Monte-Carlo estimate of the
-bi-Laplacian error norm that cross-checks the noise-exact one."""
+engine: the mean-zero test of a field, the delta right-hand side of a
+Green's-function column, one corrector solve, and the shared-noise
+Monte-Carlo estimate of the bi-Laplacian error norm that cross-checks the
+noise-exact one."""
 
 import dataclasses
 
@@ -11,7 +12,12 @@ from homfield.experiments import ExperimentConfig, _bilap_modes, _ladder, formal
 from homfield.homogenization import corrector_rhs
 from homfield.lattice import LatticeField, TorusGrid, dft
 from homfield.sampler import sample_noise
-from homfield.solver import DEFAULT_TOL, solve_heterogeneous, solve_homogeneous
+from homfield.solver import DEFAULT_TOL, _pcg, solve
+
+
+def has_zero_mean(fld: LatticeField, rtol: float = 1e-12) -> bool:
+    """Whether |mean(fld)| <= rtol max |fld|."""
+    return abs(fld.mean()) <= rtol * np.max(np.abs(fld.values))
 
 
 def delta_rhs(grid: TorusGrid, y) -> LatticeField:
@@ -25,25 +31,25 @@ def delta_rhs(grid: TorusGrid, y) -> LatticeField:
 def solve_corrector(a, axis: int, tol: float = DEFAULT_TOL) -> tuple:
     """(chi, report): the mean-zero corrector chi_axis with
     -div a grad chi = div(a e_axis), solved on its own."""
-    return solve_heterogeneous(a, LatticeField(a.grid, corrector_rhs(a, axis)), tol=tol)
+    x, report = _pcg(a, corrector_rhs(a, axis)[None], tol)
+    return LatticeField(a.grid, x[0]), report
 
 
 def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: float,
                        env_idx: int) -> float:
     """Shared-noise Monte-Carlo estimate of the same squared error norm,
-    averaged over cfg.noise_replicates draws."""
+    averaged over cfg.noise_replicates draws, which are solved as one stack
+    in the environment and one without."""
     grid = a.grid
     scale = cb * grid.N ** (grid.d / 2.0)
     kidx = tuple(np.array([grid.index_of(k) for k in ks]).T)
-    vals = []
-    for s in range(cfg.noise_replicates):
-        noise = sample_noise(grid, np.random.SeedSequence(cfg.seed, spawn_key=(300, env_idx, s)))
-        rhs = noise.centered()
-        u_env, _ = solve_heterogeneous(a, rhs, tol=cfg.tol)
-        u_hom = solve_homogeneous(grid, rhs)
-        spec = dft(LatticeField(grid, u_env.values - u_hom.values / ahom))
-        vals.append(float(np.sum(weights * np.abs(scale * spec[kidx]) ** 2)))
-    return float(np.mean(vals))
+    noise = np.stack([
+        sample_noise(grid, np.random.SeedSequence(cfg.seed, spawn_key=(300, env_idx, s))).values
+        for s in range(cfg.noise_replicates)])
+    rhs = noise - noise.mean(axis=tuple(range(1, noise.ndim)), keepdims=True)
+    errors = solve(grid, a, rhs, cfg.tol) - solve(grid, None, rhs) / ahom
+    return float(np.mean([np.sum(weights * np.abs(scale * dft(LatticeField(grid, e))[kidx]) ** 2)
+                          for e in errors]))
 
 
 def bilap_monte_carlo_point(cfg: ExperimentConfig, N: int) -> tuple:

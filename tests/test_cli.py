@@ -23,6 +23,7 @@ from homfield.cli import (
     render_heatmap,
 )
 from homfield.sampler import load_field
+from reference import has_zero_mean
 
 
 def _write_config(tmp_path, body, name="run.ini"):
@@ -354,6 +355,16 @@ def test_sample_shifted_solve_cap_is_solver_failure(tmp_path, monkeypatch, capsy
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_disc_cutoff_too_small_is_numerical_failure(tmp_path, capsys):
+    # a valid beta > 0 whose tail the derived cutoff 2 max(N) cannot bound:
+    # a numerical failure after parsing, not a configuration error
+    cfg = _write_config(tmp_path, "experiment = disc\nd = 2\nn = 8,16,32\nbeta = 0.01\n")
+    out = tmp_path / "out"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
+    assert "numerical failure: spectral cutoff 64 too small at N=32" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("law", ["law = uniform(1,2)\n", ""], ids=["law", "no-law"])
 @pytest.mark.parametrize("command, body, tol", [
     ("sample", "n = 8\nfield = bilap\n", "nan"),
@@ -377,7 +388,7 @@ def test_sample_gff_random_law_n256(tmp_path):
     smp = load_field(tmp_path / "field_gff_env_N256_seed0.hf")
     assert smp.kind == "gff_env"
     assert smp.field.grid.N == 256
-    assert smp.field.is_mean_zero(rtol=1e-9)
+    assert has_zero_mean(smp.field, rtol=1e-9)
 
 
 @pytest.mark.parametrize("law", ["", "law = homogeneous\n"])

@@ -9,6 +9,7 @@ import pytest
 from homfield import experiments, solver
 from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.experiments import (
+    CutoffError,
     ExperimentConfig,
     RateSeries,
     bilap_error_rate,
@@ -230,7 +231,7 @@ def test_mode_representatives_pair_each_frequency_once(N, d, cutoff):
 
 
 def test_truncation_error_remainder_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(CutoffError):
         truncation_error(8, 2, 0.75, kcut=5)
     val = truncation_error(8, 2, 0.75, kcut=64)
     assert val > 0

@@ -26,10 +26,10 @@ from homfield.solver import (
     _pseudo_eigenfunctions,
     _spectral_multiplier,
     inv_sqrt,
-    solve_heterogeneous,
+    solve,
     solve_homogeneous,
 )
-from reference import delta_rhs
+from reference import delta_rhs, has_zero_mean
 
 
 def solve_dense(a, rhs):
@@ -49,7 +49,7 @@ def test_homogeneous_solve_inverts_operator():
     grid = TorusGrid(16, 2)
     rhs = _random_rhs(grid)
     u = solve_homogeneous(grid, rhs)
-    assert u.is_mean_zero()
+    assert has_zero_mean(u)
     a = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
     back = apply_operator(a, u)
     assert np.allclose(back.values, rhs.values, atol=1e-9 * np.abs(rhs.values).max())
@@ -59,9 +59,9 @@ def test_cg_matches_dense_oracle():
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
     rhs = _random_rhs(grid, 1)
-    u_cg, report = solve_heterogeneous(a, rhs, tol=1e-12)
+    u_cg, report = solver._pcg(a, rhs.values[None], 1e-12)
     u_dense = solve_dense(a, rhs)
-    assert np.allclose(u_cg.values, u_dense.values, atol=1e-9)
+    assert np.allclose(u_cg[0], u_dense.values, atol=1e-9)
     assert report.residual <= 1e-12
 
 
@@ -72,10 +72,10 @@ def test_one_dimensional_closed_form():
     grid = TorusGrid(N, 1)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 7)
     rhs = _random_rhs(grid, 2)
-    u, _ = solve_heterogeneous(a, rhs, tol=1e-12)
+    u = solve(grid, a, rhs.values, tol=1e-12)
     w = a.weights[0]
     # flux on edge (x, x+1): N^2 w_x (u_x - u_{x+1}) ; difference of fluxes = rhs
-    flux = N**2 * w * (u.values - np.roll(u.values, -1))
+    flux = N**2 * w * (u - np.roll(u, -1))
     recovered = flux - np.roll(flux, 1)
     assert np.allclose(recovered, rhs.values, atol=1e-7)
     # direct construction: flux recurrence F_x - F_{x-1} = rhs_x fixes the
@@ -86,7 +86,7 @@ def test_one_dimensional_closed_form():
     d = (f0 + s) / (N**2 * w)  # u_x - u_{x+1}
     u_ref = np.concatenate([[0.0], -np.cumsum(d)[:-1]])
     u_ref -= u_ref.mean()
-    assert np.allclose(u.values, u_ref, atol=1e-7)
+    assert np.allclose(u, u_ref, atol=1e-7)
 
 
 @pytest.mark.parametrize("N", [2, 3, 7, 8, 15])
@@ -134,16 +134,15 @@ def test_buffered_spectral_apply_equals_numpy_nd_transforms(dtype, d, N):
 def test_real_solve_returns_float64():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 2)
-    u, _ = solve_heterogeneous(a, _random_rhs(grid, 8))
-    assert u.values.dtype == np.float64
+    assert solve(grid, a, _random_rhs(grid, 8).values).dtype == np.float64
 
 
 def test_complex_rhs():
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 4)
     mode = fourier_mode(grid, (1, 1))
-    u, _ = solve_heterogeneous(a, mode, tol=1e-11)
-    back = apply_operator(a, u)
+    u = solve(grid, a, mode.values, tol=1e-11)
+    back = apply_operator(a, LatticeField(grid, u))
     assert np.allclose(back.values, mode.values, atol=1e-7)
 
 
@@ -154,37 +153,41 @@ def test_complex_rhs_small_imaginary_part():
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 10)
     re, im = _random_rhs(grid, 6), _random_rhs(grid, 7)
     rhs = LatticeField(grid, re.values + 1e-6j * im.values)
-    u, _ = solve_heterogeneous(a, rhs, tol=1e-12)
-    assert np.allclose(u.values.real, solve_dense(a, re).values, rtol=0, atol=1e-9)
-    assert np.allclose(u.values.imag / 1e-6, solve_dense(a, im).values, rtol=0, atol=1e-9)
+    u = solve(grid, a, rhs.values, tol=1e-12)
+    assert np.allclose(u.real, solve_dense(a, re).values, rtol=0, atol=1e-9)
+    assert np.allclose(u.imag / 1e-6, solve_dense(a, im).values, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64])
 def test_pcg_iterations_do_not_grow_with_size(N):
     grid = TorusGrid(N, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 9)
-    _, report = solve_heterogeneous(a, _random_rhs(grid, 5))
+    _, report = solver._pcg(a, _random_rhs(grid, 5).values[None], solver.DEFAULT_TOL)
     assert report.iterations <= 20
 
 
 def test_mean_zero_enforced():
+    # a single field, and a stack of three whose middle field alone is bad
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
     nan = _random_rhs(grid).values
     nan[0, 0] = np.nan
-    for bad in (LatticeField(grid, np.ones(grid.shape)), LatticeField(grid, nan)):
+    for bad in (np.ones(grid.shape), nan):
+        stack = np.stack([_random_rhs(grid, 1).values, bad, _random_rhs(grid, 2).values])
+        for values in (bad, stack):
+            for env in (a, None):
+                with pytest.raises(ValueError, match="mean-zero"):
+                    solve(grid, env, values)
         with pytest.raises(ValueError, match="mean-zero"):
-            solve_heterogeneous(a, bad)
-        with pytest.raises(ValueError, match="mean-zero"):
-            solve_homogeneous(grid, bad)
+            solve_homogeneous(grid, LatticeField(grid, bad))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, float("nan")])
-def test_solve_heterogeneous_rejects_bad_tolerance(tol):
+def test_solve_rejects_bad_tolerance(tol):
     grid = TorusGrid(8, 2)
     with pytest.raises(ValueError, match="tolerance must lie in"):
-        solve_heterogeneous(sample_environment(EnvironmentLaw.constant(1.0), grid, 0),
-                            _random_rhs(grid), tol=tol)
+        solve(grid, sample_environment(EnvironmentLaw.constant(1.0), grid, 0),
+              _random_rhs(grid).values, tol=tol)
     with pytest.raises(ValueError, match="tolerance must lie in"):
         solver._pcg(sample_environment(EnvironmentLaw.constant(1.0), grid, 0),
                     _random_rhs(grid).values[None], tol)
@@ -196,7 +199,7 @@ def test_solver_error_on_iteration_cap(monkeypatch):
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     rhs = _random_rhs(grid, 3)
     with pytest.raises(SolverError) as err:
-        solve_heterogeneous(a, rhs, tol=1e-14)
+        solve(grid, a, rhs.values, tol=1e-14)
     assert err.value.report.iterations == 2
 
 
@@ -398,11 +401,10 @@ def test_solutions_are_mean_zero_without_projections(N, tol):
     rng = np.random.default_rng(N)
     real = rng.standard_normal(grid.shape) + 0.5
     for values in (real, real + 1j * rng.standard_normal(grid.shape)):
-        rhs = LatticeField(grid, values - values.mean())
-        u, _ = solve_heterogeneous(a, rhs, tol=tol)
-        assert u.is_mean_zero(1e-12)
+        u = LatticeField(grid, solve(grid, a, values - values.mean(), tol=tol))
+        assert has_zero_mean(u, 1e-12)
         image = LatticeField(grid, inv_sqrt(grid, a, values, tol=tol))
-        assert image.is_mean_zero(1e-12)
+        assert has_zero_mean(image, 1e-12)
 
 
 def test_energy_history_decreases():
@@ -414,10 +416,10 @@ def test_energy_history_decreases():
     rhs = _random_rhs(grid, 4)
     energy = {0: 0.0}
     for k in range(1, 41):
-        x, report = solve_heterogeneous(a, rhs, tol=10 ** (-0.25 * k))
-        ax = apply_operator(a, x).values
-        energy[report.iterations] = float(0.5 * np.sum(x.values * ax)
-                                          - np.sum(rhs.values * x.values))
+        x, report = solver._pcg(a, rhs.values[None], 10 ** (-0.25 * k))
+        x = x[0]
+        ax = apply_operator(a, LatticeField(grid, x)).values
+        energy[report.iterations] = float(0.5 * np.sum(x * ax) - np.sum(rhs.values * x))
     n = max(energy)
     assert sorted(energy) == list(range(n + 1))
     energy = np.asarray([energy[it] for it in range(n + 1)])
@@ -429,7 +431,7 @@ def test_green_column_matches_spectral_sum():
     # homogeneous Green's function as an explicit eigen-expansion
     grid = TorusGrid(8, 2)
     y = (1, -2)
-    g = solve_homogeneous(grid, delta_rhs(grid, y))
+    g = solve(grid, None, delta_rhs(grid, y).values)
     ref = np.zeros(grid.shape, dtype=complex)
     for k0 in grid.coordinates_1d():
         for k1 in grid.coordinates_1d():
@@ -439,18 +441,19 @@ def test_green_column_matches_spectral_sum():
             mode = fourier_mode(grid, (k0, k1))
             ref += mode.values * np.conj(mode.values[grid.index_of(y)]) / lam
     ref /= grid.n
-    assert np.allclose(g.values, ref.real, atol=1e-12)
+    assert np.allclose(g, ref.real, atol=1e-12)
 
 
 def test_green_symmetry_all_pairs():
     grid = TorusGrid(6, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 8)
     coords = [(x, y) for x in grid.coordinates_1d() for y in grid.coordinates_1d()]
-    cols = {y: solve_heterogeneous(a, delta_rhs(grid, y), tol=1e-12)[0] for y in coords}
+    deltas = np.stack([delta_rhs(grid, y).values for y in coords])
+    cols = dict(zip(coords, solve(grid, a, deltas, tol=1e-12)))
     for x in coords:
         for y in coords:
-            gxy = cols[y].values[grid.index_of(x)]
-            gyx = cols[x].values[grid.index_of(y)]
+            gxy = cols[y][grid.index_of(x)]
+            gyx = cols[x][grid.index_of(y)]
             assert gxy == pytest.approx(gyx, abs=1e-8)
 
 
@@ -534,11 +537,11 @@ def test_inv_sqrt_backends_agree_on_laplacian():
         assert _rel_err(inv_sqrt(grid, unit, values), ref) < 1e-7
         assert _rel_err(solver._dense_power(unit, values, -0.5), ref) < 1e-7
         # applied twice it is the mean-zero inverse of -Lap_N
-        fields = values.reshape((-1,) + grid.shape)
-        twice = inv_sqrt(grid, None, ref).reshape(fields.shape)
-        for field, out in zip(fields, twice):
-            solved = solve_homogeneous(grid, LatticeField(grid, field - field.mean()))
-            assert _rel_err(out, solved.values) < 1e-12
+        twice = inv_sqrt(grid, None, ref)
+        solved = solve(grid, None, values - values.mean(axis=(-2, -1), keepdims=True))
+        for out, field in zip(twice.reshape((-1,) + grid.shape),
+                              solved.reshape((-1,) + grid.shape)):
+            assert _rel_err(out, field) < 1e-12
 
 
 @pytest.mark.parametrize("d, N", [(1, 16), (2, 8), (3, 8)])
@@ -552,7 +555,8 @@ def test_inv_sqrt_dense_and_krylov_agree_on_environment(d, N):
 
 @pytest.mark.parametrize("method", ["spectral", "dense", "krylov"])
 def test_inv_sqrt_stack_matches_field_by_field(method):
-    # "dense" is the eigh oracle that the tests apply to stacks of modes
+    # "dense" is the eigh oracle that the tests apply to stacks of modes;
+    # without and with an environment, solve runs on the centred stack too
     grid = TorusGrid(8, 2)
     a = (None if method == "spectral"
          else sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5))
@@ -560,9 +564,14 @@ def test_inv_sqrt_stack_matches_field_by_field(method):
              else functools.partial(inv_sqrt, grid, a))
     real, cplx = _inv_sqrt_inputs(grid)
     stack = np.stack([real[0], real[1], cplx])
-    out = apply(stack)
-    for field, image in zip(stack, out):
-        assert np.allclose(image, apply(field), rtol=0, atol=1e-13)
+    cases = [(apply, stack)]
+    if method != "dense":
+        cases.append((functools.partial(solve, grid, a),
+                      stack - stack.mean(axis=(1, 2), keepdims=True)))
+    for apply, fields in cases:
+        out = apply(fields)
+        for field, image in zip(fields, out):
+            assert np.allclose(image, apply(field), rtol=0, atol=1e-13)
 
 
 def test_inv_sqrt_rejects_bad_backend():
