@@ -18,25 +18,25 @@ are optional unless a command requires them)::
                                   # with finite atoms in [1, Lambda]; omit or
                                   # "homogeneous" for unit conductances
     field = bilap                 # sample: gff | bilap
-    beta = 0.75                   # Sobolev order (bilap/disc experiments); any
-                                  # value, 0 included, must be finite and pass
-                                  # the threshold beta > d/4 - 1/2
+    beta = 0.75                   # Sobolev order (bilap / disc experiments);
+                                  # every value, 0 included, must be finite
+                                  # and pass the threshold beta > d/4 - 1/2
     kset = 1,0; 0,1; 1,1          # frequency list, components comma-separated
                                   # (rates pseudo: exactly one frequency)
     M = 16                        # environment replicates, >= 1
     noise_replicates = 200        # cov: noise draws per environment, >= 1
-    seed = 0                      # master seed (u64); --seed overrides
+    seed = 0                      # master seed, >= 0; --seed overrides
     tol = 1e-8                    # iterative solver tolerance, in (0, 1)
     mode_cutoff = 2               # sup-norm truncation of mode sums (bilap),
                                   # >= 1; omit for the whole window
     experiment = pseudo           # rates: pseudo | bilap | disc | synthetic
                                   # (pseudo and bilap need a law)
-    ahom = 1.4142135623730951     # effective coefficient, finite and > 0;
-                                  # omit to estimate (rates says so on stderr)
-    expect_slope = -2             # optional rate assertion ...
-    slope_tol = 0.3               # ... |slope - expect| <= tol, else exit 4;
-                                  # a NaN slope (constant law, or fewer
-                                  # than 3 sizes) fails it too
+    ahom = 1.4142135623730951     # effective coefficient, finite and > 0; omit
+                                  # to estimate (announced on stderr)
+    expect_slope = -2             # optional rate assertion (finite) ...
+    slope_tol = 0.3               # ... |slope - expect| <= tol (finite, >= 0),
+                                  # else exit 4; a NaN slope (constant law,
+                                  # or fewer than 3 sizes) fails it too
 
 Every subcommand appends one JSON record to ``runlog.jsonl`` in the output
 directory. Each record carries ``command``, ``config``, ``config_hash``
@@ -53,9 +53,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -73,7 +73,6 @@ from .sampler import (
 )
 from .solver import DEFAULT_TOL, SolverError, _check_tol
 from .experiments import (
-    AHOM_ESTIMATE_M,
     CutoffError,
     ExperimentConfig,
     RateSeries,
@@ -170,6 +169,13 @@ def _parse_tol(text) -> float:
 
 def _tol(cfg) -> float:
     return _get(cfg, "tol", default=DEFAULT_TOL, cast=_parse_tol)
+
+
+def _parse_finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
 
 
 def _seed(args, cfg) -> int:
@@ -314,46 +320,30 @@ def _experiment_config(cfg, seed) -> ExperimentConfig:
     )
 
 
-def _with_ahom(ecfg: ExperimentConfig) -> tuple:
-    """The config with ahom resolved, and the runlog entries that say how.
-
-    An estimate is the same one the experiments would otherwise run
-    unannounced; resolving it here lets the run report and record it.
-    """
-    estimated = ecfg.ahom is None and ecfg.law is not None
-    if estimated:
-        print(f"ahom not configured: estimating it from M={AHOM_ESTIMATE_M} "
-              f"environments at N={max(ecfg.Ns)}", file=sys.stderr)
-        ecfg = dataclasses.replace(ecfg, ahom=ecfg.resolve_ahom())
-    return ecfg, {"ahom": ecfg.ahom, "ahom_estimated": estimated}
+RATE_EXPERIMENTS = {
+    # harness self-test: an exact power law injected instead of a measurement
+    "synthetic": lambda ecfg: RateSeries.from_points(
+        "synthetic_nm2", [(n, n**-2.0, 0.0) for n in ecfg.Ns]),
+    "pseudo": pseudo_eigen_rate,
+    "bilap": bilap_error_rate,
+    "disc": discretization_rate,
+}
 
 
 def cmd_rates(args, cfg) -> int:
     experiment = _get(cfg, "experiment")
     seed = _seed(args, cfg)
-    expect = _get(cfg, "expect_slope", default=None, cast=float)
-    slope_tol = _get(cfg, "slope_tol", default=0.3, cast=float)
-    t0 = time.time()
-    ahom_record = {}
-    if experiment == "synthetic":
-        # harness self-test: exact power law injected instead of measurement
-        ns = _experiment_config(cfg, seed).Ns
-        series = RateSeries.from_points("synthetic_nm2", [(n, n**-2.0, 0.0) for n in ns])
-    elif experiment == "pseudo":
-        # checked before ahom is estimated
-        if len(_get(cfg, "kset", cast=_parse_kset)) != 1:
-            raise ConfigError("config key 'kset': experiment = pseudo measures one mode; "
-                              "give one frequency")
-        ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed))
-        series = pseudo_eigen_rate(ecfg)
-    elif experiment == "bilap":
-        _get(cfg, "beta")  # checked before ahom is estimated
-        ecfg, ahom_record = _with_ahom(_experiment_config(cfg, seed))
-        series = bilap_error_rate(ecfg)
-    elif experiment == "disc":
-        series = discretization_rate(_experiment_config(cfg, seed))
-    else:
+    expect = _get(cfg, "expect_slope", default=None, cast=_parse_finite)
+    slope_tol = _get(cfg, "slope_tol", default=0.3, cast=_parse_finite)
+    if slope_tol < 0:
+        raise ConfigError(f"config key 'slope_tol': must be non-negative, got {slope_tol}")
+    if experiment not in RATE_EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    ecfg = _experiment_config(cfg, seed)
+    t0 = time.time()
+    series = RATE_EXPERIMENTS[experiment](ecfg)
+    ahom_record = ({} if series.ahom is None else
+                   {"ahom": series.ahom, "ahom_estimated": ecfg.ahom is None})
     _write_csv(os.path.join(args.out, f"rates_{experiment}.csv"),
                ["quantity", "N", "value", "stderr"],
                [[series.quantity, n, repr(float(v)), repr(float(s))]
@@ -491,6 +481,15 @@ COMMANDS = {
 }
 
 
+# the failures main reports, checked in order: exception types, label, exit code
+FAILURES = (
+    ((ValueError, configparser.Error), "config error", EXIT_CONFIG),
+    (SolverError, "solver failure", EXIT_SOLVER),
+    (CutoffError, "numerical failure", EXIT_SOLVER),
+    (AssertionFailure, "assertion failure", EXIT_ASSERT),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     made_out = not os.path.exists(args.out)
@@ -501,20 +500,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out {args.out}: {exc.strerror}") from exc
         return COMMANDS[args.command](args, cfg)
-    except (ValueError, configparser.Error) as exc:
+    except Exception as exc:
         if made_out and os.path.isdir(args.out) and not os.listdir(args.out):
             os.rmdir(args.out)
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except CutoffError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except AssertionFailure as exc:
-        print(f"assertion failure: {exc}", file=sys.stderr)
-        return EXIT_ASSERT
+        for types, label, code in FAILURES:
+            if isinstance(exc, types):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +124,8 @@ class RateSeries:
     ``t_half_width`` its 95 % t-quantile half-width (see :func:`fit_rate`).
     ``corrected`` holds the (slope, intercept, half_width, t_half_width)
     fit of value / log(N), used in d = 2 where the bounds carry a log
-    factor; it is None otherwise.
+    factor; it is None otherwise. ``ahom`` is the effective coefficient
+    the measured fields were compared against, None where none was used.
     """
 
     quantity: str
@@ -133,15 +135,17 @@ class RateSeries:
     half_width: float
     t_half_width: float
     corrected: tuple = None
+    ahom: float = None
 
     @classmethod
-    def from_points(cls, quantity: str, points, log_correct: bool = False) -> "RateSeries":
+    def from_points(cls, quantity: str, points, log_correct: bool = False,
+                    ahom: float = None) -> "RateSeries":
         points = tuple(sorted(points))
         fit = fit_rate([(n, v) for n, v, _ in points])
         corrected = None
         if log_correct:
             corrected = fit_rate([(n, v / np.log(n)) for n, v, _ in points])
-        return cls(quantity, points, *fit, corrected)
+        return cls(quantity, points, *fit, corrected, ahom)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +203,13 @@ class ExperimentConfig:
     def resolve_ahom(self) -> float:
         """Effective coefficient to use: the configured value, or an estimate
         from AHOM_ESTIMATE_M environments at the largest ladder size when
-        none was given."""
+        none was given, announced on stderr before it runs."""
         if self.ahom is not None:
             return float(self.ahom)
         if self.law is None:
             return 1.0
+        print(f"ahom not configured: estimating it from M={AHOM_ESTIMATE_M} "
+              f"environments at N={max(self.Ns)}", file=sys.stderr)
         return estimate_ahom(self.law, max(self.Ns), AHOM_ESTIMATE_M,
                              seed=self.seed + 77, d=self.d, tol=self.tol).mean
 
@@ -227,14 +233,14 @@ def _ladder(cfg: ExperimentConfig, tag: int, per_env) -> list:
     return points
 
 
-def _rate_series(cfg: ExperimentConfig, quantity: str, points) -> RateSeries:
+def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> RateSeries:
     """The fitted series of a Monte-Carlo ladder, with the log correction in
     d = 2. Under a constant law the values are at solver-tolerance level,
     and fewer than 3 sizes cannot be fitted: both give NaN slope fields."""
     if cfg.law.variant == "constant" or len(points) < 3:
         nan = float("nan")
-        return RateSeries(quantity, tuple(points), nan, nan, nan, nan)
-    return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2))
+        return RateSeries(quantity, tuple(points), nan, nan, nan, nan, ahom=ahom)
+    return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2), ahom=ahom)
 
 
 def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
@@ -260,12 +266,11 @@ def pseudo_eigen_rate(cfg: ExperimentConfig) -> RateSeries:
     if len(cfg.kset) != 1:
         raise ValueError(f"pseudo_eigen_rate measures one mode: set kset to one "
                          f"frequency, got {len(cfg.kset)}")
-    k, = cfg.kset
     if cfg.law is None:
         raise ValueError("pseudo_eigen_rate needs an environment law")
     ahom = cfg.resolve_ahom()
-    points = _ladder(cfg, 0, lambda a, rep: _pseudo_sq_error(a, ahom, [k], cfg.tol)[0])
-    return _rate_series(cfg, "pseudo_eigen_sq_error", points)
+    points = _ladder(cfg, 0, lambda a, rep: _pseudo_sq_error(a, ahom, cfg.kset, cfg.tol)[0])
+    return _rate_series(cfg, "pseudo_eigen_sq_error", points, ahom)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +416,7 @@ def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
     modes = {N: _bilap_modes(cfg, N) for N in cfg.Ns}
     points = _ladder(cfg, 100, lambda a, rep: _bilap_exact_in_noise(
         a, ahom, *modes[a.grid.N], cb, cfg.tol))
-    return _rate_series(cfg, "bilap_sq_error", points)
+    return _rate_series(cfg, "bilap_sq_error", points, ahom)
 
 
 # ---------------------------------------------------------------------------

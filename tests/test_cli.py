@@ -219,6 +219,7 @@ def test_rates_d2_records_the_corrected_fit(tmp_path, capsys):
         d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16),
         kset=((1, 0),), replicates=2, ahom=2**0.5))
     slope, _, hw, t_hw = series.corrected
+    assert series.ahom == 2**0.5
     rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
     assert (rec["corrected_slope"], rec["corrected_half_width"],
             rec["corrected_t_half_width"]) == (slope, hw, t_hw)
@@ -365,6 +366,21 @@ def test_disc_cutoff_too_small_is_numerical_failure(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, body, code", [
+    ("rates", "experiment = disc\nd = 2\nn = 8,16,32\nbeta = 0.01\n", EXIT_SOLVER),
+    ("sample", "n = 16\nlaw = bernoulli(0.5,1,2)\nfield = gff\n", EXIT_SOLVER),
+], ids=["numerical", "solver"])
+def test_failing_run_removes_the_out_directory_it_created(tmp_path, monkeypatch, command,
+                                                          body, code):
+    # every failure, not only a configuration error, takes back a fresh
+    # --out it left empty
+    monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
+    out = tmp_path / "fresh"
+    cfg = _write_config(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("law", ["law = uniform(1,2)\n", ""], ids=["law", "no-law"])
 @pytest.mark.parametrize("command, body, tol", [
     ("sample", "n = 8\nfield = bilap\n", "nan"),
@@ -414,6 +430,8 @@ def test_rates_reports_estimated_ahom(tmp_path, capsys):
     assert rec["ahom_estimated"] is True
     assert rec["ahom"] == ExperimentConfig(
         d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16)).resolve_ahom()
+    # the library call announces its estimate as the CLI run did
+    assert "estimating" in capsys.readouterr().err
 
     fixed = tmp_path / "fixed"
     cfg = _write_config(tmp_path, body + f"ahom = {rec['ahom']!r}\n", name="fixed.ini")
@@ -547,6 +565,15 @@ def test_rates_bad_expect_slope_fails_before_running(tmp_path, capsys):
               "ahom = x1.4\n", "ahom"),
     ("sample", "n = 8\nlaw = constant(1,2)\n", "law"),
     ("cov", "n = 8\nkset = 1,0; 0,x\nM = 2\nnoise_replicates = 60\n", "kset"),
+    # the rate gate's keys parse as floats but must be finite, slope_tol >= 0
+    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -2\nslope_tol = -1\n",
+     "slope_tol"),
+    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -2\nslope_tol = nan\n",
+     "slope_tol"),
+    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -2\nslope_tol = inf\n",
+     "slope_tol"),
+    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = nan\n", "expect_slope"),
+    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -inf\n", "expect_slope"),
 ])
 def test_unparsable_value_names_its_key(tmp_path, capsys, command, body, key):
     cfg = _write_config(tmp_path, body)

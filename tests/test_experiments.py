@@ -260,6 +260,7 @@ def test_discretization_rate_slope():
     rs = discretization_rate(cfg)
     assert abs(rs.slope - (2 - 4 - 4 * 0.75)) < 0.3
     assert all(s == 0.0 for _, _, s in rs.points)  # deterministic
+    assert rs.ahom is None  # no heterogeneous field, so no ahom
 
 
 def test_discretization_rate_validates_beta():
@@ -280,6 +281,7 @@ def test_pseudo_eigen_rate_constant_law_trivial():
     for _, v, _ in rs.points:
         assert v < 1e-14
     assert np.isnan(rs.slope)
+    assert rs.ahom == 1.5
 
 
 def test_pseudo_eigen_k_dependence():
@@ -300,6 +302,7 @@ def test_bilap_error_constant_law_trivial():
     res = bilap_error_rate(cfg)
     for _, v, _ in res.points:
         assert v < 1e-16
+    assert res.ahom == 2.0
 
 
 def test_bilap_estimators_cross_validate():
