@@ -1,0 +1,148 @@
+"""Seed-0 outputs of the command line at small sizes, reduced to numbers, and
+their comparison with the recorded ``golden.json``.
+
+Every call runs ``homfield.cli.main`` in-process in a directory of its own.
+What it writes is reduced file by file:
+
+* a CSV to its rows, each cell an int, a float or a string;
+* ``runlog.jsonl`` and ``figure1_report.json`` to their records without
+  ``wall_s``, and a heatmap sidecar to its record;
+* an HFFLD1 field dump to its kind, d, N, normalized l2 norm and Fourier
+  coefficients (f, phi_k) at k = (1,0), (0,1) and (1,1), read with numpy
+  from the documented byte layout rather than through the package.
+
+Re-record after a change of realization that is meant (and say so in
+CHANGES.md)::
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import pathlib
+import struct
+import sys
+
+import numpy as np
+
+GOLDEN = pathlib.Path(__file__).with_name("golden.json")
+RTOL = 1e-10
+# A recorded 0.0 may be rounding noise on another platform, such as the half
+# width of the exact power law that the synthetic experiment fits: it
+# matches any value of magnitude up to ATOL.
+ATOL = 1e-14
+
+LAW = "bernoulli(0.5,1,2)"
+LADDER = "4,8,16"
+CALLS = {
+    # tag: (subcommand, [run] body, extra flags)
+    "ahom": ("ahom", f"d = 2\nN = 32\nM = 4\nlaw = {LAW}\n", []),
+    "rates_pseudo": ("rates", f"N = {LADDER}\nlaw = {LAW}\nkset = 1,0\nM = 4\n"
+                     "experiment = pseudo\n", []),
+    "rates_bilap": ("rates", f"N = {LADDER}\nlaw = {LAW}\nbeta = 0.75\nM = 4\n"
+                    "mode_cutoff = 2\nahom = 1.4142135623730951\nexperiment = bilap\n", []),
+    "rates_disc": ("rates", f"N = {LADDER}\nbeta = 0.75\nexperiment = disc\n", []),
+    "rates_synthetic": ("rates", f"N = {LADDER}\nexperiment = synthetic\n", []),
+    "cov": ("cov", f"N = 16\nlaw = {LAW}\nkset = 1,0; 0,1; 1,1\nM = 2\n"
+            "noise_replicates = 50\n", []),
+    "sample_gff_law": ("sample", f"N = 16\nlaw = {LAW}\nfield = gff\n", []),
+    "sample_bilap_law": ("sample", f"N = 16\nlaw = {LAW}\nfield = bilap\n", []),
+    "sample_gff_hom": ("sample", "N = 16\nfield = gff\n", ["--heatmap"]),
+    "figure1": ("figure1", "N = 32\n", []),
+}
+MODES = ((1, 0), (0, 1), (1, 1))
+
+
+def _cell(text: str):
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _field_dump(path) -> dict:
+    data = pathlib.Path(path).read_bytes()
+    d, N = struct.unpack("<qq", data[6:22])
+    kind = data[22:34].rstrip(b"\0").decode()
+    f = np.frombuffer(data[34:], dtype="<f8").reshape((N,) * d)
+    x = np.ix_(*[np.arange(N) - N // 2] * d)
+    coefficients = {}
+    for k in MODES:
+        c = np.mean(f * np.exp(-2j * np.pi * sum(ki * xi for ki, xi in zip(k, x)) / N))
+        coefficients[",".join(map(str, k))] = [float(c.real), float(c.imag)]
+    return {"kind": kind, "d": d, "N": N, "l2": float(np.sqrt(np.mean(f**2))),
+            "dft": coefficients}
+
+
+def _reduce(path) -> object:
+    name = os.path.basename(path)
+    if name.endswith(".csv"):
+        with open(path, newline="") as fh:
+            return [[_cell(c) for c in row] for row in csv.reader(fh)]
+    if name.endswith(".hf"):
+        return _field_dump(path)
+    if name == "runlog.jsonl":
+        records = [json.loads(line) for line in pathlib.Path(path).read_text().splitlines()]
+        return [{k: v for k, v in r.items() if k != "wall_s"} for r in records]
+    if name.endswith(".json"):
+        record = json.loads(pathlib.Path(path).read_text())
+        record.pop("wall_s", None)
+        return record
+    return None  # heatmap pixels: their range is in the sidecar
+
+
+def collect(root) -> dict:
+    """Run every call of CALLS under ``root`` and reduce its outputs."""
+    from homfield import cli
+
+    outputs = {}
+    for tag, (command, body, flags) in CALLS.items():
+        out = os.path.join(root, tag)
+        os.makedirs(out)
+        config = os.path.join(out, "run.ini")
+        with open(config, "w") as fh:
+            fh.write("[run]\n" + body)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", config, "--seed", "0", "--out", out, *flags])
+        files = {name: _reduce(os.path.join(out, name)) for name in sorted(os.listdir(out))
+                 if name != "run.ini"}
+        outputs[tag] = {"exit": code, "files": {k: v for k, v in files.items() if v is not None}}
+    return outputs
+
+
+def compare(actual, expected, where="") -> list:
+    """Paths at which ``actual`` differs from ``expected``: floats beyond
+    RTOL (ATOL for a recorded 0.0), anything else when not equal."""
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        if actual.keys() != expected.keys():
+            return [f"{where}: keys {sorted(actual)} != {sorted(expected)}"]
+        return [m for k in expected for m in compare(actual[k], expected[k], f"{where}/{k}")]
+    if isinstance(expected, list) and isinstance(actual, list):
+        if len(actual) != len(expected):
+            return [f"{where}: length {len(actual)} != {len(expected)}"]
+        return [m for i, (a, e) in enumerate(zip(actual, expected))
+                for m in compare(a, e, f"{where}[{i}]")]
+    if isinstance(expected, float) and isinstance(actual, float):
+        if (math.isnan(expected) and math.isnan(actual)) or math.isclose(
+                actual, expected, rel_tol=RTOL, abs_tol=0.0 if expected else ATOL):
+            return []
+        return [f"{where}: {actual!r} != {expected!r}"]
+    if type(actual) is not type(expected) or actual != expected:
+        return [f"{where}: {actual!r} != {expected!r}"]
+    return []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = collect(tmp)
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN} ({len(recorded)} calls)", file=sys.stderr)
