@@ -3,7 +3,6 @@ random conductance environments on the discrete torus."""
 
 from .lattice import (
     TorusGrid,
-    LatticeField,
     fourier_mode,
     dft,
     idft,

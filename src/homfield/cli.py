@@ -35,7 +35,7 @@ are optional unless a command requires them)::
                                   # to estimate (announced on stderr)
     expect_slope = -2             # optional rate assertion (finite) ...
     slope_tol = 0.3               # ... |slope - expect| <= tol (finite, >= 0),
-                                  # else exit 4; a NaN slope (constant law,
+                                  # else exit 4; a NaN slope (point-mass law,
                                   # or fewer than 3 sizes) fails it too
 
 Every subcommand appends one JSON record to ``runlog.jsonl`` in the output
@@ -64,8 +64,9 @@ import numpy as np
 
 from .environment import EnvironmentLaw, sample_environment
 from .homogenization import estimate_ahom
-from .lattice import TorusGrid
+from .lattice import LatticeField, TorusGrid
 from .sampler import (
+    FieldSample,
     dump_field,
     sample_bilaplacian,
     sample_gff,
@@ -263,9 +264,10 @@ def cmd_sample(args, cfg) -> int:
         law, grid, np.random.SeedSequence(seed, spawn_key=(1,)))
     noise_seed = np.random.SeedSequence(seed, spawn_key=(2,))
     if kind == "gff":
-        smp = sample_gff(grid, a, noise_seed, tol=tol)
+        values = sample_gff(grid, a, noise_seed, tol=tol)
     else:
-        smp = sample_bilaplacian(grid, a, sample_noise(grid, noise_seed), tol=tol)
+        values = sample_bilaplacian(grid, a, sample_noise(grid, noise_seed), tol=tol)
+    smp = FieldSample(f"{kind}_{'hom' if a is None else 'env'}", LatticeField(grid, values))
     dump_path = os.path.join(args.out, f"field_{smp.kind}_N{N}_seed{seed}.hf")
     dump_field(smp, dump_path)
     if args.heatmap:
@@ -425,18 +427,17 @@ def cmd_figure1(args, cfg) -> int:
     fields = {}
     for idx, (name, law) in enumerate(FIGURE1_PANELS):
         a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(1, idx)))
-        smp = sample_bilaplacian(grid, a, noise, tol=tol)
-        fields[name] = smp
+        values = sample_bilaplacian(grid, a, noise, tol=tol)
+        fields[name] = values - values.mean()
+        smp = FieldSample("bilap_env", LatticeField(grid, values))
         path = os.path.join(args.out, f"figure1_{name}.ppm")
         write_heatmap(smp, path, h, seed, grayscale=args.grayscale)
         dump_field(smp, os.path.join(args.out, f"figure1_{name}.hf"))
 
-    ref = fields["constant"].field.centered().values
     tests = {}
     passed = True
     for name in ("bernoulli_a", "bernoulli_b"):
-        other = fields[name].field.centered().values
-        agree = int(np.count_nonzero(ref * other > 0))
+        agree = int(np.count_nonzero(fields["constant"] * fields[name] > 0))
         p_value = _binomial_upper_tail(agree, grid.n)
         tests[name] = {"agreeing_sites": agree, "sites": grid.n, "p_value": p_value}
         passed = passed and p_value < 0.01

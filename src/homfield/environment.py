@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeField, TorusGrid, _read_values, _rng
+from .lattice import TorusGrid, _read_values, _rng
 
 __all__ = [
     "EnvironmentLaw",
@@ -83,6 +83,13 @@ class EnvironmentLaw:
             return self.params
         p, a, b = self.params
         return (min(a, b), max(a, b))
+
+    @property
+    def point_mass(self) -> bool:
+        """Whether every draw is the same conductance: constant(c), or
+        bernoulli(p, a, b) with p in {0, 1} or a == b."""
+        lo, hi = self.atoms_range
+        return lo == hi or (self.variant == "bernoulli" and self.params[0] in (0.0, 1.0))
 
     @property
     def ellipticity(self) -> float:
@@ -184,19 +191,20 @@ def extend(a: Conductances, M: int) -> Conductances:
     return Conductances(target, a.weights[sel], ellipticity=a.ellipticity)
 
 
-def apply_operator(a: Conductances, f: LatticeField) -> LatticeField:
-    """Apply the divergence-form operator:
+def apply_operator(a: Conductances, values: np.ndarray) -> np.ndarray:
+    """Apply the divergence-form operator to the fields stacked along the
+    leading axes of ``values`` (trailing axes ``a.grid.shape``):
 
         (-div a grad f)(x) = N^2 sum_{y ~ x} a_{x,y} (f(x) - f(y)).
 
     Linear, symmetric and positive semidefinite; its output always sums to
     zero because each edge contributes antisymmetrically.
     """
-    if f.grid != a.grid:
-        raise ValueError("field and environment live on different grids")
-    out = np.empty(f.values.shape, np.result_type(f.values, a.weights))
-    _stencil(a, f.values, out, np.empty_like(out))
-    return LatticeField(f.grid, out)
+    if values.shape[-a.grid.d:] != a.grid.shape:
+        raise ValueError(f"fields of shape {values.shape} do not end in grid {a.grid.shape}")
+    out = np.empty(values.shape, np.result_type(values, a.weights))
+    _stencil(a, values, out, np.empty_like(out))
+    return out
 
 
 def _stencil(a: Conductances, v: np.ndarray, out: np.ndarray, flux: np.ndarray) -> None:

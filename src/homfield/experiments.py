@@ -20,7 +20,6 @@ import numpy as np
 from .environment import EnvironmentLaw, sample_environment
 from .homogenization import estimate_ahom
 from .lattice import (
-    LatticeField,
     TorusGrid,
     eigenvalue_continuum,
     eigenvalue_discrete,
@@ -235,9 +234,9 @@ def _ladder(cfg: ExperimentConfig, tag: int, per_env) -> list:
 
 def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> RateSeries:
     """The fitted series of a Monte-Carlo ladder, with the log correction in
-    d = 2. Under a constant law the values are at solver-tolerance level,
+    d = 2. Under a point-mass law the values are at solver-tolerance level,
     and fewer than 3 sizes cannot be fitted: both give NaN slope fields."""
-    if cfg.law.variant == "constant" or len(points) < 3:
+    if cfg.law.point_mass or len(points) < 3:
         nan = float("nan")
         return RateSeries(quantity, tuple(points), nan, nan, nan, nan, ahom=ahom)
     return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2), ahom=ahom)
@@ -248,7 +247,8 @@ def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
     ks in environment a and their Fourier modes phi_k, from one stacked
     solve."""
     phis, us = _pseudo_eigenfunctions(a, ahom, ks, tol)
-    return [LatticeField(a.grid, u - phi).norm() ** 2 for phi, u in zip(phis, us)]
+    return [float(np.sqrt(np.sum(np.abs(u - phi) ** 2) / a.grid.n)) ** 2
+            for phi, u in zip(phis, us)]
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +260,16 @@ def pseudo_eigen_rate(cfg: ExperimentConfig) -> RateSeries:
     mode of cfg.kset and its Fourier mode over the N ladder, with its fitted
     slope.
 
-    For a constant law the distance is at solver-tolerance level and the fit
-    is skipped (slope fields are NaN).
+    For a point-mass law the distance is at solver-tolerance level and the
+    fit is skipped (slope fields are NaN).
     """
     if len(cfg.kset) != 1:
         raise ValueError(f"pseudo_eigen_rate measures one mode: set kset to one "
                          f"frequency, got {len(cfg.kset)}")
     if cfg.law is None:
         raise ValueError("pseudo_eigen_rate needs an environment law")
+    for N in cfg.Ns:  # the smallest window fails first, before ahom is estimated
+        TorusGrid(N, cfg.d).check_frequency(cfg.kset[0])
     ahom = cfg.resolve_ahom()
     points = _ladder(cfg, 0, lambda a, rep: _pseudo_sq_error(a, ahom, cfg.kset, cfg.tol)[0])
     return _rate_series(cfg, "pseudo_eigen_sq_error", points, ahom)
@@ -337,7 +339,7 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
         raise ValueError("a nonempty k-set is required")
     grid = TorusGrid(N, cfg.d)
     scale = formal_constant("gff", cfg.d) * grid.N ** (grid.d / 2.0) / grid.n
-    modes = np.stack([fourier_mode(grid, k).values.conj() for k in cfg.kset])
+    modes = np.stack([fourier_mode(grid, k).conj() for k in cfg.kset])
     blocks, exacts = [], []
     for env_idx in range(cfg.replicates):
         a = (None if cfg.law is None
@@ -346,7 +348,7 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
         # One draw at a time keeps memory at |kset| x N^d, not samples x N^d.
         blocks.append(scale * np.stack([
             v @ sample_noise(grid, np.random.SeedSequence(
-                cfg.seed, spawn_key=(201, env_idx, s))).values.ravel()
+                cfg.seed, spawn_key=(201, env_idx, s))).ravel()
             for s in range(samples)]))
         exacts.append(scale**2 * (v @ v.conj().T))
     coeffs = np.concatenate(blocks, axis=0)

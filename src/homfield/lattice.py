@@ -1,11 +1,11 @@
-"""Discrete torus geometry, lattice fields and Fourier transforms.
+"""Discrete torus geometry, Fourier modes and transforms.
 
 The domain is the d-dimensional discrete torus with N sites per axis.
 Integer site coordinates run over the symmetric window [-floor(N/2),
 ceil(N/2)) per axis; physical positions are obtained by dividing by N.
-Fields are stored as d-dimensional numpy arrays in row-major order over
-that window, so array index i along an axis corresponds to the integer
-coordinate i - N//2.
+A field is a numpy array of shape ``grid.shape``, row-major over that
+window, so array index i along an axis is the integer coordinate i - N//2;
+a stack of fields adds leading axes.
 
 All inner products are normalized: (f, g) = N^{-d} sum_x f(x) conj(g(x)),
 which makes the complex exponentials exp(2*pi*i*k.x) an orthonormal basis.
@@ -82,13 +82,6 @@ class TorusGrid:
         return k
 
 
-def _check_values(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise ValueError(f"values of shape {values.shape} do not fit grid {grid.shape}")
-    return values
-
-
 def _read_values(fh, grid: TorusGrid, leading: tuple = ()) -> np.ndarray:
     """Read the rest of an open binary dump as little-endian float64 values
     of shape leading + grid.shape.
@@ -122,32 +115,26 @@ def _rng(seed, *key) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class LatticeField:
-    """Scalar function on the discrete torus with normalized l2 structure."""
+    """One field and its grid, checked to fit: the field of a dump record."""
 
     grid: TorusGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values))
-
-    def mean(self):
-        return self.values.mean()
-
-    def centered(self) -> "LatticeField":
-        return LatticeField(self.grid, self.values - self.mean())
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) / self.grid.n))
+        values = np.asarray(self.values)
+        if values.shape != self.grid.shape:
+            raise ValueError(f"values of shape {values.shape} do not fit grid {self.grid.shape}")
+        object.__setattr__(self, "values", values)
 
 
-def fourier_mode(grid: TorusGrid, k) -> LatticeField:
+def fourier_mode(grid: TorusGrid, k) -> np.ndarray:
     """The complex exponential exp(2*pi*i*k.x) restricted to the grid.
 
     Has unit norm in the normalized l2 inner product.
     """
     k = grid.check_frequency(k)
     phase = sum(k_i * (c_i / grid.N) for k_i, c_i in zip(k, grid.coordinates()))
-    return LatticeField(grid, np.exp(2j * np.pi * phase))
+    return np.exp(2j * np.pi * phase)
 
 
 def eigenvalue_discrete(N: int, k):
@@ -163,18 +150,18 @@ def eigenvalue_continuum(k):
     return sum(4.0 * np.pi**2 * k_i**2 for k_i in k)
 
 
-def dft(fld: LatticeField) -> np.ndarray:
-    """Fourier coefficients (f, phi_k) for all k at once, in the site
-    layout: the coefficient of mode k is ``dft(f)[grid.index_of(k)]``.
+def dft(values: np.ndarray) -> np.ndarray:
+    """Fourier coefficients (f, phi_k) of the field f for all k at once, in
+    the site layout: the coefficient of mode k is ``dft(f)[grid.index_of(k)]``.
 
     The site array lives on the symmetric window, so it is unshifted to the
     standard FFT layout first and the frequency axes are shifted back.
     """
-    f0 = np.fft.ifftshift(fld.values)
-    return np.fft.fftshift(np.fft.fftn(f0)) / fld.grid.n
+    f0 = np.fft.ifftshift(values)
+    return np.fft.fftshift(np.fft.fftn(f0)) / values.size
 
 
-def idft(grid: TorusGrid, coefficients: np.ndarray) -> LatticeField:
+def idft(coefficients: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dft`; returns a complex-valued field."""
-    c0 = np.fft.ifftshift(coefficients) * grid.n
-    return LatticeField(grid, np.fft.fftshift(np.fft.ifftn(c0)))
+    c0 = np.fft.ifftshift(coefficients) * coefficients.size
+    return np.fft.fftshift(np.fft.ifftn(c0))

@@ -1,11 +1,12 @@
 """Gaussian field samplers: white noise with fine-to-coarse coupling,
 discrete free fields and bi-Laplacian fields, and their binary dumps.
 
-Both fields apply a power of the (possibly heterogeneous) divergence-form
-operator A to site-wise white noise: the free field is A^(-1/2) of it,
-through :func:`homfield.solver.inv_sqrt`, and the bi-Laplacian field A^(-1)
-of the centred noise, through :func:`homfield.solver.solve`. Both are exact
-by FFT without an environment and use conjugate-gradient solves with one.
+Fields are arrays of shape ``grid.shape``. Both fields apply a power of the
+(possibly heterogeneous) divergence-form operator A to site-wise white
+noise: the free field is A^(-1/2) of it, through
+:func:`homfield.solver.inv_sqrt`, and the bi-Laplacian field A^(-1) of the
+centred noise, through :func:`homfield.solver.solve`. Both are exact by FFT
+without an environment and use conjugate-gradient solves with one.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ FIELD_KINDS = ("gff_hom", "gff_env", "bilap_hom", "bilap_env")
 
 @dataclass(frozen=True)
 class FieldSample:
+    """The record of a field dump: a kind tag of FIELD_KINDS and the field."""
+
     kind: str
     field: LatticeField
 
@@ -44,30 +47,32 @@ class FieldSample:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
 
-def sample_noise(grid: TorusGrid, seed) -> LatticeField:
+def sample_noise(grid: TorusGrid, seed) -> np.ndarray:
     """I.i.d. standard normal values per site, reproducible from the seed."""
-    return LatticeField(grid, _rng(seed).standard_normal(grid.shape))
+    return _rng(seed).standard_normal(grid.shape)
 
 
-def coarsen(noise: LatticeField, N: int) -> LatticeField:
-    """The white noise ``noise`` coarsened to side N, which must divide its
-    side: each coarse site sums a block of (N_noise/N)^d values, scaled to
-    keep unit variance per site. Blocks are aligned with the site array, so
-    coarsening through an intermediate side gives exactly the same field as
-    coarsening directly."""
-    grid = TorusGrid(N, noise.grid.d)
-    if N == noise.grid.N:
+def coarsen(noise: np.ndarray, N: int) -> np.ndarray:
+    """The white noise ``noise``, a cube of sites, coarsened to side N,
+    which must divide its side: each coarse site sums a block of
+    (N_noise/N)^d values, scaled to keep unit variance per site. Blocks are
+    aligned with the site array, so coarsening through an intermediate side
+    gives exactly the same field as coarsening directly."""
+    grid = TorusGrid(N, noise.ndim)
+    if len(set(noise.shape)) != 1:
+        raise ValueError(f"noise of shape {noise.shape} is not a cube of sites")
+    if noise.shape[0] % N != 0:
+        raise ValueError(f"{N} does not divide the noise side {noise.shape[0]}")
+    r = noise.shape[0] // N
+    if r == 1:
         return noise
-    if noise.grid.N % N != 0:
-        raise ValueError(f"{N} does not divide the noise side {noise.grid.N}")
-    r = noise.grid.N // N
-    blocks = noise.values.reshape([N, r] * grid.d)
+    blocks = noise.reshape([N, r] * grid.d)
     out = blocks.sum(axis=tuple(range(1, 2 * grid.d, 2)))
-    return LatticeField(grid, out * r ** (-grid.d / 2.0))
+    return out * r ** (-grid.d / 2.0)
 
 
 def sample_gff(grid: TorusGrid, a: Conductances | None, seed,
-               tol: float = DEFAULT_TOL) -> FieldSample:
+               tol: float = DEFAULT_TOL) -> np.ndarray:
     """Sample a discrete free field with covariance given by the Green's
     function of the (homogeneous or environment) operator.
 
@@ -75,23 +80,17 @@ def sample_gff(grid: TorusGrid, a: Conductances | None, seed,
     :func:`homfield.solver.inv_sqrt` applied to seed-coupled white noise,
     with ``tol`` passed through (it bounds the environment quadrature).
     """
-    z = sample_noise(grid, seed)
-    values = inv_sqrt(grid, a, z.values, tol=tol)
-    return FieldSample("gff_hom" if a is None else "gff_env", LatticeField(grid, values))
+    return inv_sqrt(grid, a, sample_noise(grid, seed), tol=tol)
 
 
-def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: LatticeField,
-                       tol: float = DEFAULT_TOL) -> FieldSample:
+def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: np.ndarray,
+                       tol: float = DEFAULT_TOL) -> np.ndarray:
     """The bi-Laplacian field u = A^(-1)(noise - mean(noise)), through
     :func:`homfield.solver.solve`, with A = -div a grad, or -Lap_N when
     ``a`` is None. Deterministic given (a, noise)."""
-    if noise.grid != grid:
-        raise ValueError("noise grid mismatch")
-    values = solve(grid, a, noise.centered().values, tol)
-    return FieldSample("bilap_hom" if a is None else "bilap_env", LatticeField(grid, values))
-
-
-_KIND_TAGS = {kind: kind.encode().ljust(12, b"\0") for kind in FIELD_KINDS}
+    if noise.shape != grid.shape:
+        raise ValueError(f"noise of shape {noise.shape} does not fit grid {grid.shape}")
+    return solve(grid, a, noise - noise.mean(), tol)
 
 
 def dump_field(sample: FieldSample, path) -> None:
@@ -103,7 +102,7 @@ def dump_field(sample: FieldSample, path) -> None:
     with open(path, "wb") as fh:
         fh.write(FIELD_MAGIC)
         fh.write(struct.pack("<qq", grid.d, grid.N))
-        fh.write(_KIND_TAGS[sample.kind])
+        fh.write(sample.kind.encode().ljust(12, b"\0"))
         fh.write(sample.field.values.astype("<f8").tobytes())
 
 
@@ -117,5 +116,4 @@ def load_field(path) -> FieldSample:
             raise ValueError("truncated field dump header")
         d, N, tag = struct.unpack("<qq12s", header)
         grid = TorusGrid(N, d)
-        fld = LatticeField(grid, _read_values(fh, grid))
-    return FieldSample(tag.rstrip(b"\0").decode(), fld)
+        return FieldSample(tag.rstrip(b"\0").decode(), LatticeField(grid, _read_values(fh, grid)))

@@ -405,7 +405,7 @@ def _pseudo_eigenfunctions(a: Conductances, ahom: float, ks, tol: float) -> tupl
     phis = np.empty((len(ks),) + grid.shape, np.complex128)
     rhs = np.empty_like(phis)
     for phi, b, k in zip(phis, rhs, ks):
-        phi[...] = fourier_mode(grid, k).values
+        phi[...] = fourier_mode(grid, k)
         np.multiply(ahom * eigenvalue_discrete(grid.N, k), phi, out=b)
     return phis, _pcg(a, rhs, tol, out=rhs)[0]
 

@@ -1,8 +1,8 @@
 """Reference code that only the tests use, written over the package's
-engine: the mean-zero test of a field, the delta right-hand side of a
-Green's-function column, one corrector solve, and the shared-noise
-Monte-Carlo estimate of the bi-Laplacian error norm that cross-checks the
-noise-exact one."""
+engine: the normalized l2 norm and the mean-zero test of a field, the
+delta right-hand side of a Green's-function column, one corrector solve,
+and the shared-noise Monte-Carlo estimate of the bi-Laplacian error norm
+that cross-checks the noise-exact one."""
 
 import dataclasses
 
@@ -10,29 +10,34 @@ import numpy as np
 
 from homfield.experiments import ExperimentConfig, _bilap_modes, _ladder, formal_constant
 from homfield.homogenization import corrector_rhs
-from homfield.lattice import LatticeField, TorusGrid, dft
+from homfield.lattice import TorusGrid, dft
 from homfield.sampler import sample_noise
 from homfield.solver import DEFAULT_TOL, _pcg, solve
 
 
-def has_zero_mean(fld: LatticeField, rtol: float = 1e-12) -> bool:
-    """Whether |mean(fld)| <= rtol max |fld|."""
-    return abs(fld.mean()) <= rtol * np.max(np.abs(fld.values))
+def norm(values: np.ndarray) -> float:
+    """The normalized l2 norm (N^(-d) sum_x |f(x)|^2)^(1/2) of a field."""
+    return float(np.sqrt(np.sum(np.abs(values) ** 2) / values.size))
 
 
-def delta_rhs(grid: TorusGrid, y) -> LatticeField:
+def has_zero_mean(values: np.ndarray, rtol: float = 1e-12) -> bool:
+    """Whether |mean(f)| <= rtol max |f|."""
+    return abs(values.mean()) <= rtol * np.max(np.abs(values))
+
+
+def delta_rhs(grid: TorusGrid, y) -> np.ndarray:
     """delta_{x,y} - 1/N^d: its mean-zero solution is the column G(., y) of
     the Green's function."""
     values = np.full(grid.shape, -1.0 / grid.n)
     values[grid.index_of(y)] += 1.0
-    return LatticeField(grid, values)
+    return values
 
 
 def solve_corrector(a, axis: int, tol: float = DEFAULT_TOL) -> tuple:
     """(chi, report): the mean-zero corrector chi_axis with
     -div a grad chi = div(a e_axis), solved on its own."""
     x, report = _pcg(a, corrector_rhs(a, axis)[None], tol)
-    return LatticeField(a.grid, x[0]), report
+    return x[0], report
 
 
 def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: float,
@@ -44,11 +49,11 @@ def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: f
     scale = cb * grid.N ** (grid.d / 2.0)
     kidx = tuple(np.array([grid.index_of(k) for k in ks]).T)
     noise = np.stack([
-        sample_noise(grid, np.random.SeedSequence(cfg.seed, spawn_key=(300, env_idx, s))).values
+        sample_noise(grid, np.random.SeedSequence(cfg.seed, spawn_key=(300, env_idx, s)))
         for s in range(cfg.noise_replicates)])
     rhs = noise - noise.mean(axis=tuple(range(1, noise.ndim)), keepdims=True)
     errors = solve(grid, a, rhs, cfg.tol) - solve(grid, None, rhs) / ahom
-    return float(np.mean([np.sum(weights * np.abs(scale * dft(LatticeField(grid, e))[kidx]) ** 2)
+    return float(np.mean([np.sum(weights * np.abs(scale * dft(e)[kidx]) ** 2)
                           for e in errors]))
 
 

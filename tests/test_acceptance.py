@@ -25,16 +25,15 @@ from homfield.experiments import (
     pseudo_eigen_rate,
 )
 from homfield.homogenization import estimate_ahom
-from homfield.lattice import LatticeField, TorusGrid, dft, fourier_mode, idft
+from homfield.lattice import TorusGrid, dft, fourier_mode, idft
 from homfield.sampler import (
-    FieldSample,
     coarsen,
     sample_bilaplacian,
     sample_gff,
     sample_noise,
 )
 from homfield.solver import _pseudo_eigenfunctions, inv_sqrt, solve
-from reference import bilap_monte_carlo_point, delta_rhs, has_zero_mean, solve_corrector
+from reference import bilap_monte_carlo_point, delta_rhs, has_zero_mean, norm, solve_corrector
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 SQRT2 = float(np.sqrt(2.0))
@@ -58,11 +57,11 @@ def test_criterion_1_constant_environment_degeneracy():
         # pseudo-eigenfunctions equal Fourier modes
         for k in [(1, 0), (2, -3)]:
             phi = _pseudo_eigenfunctions(a, c, [k], 1e-12)[1][0]
-            assert LatticeField(grid, phi - fourier_mode(grid, k).values).norm() < 1e-8
+            assert norm(phi - fourier_mode(grid, k)) < 1e-8
         # corrector is identically zero
         for axis in range(2):
             chi, _ = solve_corrector(a, axis, tol=1e-12)
-            assert np.max(np.abs(chi.values)) < 1e-10
+            assert np.max(np.abs(chi)) < 1e-10
         # effective coefficient recovers the constant exactly
         est = estimate_ahom(EnvironmentLaw.constant(c), 8, 2, seed=0, d=2)
         assert abs(est.mean - c) < 1e-10
@@ -145,14 +144,14 @@ def test_criterion_7_sampler_correctness_oracles():
         grid = TorusGrid(16, 2)
         M = 10_000
         # the noise of sample_gff(grid, None, seed), as one stack
-        noise = np.stack([sample_noise(grid, np.random.SeedSequence(71, spawn_key=(s,))).values
+        noise = np.stack([sample_noise(grid, np.random.SeedSequence(71, spawn_key=(s,)))
                           for s in range(M)])
         fields = inv_sqrt(grid, None, noise).reshape(M, grid.n)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(72)))
         pairs = rng.integers(0, grid.n, size=(20, 2))
         for xi, yi in pairs:
             ycoord = tuple(np.array(np.unravel_index(yi, grid.shape)) - grid.N // 2)
-            target = solve(grid, None, delta_rhs(grid, ycoord).values).ravel()[xi]
+            target = solve(grid, None, delta_rhs(grid, ycoord)).ravel()[xi]
             prods = fields[:, xi] * fields[:, yi]
             stderr = prods.std(ddof=1) / np.sqrt(M)
             assert abs(prods.mean() - target) < 4 * stderr
@@ -164,7 +163,7 @@ def test_criterion_7_sampler_correctness_oracles():
         exact = ainv @ ainv  # centering is absorbed by the pseudo-inverse
         Mb = 4000
         # the fields of sample_bilaplacian(grid6, a, noise), as one stack
-        noise = np.stack([sample_noise(grid6, np.random.SeedSequence(74, spawn_key=(s,))).values
+        noise = np.stack([sample_noise(grid6, np.random.SeedSequence(74, spawn_key=(s,)))
                           for s in range(Mb)])
         noise -= noise.mean(axis=(1, 2), keepdims=True)
         us = solve(grid6, a, noise, tol=1e-10).reshape(Mb, grid6.n)
@@ -177,10 +176,9 @@ def test_criterion_7_sampler_correctness_oracles():
         # the Krylov sampler agrees with the dense eigh oracle on the same noise
         grid8 = TorusGrid(8, 2)
         a8 = sample_environment(EnvironmentLaw.uniform(1, 2), grid8, 75)
-        dense = FieldSample("gff_env", LatticeField(grid8, solver._dense_power(
-            a8, sample_noise(grid8, 76).values, -0.5)))
+        dense = solver._dense_power(a8, sample_noise(grid8, 76), -0.5)
         krylov = sample_gff(grid8, a8, 76, tol=1e-8)
-        assert np.max(np.abs(dense.field.values - krylov.field.values)) < 1e-4
+        assert np.max(np.abs(dense - krylov)) < 1e-4
 
 
 def test_criterion_8_structural_properties():
@@ -201,7 +199,7 @@ def test_criterion_8_structural_properties():
         g = np.linalg.pinv(operator_matrix(a6))
         ys = range(grid6.n)[:6]
         deltas = np.stack([
-            delta_rhs(grid6, tuple(np.array(np.unravel_index(yi, grid6.shape)) - 3)).values
+            delta_rhs(grid6, tuple(np.array(np.unravel_index(yi, grid6.shape)) - 3))
             for yi in ys])
         cols = dict(zip(ys, solve(grid6, a6, deltas, tol=1e-12).reshape(len(ys), grid6.n)))
         for yi, col in cols.items():
@@ -211,14 +209,14 @@ def test_criterion_8_structural_properties():
         # Parseval identity and DFT round trip
         f = sample_noise(grid, 83)
         spec = dft(f)
-        assert abs(f.norm() ** 2 - np.sum(np.abs(spec) ** 2)) < 1e-10
-        assert np.max(np.abs(idft(grid, spec).values - f.values)) < 1e-10
+        assert abs(norm(f) ** 2 - np.sum(np.abs(spec) ** 2)) < 1e-10
+        assert np.max(np.abs(idft(spec) - f)) < 1e-10
 
         # mean-zero invariants on every sampled field
-        assert has_zero_mean(sample_gff(grid, None, 84).field, rtol=1e-9)
-        assert has_zero_mean(sample_gff(grid, a, 84).field, rtol=1e-9)
+        assert has_zero_mean(sample_gff(grid, None, 84), rtol=1e-9)
+        assert has_zero_mean(sample_gff(grid, a, 84), rtol=1e-9)
         noise = sample_noise(grid, 85)
-        assert has_zero_mean(sample_bilaplacian(grid, a, noise).field, rtol=1e-9)
+        assert has_zero_mean(sample_bilaplacian(grid, a, noise), rtol=1e-9)
 
         # projection then extension reproduces the coarse environment
         fine = sample_environment(BERNOULLI, TorusGrid(16, 2), 86)
@@ -231,8 +229,8 @@ def test_criterion_8_structural_properties():
         finest = sample_noise(TorusGrid(16, 2), 87)
         direct = coarsen(finest, 4)
         via = coarsen(coarsen(finest, 8), 4)
-        assert np.allclose(direct.values, via.values, atol=1e-12)
-        assert abs(coarsen(finest, 8).values.var() - 1.0) < 0.5
+        assert np.allclose(direct, via, atol=1e-12)
+        assert abs(coarsen(finest, 8).var() - 1.0) < 0.5
 
 
 def test_criterion_9_figure_reproduction(tmp_path):

@@ -404,7 +404,7 @@ def test_sample_gff_random_law_n256(tmp_path):
     smp = load_field(tmp_path / "field_gff_env_N256_seed0.hf")
     assert smp.kind == "gff_env"
     assert smp.field.grid.N == 256
-    assert has_zero_mean(smp.field, rtol=1e-9)
+    assert has_zero_mean(smp.field.values, rtol=1e-9)
 
 
 @pytest.mark.parametrize("law", ["", "law = homogeneous\n"])
@@ -458,13 +458,18 @@ def test_sample_heatmap_rejects_d3_before_sampling(tmp_path, capsys):
     assert not list(out.glob("*.hf"))
 
 
-def test_rates_pseudo_with_several_modes_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("n, kset, message", [
     # the pseudo rate measures one mode; more used to be dropped silently
-    cfg = _write_config(tmp_path, "n = 4,8,16\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\n"
-                                  "kset = 1,0; 2,0; 1,1\nM = 2\n")
+    ("4,8,16", "1,0; 2,0; 1,1", "kset"),
+    # a mode outside the smallest size's window fails before ahom is estimated
+    ("4,8,64", "3,0", "frequency [3, 0] outside the window [-2, 1] for N=4"),
+], ids=["several-modes", "outside-window"])
+def test_rates_pseudo_with_several_modes_is_config_error(tmp_path, capsys, n, kset, message):
+    cfg = _write_config(tmp_path, f"n = {n}\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\n"
+                                  f"kset = {kset}\nM = 2\n")
     assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "kset" in err
+    assert message in err
     assert "estimating" not in err
     assert not (tmp_path / "rates_pseudo.csv").exists()
     ecfg = ExperimentConfig(d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16),

@@ -16,7 +16,7 @@ from homfield.environment import (
     project,
     sample_environment,
 )
-from homfield.lattice import LatticeField, TorusGrid
+from homfield.lattice import TorusGrid
 
 
 def test_law_constructors_and_parse():
@@ -51,6 +51,16 @@ def test_law_rejects_non_finite_parameters(text):
 def test_law_checks_its_parameters_on_direct_construction(variant, params, message):
     with pytest.raises(ValueError, match=message):
         EnvironmentLaw(variant, params)
+
+
+def test_law_point_mass():
+    for text in ("constant(1.5)", "bernoulli(0,1.5,2)", "bernoulli(1,1,1.5)",
+                 "bernoulli(0.5,1.5,1.5)"):
+        law = EnvironmentLaw.parse(text)
+        assert law.point_mass
+        assert np.unique(sample_environment(law, TorusGrid(8, 2), 0).weights).size == 1
+    for text in ("bernoulli(0.5,1,2)", "bernoulli(1e-9,1,2)", "uniform(1,1.5)"):
+        assert not EnvironmentLaw.parse(text).point_mass
 
 
 def test_law_parse_errors():
@@ -150,9 +160,8 @@ def test_apply_operator_output_sums_to_zero():
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 2)
     rng = np.random.default_rng(0)
-    f = LatticeField(grid, rng.standard_normal(grid.shape))
-    out = apply_operator(a, f)
-    assert abs(out.values.sum()) < 1e-8 * np.abs(out.values).max() * grid.n
+    out = apply_operator(a, rng.standard_normal(grid.shape))
+    assert abs(out.sum()) < 1e-8 * np.abs(out).max() * grid.n
 
 
 def test_apply_operator_matches_stencil_definition():
@@ -160,17 +169,27 @@ def test_apply_operator_matches_stencil_definition():
     grid = TorusGrid(4, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 11)
     rng = np.random.default_rng(1)
-    f = LatticeField(grid, rng.standard_normal(grid.shape))
+    f = rng.standard_normal(grid.shape)
     out = apply_operator(a, f)
     N = grid.N
     for i in range(N):
         for j in range(N):
             acc = 0.0
-            acc += a.weights[0, i, j] * (f.values[i, j] - f.values[(i + 1) % N, j])
-            acc += a.weights[0, (i - 1) % N, j] * (f.values[i, j] - f.values[(i - 1) % N, j])
-            acc += a.weights[1, i, j] * (f.values[i, j] - f.values[i, (j + 1) % N])
-            acc += a.weights[1, i, (j - 1) % N] * (f.values[i, j] - f.values[i, (j - 1) % N])
-            assert out.values[i, j] == pytest.approx(N**2 * acc, rel=1e-10)
+            acc += a.weights[0, i, j] * (f[i, j] - f[(i + 1) % N, j])
+            acc += a.weights[0, (i - 1) % N, j] * (f[i, j] - f[(i - 1) % N, j])
+            acc += a.weights[1, i, j] * (f[i, j] - f[i, (j + 1) % N])
+            acc += a.weights[1, i, (j - 1) % N] * (f[i, j] - f[i, (j - 1) % N])
+            assert out[i, j] == pytest.approx(N**2 * acc, rel=1e-10)
+
+
+def test_apply_operator_takes_stacks_and_rejects_fields_off_the_grid():
+    grid = TorusGrid(8, 2)
+    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 2)
+    stack = np.random.default_rng(3).standard_normal((3,) + grid.shape)
+    assert np.array_equal(apply_operator(a, stack), np.stack([apply_operator(a, v) for v in stack]))
+    for values in (np.zeros((16, 16)), np.zeros((8, 4)), np.zeros(8), np.zeros((8, 8, 2))):
+        with pytest.raises(ValueError, match="do not end in grid"):
+            apply_operator(a, values)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
@@ -187,7 +206,7 @@ def test_apply_operator_matches_roll_stencil(d, N):
             for axis in range(d):
                 flux = a.weights[axis] * (v - np.roll(v, -1, axis=axis))
                 ref = ref + flux - np.roll(flux, 1, axis=axis)
-            out = apply_operator(a, LatticeField(grid, v)).values
+            out = apply_operator(a, v)
             assert out.dtype == v.dtype
             assert np.allclose(out, N**2 * ref, rtol=1e-14, atol=0)
             outs.append(out)
@@ -209,8 +228,8 @@ def test_operator_matrix_equals_operator_columns(d, N):
     for law in (EnvironmentLaw.uniform(1, 2), EnvironmentLaw.bernoulli(0.5, 1, 2)):
         a = sample_environment(law, grid, 7)
         eye = np.eye(grid.n)
-        columns = np.stack([apply_operator(a, LatticeField(grid, e.reshape(grid.shape)))
-                            .values.ravel() for e in eye], axis=1)
+        columns = np.stack([apply_operator(a, e.reshape(grid.shape)).ravel() for e in eye],
+                           axis=1)
         assert np.array_equal(operator_matrix(a), columns)
 
 

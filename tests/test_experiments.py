@@ -21,10 +21,10 @@ from homfield.experiments import (
     truncation_error,
     _mode_representatives,
 )
-from homfield.lattice import LatticeField, TorusGrid, dft, eigenvalue_discrete, fourier_mode
+from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
 from homfield.sampler import sample_gff
 from homfield.solver import _pseudo_eigenfunctions
-from reference import bilap_monte_carlo_point
+from reference import bilap_monte_carlo_point, norm
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
@@ -168,7 +168,7 @@ def test_stacked_pseudo_errors_equal_one_mode_results():
     for k, err in zip(ks, stacked):
         one = experiments._pseudo_sq_error(a, ahom, [k], 1e-8)[0]
         u = _pseudo_eigenfunctions(a, ahom, [k], 1e-8)[1][0]
-        own = LatticeField(grid, u - fourier_mode(grid, k).values).norm() ** 2
+        own = norm(u - fourier_mode(grid, k)) ** 2
         assert one == pytest.approx(err, rel=1e-14, abs=0)
         assert own == pytest.approx(err, rel=1e-14, abs=0)
 
@@ -199,7 +199,7 @@ def test_bilap_exact_sum_pins_weights_and_scale(monkeypatch):
         lam = 4.0 * np.pi**2 * (k[0] ** 2 + k[1] ** 2)
         lam_n = 4.0 * N**2 * (np.sin(np.pi * k[0] / N) ** 2 + np.sin(np.pi * k[1] / N) ** 2)
         u = _pseudo_eigenfunctions(a, ahom, [k], tol)[1][0]
-        err = LatticeField(a.grid, u - fourier_mode(a.grid, k).values).norm() ** 2
+        err = norm(u - fourier_mode(a.grid, k)) ** 2
         expected += lam ** (-2 * beta) * 0.25**2 * err / (ahom * lam_n) ** 2
     assert value == pytest.approx(expected, rel=1e-13, abs=0)
 
@@ -273,8 +273,15 @@ def test_discretization_rate_validates_beta():
 # Monte-Carlo experiments (reduced sizes; acceptance runs the full versions)
 
 
-def test_pseudo_eigen_rate_constant_law_trivial():
-    cfg = ExperimentConfig(d=2, law=EnvironmentLaw.constant(1.5), Ns=(8, 16, 32),
+@pytest.mark.parametrize("law", [
+    EnvironmentLaw.constant(1.5),
+    EnvironmentLaw.bernoulli(0, 1.5, 2),
+    EnvironmentLaw.bernoulli(1, 1, 1.5),
+    EnvironmentLaw.bernoulli(0.5, 1.5, 1.5),
+], ids=["constant", "bernoulli-p0", "bernoulli-p1", "bernoulli-equal-atoms"])
+def test_pseudo_eigen_rate_constant_law_trivial(law):
+    # every point-mass law puts 1.5 on each edge, whatever its variant
+    cfg = ExperimentConfig(d=2, law=law, Ns=(8, 16, 32),
                            kset=((1, 0),), replicates=2,
                            seed=0, ahom=1.5)
     rs = pseudo_eigen_rate(cfg)
@@ -349,10 +356,10 @@ def test_gff_covariance_krylov_keeps_per_draw_realization():
                                np.random.SeedSequence(cfg.seed, spawn_key=(200, env)))
         for s in range(cfg.noise_replicates):
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env, s))
-            spec = dft(sample_gff(grid, a, seed, tol=cfg.tol).field)
+            spec = dft(sample_gff(grid, a, seed, tol=cfg.tol))
             coeffs.append([scale * spec[grid.index_of(k)] for k in kset])
         # the noise-exact covariance from the eigh oracle's V = A^(-1/2) conj(phi_k)
-        modes = np.stack([fourier_mode(grid, k).values.conj() for k in kset])
+        modes = np.stack([fourier_mode(grid, k).conj() for k in kset])
         v = solver._dense_power(a, modes, -0.5).reshape(len(kset), -1) * scale / grid.n
         exacts.append(v @ v.conj().T)
     coeffs = np.asarray(coeffs)

@@ -10,6 +10,7 @@ from homfield.lattice import (
     fourier_mode,
     idft,
 )
+from reference import norm
 
 
 def test_grid_geometry():
@@ -43,18 +44,26 @@ def test_grid_validation():
 
 def test_field_inner_product_normalization():
     grid = TorusGrid(8, 2)
-    ones = LatticeField(grid, np.ones(grid.shape))
-    assert np.vdot(ones.values, ones.values) / grid.n == pytest.approx(1.0)
-    assert ones.norm() == pytest.approx(1.0)
+    ones = np.ones(grid.shape)
+    assert np.vdot(ones, ones) / grid.n == pytest.approx(1.0)
+    assert norm(ones) == pytest.approx(1.0)
+
+
+def test_lattice_field_checks_its_shape():
+    grid = TorusGrid(8, 2)
+    assert LatticeField(grid, np.zeros(grid.shape)).values.shape == grid.shape
+    for shape in ((8,), (8, 4), (2, 8, 8)):
+        with pytest.raises(ValueError, match="do not fit grid"):
+            LatticeField(grid, np.zeros(shape))
 
 
 def test_fourier_modes_orthonormal():
     grid = TorusGrid(8, 2)
     m1 = fourier_mode(grid, (1, 0))
     m2 = fourier_mode(grid, (2, 3))
-    assert np.vdot(m1.values, m1.values) / grid.n == pytest.approx(1.0, abs=1e-13)
-    assert abs(np.vdot(m2.values, m1.values) / grid.n) < 1e-13
-    assert m1.norm() == pytest.approx(1.0, abs=1e-13)
+    assert np.vdot(m1, m1) / grid.n == pytest.approx(1.0, abs=1e-13)
+    assert abs(np.vdot(m2, m1) / grid.n) < 1e-13
+    assert norm(m1) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_eigenvalue_relation():
@@ -87,18 +96,18 @@ def test_operator_eigenfunction_identity():
         mode = fourier_mode(grid, k)
         out = apply_operator(a, mode)
         lam = eigenvalue_discrete(grid.N, k)
-        assert np.allclose(out.values, lam * mode.values, rtol=1e-10, atol=1e-6)
+        assert np.allclose(out, lam * mode, rtol=1e-10, atol=1e-6)
 
 
 def test_dft_roundtrip_and_parseval():
     grid = TorusGrid(16, 2)
     rng = np.random.default_rng(0)
-    f = LatticeField(grid, rng.standard_normal(grid.shape))
+    f = rng.standard_normal(grid.shape)
     spec = dft(f)
-    back = idft(grid, spec)
-    assert np.allclose(back.values.real, f.values, atol=1e-12)
-    assert np.max(np.abs(back.values.imag)) < 1e-12
-    assert np.linalg.norm(spec) == pytest.approx(f.norm(), rel=1e-12)
+    back = idft(spec)
+    assert np.allclose(back.real, f, atol=1e-12)
+    assert np.max(np.abs(back.imag)) < 1e-12
+    assert np.linalg.norm(spec) == pytest.approx(norm(f), rel=1e-12)
 
 
 def test_dft_of_mode_is_delta():

@@ -15,8 +15,14 @@ from homfield.environment import (  # noqa: E402
     load_environment,
     sample_environment,
 )
-from homfield.lattice import TorusGrid  # noqa: E402
-from homfield.sampler import dump_field, load_field, sample_bilaplacian, sample_noise  # noqa: E402
+from homfield.lattice import LatticeField, TorusGrid  # noqa: E402
+from homfield.sampler import (  # noqa: E402
+    FieldSample,
+    dump_field,
+    load_field,
+    sample_bilaplacian,
+    sample_noise,
+)
 
 # Small grids keep the header a large share of the bytes, so flips hit it often.
 GRID = TorusGrid(2, 2)
@@ -30,7 +36,8 @@ def dumps(tmp_path_factory):
     root = tmp_path_factory.mktemp("dumps")
     a = sample_environment(EnvironmentLaw.uniform(1, 2), GRID, 0)
     dump_environment(a, root / "env")
-    dump_field(sample_bilaplacian(GRID, a, sample_noise(GRID, 1)), root / "field")
+    field = LatticeField(GRID, sample_bilaplacian(GRID, a, sample_noise(GRID, 1)))
+    dump_field(FieldSample("bilap_env", field), root / "field")
     valid = {load_environment: (root / "env").read_bytes(),
              load_field: (root / "field").read_bytes()}
     return valid, root / "fuzzed"

@@ -6,7 +6,7 @@ import pytest
 from homfield.environment import EnvironmentLaw, sample_environment
 from homfield import solver
 from homfield.experiments import formal_constant
-from homfield.lattice import TorusGrid, dft, fourier_mode
+from homfield.lattice import LatticeField, TorusGrid, dft, fourier_mode
 from homfield.sampler import (
     FieldSample,
     coarsen,
@@ -24,9 +24,9 @@ def test_noise_reproducible_and_standard():
     grid = TorusGrid(32, 2)
     z1 = sample_noise(grid, 5)
     z2 = sample_noise(grid, 5)
-    assert np.array_equal(z1.values, z2.values)
-    assert abs(z1.values.mean()) < 4 / np.sqrt(grid.n)
-    assert abs(z1.values.var() - 1.0) < 0.2
+    assert np.array_equal(z1, z2)
+    assert abs(z1.mean()) < 4 / np.sqrt(grid.n)
+    assert abs(z1.var() - 1.0) < 0.2
 
 
 def test_noise_hierarchy_nested_consistency():
@@ -34,26 +34,29 @@ def test_noise_hierarchy_nested_consistency():
     finest = sample_noise(grid, 1)
     direct = coarsen(finest, 4)
     via_intermediate = coarsen(coarsen(finest, 8), 4)
-    assert np.allclose(direct.values, via_intermediate.values, atol=1e-12)
+    assert np.allclose(direct, via_intermediate, atol=1e-12)
     assert coarsen(finest, 16) is finest
     for side in (0, -4, 5, 32):
         with pytest.raises(ValueError):
             coarsen(finest, side)
+    for not_a_cube in (finest[:, :8], finest[0, 0]):
+        with pytest.raises(ValueError):
+            coarsen(not_a_cube, 4)
 
 
 def test_noise_hierarchy_unit_variance():
     grid = TorusGrid(64, 2)
     coarse = coarsen(sample_noise(grid, 2), 8)
-    assert abs(coarse.values.var() - 1.0) < 0.5  # 64 sites
+    assert abs(coarse.var() - 1.0) < 0.5  # 64 sites
 
 
 def test_gff_backends_agree():
     # the Krylov sampler against the eigh oracle on the same noise
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
-    dense = solver._dense_power(a, sample_noise(grid, 7).values, -0.5)
+    dense = solver._dense_power(a, sample_noise(grid, 7), -0.5)
     krylov = sample_gff(grid, a, 7, tol=1e-10)
-    assert np.max(np.abs(dense - krylov.field.values)) < 1e-6
+    assert np.max(np.abs(dense - krylov)) < 1e-6
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, 50.0])
@@ -68,12 +71,12 @@ def test_sampled_fields_mean_zero():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 4)
     gff = sample_gff(grid, a, 1)
-    assert has_zero_mean(gff.field, rtol=1e-9)
+    assert has_zero_mean(gff, rtol=1e-9)
     hom = sample_gff(grid, None, 1)
-    assert has_zero_mean(hom.field, rtol=1e-9)
+    assert has_zero_mean(hom, rtol=1e-9)
     noise = sample_noise(grid, 2)
     bil = sample_bilaplacian(grid, a, noise)
-    assert has_zero_mean(bil.field, rtol=1e-9)
+    assert has_zero_mean(bil, rtol=1e-9)
 
 
 def test_homogeneous_gff_variance_matches_green():
@@ -82,8 +85,8 @@ def test_homogeneous_gff_variance_matches_green():
     origin = grid.index_of((0, 0))
     vals = np.empty(M)
     for s in range(M):
-        vals[s] = sample_gff(grid, None, np.random.SeedSequence(s)).field.values[origin]
-    g = solve_homogeneous(grid, delta_rhs(grid, (0, 0)))
+        vals[s] = sample_gff(grid, None, np.random.SeedSequence(s))[origin]
+    g = solve_homogeneous(grid, LatticeField(grid, delta_rhs(grid, (0, 0))))
     target = g.values[origin]
     stderr = np.std(vals**2) / np.sqrt(M)
     assert abs(np.mean(vals**2) - target) < 4 * stderr
@@ -95,10 +98,17 @@ def test_bilaplacian_deterministic_given_noise():
     noise = sample_noise(grid, 9)
     u1 = sample_bilaplacian(grid, a, noise)
     u2 = sample_bilaplacian(grid, a, noise)
-    assert np.array_equal(u1.field.values, u2.field.values)
+    assert np.array_equal(u1, u2)
     hom = sample_bilaplacian(grid, None, noise)
-    ref = solve_homogeneous(grid, noise.centered())
-    assert np.allclose(hom.field.values, ref.values)
+    ref = solve_homogeneous(grid, LatticeField(grid, noise - noise.mean()))
+    assert np.allclose(hom, ref.values)
+
+
+def test_bilaplacian_rejects_noise_off_the_grid():
+    grid = TorusGrid(8, 2)
+    for noise in (sample_noise(TorusGrid(16, 2), 9), sample_noise(TorusGrid(8, 1), 9)):
+        with pytest.raises(ValueError, match="does not fit grid"):
+            sample_bilaplacian(grid, None, noise)
 
 
 def test_formal_constants():
@@ -114,10 +124,10 @@ def test_formal_coefficient_identity_bilap():
     grid = TorusGrid(8, 2)
     noise = sample_noise(grid, 3)
     smp = sample_bilaplacian(grid, None, noise)
-    spec = dft(smp.field)
+    spec = dft(smp)
     for k in [(1, 0), (2, -3)]:
         lam = eigenvalue_discrete(grid.N, k)
-        expected = np.vdot(fourier_mode(grid, k).values, noise.values) / grid.n / lam
+        expected = np.vdot(fourier_mode(grid, k), noise) / grid.n / lam
         assert spec[grid.index_of(k)] == pytest.approx(expected, rel=1e-10)
 
 
@@ -125,13 +135,13 @@ def test_dump_load_field_roundtrip(tmp_path):
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 6)
     noise = sample_noise(grid, 7)
-    smp = sample_bilaplacian(grid, a, noise)
+    values = sample_bilaplacian(grid, a, noise)
     path = tmp_path / "f.hf"
-    dump_field(smp, path)
+    dump_field(FieldSample("bilap_env", LatticeField(grid, values)), path)
     back = load_field(path)
-    assert back.kind == smp.kind
+    assert back.kind == "bilap_env"
     assert back.field.grid == grid
-    assert np.array_equal(back.field.values, smp.field.values)
+    assert np.array_equal(back.field.values, values)
 
 
 def test_load_field_bad_magic(tmp_path):
@@ -145,7 +155,8 @@ def test_load_field_bad_magic(tmp_path):
 def test_load_field_rejects_corrupt_dump(tmp_path, corruption):
     grid = TorusGrid(8, 2)
     path = tmp_path / "f.hf"
-    dump_field(sample_bilaplacian(grid, None, sample_noise(grid, 7)), path)
+    values = sample_bilaplacian(grid, None, sample_noise(grid, 7))
+    dump_field(FieldSample("bilap_hom", LatticeField(grid, values)), path)
     raw = path.read_bytes()
     path.write_bytes({
         "truncated": raw[:-8],
@@ -161,11 +172,11 @@ def test_shifted_solve_cap_raises_solver_error(monkeypatch):
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 3)
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
     with pytest.raises(SolverError) as err:
-        solver.inv_sqrt(grid, a, sample_noise(grid, 4).values, 1e-8)
+        solver.inv_sqrt(grid, a, sample_noise(grid, 4), 1e-8)
     assert err.value.report.iterations == 3
 
 
 def test_field_sample_kind_validation():
     grid = TorusGrid(4, 2)
     with pytest.raises(ValueError):
-        FieldSample("mystery", sample_noise(grid, 0))
+        FieldSample("mystery", LatticeField(grid, sample_noise(grid, 0)))

@@ -29,39 +29,39 @@ from homfield.solver import (
     solve,
     solve_homogeneous,
 )
-from reference import delta_rhs, has_zero_mean
+from reference import delta_rhs, has_zero_mean, norm
 
 
 def solve_dense(a, rhs):
     """Mean-zero solve via the eigendecomposition of the dense operator
     matrix: the reference that the CG solves are checked against."""
-    sol = solver._dense_power(a, rhs.values, -1.0)
-    return LatticeField(a.grid, sol - sol.mean())
+    sol = solver._dense_power(a, rhs, -1.0)
+    return sol - sol.mean()
 
 
 def _random_rhs(grid, seed=0):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.shape)
-    return LatticeField(grid, v - v.mean())
+    return v - v.mean()
 
 
 def test_homogeneous_solve_inverts_operator():
     grid = TorusGrid(16, 2)
     rhs = _random_rhs(grid)
-    u = solve_homogeneous(grid, rhs)
+    u = solve_homogeneous(grid, LatticeField(grid, rhs)).values
     assert has_zero_mean(u)
     a = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
     back = apply_operator(a, u)
-    assert np.allclose(back.values, rhs.values, atol=1e-9 * np.abs(rhs.values).max())
+    assert np.allclose(back, rhs, atol=1e-9 * np.abs(rhs).max())
 
 
 def test_cg_matches_dense_oracle():
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
     rhs = _random_rhs(grid, 1)
-    u_cg, report = solver._pcg(a, rhs.values[None], 1e-12)
+    u_cg, report = solver._pcg(a, rhs[None], 1e-12)
     u_dense = solve_dense(a, rhs)
-    assert np.allclose(u_cg[0], u_dense.values, atol=1e-9)
+    assert np.allclose(u_cg[0], u_dense, atol=1e-9)
     assert report.residual <= 1e-12
 
 
@@ -72,16 +72,16 @@ def test_one_dimensional_closed_form():
     grid = TorusGrid(N, 1)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 7)
     rhs = _random_rhs(grid, 2)
-    u = solve(grid, a, rhs.values, tol=1e-12)
+    u = solve(grid, a, rhs, tol=1e-12)
     w = a.weights[0]
     # flux on edge (x, x+1): N^2 w_x (u_x - u_{x+1}) ; difference of fluxes = rhs
     flux = N**2 * w * (u - np.roll(u, -1))
     recovered = flux - np.roll(flux, 1)
-    assert np.allclose(recovered, rhs.values, atol=1e-7)
+    assert np.allclose(recovered, rhs, atol=1e-7)
     # direct construction: flux recurrence F_x - F_{x-1} = rhs_x fixes the
     # fluxes up to F_0, which the periodicity of u determines; u then follows
     # by one more cumulative sum
-    s = np.cumsum(rhs.values) - rhs.values[0]  # F_x - F_0
+    s = np.cumsum(rhs) - rhs[0]  # F_x - F_0
     f0 = -np.sum(s / w) / np.sum(1.0 / w)
     d = (f0 + s) / (N**2 * w)  # u_x - u_{x+1}
     u_ref = np.concatenate([[0.0], -np.cumsum(d)[:-1]])
@@ -134,16 +134,16 @@ def test_buffered_spectral_apply_equals_numpy_nd_transforms(dtype, d, N):
 def test_real_solve_returns_float64():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 2)
-    assert solve(grid, a, _random_rhs(grid, 8).values).dtype == np.float64
+    assert solve(grid, a, _random_rhs(grid, 8)).dtype == np.float64
 
 
 def test_complex_rhs():
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 4)
     mode = fourier_mode(grid, (1, 1))
-    u = solve(grid, a, mode.values, tol=1e-11)
-    back = apply_operator(a, LatticeField(grid, u))
-    assert np.allclose(back.values, mode.values, atol=1e-7)
+    u = solve(grid, a, mode, tol=1e-11)
+    back = apply_operator(a, u)
+    assert np.allclose(back, mode, atol=1e-7)
 
 
 def test_complex_rhs_small_imaginary_part():
@@ -152,17 +152,17 @@ def test_complex_rhs_small_imaginary_part():
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 10)
     re, im = _random_rhs(grid, 6), _random_rhs(grid, 7)
-    rhs = LatticeField(grid, re.values + 1e-6j * im.values)
-    u = solve(grid, a, rhs.values, tol=1e-12)
-    assert np.allclose(u.real, solve_dense(a, re).values, rtol=0, atol=1e-9)
-    assert np.allclose(u.imag / 1e-6, solve_dense(a, im).values, rtol=0, atol=1e-9)
+    rhs = re + 1e-6j * im
+    u = solve(grid, a, rhs, tol=1e-12)
+    assert np.allclose(u.real, solve_dense(a, re), rtol=0, atol=1e-9)
+    assert np.allclose(u.imag / 1e-6, solve_dense(a, im), rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64])
 def test_pcg_iterations_do_not_grow_with_size(N):
     grid = TorusGrid(N, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 9)
-    _, report = solver._pcg(a, _random_rhs(grid, 5).values[None], solver.DEFAULT_TOL)
+    _, report = solver._pcg(a, _random_rhs(grid, 5)[None], solver.DEFAULT_TOL)
     assert report.iterations <= 20
 
 
@@ -170,10 +170,10 @@ def test_mean_zero_enforced():
     # a single field, and a stack of three whose middle field alone is bad
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
-    nan = _random_rhs(grid).values
+    nan = _random_rhs(grid)
     nan[0, 0] = np.nan
     for bad in (np.ones(grid.shape), nan):
-        stack = np.stack([_random_rhs(grid, 1).values, bad, _random_rhs(grid, 2).values])
+        stack = np.stack([_random_rhs(grid, 1), bad, _random_rhs(grid, 2)])
         for values in (bad, stack):
             for env in (a, None):
                 with pytest.raises(ValueError, match="mean-zero"):
@@ -187,10 +187,10 @@ def test_solve_rejects_bad_tolerance(tol):
     grid = TorusGrid(8, 2)
     with pytest.raises(ValueError, match="tolerance must lie in"):
         solve(grid, sample_environment(EnvironmentLaw.constant(1.0), grid, 0),
-              _random_rhs(grid).values, tol=tol)
+              _random_rhs(grid), tol=tol)
     with pytest.raises(ValueError, match="tolerance must lie in"):
         solver._pcg(sample_environment(EnvironmentLaw.constant(1.0), grid, 0),
-                    _random_rhs(grid).values[None], tol)
+                    _random_rhs(grid)[None], tol)
 
 
 def test_solver_error_on_iteration_cap(monkeypatch):
@@ -199,7 +199,7 @@ def test_solver_error_on_iteration_cap(monkeypatch):
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     rhs = _random_rhs(grid, 3)
     with pytest.raises(SolverError) as err:
-        solve(grid, a, rhs.values, tol=1e-14)
+        solve(grid, a, rhs, tol=1e-14)
     assert err.value.report.iterations == 2
 
 
@@ -209,7 +209,7 @@ def _pcg_stack(grid, dtype):
     noise = rng.standard_normal((2,) + grid.shape) + 0.25
     if dtype == complex:
         noise = noise + 1j * rng.standard_normal(noise.shape)
-    mode = fourier_mode(grid, (1, 0)).values
+    mode = fourier_mode(grid, (1, 0))
     return np.stack([noise[0], mode if dtype == complex else mode.real, noise[1]])
 
 
@@ -234,7 +234,7 @@ def test_pcg_field_that_converges_early_keeps_its_iterate():
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     rng = np.random.default_rng(0)
     early = rng.standard_normal(grid.shape)
-    late = fourier_mode(grid, (1, 0)).values.real
+    late = fourier_mode(grid, (1, 0)).real
     own, own_report = solver._pcg(a, early[None], 1e-10)
     x, report = solver._pcg(a, np.stack([early, late]), 1e-10)
     # premise: the stack iterates past the point where the first field stops
@@ -292,7 +292,7 @@ def test_pcg_splits_a_stack_into_chunks_of_256_kib(monkeypatch):
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     rng = np.random.default_rng(3)
     stack = rng.standard_normal((6,) + grid.shape) + 1j * rng.standard_normal((6,) + grid.shape)
-    stack[4] = fourier_mode(grid, (1, 2)).values  # a smooth mode converges sooner
+    stack[4] = fourier_mode(grid, (1, 2))  # a smooth mode converges sooner
     singles = [solver._pcg(a, field[None], 1e-10) for field in stack]
     sizes = _spy_chunks(monkeypatch)
     x, report = solver._pcg(a, stack, 1e-10)
@@ -311,7 +311,7 @@ def test_solver_error_in_a_later_chunk_carries_its_report(monkeypatch):
     grid = TorusGrid(64, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
     stack = np.zeros((6,) + grid.shape, complex)
-    stack[4:] = fourier_mode(grid, (1, 0)).values
+    stack[4:] = fourier_mode(grid, (1, 0))
     sizes = _spy_chunks(monkeypatch)
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 2)
     with pytest.raises(SolverError) as err:
@@ -339,7 +339,7 @@ def test_chunks_on_every_cpu_equal_one_cpu(monkeypatch, N, modes):
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 7)
     if modes:
         ks = [(k1, k2) for k1 in range(1, 4) for k2 in range(4)][:modes]
-        stack = np.stack([fourier_mode(grid, k).values for k in ks])
+        stack = np.stack([fourier_mode(grid, k) for k in ks])
     else:
         stack = np.random.default_rng(4).standard_normal((2,) + grid.shape)
     x1, rep1, it1 = _pcg_on_cpus(monkeypatch, 1, a, stack, 1e-8, shift=0.5)
@@ -376,7 +376,7 @@ def test_threaded_solver_error_is_the_first_failing_chunk(monkeypatch):
     # cap, and the error carries the first chunk's report on any CPU count
     grid = TorusGrid(64, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
-    stack = np.stack([fourier_mode(grid, (k, 1)).values for k in range(1, 7)])
+    stack = np.stack([fourier_mode(grid, (k, 1)) for k in range(1, 7)])
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
     reports = []
     for cpus in (1, 2, 6):
@@ -401,9 +401,9 @@ def test_solutions_are_mean_zero_without_projections(N, tol):
     rng = np.random.default_rng(N)
     real = rng.standard_normal(grid.shape) + 0.5
     for values in (real, real + 1j * rng.standard_normal(grid.shape)):
-        u = LatticeField(grid, solve(grid, a, values - values.mean(), tol=tol))
+        u = solve(grid, a, values - values.mean(), tol=tol)
         assert has_zero_mean(u, 1e-12)
-        image = LatticeField(grid, inv_sqrt(grid, a, values, tol=tol))
+        image = inv_sqrt(grid, a, values, tol=tol)
         assert has_zero_mean(image, 1e-12)
 
 
@@ -416,10 +416,10 @@ def test_energy_history_decreases():
     rhs = _random_rhs(grid, 4)
     energy = {0: 0.0}
     for k in range(1, 41):
-        x, report = solver._pcg(a, rhs.values[None], 10 ** (-0.25 * k))
+        x, report = solver._pcg(a, rhs[None], 10 ** (-0.25 * k))
         x = x[0]
-        ax = apply_operator(a, LatticeField(grid, x)).values
-        energy[report.iterations] = float(0.5 * np.sum(x * ax) - np.sum(rhs.values * x))
+        ax = apply_operator(a, x)
+        energy[report.iterations] = float(0.5 * np.sum(x * ax) - np.sum(rhs * x))
     n = max(energy)
     assert sorted(energy) == list(range(n + 1))
     energy = np.asarray([energy[it] for it in range(n + 1)])
@@ -431,7 +431,7 @@ def test_green_column_matches_spectral_sum():
     # homogeneous Green's function as an explicit eigen-expansion
     grid = TorusGrid(8, 2)
     y = (1, -2)
-    g = solve(grid, None, delta_rhs(grid, y).values)
+    g = solve(grid, None, delta_rhs(grid, y))
     ref = np.zeros(grid.shape, dtype=complex)
     for k0 in grid.coordinates_1d():
         for k1 in grid.coordinates_1d():
@@ -439,7 +439,7 @@ def test_green_column_matches_spectral_sum():
                 continue
             lam = eigenvalue_discrete(grid.N, (k0, k1))
             mode = fourier_mode(grid, (k0, k1))
-            ref += mode.values * np.conj(mode.values[grid.index_of(y)]) / lam
+            ref += mode * np.conj(mode[grid.index_of(y)]) / lam
     ref /= grid.n
     assert np.allclose(g, ref.real, atol=1e-12)
 
@@ -448,7 +448,7 @@ def test_green_symmetry_all_pairs():
     grid = TorusGrid(6, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 8)
     coords = [(x, y) for x in grid.coordinates_1d() for y in grid.coordinates_1d()]
-    deltas = np.stack([delta_rhs(grid, y).values for y in coords])
+    deltas = np.stack([delta_rhs(grid, y) for y in coords])
     cols = dict(zip(coords, solve(grid, a, deltas, tol=1e-12)))
     for x in coords:
         for y in coords:
@@ -463,7 +463,7 @@ def test_pseudo_eigenfunction_constant_environment():
     for k in [(1, 0), (2, -3)]:
         phi = _pseudo_eigenfunctions(a, 1.5, [k], 1e-12)[1][0]
         mode = fourier_mode(grid, k)
-        assert LatticeField(grid, phi - mode.values).norm() < 1e-8
+        assert norm(phi - mode) < 1e-8
 
 
 def test_pseudo_eigenfunction_rejects_zero_mode():
