@@ -200,8 +200,7 @@ def apply_operator(a: Conductances, values: np.ndarray) -> np.ndarray:
     Linear, symmetric and positive semidefinite; its output always sums to
     zero because each edge contributes antisymmetrically.
     """
-    if values.shape[-a.grid.d:] != a.grid.shape:
-        raise ValueError(f"fields of shape {values.shape} do not end in grid {a.grid.shape}")
+    a.grid.check_fields(values)
     out = np.empty(values.shape, np.result_type(values, a.weights))
     _stencil(a, values, out, np.empty_like(out))
     return out

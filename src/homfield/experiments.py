@@ -213,6 +213,11 @@ class ExperimentConfig:
                              seed=self.seed + 77, d=self.d, tol=self.tol).mean
 
 
+def _require_ladder(cfg: ExperimentConfig) -> None:
+    if not cfg.Ns:
+        raise ValueError("Ns is empty: the experiment needs at least one ladder size")
+
+
 def _replicate_seed(cfg: ExperimentConfig, tag: int, rep: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(cfg.seed, spawn_key=(tag, rep))
 
@@ -263,6 +268,7 @@ def pseudo_eigen_rate(cfg: ExperimentConfig) -> RateSeries:
     For a point-mass law the distance is at solver-tolerance level and the
     fit is skipped (slope fields are NaN).
     """
+    _require_ladder(cfg)
     if len(cfg.kset) != 1:
         raise ValueError(f"pseudo_eigen_rate measures one mode: set kset to one "
                          f"frequency, got {len(cfg.kset)}")
@@ -332,6 +338,7 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
     environment at cfg.tol, and the noise of each draw is the one
     :func:`homfield.sampler.sample_gff` would draw.
     """
+    _require_ladder(cfg)
     N, samples = max(cfg.Ns), cfg.noise_replicates
     if samples * cfg.replicates < 100:
         raise ValueError("covariance estimation needs at least 100 replicates")
@@ -409,6 +416,7 @@ def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
     The mode sum runs over grid frequencies with sup-norm at most
     ``cfg.mode_cutoff`` (whole window when None).
     """
+    _require_ladder(cfg)
     if cfg.beta is None:
         raise ValueError("bilap_error_rate needs a Sobolev order beta")
     if cfg.law is None:
@@ -482,6 +490,7 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
     deliberately kept out of this fit so the truncation exponent remains
     identifiable.
     """
+    _require_ladder(cfg)
     if cfg.beta is None:
         raise ValueError("discretization_rate needs a Sobolev order beta")
     kcut = 2 * max(cfg.Ns)

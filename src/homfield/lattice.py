@@ -81,6 +81,12 @@ class TorusGrid:
             )
         return k
 
+    def check_fields(self, values: np.ndarray) -> None:
+        """Reject an array whose trailing axes are not ``shape``: fields are
+        stacked along leading axes only."""
+        if values.shape[-self.d:] != self.shape:
+            raise ValueError(f"fields of shape {values.shape} do not end in grid {self.shape}")
+
 
 def _read_values(fh, grid: TorusGrid, leading: tuple = ()) -> np.ndarray:
     """Read the rest of an open binary dump as little-endian float64 values

@@ -7,15 +7,17 @@ Two methods cover both operators:
 * conjugate gradient on the mean-zero subspace, preconditioned by the
   homogeneous spectral inverse, for real and complex right-hand sides; the
   preconditioner applies real FFTs (``rfftn``/``irfftn``) to real
-  residuals. One CG engine solves a stack of right-hand sides in chunks of
-  at most 256 KiB, and a stack of several chunks on every CPU the process
-  may use, one thread per CPU; each field's iterates do not depend on the
-  chunking or on the thread count.
+  residuals. One CG engine solves a stack of right-hand sides, each with
+  its own shift, in chunks of at most 256 KiB, and a stack of several
+  chunks on every CPU the process may use, one thread per CPU; each
+  field's iterates do not depend on the chunking or on the thread count,
+  up to the last bits of the inner products.
 
 :func:`solve` (A^(-1)) and :func:`inv_sqrt` (A^(-1/2)) are the two entry
 points. Both take fields stacked along leading axes, and the environment
 picks the method: without one, the FFT; with one, one PCG stack for
-:func:`solve` and a quadrature over shifted PCG stacks for :func:`inv_sqrt`.
+:func:`solve`, and for :func:`inv_sqrt` one PCG stack over all the shifted
+solves of a quadrature.
 """
 
 from __future__ import annotations
@@ -95,14 +97,17 @@ def _spectral_multiplier(grid: TorusGrid, exponent: float, shift: float) -> np.n
 
 
 def _spectral_apply(values: np.ndarray, mult: np.ndarray, spec: np.ndarray = None,
-                    out: np.ndarray = None) -> np.ndarray:
+                    out: np.ndarray = None, d: int = None) -> np.ndarray:
     """Apply a multiplier from ``_spectral_multiplier`` to site values.
 
-    The transforms run over the trailing ``mult.ndim`` axes, so fields
-    stacked along leading axes are mapped one by one. Real values go through
-    the half-spectrum real transforms. The multiplier is even in k, so the
-    half spectrum takes its first N//2 + 1 entries along the last axis, and
-    the product keeps the Hermitian symmetry that makes the result real.
+    The transforms run over the trailing ``d`` axes (by default
+    ``mult.ndim``), so fields stacked along leading axes are mapped one by
+    one. Real values go through the half-spectrum real transforms. The
+    multiplier is even in k, so the half spectrum takes its first N//2 + 1
+    entries along the last axis, and the product keeps the Hermitian
+    symmetry that makes the result real. A stack of multipliers, one per
+    field along the first axis of ``values``, passes ``d``; for real values
+    it may hold the half spectra alone.
 
     ``spec`` (complex, the shape of the spectrum) and ``out`` (the shape and
     dtype of ``values``) are optional buffers that an iterative solve keeps
@@ -111,7 +116,7 @@ def _spectral_apply(values: np.ndarray, mult: np.ndarray, spec: np.ndarray = Non
     order of ``np.fft.irfftn`` (first to last) and ``np.fft.ifftn`` (last to
     first), so the result equals theirs bit for bit.
     """
-    axes = tuple(range(-mult.ndim, 0))
+    axes = tuple(range(-(d or mult.ndim), 0))
     if np.iscomplexobj(values):
         spec = np.fft.fftn(values, axes=axes, out=spec)
         spec *= mult
@@ -141,11 +146,12 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float = 0.0,
+def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray = 0.0,
          out: np.ndarray = None, iters: np.ndarray = None) -> tuple:
     """CG for the divergence-form operator plus ``shift`` times the identity,
     preconditioned by the spectral inverse of -Lap_N + shift, for the
-    right-hand sides stacked along the first axis of ``b``.
+    right-hand sides stacked along the first axis of ``b``. ``shift`` is one
+    number for the whole stack, or an array of one per field of ``b``.
 
     Since -Lap_N <= A <= Lambda (-Lap_N), the preconditioned condition number
     is at most Lambda for every shift. The operator is real symmetric, so
@@ -158,14 +164,15 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float = 0.0,
     several chunks is solved on every CPU the process may use: the calling
     thread and one more thread per further CPU take the chunks in stack
     order. A stack of one chunk runs in the calling thread alone. Within a
-    chunk the fields share one loop, but each keeps its own step lengths and
-    stopping test, and leaves the loop when its relative residual reaches
-    tol: its iterates are those of its own solve, up to the rounding of the
-    inner products, whatever thread runs its chunk. The means of the
-    right-hand sides are removed once. The iterates then stay mean-zero up
-    to rounding without a projection, because the preconditioner zeroes the
-    mean mode and every operator output sums to zero; x is centred once on
-    return.
+    chunk the fields share one loop, but each keeps its own shift, step
+    lengths and stopping test, and leaves the loop when its relative
+    residual reaches tol: its iterates are those of its own solve, up to the
+    rounding of the inner products, whatever thread runs its chunk. A chunk
+    of several shifts keeps one preconditioner multiplier per field. The
+    means of the right-hand sides are removed once. The iterates then stay
+    mean-zero up to rounding without a projection, because the
+    preconditioner zeroes the mean mode and every operator output sums to
+    zero; x is centred once on return.
 
     ``out``, of the shape of ``b`` and the dtype of x, receives x when
     given. It may be ``b`` itself: each chunk is read before its rows are
@@ -175,11 +182,16 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float = 0.0,
 
     Returns (x, report), the report holding the largest iteration count and
     the worst final residual of the stack. Raises ValueError for a tol
-    outside (0, 1), and SolverError when the cap of default_max_iterations
-    is hit before every relative residual of a chunk reaches tol, with the
-    report of the first such chunk in stack order.
+    outside (0, 1) or a shift array not of shape ``(len(b),)``, and
+    SolverError when the cap of default_max_iterations is hit before every
+    relative residual of a chunk reaches tol, with the report of the first
+    such chunk in stack order.
     """
     _check_tol(tol)
+    if np.ndim(shift):
+        shift = np.asarray(shift, np.float64)
+        if shift.shape != (len(b),):
+            raise ValueError(f"shifts of shape {shift.shape} for a stack of {len(b)} fields")
     x = np.empty(b.shape, np.result_type(b, np.float64)) if out is None else out
     iters = np.empty(len(b), np.int64) if iters is None else iters
     chunk = max(1, _CHUNK_BYTES // (a.grid.n * x.itemsize))
@@ -199,7 +211,8 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float = 0.0,
                     return
             rows = slice(starts[j], starts[j] + chunk)
             try:
-                results[j] = _pcg_chunk(a, b[rows], tol, shift, x[rows], iters[rows])
+                results[j] = _pcg_chunk(a, b[rows], tol, shift[rows] if np.ndim(shift) else shift,
+                                        x[rows], iters[rows])
             except Exception as exc:      # re-raised by the caller after the join
                 results[j] = exc
 
@@ -216,15 +229,26 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float = 0.0,
                           max((r.residual for r in results), default=0.0))
 
 
-def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float,
+def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray,
                out: np.ndarray, iters: np.ndarray) -> SolveReport:
     """The loop of :func:`_pcg` for one chunk of its stack; writes the
     solutions into ``out`` and the iteration counts into ``iters``, and
     returns the chunk's report."""
-    precond = _spectral_multiplier(a.grid, -1.0, shift)
-    maxiter = default_max_iterations(a.grid)
+    grid = a.grid
     axes = tuple(range(1, b.ndim))
     col = (-1,) + (1,) * len(axes)        # one coefficient per field
+    n = b.shape[-1]                       # real fields keep a half spectrum
+    width = n // 2 + 1 if np.isrealobj(b) else n
+    if np.ndim(shift) and np.all(shift == shift[0]):
+        shift = shift[0]                  # one shift: the scalar path, bit for bit
+    stacked = np.ndim(shift) > 0
+    if stacked:
+        # one multiplier and one shift per field, dropped with the field
+        precond = np.stack([_spectral_multiplier(grid, -1.0, s)[..., :width] for s in shift])
+        shift = shift.reshape(col)
+    else:
+        precond = _spectral_multiplier(grid, -1.0, shift)
+    maxiter = default_max_iterations(grid)
     r = np.array(b, dtype=np.result_type(b, np.float64))
     r -= r.mean(axis=axes, keepdims=True)
     bnorm = np.sqrt(_dots(r, r))
@@ -235,6 +259,8 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float,
         return SolveReport(0, 0.0)
     if live.size < len(r):
         r, bnorm = r[live], bnorm[live]
+        if stacked:
+            precond, shift = precond[live], shift[live]
         x = np.zeros_like(r)
     else:
         x = out                           # iterate in place until a field leaves
@@ -243,18 +269,17 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float,
     # flux, the stencil's scratch and then the step buffer, and ap's buffer
     # takes the preconditioned residual z: a step is done with flux and ap
     # before the preconditioner writes spec and z.
-    n = r.shape[-1]                       # real fields keep a half spectrum
-    spec_buf = np.empty(r.shape[:-1] + (n // 2 + 1 if np.isrealobj(r) else n,), np.complex128)
+    spec_buf = np.empty(r.shape[:-1] + (width,), np.complex128)
     flux_buf = spec_buf.reshape(-1).view(r.dtype)[: r.size].reshape(r.shape)
     ap_buf = np.empty_like(r)
-    p = _spectral_apply(r, precond, spec_buf, np.empty_like(r))
+    p = _spectral_apply(r, precond, spec_buf, np.empty_like(r), grid.d)
     rz = _dots(r, p)
     res = np.ones(len(live))
     worst = 0.0
     for it in range(1, maxiter + 1):
         ap, step = ap_buf[: len(live)], flux_buf[: len(live)]
         _stencil(a, p, ap, step)
-        if shift:
+        if stacked or shift:
             ap += np.multiply(p, shift, out=step)
         alpha = (rz / _dots(p, ap)).reshape(col)
         x += np.multiply(p, alpha, out=step)
@@ -270,7 +295,9 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float,
                 v[keep] for v in (live, x, r, p, rz, res, bnorm))
             if not live.size:
                 break
-        z = _spectral_apply(r, precond, spec_buf[: len(live)], ap_buf[: len(live)])
+            if stacked:
+                precond, shift = precond[keep], shift[keep]
+        z = _spectral_apply(r, precond, spec_buf[: len(live)], ap_buf[: len(live)], grid.d)
         rz_new = _dots(r, z)
         p *= (rz_new / rz).reshape(col)
         p += z
@@ -349,13 +376,15 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
 
     Without an environment the images are exact, from the FFT. With one
     they sum w_j (A + s_j)^(-1) z over the nodes of
-    :func:`_inv_sqrt_quadrature`. At each node, the fields go to one
-    shifted PCG to tol, which solves them together in chunks sized in
-    bytes, each field keeping its own stopping test.
+    :func:`_inv_sqrt_quadrature`, in node order. One PCG to tol solves every
+    node's copy of the fields as one node-major stack, each copy with its
+    node's shift and its own stopping test, in place.
     The nodes are computed once per call for the interval
     [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum of A on the
-    mean-zero subspace because every weight lies in [1, Lambda].
+    mean-zero subspace because every weight lies in [1, Lambda]. Raises
+    ValueError when the trailing axes of ``values`` are not ``grid.shape``.
     """
+    grid.check_fields(values)
     if a is None:
         out = _spectral_apply(values, _spectral_multiplier(grid, -0.5, 0.0))
     else:
@@ -366,9 +395,13 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
         hi = 4.0 * grid.d * a.ellipticity * grid.N**2
         shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
         fields = values.reshape((-1,) + grid.shape)
-        out = np.zeros(fields.shape, np.result_type(fields, np.float64))
-        for s, w in zip(shifts, weights):
-            out += w * _pcg(a, fields, tol, shift=s)[0]
+        stack = np.empty((len(shifts),) + fields.shape, np.result_type(fields, np.float64))
+        stack[...] = fields
+        nodes = stack.reshape((-1,) + grid.shape)
+        _pcg(a, nodes, tol, shift=np.repeat(shifts, len(fields)), out=nodes)
+        out = np.zeros(fields.shape, stack.dtype)
+        for w, x in zip(weights, stack):
+            out += np.multiply(x, w, out=x)
         out = out.reshape(values.shape)
     return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
 
@@ -378,7 +411,9 @@ def solve(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     """Mean-zero solutions of A u = f for the mean-zero fields f, stacked as
     :func:`inv_sqrt` takes them: exact by FFT for A = -Lap_N (``a`` None),
     one PCG stack to relative residual tol with an environment. Raises
-    ValueError when any field is not mean-zero."""
+    ValueError when any field is not mean-zero or the trailing axes of
+    ``values`` are not ``grid.shape``."""
+    grid.check_fields(values)
     if a is not None and a.grid != grid:
         raise ValueError("environment grid mismatch")
     _require_mean_zero(grid, values)

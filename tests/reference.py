@@ -1,8 +1,9 @@
 """Reference code that only the tests use, written over the package's
 engine: the normalized l2 norm and the mean-zero test of a field, the
 delta right-hand side of a Green's-function column, one corrector solve,
-and the shared-noise Monte-Carlo estimate of the bi-Laplacian error norm
-that cross-checks the noise-exact one."""
+A^(-1/2) solved one quadrature node at a time, and the shared-noise
+Monte-Carlo estimate of the bi-Laplacian error norm that cross-checks the
+noise-exact one."""
 
 import dataclasses
 
@@ -10,9 +11,9 @@ import numpy as np
 
 from homfield.experiments import ExperimentConfig, _bilap_modes, _ladder, formal_constant
 from homfield.homogenization import corrector_rhs
-from homfield.lattice import TorusGrid, dft
+from homfield.lattice import TorusGrid, dft, eigenvalue_discrete
 from homfield.sampler import sample_noise
-from homfield.solver import DEFAULT_TOL, _pcg, solve
+from homfield.solver import DEFAULT_TOL, _inv_sqrt_quadrature, _pcg, solve
 
 
 def norm(values: np.ndarray) -> float:
@@ -38,6 +39,20 @@ def solve_corrector(a, axis: int, tol: float = DEFAULT_TOL) -> tuple:
     -div a grad chi = div(a e_axis), solved on its own."""
     x, report = _pcg(a, corrector_rhs(a, axis)[None], tol)
     return x[0], report
+
+
+def inv_sqrt_by_node(grid: TorusGrid, a, values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A^(-1/2) with an environment as ``solver.inv_sqrt`` sums it, over the
+    same quadrature nodes in the same order, but with one PCG stack of the
+    fields per node, solved one node after another."""
+    lo = eigenvalue_discrete(grid.N, (1,))
+    hi = 4.0 * grid.d * a.ellipticity * grid.N**2
+    fields = values.reshape((-1,) + grid.shape)
+    out = np.zeros(fields.shape, np.result_type(fields, np.float64))
+    for s, w in zip(*_inv_sqrt_quadrature(lo, hi, tol)):
+        out += w * _pcg(a, fields, tol, shift=s)[0]
+    out = out.reshape(values.shape)
+    return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
 
 
 def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: float,

@@ -114,6 +114,17 @@ def test_config_rejects_ladder_sizes_below_two(Ns):
         ExperimentConfig(d=2, Ns=Ns)
 
 
+@pytest.mark.parametrize("experiment", [pseudo_eigen_rate, gff_covariance_limit,
+                                        bilap_error_rate, discretization_rate])
+def test_experiments_reject_an_empty_ladder(experiment):
+    # otherwise a valid config for all four; with ahom given, an empty ladder
+    # would pass every other check and yield an empty series
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, beta=0.75, kset=((1, 0),), ahom=1.4,
+                           replicates=4, noise_replicates=25)
+    with pytest.raises(ValueError, match="^Ns is empty"):
+        experiment(cfg)
+
+
 @pytest.mark.parametrize("name", ["replicates", "noise_replicates"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_config_rejects_fewer_than_one_replicate(name, value):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from homfield.solver import (
     solve,
     solve_homogeneous,
 )
-from reference import delta_rhs, has_zero_mean, norm
+from reference import delta_rhs, has_zero_mean, inv_sqrt_by_node, norm
 
 
 def solve_dense(a, rhs):
@@ -255,6 +256,42 @@ def test_pcg_zero_field_in_a_stack_returns_zeros():
         assert _rel_err(x[0], single[0]) < 1e-13
         x, report = solver._pcg(a, np.zeros((2,) + grid.shape, dtype), 1e-10)
         assert not np.any(x) and report.iterations == 0 and report.residual == 0.0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pcg_per_field_shifts_match_single_shift_solves(dtype):
+    # two random fields, a smooth mode and a zero field, each at a small and
+    # at a large shift, in one stack
+    grid = TorusGrid(16, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    fields = np.concatenate([_pcg_stack(grid, dtype), np.zeros((1,) + grid.shape, dtype)])
+    stack = np.concatenate([fields, fields])
+    shifts = np.repeat([0.5, 4000.0], len(fields))
+    iters = np.empty(len(stack), np.int64)
+    x, report = solver._pcg(a, stack, 1e-10, shifts, iters=iters)
+    assert x.dtype == stack.dtype
+    singles = [solver._pcg(a, field[None], 1e-10, s) for field, s in zip(stack, shifts)]
+    # premise: the fields leave the loop at different steps
+    assert len(set(iters[[0, 1, 2, 4, 5, 6]])) > 2
+    for k, (image, (single, _)) in enumerate(zip(x, singles)):
+        if k % len(fields) == 3:
+            assert not np.any(image) and iters[k] == 0
+        else:
+            assert _rel_err(image, single[0]) < 1e-13
+    assert report.iterations == max(rep.iterations for _, rep in singles)
+    assert report.residual == pytest.approx(max(rep.residual for _, rep in singles), rel=1e-6)
+    # one shift repeated for every field is the scalar shift, bit for bit
+    same, _ = solver._pcg(a, fields, 1e-10, np.full(len(fields), 0.5))
+    assert np.array_equal(same, solver._pcg(a, fields, 1e-10, 0.5)[0])
+
+
+def test_pcg_rejects_shifts_not_one_per_field():
+    grid = TorusGrid(8, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    stack = _pcg_stack(grid, float)
+    for shifts in ([1.0, 2.0], np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="shifts of shape"):
+            solver._pcg(a, stack, 1e-8, shifts)
 
 
 def test_stack_error_on_iteration_cap_reports_worst_residual(monkeypatch):
@@ -574,6 +611,15 @@ def test_inv_sqrt_stack_matches_field_by_field(method):
             assert np.allclose(image, apply(field), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("N", [8, 64])
+def test_inv_sqrt_matches_node_by_node_loop(N):
+    # at N = 64 each node-major stack spans several chunks
+    grid = TorusGrid(N, 2)
+    a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
+    for values in _inv_sqrt_inputs(grid):
+        assert _rel_err(inv_sqrt(grid, a, values), inv_sqrt_by_node(grid, a, values)) < 1e-13
+
+
 def test_inv_sqrt_rejects_bad_backend():
     # the environment picks the method, so it must live on the same grid
     grid = TorusGrid(8, 2)
@@ -581,3 +627,17 @@ def test_inv_sqrt_rejects_bad_backend():
     values = _inv_sqrt_inputs(grid)[0]
     with pytest.raises(ValueError, match="grid mismatch"):
         inv_sqrt(TorusGrid(4, 2), a, values[:, :4, :4])
+
+
+@pytest.mark.parametrize("law", [None, EnvironmentLaw.bernoulli(0.5, 1, 2)])
+@pytest.mark.parametrize("apply", [solve, inv_sqrt])
+def test_fields_must_end_in_the_grid_shape(apply, law):
+    grid = TorusGrid(8, 2)
+    a = None if law is None else sample_environment(law, grid, 5)
+    rng = np.random.default_rng(0)
+    for shape in [(2, 4, 16), (64,)]:
+        values = rng.standard_normal(shape)
+        values -= values.mean()
+        message = f"fields of shape {shape} do not end in grid (8, 8)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply(grid, a, values)
