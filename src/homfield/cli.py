@@ -5,15 +5,17 @@ four-panel shared-noise figure.
 Subcommands: ``sample``, ``ahom``, ``rates``, ``cov``, ``figure1``.
 
 Configuration is a flat INI file with a single ``[run]`` section, parsed by
-:mod:`configparser`. Every key is read once, before any work starts; a
-blank value counts as absent, and a key outside the grammar or a value
-that does not parse is a configuration error naming its key. Grammar (keys
-are optional unless a command requires them)::
+:mod:`configparser`. Every command parses and checks every key once, used
+or not, before any work starts; a blank value counts as absent, and a key
+outside the grammar or a value that does not parse or pass its check is a
+configuration error naming its key. Grammar (keys are optional unless a
+command requires them)::
 
     [run]
-    d = 2                         # dimension
-    N = 64                        # grid side, >= 2 (rates: increasing comma
-                                  # list of sides >= 2, e.g. 8,16,32)
+    d = 2                         # dimension, >= 1
+    N = 64                        # grid side, >= 2; figure1 defaults to 150
+                                  # (rates, cov: increasing comma list of sides
+                                  # >= 2, e.g. 8,16,32; cov uses the largest)
     law = bernoulli(0.5,1,2)      # constant(c) | uniform(lo,hi) | bernoulli(p,a,b)
                                   # with finite atoms in [1, Lambda]; omit or
                                   # "homogeneous" for unit conductances
@@ -23,7 +25,8 @@ are optional unless a command requires them)::
                                   # and pass the threshold beta > d/4 - 1/2
     kset = 1,0; 0,1; 1,1          # frequency list, components comma-separated
                                   # (rates pseudo: exactly one frequency)
-    M = 16                        # environment replicates, >= 1
+    M = 16                        # environment replicates, >= 1; default 16
+                                  # for ahom (needs >= 2), 8 for rates and cov
     noise_replicates = 200        # cov: noise draws per environment, >= 1
     seed = 0                      # master seed, >= 0; --seed overrides
     tol = 1e-8                    # iterative solver tolerance, in (0, 1)
@@ -44,8 +47,8 @@ directory. Each record carries ``command``, ``config``, ``config_hash``
 subcommand's own results; ``figure1`` also writes its record to
 ``figure1_report.json``.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 assertion failure.
+Exit codes: 0 success, 2 configuration error (also an experiment's own
+check of its inputs, after the parse), 3 solver failure, 4 assertion failure.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from .sampler import (
     sample_gff,
     sample_noise,
 )
-from .solver import DEFAULT_TOL, SolverError, _check_tol
+from .solver import SolverError
 from .experiments import (
     CutoffError,
     ExperimentConfig,
@@ -101,23 +104,17 @@ class AssertionFailure(RuntimeError):
 # configuration
 
 
-# the [run] keys of the grammar, as configparser lowercases them
-_CONFIG_KEYS = ("d", "n", "law", "field", "beta", "kset", "m", "noise_replicates", "seed",
-                "tol", "mode_cutoff", "experiment", "ahom", "expect_slope", "slope_tol")
-
-
 def load_config(path) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     if "run" not in parser:
         raise ConfigError(f"config {path} is missing the [run] section")
     cfg = dict(parser["run"])
-    unknown = [key for key in cfg if key not in _CONFIG_KEYS]
+    unknown = [key for key in cfg if key not in GRAMMAR]
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r} (expected one of "
-                          f"{', '.join(_CONFIG_KEYS)})")
+                          f"{', '.join(GRAMMAR)})")
     return cfg
 
 
@@ -125,24 +122,6 @@ def config_hash(cfg: dict) -> str:
     """Content hash of a config: sha256 over sorted key=value lines."""
     canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-_REQUIRED = object()
-
-
-def _get(cfg, key, default=_REQUIRED, cast=str):
-    """The stripped value of ``key`` passed through ``cast``. A blank or
-    absent key gives ``default``, or a ConfigError when it is required; a
-    value that ``cast`` rejects gives a ConfigError naming the key."""
-    text = cfg.get(key, "").strip()
-    if not text:
-        if default is _REQUIRED:
-            raise ConfigError(f"config key {key!r} is required for this command")
-        return default
-    try:
-        return cast(text)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 def _parse_ns(text) -> tuple:
@@ -158,33 +137,86 @@ def _parse_law(text):
     return None if text == "homogeneous" else EnvironmentLaw.parse(text)
 
 
-def _law(cfg):
-    return _get(cfg, "law", default=None, cast=_parse_law)
+def _one_of(what, names):
+    def parse(text) -> str:
+        if text not in names:
+            raise ValueError(f"unknown {what} {text!r} (expected one of {', '.join(names)})")
+        return text
+    return parse
 
 
-def _parse_tol(text) -> float:
-    tol = float(text)
-    _check_tol(tol)
-    return tol
+def _finite(cast, non_negative=False):
+    def parse(text):
+        value = cast(text)
+        # written so that NaN fails, and so that no int is converted to float
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"must be finite, got {value}")
+        if non_negative and value < 0:
+            raise ValueError(f"must be non-negative, got {value}")
+        return value
+    return parse
 
 
-def _tol(cfg) -> float:
-    return _get(cfg, "tol", default=DEFAULT_TOL, cast=_parse_tol)
+RATE_EXPERIMENTS = {
+    # harness self-test: an exact power law injected instead of a measurement
+    "synthetic": lambda ecfg: RateSeries.from_points(
+        "synthetic_nm2", [(n, n**-2.0, 0.0) for n in ecfg.Ns]),
+    "pseudo": pseudo_eigen_rate,
+    "bilap": bilap_error_rate,
+    "disc": discretization_rate,
+}
+
+# The one list of the [run] keys, lowercased as configparser reads them:
+# key -> (the ExperimentConfig field it sets, or None for a key only the
+# command line reads; the parser of its text). d leads: beta and kset's checks read it.
+GRAMMAR = {
+    "d": ("d", int),
+    "n": ("Ns", _parse_ns),
+    "law": ("law", _parse_law),
+    "field": (None, _one_of("field kind", ("gff", "bilap"))),
+    "beta": ("beta", float),
+    "kset": ("kset", _parse_kset),
+    "m": ("replicates", int),
+    "noise_replicates": ("noise_replicates", int),
+    "seed": ("seed", _finite(int, non_negative=True)),
+    "tol": ("tol", float),
+    "mode_cutoff": ("mode_cutoff", int),
+    "experiment": (None, _one_of("experiment", tuple(RATE_EXPERIMENTS))),
+    "ahom": ("ahom", float),
+    "expect_slope": (None, _finite(float)),
+    "slope_tol": (None, _finite(float, non_negative=True)),
+}
 
 
-def _parse_finite(text) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {value}")
-    return value
-
-
-def _seed(args, cfg) -> int:
-    seed = _get(cfg, "seed", default=0, cast=int) if args.seed is None else args.seed
-    if seed < 0:
-        key = "--seed" if args.seed is not None else "config key 'seed'"
-        raise ConfigError(f"{key}: must be non-negative, got {seed}")
-    return seed
+def _read_run(args, cfg, one_side=True, **defaults) -> tuple:
+    """Parse every key of the [run] section ``cfg`` through GRAMMAR, used by
+    the command or not, into an ExperimentConfig (over ``defaults``, then its
+    own; ``--seed`` replaces ``seed``) and a dict of the keys it has no field
+    for. ``n`` is required, one grid side unless ``one_side`` is false."""
+    fields, opts = {"d": 2, **defaults}, {}
+    for key, (name, parse) in GRAMMAR.items():
+        text = cfg.get(key, "").strip()
+        if not text:
+            continue
+        try:
+            value = parse(text)
+            if name is None:
+                opts[key] = value
+            else:
+                fields[name] = value
+                # all keys before this one passed, so a failed check is this key's
+                ExperimentConfig(**fields)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
+        fields["seed"] = args.seed
+    if not fields.get("Ns"):
+        raise ConfigError("config key 'n' is required for this command")
+    if one_side and len(fields["Ns"]) > 1:
+        raise ConfigError("config key 'n': this command takes one grid side")
+    return ExperimentConfig(**fields), opts
 
 
 def write_runlog(args, cfg, seed, t0, **fields) -> dict:
@@ -248,25 +280,19 @@ def write_heatmap(sample, path, cfg_hash, seed, grayscale=False) -> None:
 
 
 def cmd_sample(args, cfg) -> int:
-    d = _get(cfg, "d", default=2, cast=int)
-    N = _get(cfg, "n", cast=int)
-    kind = _get(cfg, "field", default="bilap")
-    law = _law(cfg)
-    tol = _tol(cfg)
-    seed = _seed(args, cfg)
-    if kind not in ("gff", "bilap"):
-        raise ConfigError(f"unknown field kind {kind!r} (expected gff or bilap)")
-    if args.heatmap and d != 2:
+    ecfg, opts = _read_run(args, cfg)
+    N, kind, seed = ecfg.Ns[0], opts.get("field", "bilap"), ecfg.seed
+    if args.heatmap and ecfg.d != 2:
         raise ConfigError("heatmaps require d = 2")
-    grid = TorusGrid(N, d)
+    grid = TorusGrid(N, ecfg.d)
     t0 = time.time()
-    a = None if law is None else sample_environment(
-        law, grid, np.random.SeedSequence(seed, spawn_key=(1,)))
+    a = None if ecfg.law is None else sample_environment(
+        ecfg.law, grid, np.random.SeedSequence(seed, spawn_key=(1,)))
     noise_seed = np.random.SeedSequence(seed, spawn_key=(2,))
     if kind == "gff":
-        values = sample_gff(grid, a, noise_seed, tol=tol)
+        values = sample_gff(grid, a, noise_seed, tol=ecfg.tol)
     else:
-        values = sample_bilaplacian(grid, a, sample_noise(grid, noise_seed), tol=tol)
+        values = sample_bilaplacian(grid, a, sample_noise(grid, noise_seed), tol=ecfg.tol)
     smp = FieldSample(f"{kind}_{'hom' if a is None else 'env'}", LatticeField(grid, values))
     dump_path = os.path.join(args.out, f"field_{smp.kind}_N{N}_seed{seed}.hf")
     dump_field(smp, dump_path)
@@ -279,16 +305,14 @@ def cmd_sample(args, cfg) -> int:
 
 
 def cmd_ahom(args, cfg) -> int:
-    d = _get(cfg, "d", default=2, cast=int)
-    N = _get(cfg, "n", cast=int)
-    M = _get(cfg, "m", default=16, cast=int)
-    law = _law(cfg)
+    ecfg, _ = _read_run(args, cfg, replicates=16)
+    d, N, M, law, seed = ecfg.d, ecfg.Ns[0], ecfg.replicates, ecfg.law, ecfg.seed
+    if M < 2:
+        raise ConfigError(f"config key 'm': ahom needs at least 2 replicates, got {M}")
     if law is None:
         raise ConfigError("ahom needs an environment law")
-    tol = _tol(cfg)
-    seed = _seed(args, cfg)
     t0 = time.time()
-    est = estimate_ahom(law, N, M, seed, d=d, tol=tol)
+    est = estimate_ahom(law, N, M, seed, d=d, tol=ecfg.tol)
     _write_csv(os.path.join(args.out, "ahom.csv"),
                ["law", "d", "N", "M", "ahom_mean", "ahom_stderr", "seed"],
                [[law.describe(), d, N, est.samples, repr(est.mean), repr(est.stderr), seed]])
@@ -306,42 +330,12 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _experiment_config(cfg, seed) -> ExperimentConfig:
-    return ExperimentConfig(
-        d=_get(cfg, "d", default=2, cast=int),
-        law=_law(cfg),
-        beta=_get(cfg, "beta", default=None, cast=float),
-        Ns=_get(cfg, "n", cast=_parse_ns),
-        kset=_get(cfg, "kset", default=(), cast=_parse_kset),
-        replicates=_get(cfg, "m", default=8, cast=int),
-        noise_replicates=_get(cfg, "noise_replicates", default=32, cast=int),
-        seed=seed,
-        ahom=_get(cfg, "ahom", default=None, cast=float),
-        tol=_tol(cfg),
-        mode_cutoff=_get(cfg, "mode_cutoff", default=None, cast=int),
-    )
-
-
-RATE_EXPERIMENTS = {
-    # harness self-test: an exact power law injected instead of a measurement
-    "synthetic": lambda ecfg: RateSeries.from_points(
-        "synthetic_nm2", [(n, n**-2.0, 0.0) for n in ecfg.Ns]),
-    "pseudo": pseudo_eigen_rate,
-    "bilap": bilap_error_rate,
-    "disc": discretization_rate,
-}
-
-
 def cmd_rates(args, cfg) -> int:
-    experiment = _get(cfg, "experiment")
-    seed = _seed(args, cfg)
-    expect = _get(cfg, "expect_slope", default=None, cast=_parse_finite)
-    slope_tol = _get(cfg, "slope_tol", default=0.3, cast=_parse_finite)
-    if slope_tol < 0:
-        raise ConfigError(f"config key 'slope_tol': must be non-negative, got {slope_tol}")
-    if experiment not in RATE_EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    ecfg = _experiment_config(cfg, seed)
+    ecfg, opts = _read_run(args, cfg, one_side=False)
+    experiment, seed = opts.get("experiment"), ecfg.seed
+    if experiment is None:
+        raise ConfigError("config key 'experiment' is required for this command")
+    expect, slope_tol = opts.get("expect_slope"), opts.get("slope_tol", 0.3)
     t0 = time.time()
     series = RATE_EXPERIMENTS[experiment](ecfg)
     ahom_record = ({} if series.ahom is None else
@@ -367,8 +361,7 @@ def cmd_rates(args, cfg) -> int:
 
 
 def cmd_cov(args, cfg) -> int:
-    seed = _seed(args, cfg)
-    ecfg = _experiment_config(cfg, seed)
+    ecfg, _ = _read_run(args, cfg, one_side=False)
     t0 = time.time()
     report = gff_covariance_limit(ecfg)
     _write_csv(os.path.join(args.out, "covariance.csv"),
@@ -379,7 +372,7 @@ def cmd_cov(args, cfg) -> int:
                  repr(float(report.stderr[i, j]))]
                 for i, ki in enumerate(report.kset)
                 for j, kj in enumerate(report.kset)])
-    write_runlog(args, cfg, seed, t0, fitted_constant=report.fitted_constant,
+    write_runlog(args, cfg, ecfg.seed, t0, fitted_constant=report.fitted_constant,
                  max_offdiag_z=report.max_offdiag_z(),
                  offdiag_frobenius=report.offdiag_frobenius(),
                  offdiag_frobenius_exact=report.offdiag_frobenius(exact=True))
@@ -417,9 +410,8 @@ def cmd_figure1(args, cfg) -> int:
     site-wise with the constant-environment panel: the exact binomial tail
     P(X >= agreeing sites) for X ~ Bin(sites, 1/2), which must be below
     0.01."""
-    seed = _seed(args, cfg)
-    tol = _tol(cfg)
-    n_side = _get(cfg, "n", default=FIGURE1_N, cast=int)
+    ecfg, _ = _read_run(args, cfg, Ns=(FIGURE1_N,))
+    n_side, seed = ecfg.Ns[0], ecfg.seed
     grid = TorusGrid(n_side, 2)
     noise = sample_noise(grid, np.random.SeedSequence(seed, spawn_key=(2,)))
     h = config_hash(cfg)
@@ -427,7 +419,7 @@ def cmd_figure1(args, cfg) -> int:
     fields = {}
     for idx, (name, law) in enumerate(FIGURE1_PANELS):
         a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(1, idx)))
-        values = sample_bilaplacian(grid, a, noise, tol=tol)
+        values = sample_bilaplacian(grid, a, noise, tol=ecfg.tol)
         fields[name] = values - values.mean()
         smp = FieldSample("bilap_env", LatticeField(grid, values))
         path = os.path.join(args.out, f"figure1_{name}.ppm")

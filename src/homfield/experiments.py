@@ -123,8 +123,9 @@ class RateSeries:
     ``t_half_width`` its 95 % t-quantile half-width (see :func:`fit_rate`).
     ``corrected`` holds the (slope, intercept, half_width, t_half_width)
     fit of value / log(N), used in d = 2 where the bounds carry a log
-    factor; it is None otherwise. ``ahom`` is the effective coefficient
-    the measured fields were compared against, None where none was used.
+    factor; it is None otherwise, and where fewer than 3 points leave the
+    slope fields NaN. ``ahom`` is the effective coefficient the measured
+    fields were compared against, None where none was used.
     """
 
     quantity: str
@@ -140,6 +141,8 @@ class RateSeries:
     def from_points(cls, quantity: str, points, log_correct: bool = False,
                     ahom: float = None) -> "RateSeries":
         points = tuple(sorted(points))
+        if len(points) < 3:
+            return cls(quantity, points, *(math.nan,) * 4, ahom=ahom)
         fit = fit_rate([(n, v) for n, v, _ in points])
         corrected = None
         if log_correct:
@@ -173,6 +176,8 @@ class ExperimentConfig:
     mode_cutoff: int = None
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be at least 1, got {self.d}")
         threshold = self.d / 4.0 - 0.5
         # written so that a NaN beta fails the check
         if self.beta is not None and not threshold < self.beta < math.inf:
@@ -240,10 +245,9 @@ def _ladder(cfg: ExperimentConfig, tag: int, per_env) -> list:
 def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> RateSeries:
     """The fitted series of a Monte-Carlo ladder, with the log correction in
     d = 2. Under a point-mass law the values are at solver-tolerance level,
-    and fewer than 3 sizes cannot be fitted: both give NaN slope fields."""
-    if cfg.law.point_mass or len(points) < 3:
-        nan = float("nan")
-        return RateSeries(quantity, tuple(points), nan, nan, nan, nan, ahom=ahom)
+    so the fit is skipped: NaN slope fields."""
+    if cfg.law.point_mass:
+        return RateSeries(quantity, tuple(points), *(math.nan,) * 4, ahom=ahom)
     return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2), ahom=ahom)
 
 

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from homfield.cli import EXIT_OK, main
+from homfield import homogenization
+from homfield.cli import EXIT_OK, EXIT_SOLVER, main
 from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.homogenization import (
     _mean_energy,
@@ -11,6 +12,7 @@ from homfield.homogenization import (
     estimate_ahom,
 )
 from homfield.lattice import TorusGrid
+from homfield.solver import SolverError
 from reference import has_zero_mean, solve_corrector
 
 
@@ -128,6 +130,53 @@ def test_estimate_ahom_equals_its_corrector_solves(N, d):
 def test_estimate_ahom_validates_m():
     with pytest.raises(ValueError):
         estimate_ahom(EnvironmentLaw.uniform(1, 2), 8, 1, seed=0)
+
+
+def _fail_replicates(monkeypatch, failing):
+    """Make the corrector stack of each replicate in ``failing`` raise
+    SolverError (one _pcg call per replicate), and record the energies of
+    the replicates that are solved."""
+    pcg, energy, calls, energies = homogenization._pcg, _mean_energy, [], []
+
+    def failing_pcg(*args, **kwargs):
+        calls.append(len(calls))
+        if calls[-1] in failing:
+            raise SolverError("forced failure", None)
+        return pcg(*args, **kwargs)
+
+    def recorded_energy(a, chis):
+        energies.append(energy(a, chis))
+        return energies[-1]
+
+    monkeypatch.setattr(homogenization, "_pcg", failing_pcg)
+    monkeypatch.setattr(homogenization, "_mean_energy", recorded_energy)
+    return energies
+
+
+@pytest.mark.parametrize("failing", [{1}, {0, 3, 5}])
+def test_estimate_ahom_tolerates_up_to_half_failed_replicates(monkeypatch, failing):
+    law, M = EnvironmentLaw.bernoulli(0.5, 1, 2), 6
+    with monkeypatch.context() as patch:
+        every = _fail_replicates(patch, set())
+        estimate_ahom(law, 8, M, seed=2)
+    rest = _fail_replicates(monkeypatch, failing)
+    est = estimate_ahom(law, 8, M, seed=2)
+    # the estimate is over the other replicates, drawn as without failures
+    assert rest == [v for rep, v in enumerate(every) if rep not in failing]
+    assert (est.failures, est.samples) == (len(failing), M - len(failing))
+    assert est.mean == float(np.mean(rest))
+    assert est.stderr == float(np.std(rest, ddof=1) / np.sqrt(len(rest)))
+
+
+def test_estimate_ahom_failure_past_half_is_solver_failure(tmp_path, monkeypatch):
+    # with M = 6, the fourth failure (M // 2 + 1) aborts the estimate
+    _fail_replicates(monkeypatch, {0, 1, 2, 3})
+    with pytest.raises(SolverError, match="forced failure"):
+        estimate_ahom(EnvironmentLaw.bernoulli(0.5, 1, 2), 8, 6, seed=2)
+    _fail_replicates(monkeypatch, {0, 1, 2, 3})
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nn = 8\nlaw = bernoulli(0.5,1,2)\nM = 6\nseed = 2\n")
+    assert main(["ahom", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
 
 
 def test_write_ahom_csv(tmp_path):
