@@ -12,13 +12,14 @@ configuration error naming its key. Grammar (keys are optional unless a
 command requires them)::
 
     [run]
-    d = 2                         # dimension, >= 1
+    d = 2                         # dimension, >= 1; figure1 takes only 2
     N = 64                        # grid side, >= 2; figure1 defaults to 150
                                   # (rates, cov: increasing comma list of sides
                                   # >= 2, e.g. 8,16,32; cov uses the largest)
     law = bernoulli(0.5,1,2)      # constant(c) | uniform(lo,hi) | bernoulli(p,a,b)
                                   # with finite atoms in [1, Lambda]; omit or
-                                  # "homogeneous" for unit conductances
+                                  # "homogeneous" for unit conductances;
+                                  # figure1 takes none (its panels fix theirs)
     field = bilap                 # sample: gff | bilap
     beta = 0.75                   # Sobolev order (bilap / disc experiments);
                                   # every value, 0 included, must be finite
@@ -412,6 +413,10 @@ def cmd_figure1(args, cfg) -> int:
     0.01."""
     ecfg, _ = _read_run(args, cfg, Ns=(FIGURE1_N,))
     n_side, seed = ecfg.Ns[0], ecfg.seed
+    if ecfg.d != 2:
+        raise ConfigError(f"config key 'd': figure1 draws 2-d panels, got d = {ecfg.d}")
+    if cfg.get("law", "").strip():
+        raise ConfigError("config key 'law': figure1 draws its four panels' own laws")
     grid = TorusGrid(n_side, 2)
     noise = sample_noise(grid, np.random.SeedSequence(seed, spawn_key=(2,)))
     h = config_hash(cfg)

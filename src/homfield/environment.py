@@ -211,13 +211,18 @@ def _stencil(a: Conductances, v: np.ndarray, out: np.ndarray, flux: np.ndarray) 
     along the leading axes of ``v`` (trailing axes ``a.grid.shape``).
 
     ``flux`` is scratch space of the shape and dtype of ``out``; both are
-    overwritten, so an iterative solve can keep them for its whole run. Each
-    field goes through the same elementwise operations in the same order, so
-    a stack maps bit for bit like its fields one at a time.
+    overwritten, so an iterative solve can keep them for its whole run. Both
+    must be C-contiguous: the last axis runs as one pass over the flattened
+    stack, whose differences across row ends are then overwritten by the
+    wrap-round ones. Each field goes through the same elementwise operations
+    in the same order, so a stack maps bit for bit like its fields one at a
+    time. Raises ValueError for a non-contiguous ``out`` or ``flux``.
     """
+    if not (out.flags.c_contiguous and flux.flags.c_contiguous):
+        raise ValueError("the stencil's out and flux must be C-contiguous")
     d = a.grid.d
     out.fill(0)
-    for axis in range(d):
+    for axis in range(d - 1):
         # Index tuples for sites 0..N-2, 1..N-1, 0 and N-1 along this axis,
         # counted from the trailing end so that leading stack axes pass.
         head, tail, first, last = (
@@ -231,6 +236,16 @@ def _stencil(a: Conductances, v: np.ndarray, out: np.ndarray, flux: np.ndarray) 
         out += flux
         out[tail] -= flux[head]
         out[first] -= flux[last]
+    # the last axis, the same operations with the rows end to end: a
+    # difference or flux taken across a row end is replaced by the wrap's
+    flat_v, flat_out, flat_flux = v.reshape(-1), out.reshape(-1), flux.reshape(-1)
+    np.subtract(flat_v[:-1], flat_v[1:], out=flat_flux[:-1])
+    np.subtract(v[..., -1], v[..., 0], out=flux[..., -1])
+    flux *= a.weights[d - 1]
+    out += flux
+    row_start = out[..., 0].copy()
+    flat_out[1:] -= flat_flux[:-1]
+    np.subtract(row_start, flux[..., -1], out=out[..., 0])
     out *= a.grid.N**2
 
 

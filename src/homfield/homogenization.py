@@ -4,7 +4,9 @@ method.
 For each axis i the corrector chi_i makes x_i/N + chi_i harmonic for the
 heterogeneous operator on the torus. A single environment then yields the
 energy of the corrected affine function, whose average over independent
-environments estimates the homogenized coefficient.
+environments estimates the homogenized coefficient. The environments are
+independent jobs: from a corrector stack of one PCG chunk up they run on
+every CPU the process may use, each environment's solve on its own thread.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .environment import Conductances, EnvironmentLaw, sample_environment
 from .lattice import TorusGrid
-from .solver import DEFAULT_TOL, SolverError, _pcg
+from .solver import _CHUNK_BYTES, DEFAULT_TOL, SolverError, _parallel, _pcg
 
 __all__ = ["AhomEstimate", "estimate_ahom"]
 
@@ -45,13 +47,17 @@ def _mean_energy(a: Conductances, chis) -> float:
     corrector values ``chis`` of the axes i = 0 .. d-1, in that order."""
     grid = a.grid
     diag = np.empty(grid.d)
+    g, term = np.empty(grid.shape), np.empty(grid.shape)  # reused for every term
     for i, chi in enumerate(chis):
         val = 0.0
         for axis in range(grid.d):
-            g = grid.N * (np.roll(chi, -1, axis=axis) - chi)
+            np.subtract(np.roll(chi, -1, axis=axis), chi, out=g)
+            g *= grid.N
             if axis == i:
-                g = g + 1.0
-            val += np.sum(a.weights[axis] * g * g)
+                g += 1.0
+            np.multiply(a.weights[axis], g, out=term)
+            term *= g
+            val += np.sum(term)
         diag[i] = val / grid.n
     return float(np.sum(diag) / grid.d)
 
@@ -64,30 +70,48 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
     The d correctors of an environment are solved as one PCG stack, each
     with its own stopping test, so each equals its own solve of
     :func:`corrector_rhs`. Replicates draw from counter-based substreams of
-    the master seed. Solver failures are tolerated up to M/2; beyond that
-    the estimate aborts.
+    the master seed. When one replicate's corrector stack (d N^d float64)
+    fills a PCG chunk, the replicates go through the solver's work queue,
+    one per CPU at a time, each solving its stack on its own thread; smaller
+    ones run in turn, as threads would only contend for the interpreter.
+    The results are read in replicate order either way, so the estimate
+    does not depend on the CPU count. Solver failures are tolerated up to
+    M/2; failure M//2 + 1 in replicate order aborts the estimate.
     """
     if M < 2:
         raise ValueError(f"need at least 2 replicates, got {M}")
     grid = TorusGrid(N, d)
+
+    def replicate(rep):
+        """(energy, iterations, worst residual) of replicate ``rep``, or its SolverError."""
+        a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(10_000 + rep,)))
+        rhs = np.empty((d,) + grid.shape)
+        for axis in range(d):
+            rhs[axis] = corrector_rhs(a, axis)
+        counts = np.empty(d, np.int64)
+        try:
+            chis, report = _pcg(a, rhs, tol, out=rhs, iters=counts)
+        except SolverError as exc:
+            return exc.with_traceback(None)  # the frames hold the solve's arrays
+        return _mean_energy(a, chis), int(counts.sum()), report.residual
+
+    if d * grid.n * 8 >= _CHUNK_BYTES:
+        results = _parallel(M, replicate)
+    else:
+        results = [replicate(rep) for rep in range(M)]
     values = []
     failures = iterations = 0
     max_residual = 0.0
-    counts = np.empty(d, np.int64)
-    for rep in range(M):
-        rep_seed = np.random.SeedSequence(seed, spawn_key=(10_000 + rep,))
-        a = sample_environment(law, grid, rep_seed)
-        rhs = np.stack([corrector_rhs(a, axis) for axis in range(d)])
-        try:
-            chis, report = _pcg(a, rhs, tol, out=rhs, iters=counts)
-        except SolverError:
+    for result in results:
+        if isinstance(result, SolverError):
             failures += 1
             if failures > M // 2:
-                raise
+                raise result
             continue
-        iterations += int(counts.sum())
-        max_residual = max(max_residual, report.residual)
-        values.append(_mean_energy(a, chis))
+        energy, its, residual = result
+        values.append(energy)
+        iterations += its
+        max_residual = max(max_residual, residual)
     values = np.asarray(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0

@@ -13,6 +13,10 @@ Two methods cover both operators:
   field's iterates do not depend on the chunking or on the thread count,
   up to the last bits of the inner products.
 
+One in-order work queue, :func:`_parallel`, hands out those chunks, and
+:func:`homogenization.estimate_ahom`'s environments, to the CPUs; a queue
+started inside one of its jobs runs on that job's thread.
+
 :func:`solve` (A^(-1)) and :func:`inv_sqrt` (A^(-1/2)) are the two entry
 points. Both take fields stacked along leading axes, and the environment
 picks the method: without one, the FFT; with one, one PCG stack for
@@ -146,6 +150,52 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+_in_job = threading.local()               # .active: this thread runs a _parallel job
+
+
+def _parallel(count: int, job) -> list:
+    """[job(0), ..., job(count - 1)], run on the calling thread and one
+    ``threading.Thread`` per further CPU the process may use, at most one
+    thread per job.
+
+    The jobs are handed out in order and none after a job has raised, so
+    every job before a failing one has run: the first failure in job order,
+    the one a serial loop would meet, is re-raised after the join. A call
+    made inside a job runs all its jobs on that job's thread, as the CPUs
+    are taken already.
+    """
+    results, failures = [None] * count, {}
+    todo = iter(range(count))
+    lock = threading.Lock()
+
+    def work():
+        outer, _in_job.active = getattr(_in_job, "active", False), True
+        try:
+            while True:
+                with lock:
+                    j = next(todo, None)
+                    if j is None or failures:
+                        return
+                try:
+                    results[j] = job(j)
+                except Exception as exc:  # re-raised by the caller after the join
+                    failures[j] = exc
+        finally:
+            _in_job.active = outer
+
+    nested = getattr(_in_job, "active", False)
+    helpers = [] if nested else [threading.Thread(target=work)
+                                 for _ in range(min(_cpus(), count) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray = 0.0,
          out: np.ndarray = None, iters: np.ndarray = None) -> tuple:
     """CG for the divergence-form operator plus ``shift`` times the identity,
@@ -161,9 +211,10 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     max(1, _CHUNK_BYTES // field bytes) fields, so that the arrays of a step
     stay in one core's cache. The chunks are independent solves, and the
     FFTs and array operations of a step release the GIL, so a stack of
-    several chunks is solved on every CPU the process may use: the calling
-    thread and one more thread per further CPU take the chunks in stack
-    order. A stack of one chunk runs in the calling thread alone. Within a
+    several chunks is solved on every CPU the process may use: the chunks go
+    through :func:`_parallel` in stack order. A stack of one chunk, or a
+    stack solved inside a :func:`_parallel` job, runs in the calling thread
+    alone. Within a
     chunk the fields share one loop, but each keeps its own shift, step
     lengths and stopping test, and leaves the loop when its relative
     residual reaches tol: its iterates are those of its own solve, up to the
@@ -196,37 +247,15 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     iters = np.empty(len(b), np.int64) if iters is None else iters
     chunk = max(1, _CHUNK_BYTES // (a.grid.n * x.itemsize))
     starts = range(0, len(b), chunk)
-    results = [None] * len(starts)        # a report or an exception per chunk
-    todo = iter(range(len(starts)))
-    lock = threading.Lock()
 
-    def work():
-        # chunks are handed out in stack order and none after a failure, so
-        # every chunk before a failing one has run: the first failure in
-        # stack order is the one a serial loop would meet
-        while True:
-            with lock:
-                j = next(todo, None)
-                if j is None or any(isinstance(r, Exception) for r in results):
-                    return
-            rows = slice(starts[j], starts[j] + chunk)
-            try:
-                results[j] = _pcg_chunk(a, b[rows], tol, shift[rows] if np.ndim(shift) else shift,
-                                        x[rows], iters[rows])
-            except Exception as exc:      # re-raised by the caller after the join
-                results[j] = exc
+    def solve_chunk(j):
+        rows = slice(starts[j], starts[j] + chunk)
+        return _pcg_chunk(a, b[rows], tol, shift[rows] if np.ndim(shift) else shift,
+                          x[rows], iters[rows])
 
-    helpers = [threading.Thread(target=work) for _ in range(min(_cpus(), len(starts)) - 1)]
-    for thread in helpers:
-        thread.start()
-    work()
-    for thread in helpers:
-        thread.join()
-    for r in results:
-        if isinstance(r, Exception):
-            raise r
-    return x, SolveReport(max((r.iterations for r in results), default=0),
-                          max((r.residual for r in results), default=0.0))
+    reports = _parallel(len(starts), solve_chunk)
+    return x, SolveReport(max((r.iterations for r in reports), default=0),
+                          max((r.residual for r in reports), default=0.0))
 
 
 def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray,

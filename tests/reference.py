@@ -3,7 +3,8 @@ engine: the normalized l2 norm and the mean-zero test of a field, the
 delta right-hand side of a Green's-function column, one corrector solve,
 A^(-1/2) solved one quadrature node at a time, and the shared-noise
 Monte-Carlo estimate of the bi-Laplacian error norm that cross-checks the
-noise-exact one."""
+noise-exact one, and the operator stencil with every axis taken as strided
+slices, which the package's one-pass last axis must match bit for bit."""
 
 import dataclasses
 
@@ -80,3 +81,22 @@ def bilap_monte_carlo_point(cfg: ExperimentConfig, N: int) -> tuple:
     ks, weights = _bilap_modes(cfg, N)
     return tuple(_ladder(dataclasses.replace(cfg, Ns=(N,)), 100 + cfg.Ns.index(N),
                          lambda a, rep: _bilap_monte_carlo(cfg, a, ahom, ks, weights, cb, rep))[0][1:])
+
+
+def stencil_by_slices(a, v: np.ndarray, out: np.ndarray, flux: np.ndarray) -> None:
+    """``environment._stencil`` as it was before its last axis ran as one
+    flattened pass: every axis, the last included, through slices of the
+    stack, in the same elementwise operations and order."""
+    d = a.grid.d
+    out.fill(0)
+    for axis in range(d):
+        head, tail, first, last = (
+            (Ellipsis, s) + (slice(None),) * (d - 1 - axis) for s in
+            (slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None)))
+        np.subtract(v[head], v[tail], out=flux[head])
+        np.subtract(v[last], v[first], out=flux[last])
+        flux *= a.weights[axis]
+        out += flux
+        out[tail] -= flux[head]
+        out[first] -= flux[last]
+    out *= a.grid.N**2

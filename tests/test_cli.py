@@ -304,6 +304,22 @@ def test_figure1_small(tmp_path):
         assert side["config_hash"] == report["config_hash"]
 
 
+@pytest.mark.parametrize("body, key", [
+    ("n = 16\nd = 3\n", "d"),
+    ("n = 16\nd = 1\n", "d"),
+    ("n = 16\nlaw = uniform(1,3)\n", "law"),
+    ("n = 16\nlaw = homogeneous\n", "law"),
+    ("n = 16\nd = 2\nlaw = bernoulli(0.5,1,2)\n", "law"),
+], ids=["d3", "d1", "law", "homogeneous", "d2-law"])
+def test_figure1_rejects_the_dimension_and_law_it_cannot_honour(tmp_path, capsys, body, key):
+    # figure1's four panels are 2-d with their own laws; a d or law it would
+    # ignore must not sit in the runlog next to them
+    out = tmp_path / "o"
+    assert main(["figure1", "--config", _write_config(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [1, 2, 100, 2304, 22500])
 def test_binomial_upper_tail_matches_scipy(n):
     binomtest = pytest.importorskip("scipy.stats").binomtest

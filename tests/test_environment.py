@@ -17,6 +17,7 @@ from homfield.environment import (
     sample_environment,
 )
 from homfield.lattice import TorusGrid
+from reference import stencil_by_slices
 
 
 def test_law_constructors_and_parse():
@@ -218,6 +219,36 @@ def test_apply_operator_matches_roll_stencil(d, N):
         _stencil(a, stack.reshape((3, 1) + grid.shape), out.reshape((3, 1) + grid.shape),
                  flux.reshape((3, 1) + grid.shape))
         assert np.array_equal(out, np.stack(outs))
+
+
+@pytest.mark.parametrize("N", [2, 5, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_pass_last_axis_equals_the_slice_stencil(d, N):
+    # the flattened last axis takes differences and fluxes across row ends
+    # and overwrites them; every output bit must be the slices' own
+    grid = TorusGrid(N, d)
+    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 6)
+    rng = np.random.default_rng(10 * d + N)
+    real = rng.standard_normal((4,) + grid.shape)
+    for stack in (real, real + 1j * rng.standard_normal(real.shape)):
+        for v in (stack, stack[0]):
+            want, got = np.empty_like(v), np.full(v.shape, np.nan, v.dtype)
+            stencil_by_slices(a, v, want, np.empty_like(v))
+            _stencil(a, v, got, np.full(v.shape, np.nan, v.dtype))
+            assert np.array_equal(got, want)
+
+
+def test_stencil_rejects_non_contiguous_buffers():
+    # a reshape of a strided buffer would copy it and drop the writes
+    grid = TorusGrid(8, 2)
+    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 6)
+    v = np.random.default_rng(0).standard_normal((2,) + grid.shape)
+    wide = np.zeros((2, 8, 16))
+    for out, flux in ((wide[..., ::2], np.empty_like(v)), (np.empty_like(v), wide[..., ::2]),
+                      (np.empty((8, 8, 2)).transpose(2, 0, 1), np.empty_like(v))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _stencil(a, v, out, flux)
+    assert not wide.any()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

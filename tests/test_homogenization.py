@@ -1,9 +1,11 @@
 import csv
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from homfield import homogenization
+from homfield import homogenization, solver
 from homfield.cli import EXIT_OK, EXIT_SOLVER, main
 from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.homogenization import (
@@ -177,6 +179,108 @@ def test_estimate_ahom_failure_past_half_is_solver_failure(tmp_path, monkeypatch
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nn = 8\nlaw = bernoulli(0.5,1,2)\nM = 6\nseed = 2\n")
     assert main(["ahom", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+
+
+def _count_threads(monkeypatch):
+    """Count the threading.Thread objects made from now on."""
+    made = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return made
+
+
+def _on_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def test_threaded_replicates_equal_serial_replicates(monkeypatch):
+    # d=2, N=128: a corrector stack of 256 KiB fills a PCG chunk, so the
+    # replicates go to threads, each solving its stack on its own thread
+    law = EnvironmentLaw.bernoulli(0.5, 1, 2)
+    all_cpus = solver._cpus()
+    _on_cpus(monkeypatch, 1)
+    serial = estimate_ahom(law, 128, 4, seed=3)
+    for cpus in {all_cpus, 3}:
+        _on_cpus(monkeypatch, cpus)
+        made = _count_threads(monkeypatch)
+        assert estimate_ahom(law, 128, 4, seed=3) == serial
+        assert len(made) == cpus - 1
+    assert serial.samples == 4 and serial.failures == 0 and serial.iterations > 0
+
+
+@pytest.mark.parametrize("d, N", [(1, 4096), (2, 16)])
+def test_small_corrector_stacks_start_no_thread(monkeypatch, d, N):
+    # below one PCG chunk per replicate, threads only contend for the GIL
+    _on_cpus(monkeypatch, 4)
+    made = _count_threads(monkeypatch)
+    estimate_ahom(EnvironmentLaw.uniform(1, 3), N, 4, seed=0, d=d)
+    assert made == []
+
+
+def _fail_by_replicate(monkeypatch, failing):
+    """Make the corrector stack of each replicate in ``failing`` raise a
+    SolverError naming it, keyed on the replicate's seed rather than on the
+    order of the _pcg calls, which threads leave open; returns the energies
+    of the solved replicates by replicate."""
+    sample, pcg, energy = (homogenization.sample_environment, homogenization._pcg,
+                           _mean_energy)
+    current, energies = threading.local(), {}
+
+    def keyed_sample(law, grid, seed):
+        current.rep = seed.spawn_key[-1] - 10_000
+        return sample(law, grid, seed)
+
+    def failing_pcg(*args, **kwargs):
+        if current.rep in failing:
+            raise SolverError(f"forced failure in replicate {current.rep}", None)
+        return pcg(*args, **kwargs)
+
+    def recorded_energy(a, chis):
+        energies[current.rep] = energy(a, chis)
+        return energies[current.rep]
+
+    monkeypatch.setattr(homogenization, "sample_environment", keyed_sample)
+    monkeypatch.setattr(homogenization, "_pcg", failing_pcg)
+    monkeypatch.setattr(homogenization, "_mean_energy", recorded_energy)
+    return energies
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_threaded_replicates_tolerate_failures_as_serial(monkeypatch, cpus):
+    # the chunk rule lowered so that N=16 replicates go to threads
+    law, M = EnvironmentLaw.bernoulli(0.5, 1, 2), 6
+    monkeypatch.setattr(homogenization, "_CHUNK_BYTES", 1)
+    _on_cpus(monkeypatch, 1)
+    with monkeypatch.context() as patch:
+        every = _fail_by_replicate(patch, set())
+        clean = estimate_ahom(law, 16, M, seed=5)
+    _on_cpus(monkeypatch, cpus)
+    made = _count_threads(monkeypatch)
+    solved = _fail_by_replicate(monkeypatch, {0, 3, 5})
+    est = estimate_ahom(law, 16, M, seed=5)
+    assert len(made) == cpus - 1
+    rest = [every[rep] for rep in (1, 2, 4)]
+    assert solved == {rep: every[rep] for rep in (1, 2, 4)}
+    assert (est.failures, est.samples) == (3, 3)
+    assert est.mean == float(np.mean(rest))
+    assert est.stderr == float(np.std(rest, ddof=1) / np.sqrt(3))
+    assert 0 < est.iterations < clean.iterations
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_threaded_replicates_abort_at_the_same_failure(monkeypatch, cpus):
+    # with M = 6 the fourth failure in replicate order, replicate 4, aborts,
+    # whichever thread meets a failure first
+    monkeypatch.setattr(homogenization, "_CHUNK_BYTES", 1)
+    _on_cpus(monkeypatch, cpus)
+    _fail_by_replicate(monkeypatch, {0, 2, 3, 4, 5})
+    with pytest.raises(SolverError, match="in replicate 4$"):
+        estimate_ahom(EnvironmentLaw.bernoulli(0.5, 1, 2), 16, 6, seed=5)
 
 
 def test_write_ahom_csv(tmp_path):

@@ -4,6 +4,8 @@ import math
 import os
 import re
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -427,6 +429,51 @@ def test_threaded_solver_error_is_the_first_failing_chunk(monkeypatch):
         chunk_reports.append(err.value.report)
     assert chunk_reports[0] != chunk_reports[1]
     assert reports == [chunk_reports[0]] * 3
+
+
+def test_parallel_queue_nested_in_a_job_stays_on_its_thread(monkeypatch):
+    # 3 CPUs: the outer queue starts 2 threads, and each job's own queue of
+    # 4 runs on the job's thread; the flag that marks a job's thread is
+    # cleared again, so the next queue on the calling thread starts threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
+    made = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+
+    def job(j):
+        return j, threading.get_ident(), solver._parallel(4, lambda k: threading.get_ident())
+
+    results = solver._parallel(6, job)
+    assert [j for j, _, _ in results] == list(range(6))
+    assert all(inner == [ident] * 4 for _, ident, inner in results)
+    assert len(made) == 2
+    assert solver._parallel(3, lambda j: j * j) == [0, 1, 4]
+    assert len(made) == 4
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_parallel_queue_raises_the_first_failure_in_job_order(monkeypatch, cpus):
+    # on 4 CPUs job 3 fails first in time while jobs 0-2 still run; job 2
+    # then fails too, and no job goes out after the failures
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    started = []
+
+    def job(j):
+        started.append(j)
+        if j < 3:
+            time.sleep(0.1)
+        if j in (2, 3):
+            raise ValueError(f"job {j}")
+        return j
+
+    with pytest.raises(ValueError, match="job 2"):
+        solver._parallel(40, job)
+    assert sorted(started) == {1: [0, 1, 2], 4: [0, 1, 2, 3]}[cpus]
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-13])
