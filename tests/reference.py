@@ -1,7 +1,7 @@
 """Reference code that only the tests use, written over the package's
 engine: the normalized l2 norm and the mean-zero test of a field, the
 delta right-hand side of a Green's-function column, one corrector solve,
-A^(-1/2) solved one quadrature node at a time, and the shared-noise
+the full periodic matrix of an environment, A^(-1/2) solved one quadrature node at a time, and the shared-noise
 Monte-Carlo estimate of the bi-Laplacian error norm that cross-checks the
 noise-exact one, and the operator stencil with every axis taken as strided
 slices, which the package's one-pass last axis must match bit for bit."""
@@ -40,6 +40,22 @@ def solve_corrector(a, axis: int, tol: float = DEFAULT_TOL) -> tuple:
     -div a grad chi = div(a e_axis), solved on its own."""
     x, report = _pcg(a, corrector_rhs(a, axis)[None], tol)
     return x[0], report
+
+
+def periodic_matrix(a, tol: float = DEFAULT_TOL) -> tuple:
+    """(A, chis): the full periodic matrix
+    A_ij = <(e_i + grad chi_i) . a (e_j + grad chi_j)> of the environment,
+    from its d correctors solved as one ``_pcg`` stack, and those correctors.
+    The gradients and products are formed as ``_mean_energy`` forms them,
+    so tr A / d is its energy estimator."""
+    grid = a.grid
+    rhs = np.stack([corrector_rhs(a, axis) for axis in range(grid.d)])
+    chis = _pcg(a, rhs, tol)[0]
+    grads = [[grid.N * (np.roll(chi, -1, axis=axis) - chi) + (axis == i)
+              for axis in range(grid.d)] for i, chi in enumerate(chis)]
+    matrix = np.array([[sum(np.sum(w * gi * gj) for w, gi, gj in zip(a.weights, g_i, g_j))
+                        for g_j in grads] for g_i in grads])
+    return matrix / grid.n, chis
 
 
 def inv_sqrt_by_node(grid: TorusGrid, a, values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
