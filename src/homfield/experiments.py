@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import EnvironmentLaw, sample_environment
-from .homogenization import estimate_ahom
+from .homogenization import _mean_stderr, estimate_ahom
 from .lattice import (
     TorusGrid,
     eigenvalue_continuum,
@@ -26,7 +26,7 @@ from .lattice import (
     fourier_mode,
 )
 from .sampler import sample_noise
-from .solver import DEFAULT_TOL, _check_tol, _pseudo_eigenfunctions, inv_sqrt
+from .solver import DEFAULT_TOL, _check_tol, _pseudo_eigenfunctions, _replicates, inv_sqrt
 
 __all__ = [
     "RateSeries",
@@ -229,16 +229,15 @@ def _replicate_seed(cfg: ExperimentConfig, tag: int, rep: int) -> np.random.Seed
 
 def _ladder(cfg: ExperimentConfig, tag: int, per_env) -> list:
     """(N, mean, stderr) of per_env(a, rep) over the environments
-    _replicate_seed(cfg, tag + i, rep) at the i-th size of cfg.Ns; one tag
-    means one set of draws."""
+    _replicate_seed(cfg, tag + i, rep) at the i-th size of cfg.Ns, run
+    through the replicate runner; one tag means one set of draws."""
     points = []
     for i, N in enumerate(cfg.Ns):
         grid = TorusGrid(N, cfg.d)
-        vals = np.asarray([
-            per_env(sample_environment(cfg.law, grid, _replicate_seed(cfg, tag + i, rep)), rep)
-            for rep in range(cfg.replicates)], dtype=float)
-        stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        points.append((N, float(vals.mean()), stderr))
+        vals = _replicates(grid, cfg.replicates, lambda rep: per_env(
+            sample_environment(cfg.law, grid, _replicate_seed(cfg, tag + i, rep)), rep))
+        mean, stderr = _mean_stderr(np.asarray(vals, dtype=float))
+        points.append((N, float(mean), float(stderr)))
     return points
 
 
@@ -254,10 +253,10 @@ def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> R
 def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
     """Squared l2 distances between the pseudo-eigenfunctions of the modes
     ks in environment a and their Fourier modes phi_k, from one stacked
-    solve."""
-    phis, us = _pseudo_eigenfunctions(a, ahom, ks, tol)
-    return [float(np.sqrt(np.sum(np.abs(u - phi) ** 2) / a.grid.n)) ** 2
-            for phi, u in zip(phis, us)]
+    solve; each phi_k is formed again as the solve's right-hand side was."""
+    us = _pseudo_eigenfunctions(a, ahom, ks, tol)
+    return [float(np.sqrt(np.sum(np.abs(u - fourier_mode(a.grid, k)) ** 2) / a.grid.n)) ** 2
+            for k, u in zip(ks, us)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,26 +350,27 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
     grid = TorusGrid(N, cfg.d)
     scale = formal_constant("gff", cfg.d) * grid.N ** (grid.d / 2.0) / grid.n
     modes = np.stack([fourier_mode(grid, k).conj() for k in cfg.kset])
-    blocks, exacts = [], []
-    for env_idx in range(cfg.replicates):
+
+    def environment(env_idx):
+        """The draws' coefficients and the noise-exact covariance of one environment."""
         a = (None if cfg.law is None
              else sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx)))
         v = inv_sqrt(grid, a, modes, tol=cfg.tol).reshape(len(modes), -1)
         # One draw at a time keeps memory at |kset| x N^d, not samples x N^d.
-        blocks.append(scale * np.stack([
+        block = scale * np.stack([
             v @ sample_noise(grid, np.random.SeedSequence(
                 cfg.seed, spawn_key=(201, env_idx, s))).ravel()
-            for s in range(samples)]))
-        exacts.append(scale**2 * (v @ v.conj().T))
+            for s in range(samples)])
+        return block, scale**2 * (v @ v.conj().T)
+
+    blocks, exacts = zip(*_replicates(grid, cfg.replicates, environment))
     coeffs = np.concatenate(blocks, axis=0)
-    products = np.einsum("si,sj->sij", coeffs, coeffs.conj())
-    cov = products.mean(axis=0)
-    stderr = products.std(axis=0, ddof=1) / np.sqrt(len(coeffs))
+    cov, stderr = _mean_stderr(np.einsum("si,sj->sij", coeffs, coeffs.conj()))
 
     lam = eigenvalue_continuum(np.transpose(cfg.kset))
     diag = np.real(np.diag(cov))
     fitted = float(np.sum(diag / lam) / np.sum(1.0 / lam**2))
-    return CovarianceReport(cfg.kset, cov, np.real(stderr), fitted, np.mean(exacts, axis=0))
+    return CovarianceReport(cfg.kset, cov, stderr, fitted, np.mean(exacts, axis=0))
 
 
 # ---------------------------------------------------------------------------

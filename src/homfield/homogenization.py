@@ -4,9 +4,10 @@ method.
 For each axis i the corrector chi_i makes x_i/N + chi_i harmonic for the
 heterogeneous operator on the torus. A single environment then yields the
 energy of the corrected affine function, whose average over independent
-environments estimates the homogenized coefficient. The environments are
-independent jobs: from a corrector stack of one PCG chunk up they run on
-every CPU the process may use, each environment's solve on its own thread.
+environments estimates the homogenized coefficient. The environments run
+through the solver's replicate runner, by its one rule for ahom, the rate
+ladders and cov: on every CPU once one environment's weights fill a PCG
+chunk, in turn below that.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .environment import Conductances, EnvironmentLaw, sample_environment
 from .lattice import TorusGrid
-from .solver import _CHUNK_BYTES, DEFAULT_TOL, SolverError, _parallel, _pcg
+from .solver import DEFAULT_TOL, SolverError, _pcg, _replicates
 
 __all__ = ["AhomEstimate", "estimate_ahom"]
 
@@ -62,6 +63,14 @@ def _mean_energy(a: Conductances, chis) -> float:
     return float(np.sum(diag) / grid.d)
 
 
+def _mean_stderr(values: np.ndarray) -> tuple:
+    """Mean and standard error of the replicates stacked along the first
+    axis of ``values``; the error of a single replicate is 0."""
+    if len(values) < 2:
+        return values.mean(axis=0), np.zeros(values.shape[1:])
+    return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(len(values))
+
+
 def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
                   tol: float = DEFAULT_TOL) -> AhomEstimate:
     """Monte-Carlo mean and standard error of the energy estimator over M
@@ -70,13 +79,11 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
     The d correctors of an environment are solved as one PCG stack, each
     with its own stopping test, so each equals its own solve of
     :func:`corrector_rhs`. Replicates draw from counter-based substreams of
-    the master seed. When one replicate's corrector stack (d N^d float64)
-    fills a PCG chunk, the replicates go through the solver's work queue,
-    one per CPU at a time, each solving its stack on its own thread; smaller
-    ones run in turn, as threads would only contend for the interpreter.
-    The results are read in replicate order either way, so the estimate
-    does not depend on the CPU count. Solver failures are tolerated up to
-    M/2; failure M//2 + 1 in replicate order aborts the estimate.
+    the master seed. They run one per CPU once one environment's weights
+    (d N^d float64, as its corrector stack) fill a PCG chunk, in turn below
+    that, and are read in replicate order, so the estimate does not depend
+    on the CPU count. Solver failures are tolerated up to M/2; failure
+    M//2 + 1 in replicate order aborts the estimate.
     """
     if M < 2:
         raise ValueError(f"need at least 2 replicates, got {M}")
@@ -95,14 +102,10 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
             return exc.with_traceback(None)  # the frames hold the solve's arrays
         return _mean_energy(a, chis), int(counts.sum()), report.residual
 
-    if d * grid.n * 8 >= _CHUNK_BYTES:
-        results = _parallel(M, replicate)
-    else:
-        results = [replicate(rep) for rep in range(M)]
     values = []
     failures = iterations = 0
     max_residual = 0.0
-    for result in results:
+    for result in _replicates(grid, M, replicate):
         if isinstance(result, SolverError):
             failures += 1
             if failures > M // 2:
@@ -112,7 +115,6 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
         values.append(energy)
         iterations += its
         max_residual = max(max_residual, residual)
-    values = np.asarray(values)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return AhomEstimate(mean, stderr, len(values), failures, iterations, max_residual)
+    mean, stderr = _mean_stderr(np.asarray(values))
+    return AhomEstimate(float(mean), float(stderr), len(values), failures, iterations,
+                        max_residual)

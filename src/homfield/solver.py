@@ -1,27 +1,19 @@
 """The two powers A^(-1) and A^(-1/2) of A = -div a grad (A = -Lap_N without
 an environment) on the mean-zero subspace of the torus.
 
-Two methods cover both operators:
+:func:`solve` (A^(-1)) and :func:`inv_sqrt` (A^(-1/2)) take fields stacked
+along leading axes. Without an environment they are exact by FFT. With one,
+conjugate gradient on the mean-zero subspace, preconditioned by the
+homogeneous spectral inverse (real FFTs for real residuals), solves one
+stack: the right-hand sides, or for :func:`inv_sqrt` all the shifted solves
+of a quadrature, each field with its own shift and stopping test, in chunks
+of at most 256 KiB. Each field's iterates do not depend on the chunking or
+on the thread count, up to the last bits of the inner products.
 
-* exact FFT diagonalization, for the homogeneous operator;
-* conjugate gradient on the mean-zero subspace, preconditioned by the
-  homogeneous spectral inverse, for real and complex right-hand sides; the
-  preconditioner applies real FFTs (``rfftn``/``irfftn``) to real
-  residuals. One CG engine solves a stack of right-hand sides, each with
-  its own shift, in chunks of at most 256 KiB, and a stack of several
-  chunks on every CPU the process may use, one thread per CPU; each
-  field's iterates do not depend on the chunking or on the thread count,
-  up to the last bits of the inner products.
-
-One in-order work queue, :func:`_parallel`, hands out those chunks, and
-:func:`homogenization.estimate_ahom`'s environments, to the CPUs; a queue
-started inside one of its jobs runs on that job's thread.
-
-:func:`solve` (A^(-1)) and :func:`inv_sqrt` (A^(-1/2)) are the two entry
-points. Both take fields stacked along leading axes, and the environment
-picks the method: without one, the FFT; with one, one PCG stack for
-:func:`solve`, and for :func:`inv_sqrt` one PCG stack over all the shifted
-solves of a quadrature.
+One in-order work queue, :func:`_parallel`, hands out the chunks of a stack
+to every CPU the process may use. :func:`_replicates` holds the one rule for
+the environments of ahom, the rate ladders and cov: through that queue once
+one environment's weights fill a chunk, else in turn.
 """
 
 from __future__ import annotations
@@ -196,6 +188,18 @@ def _parallel(count: int, job) -> list:
     return results
 
 
+def _replicates(grid: TorusGrid, count: int, job) -> list:
+    """[job(0), ..., job(count - 1)], each job drawing, solving and scoring
+    its own environment on ``grid``: through :func:`_parallel` once one
+    environment's weights (8 d N^d bytes) fill a PCG chunk, else in turn on
+    the calling thread, where threads would only contend for the
+    interpreter. Either way the results and the first exception come in
+    replicate order, whatever the CPU count."""
+    if 8 * grid.d * grid.n >= _CHUNK_BYTES:
+        return _parallel(count, job)
+    return [job(rep) for rep in range(count)]
+
+
 def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray = 0.0,
          out: np.ndarray = None, iters: np.ndarray = None) -> tuple:
     """CG for the divergence-form operator plus ``shift`` times the identity,
@@ -209,21 +213,17 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
 
     A stack of more than _CHUNK_BYTES is cut into consecutive chunks of
     max(1, _CHUNK_BYTES // field bytes) fields, so that the arrays of a step
-    stay in one core's cache. The chunks are independent solves, and the
-    FFTs and array operations of a step release the GIL, so a stack of
-    several chunks is solved on every CPU the process may use: the chunks go
-    through :func:`_parallel` in stack order. A stack of one chunk, or a
-    stack solved inside a :func:`_parallel` job, runs in the calling thread
-    alone. Within a
-    chunk the fields share one loop, but each keeps its own shift, step
-    lengths and stopping test, and leaves the loop when its relative
-    residual reaches tol: its iterates are those of its own solve, up to the
-    rounding of the inner products, whatever thread runs its chunk. A chunk
-    of several shifts keeps one preconditioner multiplier per field. The
-    means of the right-hand sides are removed once. The iterates then stay
-    mean-zero up to rounding without a projection, because the
-    preconditioner zeroes the mean mode and every operator output sums to
-    zero; x is centred once on return.
+    stay in one core's cache. The chunks are independent solves whose FFTs
+    and array operations release the GIL, so they go through
+    :func:`_parallel` in stack order. Within a chunk the fields share one
+    loop, but each keeps its own shift, step lengths and stopping test, and
+    leaves the loop when its relative residual reaches tol: its iterates are
+    those of its own solve, up to the rounding of the inner products,
+    whatever thread runs its chunk. A chunk of several shifts keeps one
+    preconditioner multiplier per field. The means of the right-hand sides
+    are removed once. The iterates then stay mean-zero up to rounding
+    without a projection, because the preconditioner zeroes the mean mode
+    and every operator output sums to zero; x is centred once on return.
 
     ``out``, of the shape of ``b`` and the dtype of x, receives x when
     given. It may be ``b`` itself: each chunk is read before its rows are
@@ -456,20 +456,18 @@ def solve_homogeneous(grid: TorusGrid, rhs: LatticeField) -> LatticeField:
     return LatticeField(grid, solve(grid, None, rhs.values))
 
 
-def _pseudo_eigenfunctions(a: Conductances, ahom: float, ks, tol: float) -> tuple:
-    """The Fourier modes phi_k of the frequencies ``ks`` and the solutions
-    u_k of -div a grad u_k = ahom * lambda_k^(N) * phi_k, each stacked along
-    the first axis, from one stacked PCG."""
+def _pseudo_eigenfunctions(a: Conductances, ahom: float, ks, tol: float) -> np.ndarray:
+    """The solutions u_k of -div a grad u_k = ahom * lambda_k^(N) * phi_k
+    for the Fourier modes phi_k of the frequencies ``ks``, stacked along the
+    first axis, from one stacked PCG."""
     grid = a.grid
     ks = [grid.check_frequency(k) for k in ks]
     if not all(np.any(k) for k in ks):
         raise ValueError("pseudo-eigenfunctions are defined for k != 0 only")
     if ahom <= 0:
         raise ValueError(f"ahom must be positive, got {ahom}")
-    phis = np.empty((len(ks),) + grid.shape, np.complex128)
-    rhs = np.empty_like(phis)
-    for phi, b, k in zip(phis, rhs, ks):
-        phi[...] = fourier_mode(grid, k)
-        np.multiply(ahom * eigenvalue_discrete(grid.N, k), phi, out=b)
-    return phis, _pcg(a, rhs, tol, out=rhs)[0]
+    rhs = np.empty((len(ks),) + grid.shape, np.complex128)
+    for b, k in zip(rhs, ks):
+        np.multiply(ahom * eigenvalue_discrete(grid.N, k), fourier_mode(grid, k), out=b)
+    return _pcg(a, rhs, tol, out=rhs)[0]
 

@@ -1,10 +1,11 @@
 """Reference code that only the tests use, written over the package's
 engine: the normalized l2 norm and the mean-zero test of a field, the
 delta right-hand side of a Green's-function column, one corrector solve,
-the full periodic matrix of an environment, A^(-1/2) solved one quadrature node at a time, and the shared-noise
-Monte-Carlo estimate of the bi-Laplacian error norm that cross-checks the
-noise-exact one, and the operator stencil with every axis taken as strided
-slices, which the package's one-pass last axis must match bit for bit."""
+the full periodic matrix of an environment, A^(-1/2) solved one
+quadrature node at a time, the shared-noise Monte-Carlo estimate of the
+bi-Laplacian error norm that cross-checks the noise-exact one, and the
+operator stencil with every axis taken as strided slices, which the
+package's one-pass last axis must match bit for bit."""
 
 import dataclasses
 

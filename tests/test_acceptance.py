@@ -56,7 +56,7 @@ def test_criterion_1_constant_environment_degeneracy():
         a = sample_environment(EnvironmentLaw.constant(c), grid, 0)
         # pseudo-eigenfunctions equal Fourier modes
         for k in [(1, 0), (2, -3)]:
-            phi = _pseudo_eigenfunctions(a, c, [k], 1e-12)[1][0]
+            phi = _pseudo_eigenfunctions(a, c, [k], 1e-12)[0]
             assert norm(phi - fourier_mode(grid, k)) < 1e-8
         # corrector is identically zero
         for axis in range(2):

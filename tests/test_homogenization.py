@@ -1,13 +1,22 @@
 import csv
+import dataclasses
+import math
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from homfield import homogenization, solver
+from homfield import experiments, homogenization, solver
 from homfield.cli import EXIT_OK, EXIT_SOLVER, main
 from homfield.environment import EnvironmentLaw, sample_environment
+from homfield.experiments import (
+    ExperimentConfig,
+    bilap_error_rate,
+    gff_covariance_limit,
+    pseudo_eigen_rate,
+)
 from homfield.homogenization import (
     _mean_energy,
     corrector_rhs,
@@ -215,11 +224,72 @@ def test_threaded_replicates_equal_serial_replicates(monkeypatch):
 
 @pytest.mark.parametrize("d, N", [(1, 4096), (2, 16)])
 def test_small_corrector_stacks_start_no_thread(monkeypatch, d, N):
-    # below one PCG chunk per replicate, threads only contend for the GIL
+    # below one PCG chunk per environment, threads only contend for the
+    # GIL: the replicates of ahom, of a rate ladder and of the covariance
+    # limit run in turn. cov runs without a law, as its quadrature stack at
+    # d=1, N=4096 would fill several chunks, which the solver threads itself.
+    law = EnvironmentLaw.uniform(1, 3)
+    cfg = ExperimentConfig(d=d, law=law, Ns=(N,), kset=((1,) + (0,) * (d - 1),),
+                           replicates=4, noise_replicates=25, ahom=2.0)
     _on_cpus(monkeypatch, 4)
     made = _count_threads(monkeypatch)
-    estimate_ahom(EnvironmentLaw.uniform(1, 3), N, 4, seed=0, d=d)
+    estimate_ahom(law, N, 4, seed=0, d=d)
+    pseudo_eigen_rate(cfg)
+    gff_covariance_limit(dataclasses.replace(cfg, law=None))
     assert made == []
+
+
+def _runner_experiments():
+    """The points of a pseudo and a bilap ladder and the covariance report
+    of cov, at sizes up to d=2, N=128, where one environment's weights fill
+    a PCG chunk and the replicates go to threads."""
+    cfg = ExperimentConfig(d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(16, 128),
+                           kset=((1, 0),), replicates=3, noise_replicates=34,
+                           ahom=math.sqrt(2), beta=0.75, mode_cutoff=1, tol=1e-6)
+    cov = gff_covariance_limit(cfg)
+    return (pseudo_eigen_rate(cfg).points, bilap_error_rate(cfg).points,
+            [cov.covariance, cov.stderr, cov.exact_covariance, cov.fitted_constant])
+
+
+def test_threaded_experiments_equal_serial_experiments(monkeypatch):
+    _on_cpus(monkeypatch, 1)
+    serial = _runner_experiments()
+    for cpus in (2, 3):
+        _on_cpus(monkeypatch, cpus)
+        made = _count_threads(monkeypatch)
+        pseudo, bilap, cov = _runner_experiments()
+        assert (pseudo, bilap) == serial[:2]
+        assert all(np.array_equal(x, y) for x, y in zip(cov, serial[2]))
+        assert len(made) == 3 * (cpus - 1)   # one queue per experiment, at N=128 only
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_threaded_ladder_raises_the_first_solver_error_in_replicate_order(monkeypatch, cpus):
+    # replicate 1 fails late and replicate 3 at once: on several CPUs 3
+    # fails first in time, and the ladder still raises 1's error
+    monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
+    _on_cpus(monkeypatch, cpus)
+    made = _count_threads(monkeypatch)
+    sample, pseudo, current = (experiments.sample_environment,
+                               experiments._pseudo_eigenfunctions, threading.local())
+
+    def keyed_sample(law, grid, seed):
+        current.rep = seed.spawn_key[-1]
+        return sample(law, grid, seed)
+
+    def failing_pseudo(*args):
+        if current.rep in (1, 3):
+            time.sleep(0.1 if current.rep == 1 else 0.0)
+            raise SolverError(f"forced failure in replicate {current.rep}", None)
+        return pseudo(*args)
+
+    monkeypatch.setattr(experiments, "sample_environment", keyed_sample)
+    monkeypatch.setattr(experiments, "_pseudo_eigenfunctions", failing_pseudo)
+    cfg = ExperimentConfig(d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(8,),
+                           kset=((1, 0),), replicates=6, ahom=1.5)
+    with pytest.raises(SolverError, match="in replicate 1$"):
+        pseudo_eigen_rate(cfg)
+    assert len(made) == cpus - 1
 
 
 def _fail_by_replicate(monkeypatch, failing):
@@ -252,9 +322,9 @@ def _fail_by_replicate(monkeypatch, failing):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_threaded_replicates_tolerate_failures_as_serial(monkeypatch, cpus):
-    # the chunk rule lowered so that N=16 replicates go to threads
+    # the runner's rule lowered so that N=16 replicates go to threads
     law, M = EnvironmentLaw.bernoulli(0.5, 1, 2), 6
-    monkeypatch.setattr(homogenization, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
     _on_cpus(monkeypatch, 1)
     with monkeypatch.context() as patch:
         every = _fail_by_replicate(patch, set())
@@ -276,7 +346,7 @@ def test_threaded_replicates_tolerate_failures_as_serial(monkeypatch, cpus):
 def test_threaded_replicates_abort_at_the_same_failure(monkeypatch, cpus):
     # with M = 6 the fourth failure in replicate order, replicate 4, aborts,
     # whichever thread meets a failure first
-    monkeypatch.setattr(homogenization, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
     _on_cpus(monkeypatch, cpus)
     _fail_by_replicate(monkeypatch, {0, 2, 3, 4, 5})
     with pytest.raises(SolverError, match="in replicate 4$"):

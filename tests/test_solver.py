@@ -545,7 +545,7 @@ def test_pseudo_eigenfunction_constant_environment():
     grid = TorusGrid(16, 2)
     a = sample_environment(EnvironmentLaw.constant(1.5), grid, 0)
     for k in [(1, 0), (2, -3)]:
-        phi = _pseudo_eigenfunctions(a, 1.5, [k], 1e-12)[1][0]
+        phi = _pseudo_eigenfunctions(a, 1.5, [k], 1e-12)[0]
         mode = fourier_mode(grid, k)
         assert norm(phi - mode) < 1e-8
 
