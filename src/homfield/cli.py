@@ -30,7 +30,8 @@ command requires them)::
                                   # for ahom (needs >= 2), 8 for rates and cov
     noise_replicates = 200        # cov: noise draws per environment, >= 1
     seed = 0                      # master seed, >= 0; --seed overrides
-    tol = 1e-8                    # iterative solver tolerance, in (0, 1)
+    tol = 1e-8                    # CG tolerance, in (0, 1): relative residual,
+                                  # or relative energy error of ahom's correctors
     mode_cutoff = 2               # sup-norm truncation of mode sums (bilap),
                                   # >= 1; omit for the whole window
     experiment = pseudo           # rates: pseudo | bilap | disc | synthetic

@@ -4,10 +4,11 @@ method.
 For each axis i the corrector chi_i makes x_i/N + chi_i harmonic for the
 heterogeneous operator on the torus. A single environment then yields the
 energy of the corrected affine function, whose average over independent
-environments estimates the homogenized coefficient. The environments run
-through the solver's replicate runner, by its one rule for ahom, the rate
-ladders and cov: on every CPU once one environment's weights fill a PCG
-chunk, in turn below that.
+environments estimates the homogenized coefficient. Each corrector solve
+stops once that energy is certified within a relative tol of the exact
+one. The environments run through the solver's replicate runner, by its
+one rule for ahom, the rate ladders and cov: on every CPU once one
+environment's weights fill a PCG chunk, in turn below that.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class AhomEstimate:
     samples: int
     failures: int = 0
     # PCG iterations summed over the corrector solves of the replicates in
-    # the estimate, and the worst final relative residual among those solves
+    # the estimate, and the worst final relative residual among those
+    # solves, which stop on their energy: about 1e-4 at tol 1e-8
     iterations: int = 0
     max_residual: float = 0.0
 
@@ -78,7 +80,9 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
 
     The d correctors of an environment are solved as one PCG stack, each
     with its own stopping test, so each equals its own solve of
-    :func:`corrector_rhs`. Replicates draw from counter-based substreams of
+    :func:`corrector_rhs`, and stops on ``_pcg``'s energy test: its energy
+    lies within tol above the exact one, which is >= 1 as every weight is.
+    Replicates draw from counter-based substreams of
     the master seed. They run one per CPU once one environment's weights
     (d N^d float64, as its corrector stack) fill a PCG chunk, in turn below
     that, and are read in replicate order, so the estimate does not depend
@@ -97,7 +101,7 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
             rhs[axis] = corrector_rhs(a, axis)
         counts = np.empty(d, np.int64)
         try:
-            chis, report = _pcg(a, rhs, tol, out=rhs, iters=counts)
+            chis, report = _pcg(a, rhs, tol, out=rhs, iters=counts, energy=True)
         except SolverError as exc:
             return exc.with_traceback(None)  # the frames hold the solve's arrays
         return _mean_energy(a, chis), int(counts.sum()), report.residual

@@ -134,13 +134,14 @@ class LatticeField:
 
 
 def fourier_mode(grid: TorusGrid, k) -> np.ndarray:
-    """The complex exponential exp(2*pi*i*k.x) restricted to the grid.
+    """The complex exponential exp(2*pi*i*k.x) restricted to the grid, as the
+    broadcast product of its d one-dimensional factors exp(2*pi*i*k_j*x_j).
 
     Has unit norm in the normalized l2 inner product.
     """
     k = grid.check_frequency(k)
-    phase = sum(k_i * (c_i / grid.N) for k_i, c_i in zip(k, grid.coordinates()))
-    return np.exp(2j * np.pi * phase)
+    return math.prod(np.exp(2j * np.pi * (k_j * c_j / grid.N))
+                     for k_j, c_j in zip(k, grid.coordinates()))
 
 
 def eigenvalue_discrete(N: int, k):

@@ -8,7 +8,8 @@ homogeneous spectral inverse (real FFTs for real residuals), solves one
 stack: the right-hand sides, or for :func:`inv_sqrt` all the shifted solves
 of a quadrature, each field with its own shift and stopping test, in chunks
 of at most 256 KiB. Each field's iterates do not depend on the chunking or
-on the thread count, up to the last bits of the inner products.
+on the thread count, up to the last bits of the inner products. The test is
+on the relative residual, or for ahom's correctors on the energy error.
 
 One in-order work queue, :func:`_parallel`, hands out the chunks of a stack
 to every CPU the process may use. :func:`_replicates` holds the one rule for
@@ -201,7 +202,7 @@ def _replicates(grid: TorusGrid, count: int, job) -> list:
 
 
 def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray = 0.0,
-         out: np.ndarray = None, iters: np.ndarray = None) -> tuple:
+         out: np.ndarray = None, iters: np.ndarray = None, energy: bool = False) -> tuple:
     """CG for the divergence-form operator plus ``shift`` times the identity,
     preconditioned by the spectral inverse of -Lap_N + shift, for the
     right-hand sides stacked along the first axis of ``b``. ``shift`` is one
@@ -231,6 +232,11 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     ``iters``, an integer array of length ``len(b)``, receives the
     iteration count of each field when given.
 
+    With ``energy`` a field leaves instead once <r, z> / N^d <= tol, for z
+    the preconditioned residual: as -Lap_N + shift <= A + shift, that bounds
+    <r, (A + shift)^(-1) r> / N^d, the iterate's energy in excess of the
+    solution's (Arioli, Numer. Math. 97, 2004).
+
     Returns (x, report), the report holding the largest iteration count and
     the worst final residual of the stack. Raises ValueError for a tol
     outside (0, 1) or a shift array not of shape ``(len(b),)``, and
@@ -251,7 +257,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     def solve_chunk(j):
         rows = slice(starts[j], starts[j] + chunk)
         return _pcg_chunk(a, b[rows], tol, shift[rows] if np.ndim(shift) else shift,
-                          x[rows], iters[rows])
+                          x[rows], iters[rows], energy)
 
     reports = _parallel(len(starts), solve_chunk)
     return x, SolveReport(max((r.iterations for r in reports), default=0),
@@ -259,7 +265,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
 
 
 def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray,
-               out: np.ndarray, iters: np.ndarray) -> SolveReport:
+               out: np.ndarray, iters: np.ndarray, energy: bool) -> SolveReport:
     """The loop of :func:`_pcg` for one chunk of its stack; writes the
     solutions into ``out`` and the iteration counts into ``iters``, and
     returns the chunk's report."""
@@ -314,7 +320,10 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float | np.nda
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=step)
         res = np.sqrt(_dots(r, r)) / bnorm
-        done = res <= tol
+        if energy:                        # z and <r, z> before the test that reads them
+            z = _spectral_apply(r, precond, spec_buf[: len(live)], ap_buf[: len(live)], grid.d)
+            rz_new = _dots(r, z)
+        done = rz_new <= tol * grid.n if energy else res <= tol
         if done.any():
             out[live[done]] = x[done]
             iters[live[done]] = it
@@ -326,8 +335,11 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float | np.nda
                 break
             if stacked:
                 precond, shift = precond[keep], shift[keep]
-        z = _spectral_apply(r, precond, spec_buf[: len(live)], ap_buf[: len(live)], grid.d)
-        rz_new = _dots(r, z)
+            if energy:
+                z, rz_new = z[keep], rz_new[keep]
+        if not energy:
+            z = _spectral_apply(r, precond, spec_buf[: len(live)], ap_buf[: len(live)], grid.d)
+            rz_new = _dots(r, z)
         p *= (rz_new / rz).reshape(col)
         p += z
         rz = rz_new

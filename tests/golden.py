@@ -15,6 +15,9 @@ Re-record after a change of realization that is meant (and say so in
 CHANGES.md)::
 
     PYTHONPATH=src python tests/golden.py
+
+which prints every entry that moved beyond the comparison's tolerance,
+with its recorded and new value and, for a number, the relative change.
 """
 
 import contextlib
@@ -117,9 +120,18 @@ def collect(root) -> dict:
     return outputs
 
 
+def _change(actual, expected) -> str:
+    """'expected -> actual', with the relative change when both are numbers."""
+    text = f"{expected!r} -> {actual!r}"
+    if expected and all(type(v) in (int, float) for v in (actual, expected)):
+        text += f" ({(actual - expected) / abs(expected):+.2e} relative)"
+    return text
+
+
 def compare(actual, expected, where="") -> list:
-    """Paths at which ``actual`` differs from ``expected``: floats beyond
-    RTOL (ATOL for a recorded 0.0), anything else when not equal."""
+    """Paths at which ``actual`` differs from ``expected``, each with the
+    change from the expected to the actual value: floats beyond RTOL (ATOL
+    for a recorded 0.0), anything else when not equal."""
     if isinstance(expected, dict) and isinstance(actual, dict):
         if actual.keys() != expected.keys():
             return [f"{where}: keys {sorted(actual)} != {sorted(expected)}"]
@@ -133,16 +145,19 @@ def compare(actual, expected, where="") -> list:
         if (math.isnan(expected) and math.isnan(actual)) or math.isclose(
                 actual, expected, rel_tol=RTOL, abs_tol=0.0 if expected else ATOL):
             return []
-        return [f"{where}: {actual!r} != {expected!r}"]
+        return [f"{where}: {_change(actual, expected)}"]
     if type(actual) is not type(expected) or actual != expected:
-        return [f"{where}: {actual!r} != {expected!r}"]
+        return [f"{where}: {_change(actual, expected)}"]
     return []
 
 
 if __name__ == "__main__":
     import tempfile
 
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         recorded = collect(tmp)
+    for change in compare(recorded, previous):
+        print(change)
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} ({len(recorded)} calls)", file=sys.stderr)

@@ -1,16 +1,19 @@
 """Reference code that only the tests use, written over the package's
 engine: the normalized l2 norm and the mean-zero test of a field, the
 delta right-hand side of a Green's-function column, one corrector solve,
-the full periodic matrix of an environment, A^(-1/2) solved one
-quadrature node at a time, the shared-noise Monte-Carlo estimate of the
-bi-Laplacian error norm that cross-checks the noise-exact one, and the
-operator stencil with every axis taken as strided slices, which the
-package's one-pass last axis must match bit for bit."""
+the environments of an ahom estimate and their per-axis energies from
+correctors solved to a tight residual, the full periodic matrix of an
+environment, A^(-1/2) solved one quadrature node at a time, the
+shared-noise Monte-Carlo estimate of the bi-Laplacian error norm that
+cross-checks the noise-exact one, and the operator stencil with every axis
+taken as strided slices, which the package's one-pass last axis must match
+bit for bit."""
 
 import dataclasses
 
 import numpy as np
 
+from homfield.environment import sample_environment
 from homfield.experiments import ExperimentConfig, _bilap_modes, _ladder, formal_constant
 from homfield.homogenization import corrector_rhs
 from homfield.lattice import TorusGrid, dft, eigenvalue_discrete
@@ -38,9 +41,39 @@ def delta_rhs(grid: TorusGrid, y) -> np.ndarray:
 
 def solve_corrector(a, axis: int, tol: float = DEFAULT_TOL) -> tuple:
     """(chi, report): the mean-zero corrector chi_axis with
-    -div a grad chi = div(a e_axis), solved on its own."""
-    x, report = _pcg(a, corrector_rhs(a, axis)[None], tol)
+    -div a grad chi = div(a e_axis), solved on its own and stopped, as
+    ``estimate_ahom`` stops it, once its energy is within tol of the
+    solution's."""
+    x, report = _pcg(a, corrector_rhs(a, axis)[None], tol, energy=True)
     return x[0], report
+
+
+def replicate_environments(law, N: int, M: int, seed, d: int = 2) -> list:
+    """The M environments that ``estimate_ahom(law, N, M, seed, d)`` draws,
+    in replicate order."""
+    grid = TorusGrid(N, d)
+    return [sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(10_000 + rep,)))
+            for rep in range(M)]
+
+
+def axis_energies(a, chis) -> list:
+    """Per-axis energies <(e_i + grad chi_i) . a (e_i + grad chi_i)> of the
+    correctors ``chis``, the terms whose mean is the energy estimator."""
+    grid = a.grid
+    energies = []
+    for i, chi in enumerate(chis):
+        grads = [grid.N * (np.roll(chi, -1, axis=axis) - chi) + (axis == i)
+                 for axis in range(grid.d)]
+        energies.append(sum(np.sum(a.weights[axis] * g * g) for axis, g in enumerate(grads))
+                        / grid.n)
+    return energies
+
+
+def residual_energies(a, tol: float = 1e-13) -> list:
+    """The :func:`axis_energies` of the environment, from its d correctors
+    solved as one ``_pcg`` stack to relative residual tol."""
+    rhs = np.stack([corrector_rhs(a, axis) for axis in range(a.grid.d)])
+    return axis_energies(a, _pcg(a, rhs, tol)[0])
 
 
 def periodic_matrix(a, tol: float = DEFAULT_TOL) -> tuple:

@@ -22,7 +22,7 @@ from homfield.cli import (
     render_heatmap,
 )
 from homfield.sampler import load_field
-from reference import has_zero_mean
+from reference import has_zero_mean, replicate_environments, residual_energies
 
 
 def _write_config(tmp_path, body, name="run.ini"):
@@ -144,10 +144,12 @@ def test_ahom_runlog_records_solve_telemetry(tmp_path):
         out = tmp_path / name
         assert main(["ahom", "--config", cfg, "--out", str(out)]) == EXIT_OK
         records.append(json.loads((out / "runlog.jsonl").read_text().splitlines()[-1]))
-    est = estimate_ahom(EnvironmentLaw.bernoulli(0.5, 1, 2), 8, 3, seed=4)
+    law = EnvironmentLaw.bernoulli(0.5, 1, 2)
+    est = estimate_ahom(law, 8, 3, seed=4)
     assert records[0]["iterations"] == records[1]["iterations"] == est.iterations > 0
     assert records[0]["max_residual"] == records[1]["max_residual"] == est.max_residual
-    assert 0 < est.max_residual <= 1e-8
+    exact = np.mean([np.mean(residual_energies(a)) for a in replicate_environments(law, 8, 3, 4)])
+    assert exact <= est.mean <= exact * (1 + 1e-8)
 
 
 def test_rates_synthetic_self_test(tmp_path):

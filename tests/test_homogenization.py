@@ -24,7 +24,13 @@ from homfield.homogenization import (
 )
 from homfield.lattice import TorusGrid
 from homfield.solver import SolverError
-from reference import has_zero_mean, solve_corrector
+from reference import (
+    axis_energies,
+    has_zero_mean,
+    replicate_environments,
+    residual_energies,
+    solve_corrector,
+)
 
 
 def flux_sample(a, axis, chi):
@@ -32,19 +38,6 @@ def flux_sample(a, axis, chi):
     energy form up to the corrector equation's tolerance."""
     grad = a.grid.N * (np.roll(chi, -1, axis=axis) - chi) + 1.0
     return float(np.sum(a.weights[axis] * grad) / a.grid.n)
-
-
-def axis_energies(a, chis):
-    """Per-axis energies <(e_i + grad chi_i) . a (e_i + grad chi_i)>, the
-    terms whose mean is the energy estimator."""
-    grid = a.grid
-    energies = []
-    for i, chi in enumerate(chis):
-        grads = [grid.N * (np.roll(chi, -1, axis=axis) - chi) + (axis == i)
-                 for axis in range(grid.d)]
-        energies.append(sum(np.sum(a.weights[axis] * g * g) for axis, g in enumerate(grads))
-                        / grid.n)
-    return energies
 
 
 def test_corrector_rhs_mean_zero():
@@ -117,7 +110,9 @@ def test_estimate_ahom_reports_solve_telemetry():
             worst = max(worst, report.residual)
     assert est.iterations == iterations > 0
     assert est.max_residual == worst
-    assert 0 < est.max_residual <= 1e-9
+    exact = np.mean([np.mean(residual_energies(a))
+                     for a in replicate_environments(law, 8, 3, seed=2)])
+    assert exact <= est.mean <= exact * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("N, d", [(64, 2), (192, 2), (12, 3)])
@@ -136,6 +131,30 @@ def test_estimate_ahom_equals_its_corrector_solves(N, d):
     assert est.mean == float(np.mean(values))
     assert est.stderr == float(np.std(values, ddof=1) / np.sqrt(2))
     assert (est.iterations, est.max_residual) == (iterations, worst)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("N, d", [(64, 2), (1024, 1), (12, 3)])
+@pytest.mark.parametrize("law", [EnvironmentLaw.uniform(1, 3), EnvironmentLaw.bernoulli(0.5, 1, 2),
+                                 EnvironmentLaw.bernoulli(0.1, 1, 100)],
+                         ids=EnvironmentLaw.describe)
+def test_energy_stop_certifies_each_corrector_energy(law, N, d, tol):
+    # stopped at <r, z> / N^d <= tol, each corrector's energy exceeds that
+    # of the solution (a residual solve at 1e-13) by at most tol E*
+    for a in replicate_environments(law, N, 2, seed=7, d=d):
+        rhs = np.stack([corrector_rhs(a, axis) for axis in range(d)])
+        energies = axis_energies(a, solver._pcg(a, rhs, tol, energy=True)[0])
+        for e_h, e_star in zip(energies, residual_energies(a)):
+            assert 0 <= e_h - e_star <= tol * e_star
+
+
+def test_energy_stop_takes_fewer_iterations_than_the_residual_stop():
+    a = replicate_environments(EnvironmentLaw.bernoulli(0.5, 1, 2), 64, 1, seed=7)[0]
+    rhs = np.stack([corrector_rhs(a, axis) for axis in range(2)])
+    energy_iters, residual_iters = np.empty(2, np.int64), np.empty(2, np.int64)
+    solver._pcg(a, rhs, 1e-8, iters=energy_iters, energy=True)
+    solver._pcg(a, rhs, 1e-8, iters=residual_iters)
+    assert np.all(energy_iters < residual_iters)
 
 
 def test_estimate_ahom_validates_m():

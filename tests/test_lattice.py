@@ -66,6 +66,17 @@ def test_fourier_modes_orthonormal():
     assert norm(m1) == pytest.approx(1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("d, N", [(1, 7), (1, 16), (2, 9), (2, 16), (3, 5), (3, 12)])
+def test_fourier_mode_matches_the_exponential_of_its_phase(d, N):
+    # the product of d one-dimensional factors is exp(2 pi i k.x / N),
+    # down to the Nyquist frequency k = -N/2 of an even N
+    grid = TorusGrid(N, d)
+    x = np.stack(np.meshgrid(*[grid.coordinates_1d()] * d, indexing="ij"), axis=-1)
+    for k in [(-(N // 2),) * d, (1,) + (0,) * (d - 1), tuple(range(-1, d - 1)), (N // 2 - 1,) * d]:
+        expected = np.exp(2j * np.pi * (x @ np.array(k)) / N)
+        assert np.max(np.abs(fourier_mode(grid, k) - expected)) <= 1e-14
+
+
 def test_eigenvalue_relation():
     # half-angle identity as an independent oracle:
     # 4 N^2 sin^2(pi k / N) = 2 N^2 (1 - cos(2 pi k / N))

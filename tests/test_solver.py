@@ -412,23 +412,27 @@ def test_threaded_chunks_each_run_once(monkeypatch):
 
 def test_threaded_solver_error_is_the_first_failing_chunk(monkeypatch):
     # 6 complex fields of 64 KiB in chunks of 4 and 2; both chunks hit the
-    # cap, and the error carries the first chunk's report on any CPU count
+    # cap, and the error carries the first chunk's report on any CPU count.
+    # The capped residual grows along the stack (mode (k, 1) leaves a
+    # larger one for smaller k), so the first 3, 4 and 5 fields each have
+    # their own report, and a cut of 3 + 3 or 5 + 1 raises another one.
     grid = TorusGrid(64, 2)
     a = sample_environment(EnvironmentLaw.bernoulli(0.5, 1, 2), grid, 5)
-    stack = np.stack([fourier_mode(grid, (k, 1)) for k in range(1, 7)])
+    stack = np.stack([fourier_mode(grid, (k, 1)) for k in range(6, 0, -1)])
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
     reports = []
     for cpus in (1, 2, 6):
         with pytest.raises(SolverError) as err:
             _pcg_on_cpus(monkeypatch, cpus, a, stack, 1e-14)
         reports.append(err.value.report)
-    chunk_reports = []
-    for rows in (stack[:4], stack[4:]):
+    head_reports = []
+    monkeypatch.setattr(solver, "_CHUNK_BYTES", stack.nbytes)   # each head as one chunk
+    for rows in (stack[:3], stack[:4], stack[:5]):
         with pytest.raises(SolverError) as err:
             solver._pcg(a, rows, 1e-14)
-        chunk_reports.append(err.value.report)
-    assert chunk_reports[0] != chunk_reports[1]
-    assert reports == [chunk_reports[0]] * 3
+        head_reports.append(err.value.report)
+    assert len({report.residual for report in head_reports}) == 3
+    assert reports == [head_reports[1]] * 3
 
 
 def test_parallel_queue_nested_in_a_job_stays_on_its_thread(monkeypatch):
