@@ -56,6 +56,13 @@ CALLS = {
     "sample_bilap_law": ("sample", f"N = 16\nlaw = {LAW}\nfield = bilap\n", []),
     "sample_gff_hom": ("sample", "N = 16\nfield = gff\n", ["--heatmap"]),
     "figure1": ("figure1", "N = 32\n", []),
+    # paths the small calls above do not reach: a stack of several PCG
+    # chunks on two threads (12 node fields cut 8 + 4, each with its own
+    # shift), chunks whose fields share one shift, and replicate threads
+    "sample_gff_law_N64": ("sample", f"N = 64\nlaw = {LAW}\nfield = gff\n", []),
+    "cov_N64": ("cov", f"N = 64\nlaw = {LAW}\nkset = 1,0; 0,1; 1,1; 2,0\nM = 2\n"
+                "noise_replicates = 50\n", []),
+    "ahom_N128": ("ahom", f"d = 2\nN = 128\nM = 2\nlaw = {LAW}\n", []),
 }
 MODES = ((1, 0), (0, 1), (1, 1))
 
