@@ -311,8 +311,6 @@ def cmd_ahom(args, cfg) -> int:
     d, N, M, law, seed = ecfg.d, ecfg.Ns[0], ecfg.replicates, ecfg.law, ecfg.seed
     if M < 2:
         raise ConfigError(f"config key 'm': ahom needs at least 2 replicates, got {M}")
-    if law is None:
-        raise ConfigError("ahom needs an environment law")
     t0 = time.time()
     est = estimate_ahom(law, N, M, seed, d=d, tol=ecfg.tol)
     _write_csv(os.path.join(args.out, "ahom.csv"),

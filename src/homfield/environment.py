@@ -116,13 +116,8 @@ class EnvironmentLaw:
         if "(" not in text or not text.endswith(")"):
             raise ValueError(f"cannot parse environment law {text!r}")
         name, argstr = text[:-1].split("(", 1)
-        args = [float(v) for v in argstr.split(",")] if argstr.strip() else []
-        name = name.strip().lower()
-        factories = {"constant": cls.constant, "uniform": cls.uniform,
-                     "bernoulli": cls.bernoulli}
-        if name not in factories:
-            raise ValueError(f"unknown environment law {name!r}")
-        return factories[name](*args)
+        args = tuple(float(v) for v in argstr.split(",")) if argstr.strip() else ()
+        return cls(name.strip().lower(), args)
 
 
 @dataclass(frozen=True)
@@ -198,7 +193,8 @@ def apply_operator(a: Conductances, values: np.ndarray) -> np.ndarray:
         (-div a grad f)(x) = N^2 sum_{y ~ x} a_{x,y} (f(x) - f(y)).
 
     Linear, symmetric and positive semidefinite; its output always sums to
-    zero because each edge contributes antisymmetrically.
+    zero because each edge contributes antisymmetrically. Raises ValueError
+    for fields off the grid's shape or holding a non-finite value.
     """
     a.grid.check_fields(values)
     out = np.empty(values.shape, np.result_type(values, a.weights))

@@ -89,6 +89,8 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
     on the CPU count. Solver failures are tolerated up to M/2; failure
     M//2 + 1 in replicate order aborts the estimate.
     """
+    if law is None:
+        raise ValueError("ahom needs an environment law")
     if M < 2:
         raise ValueError(f"need at least 2 replicates, got {M}")
     grid = TorusGrid(N, d)

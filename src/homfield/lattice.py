@@ -82,10 +82,12 @@ class TorusGrid:
         return k
 
     def check_fields(self, values: np.ndarray) -> None:
-        """Reject an array whose trailing axes are not ``shape``: fields are
-        stacked along leading axes only."""
+        """Reject an array whose trailing axes are not ``shape`` (fields are
+        stacked along leading axes only) or that holds a non-finite value."""
         if values.shape[-self.d:] != self.shape:
             raise ValueError(f"fields of shape {values.shape} do not end in grid {self.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("fields must be finite, got a NaN or infinite value")
 
 
 def _read_values(fh, grid: TorusGrid, leading: tuple = ()) -> np.ndarray:

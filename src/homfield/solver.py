@@ -102,9 +102,9 @@ def _spectral_apply(values: np.ndarray, mult: np.ndarray, spec: np.ndarray = Non
     one. Real values go through the half-spectrum real transforms. The
     multiplier is even in k, so the half spectrum takes its first N//2 + 1
     entries along the last axis, and the product keeps the Hermitian
-    symmetry that makes the result real. A stack of multipliers, one per
-    field along the first axis of ``values``, passes ``d``; for real values
-    it may hold the half spectra alone.
+    symmetry that makes the result real. A stack of multipliers along the
+    first axis of ``values``, one per field or one row for all, passes
+    ``d``; for real values it may hold the half spectra alone.
 
     ``spec`` (complex, the shape of the spectrum) and ``out`` (the shape and
     dtype of ``values``) are optional buffers that an iterative solve keeps
@@ -216,15 +216,15 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     max(1, _CHUNK_BYTES // field bytes) fields, so that the arrays of a step
     stay in one core's cache. The chunks are independent solves whose FFTs
     and array operations release the GIL, so they go through
-    :func:`_parallel` in stack order. Within a chunk the fields share one
-    loop, but each keeps its own shift, step lengths and stopping test, and
-    leaves the loop when its relative residual reaches tol: its iterates are
-    those of its own solve, up to the rounding of the inner products,
-    whatever thread runs its chunk. A chunk of several shifts keeps one
-    preconditioner multiplier per field. The means of the right-hand sides
-    are removed once. The iterates then stay mean-zero up to rounding
-    without a projection, because the preconditioner zeroes the mean mode
-    and every operator output sums to zero; x is centred once on return.
+    :func:`_parallel` in stack order, each with its slice of the per-field
+    shifts. Within a chunk the fields share one loop, but each keeps its own
+    shift, step lengths and stopping test, and leaves the loop when its
+    relative residual reaches tol: its iterates are those of its own solve,
+    up to the rounding of the inner products, whatever thread runs its
+    chunk. The means of the right-hand sides are removed once. The iterates
+    then stay mean-zero up to rounding without a projection, because the
+    preconditioner zeroes the mean mode and every operator output sums to
+    zero; x is centred once on return.
 
     ``out``, of the shape of ``b`` and the dtype of x, receives x when
     given. It may be ``b`` itself: each chunk is read before its rows are
@@ -245,10 +245,10 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     such chunk in stack order.
     """
     _check_tol(tol)
-    if np.ndim(shift):
-        shift = np.asarray(shift, np.float64)
-        if shift.shape != (len(b),):
-            raise ValueError(f"shifts of shape {shift.shape} for a stack of {len(b)} fields")
+    shift = np.asarray(shift, np.float64)
+    if shift.shape not in ((), (len(b),)):
+        raise ValueError(f"shifts of shape {shift.shape} for a stack of {len(b)} fields")
+    shift = np.broadcast_to(shift, len(b))
     x = np.empty(b.shape, np.result_type(b, np.float64)) if out is None else out
     iters = np.empty(len(b), np.int64) if iters is None else iters
     chunk = max(1, _CHUNK_BYTES // (a.grid.n * x.itemsize))
@@ -256,99 +256,92 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
 
     def solve_chunk(j):
         rows = slice(starts[j], starts[j] + chunk)
-        return _pcg_chunk(a, b[rows], tol, shift[rows] if np.ndim(shift) else shift,
-                          x[rows], iters[rows], energy)
+        return _pcg_chunk(a, b[rows], tol, shift[rows], x[rows], iters[rows], energy)
 
     reports = _parallel(len(starts), solve_chunk)
     return x, SolveReport(max((r.iterations for r in reports), default=0),
                           max((r.residual for r in reports), default=0.0))
 
 
-def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray,
+def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: np.ndarray,
                out: np.ndarray, iters: np.ndarray, energy: bool) -> SolveReport:
-    """The loop of :func:`_pcg` for one chunk of its stack; writes the
-    solutions into ``out`` and the iteration counts into ``iters``, and
-    returns the chunk's report."""
+    """The loop of :func:`_pcg` for one chunk of its stack, with one shift
+    per field; writes the solutions into ``out`` and the iteration counts
+    into ``iters``, and returns the chunk's report.
+
+    Every per-field quantity is a stack of rows along the first axis:
+    iterates, residuals, norms, shifts and preconditioner multipliers.
+    Shifts that agree are one shared row, as is their multiplier, kept while
+    any field iterates. Each step starts with the test, and the fields that
+    pass leave with their rows, a zero right-hand side before the first
+    step. The residual test runs before z = M r is formed, so a leaving
+    field forms none; the energy test reads <r, z>, formed after the step.
+    """
     grid = a.grid
     axes = tuple(range(1, b.ndim))
     col = (-1,) + (1,) * len(axes)        # one coefficient per field
     n = b.shape[-1]                       # real fields keep a half spectrum
     width = n // 2 + 1 if np.isrealobj(b) else n
-    if np.ndim(shift) and np.all(shift == shift[0]):
-        shift = shift[0]                  # one shift: the scalar path, bit for bit
-    stacked = np.ndim(shift) > 0
-    if stacked:
-        # one multiplier and one shift per field, dropped with the field
-        precond = np.stack([_spectral_multiplier(grid, -1.0, s)[..., :width] for s in shift])
-        shift = shift.reshape(col)
-    else:
-        precond = _spectral_multiplier(grid, -1.0, shift)
+    shift = (shift[:1] if np.all(shift == shift[0]) else shift).reshape(col)
+    precond = np.stack([_spectral_multiplier(grid, -1.0, s)[..., :width] for s in shift.flat])
     maxiter = default_max_iterations(grid)
     r = np.array(b, dtype=np.result_type(b, np.float64))
     r -= r.mean(axis=axes, keepdims=True)
     bnorm = np.sqrt(_dots(r, r))
-    live = np.flatnonzero(bnorm)          # fields still iterating
     out.fill(0)
     iters.fill(0)
-    if not live.size:
-        return SolveReport(0, 0.0)
-    if live.size < len(r):
-        r, bnorm = r[live], bnorm[live]
-        if stacked:
-            precond, shift = precond[live], shift[live]
-        x = np.zeros_like(r)
-    else:
-        x = out                           # iterate in place until a field leaves
-    # kept for the whole solve, each iteration using the rows of live
-    # fields. spec, the preconditioner's spectrum, shares its memory with
-    # flux, the stencil's scratch and then the step buffer, and ap's buffer
-    # takes the preconditioned residual z: a step is done with flux and ap
-    # before the preconditioner writes spec and z.
+    # x iterates in out until a field leaves; the residual of x = 0 reads 0
+    # for a zero right-hand side, which leaves before the first step
+    live, x, res = np.arange(len(r)), out, np.sign(bnorm)
+    # kept for the whole solve, each step using the rows of live fields.
+    # spec, the preconditioner's spectrum, shares its memory with flux, the
+    # stencil's scratch and then the step buffer, and ap's buffer takes the
+    # preconditioned residual z: a step is done with flux and ap before the
+    # preconditioner writes spec and z.
     spec_buf = np.empty(r.shape[:-1] + (width,), np.complex128)
     flux_buf = spec_buf.reshape(-1).view(r.dtype)[: r.size].reshape(r.shape)
     ap_buf = np.empty_like(r)
     p = _spectral_apply(r, precond, spec_buf, np.empty_like(r), grid.d)
     rz = _dots(r, p)
-    res = np.ones(len(live))
+
+    def descend(p, r, rz):
+        """p = z + (<r, z> / rz) p for z the preconditioned r; returns <r, z>."""
+        z = _spectral_apply(r, precond, spec_buf[: len(r)], ap_buf[: len(r)], grid.d)
+        rz_new = _dots(r, z)
+        p *= (rz_new / rz).reshape(col)
+        p += z
+        return rz_new
+
     worst = 0.0
-    for it in range(1, maxiter + 1):
-        ap, step = ap_buf[: len(live)], flux_buf[: len(live)]
+    for it in range(maxiter + 1):
+        done = rz <= tol * grid.n if energy else res <= tol
+        if done.any():
+            out[live[done]] = x[done]
+            iters[live[done]] = it
+            worst = max(worst, float(res[done].max()))
+            if done.all():
+                break
+            live, x, r, p, rz, res, bnorm, shift, precond = (  # a shared row stays
+                v[~done] if len(v) > 1 else v
+                for v in (live, x, r, p, rz, res, bnorm, shift, precond))
+        if it == maxiter:
+            worst = max(worst, float(res.max()))
+            raise SolverError(
+                f"CG did not reach tol={tol} within {maxiter} iterations (residual {worst:.3e})",
+                SolveReport(maxiter, worst),
+            )
+        if it and not energy:             # the first direction is p = z as set above
+            rz = descend(p, r, rz)
+        ap, step = ap_buf[: len(r)], flux_buf[: len(r)]
         _stencil(a, p, ap, step)
-        if stacked or shift:
+        if shift.any():
             ap += np.multiply(p, shift, out=step)
         alpha = (rz / _dots(p, ap)).reshape(col)
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(ap, alpha, out=step)
         res = np.sqrt(_dots(r, r)) / bnorm
         if energy:                        # z and <r, z> before the test that reads them
-            z = _spectral_apply(r, precond, spec_buf[: len(live)], ap_buf[: len(live)], grid.d)
-            rz_new = _dots(r, z)
-        done = rz_new <= tol * grid.n if energy else res <= tol
-        if done.any():
-            out[live[done]] = x[done]
-            iters[live[done]] = it
-            worst = max(worst, float(res[done].max()))
-            keep = ~done
-            live, x, r, p, rz, res, bnorm = (
-                v[keep] for v in (live, x, r, p, rz, res, bnorm))
-            if not live.size:
-                break
-            if stacked:
-                precond, shift = precond[keep], shift[keep]
-            if energy:
-                z, rz_new = z[keep], rz_new[keep]
-        if not energy:
-            z = _spectral_apply(r, precond, spec_buf[: len(live)], ap_buf[: len(live)], grid.d)
-            rz_new = _dots(r, z)
-        p *= (rz_new / rz).reshape(col)
-        p += z
-        rz = rz_new
-    else:
-        worst = max(worst, float(res.max()))
-        raise SolverError(
-            f"CG did not reach tol={tol} within {maxiter} iterations (residual {worst:.3e})",
-            SolveReport(maxiter, worst),
-        )
+            rz = descend(p, r, rz)
     out -= out.mean(axis=axes, keepdims=True)
     return SolveReport(it, worst)
 
@@ -423,7 +416,8 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     The nodes are computed once per call for the interval
     [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum of A on the
     mean-zero subspace because every weight lies in [1, Lambda]. Raises
-    ValueError when the trailing axes of ``values`` are not ``grid.shape``.
+    ValueError when the trailing axes of ``values`` are not ``grid.shape``
+    or a value is not finite.
     """
     grid.check_fields(values)
     if a is None:
@@ -452,8 +446,7 @@ def solve(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     """Mean-zero solutions of A u = f for the mean-zero fields f, stacked as
     :func:`inv_sqrt` takes them: exact by FFT for A = -Lap_N (``a`` None),
     one PCG stack to relative residual tol with an environment. Raises
-    ValueError when any field is not mean-zero or the trailing axes of
-    ``values`` are not ``grid.shape``."""
+    ValueError as :func:`inv_sqrt` does, and when any field is not mean-zero."""
     grid.check_fields(values)
     if a is not None and a.grid != grid:
         raise ValueError("environment grid mismatch")

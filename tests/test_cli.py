@@ -447,6 +447,14 @@ def test_rates_without_law_is_config_error(tmp_path, capsys, experiment, law):
     assert "needs an environment law" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("law", ["", "law = homogeneous\n"])
+def test_ahom_without_law_is_config_error(tmp_path, capsys, law):
+    cfg = _write_config(tmp_path, f"n = 8\nM = 2\n{law}")
+    assert main(["ahom", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: ahom needs an environment law" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_rates_reports_estimated_ahom(tmp_path, capsys):
     # an unset ahom is estimated once, announced, recorded, and gives the
     # same rates as configuring the recorded value

@@ -69,6 +69,10 @@ def test_law_parse_errors():
         EnvironmentLaw.parse("exponential(1)")
     with pytest.raises(ValueError):
         EnvironmentLaw.parse("uniform")
+    with pytest.raises(ValueError, match="bernoulli law has 4 parameters, expected 3"):
+        EnvironmentLaw.parse("bernoulli(0.5,1,2,3)")
+    with pytest.raises(ValueError, match="constant law has 0 parameters, expected 1"):
+        EnvironmentLaw.parse("constant()")
 
 
 def test_sample_environment_reproducible_and_in_range():

@@ -333,6 +333,30 @@ def test_bilap_estimators_cross_validate():
     assert z < 3.0
 
 
+def test_gff_limit_constant_is_the_duality_ahom():
+    # The diagonal of cov's covariance is <phi_k, A^(-1) phi_k>, which is
+    # <phi_k, u_k> / (ahom lambda_k) for the pseudo-eigenfunction u_k, so
+    # r = Re <phi_k, u_k> / N^d tends to 1 for the right ahom alone: sqrt 2
+    # (Keller-Dykhne duality for Bernoulli(0.5,1,2) in d = 2), not the
+    # arithmetic mean 3/2 (r about 1.06) nor the harmonic mean 4/3 (r about
+    # 0.94). Five other seeds put sqrt 2 within 2.6 SE at every size and
+    # each wrong constant beyond 9 SE.
+    k = (1, 0)
+    for N in (16, 32, 64, 128):
+        grid = TorusGrid(N, 2)
+        phi = fourier_mode(grid, k)
+        ratios = []
+        for rep in range(16):
+            a = sample_environment(BERNOULLI, grid, np.random.SeedSequence(31, spawn_key=(0, rep)))
+            ratios.append([np.vdot(phi, _pseudo_eigenfunctions(a, ahom, [k], 1e-8)[0]).real
+                           / grid.n for ahom in (np.sqrt(2.0), 1.5, 4 / 3)])
+        mean = np.mean(ratios, axis=0) - 1
+        se = np.std(ratios, axis=0, ddof=1) / np.sqrt(len(ratios))
+        assert abs(mean[0]) <= 3 * se[0]
+        assert mean[1] > 5 * se[1] and mean[2] < -5 * se[2]
+    assert se[0] < 1e-3
+
+
 def test_gff_covariance_homogeneous_diagonal():
     cfg = ExperimentConfig(d=2, law=None, Ns=(16,),
                            kset=((1, 0), (0, 1)), replicates=2,

@@ -160,6 +160,8 @@ def test_energy_stop_takes_fewer_iterations_than_the_residual_stop():
 def test_estimate_ahom_validates_m():
     with pytest.raises(ValueError):
         estimate_ahom(EnvironmentLaw.uniform(1, 2), 8, 1, seed=0)
+    with pytest.raises(ValueError, match="ahom needs an environment law"):
+        estimate_ahom(None, 16, 4, 0)
 
 
 def _fail_replicates(monkeypatch, failing):
