@@ -283,7 +283,8 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: np.ndarray,
     n = b.shape[-1]                       # real fields keep a half spectrum
     width = n // 2 + 1 if np.isrealobj(b) else n
     shift = (shift[:1] if np.all(shift == shift[0]) else shift).reshape(col)
-    precond = np.stack([_spectral_multiplier(grid, -1.0, s)[..., :width] for s in shift.flat])
+    rows = [_spectral_multiplier(grid, -1.0, s)[None, ..., :width] for s in shift.flat]
+    precond = rows[0] if len(rows) == 1 else np.concatenate(rows)  # a shared row: a view
     maxiter = default_max_iterations(grid)
     r = np.array(b, dtype=np.result_type(b, np.float64))
     r -= r.mean(axis=axes, keepdims=True)
