@@ -2,14 +2,15 @@
 an environment) on the mean-zero subspace of the torus.
 
 :func:`solve` (A^(-1)) and :func:`inv_sqrt` (A^(-1/2)) take fields stacked
-along leading axes. Without an environment they are exact by FFT. With one,
-conjugate gradient on the mean-zero subspace, preconditioned by the
-homogeneous spectral inverse (real FFTs for real residuals), solves one
-stack: the right-hand sides, or for :func:`inv_sqrt` all the shifted solves
-of a quadrature, each field with its own shift and stopping test, in chunks
-of at most 256 KiB. Each field's iterates do not depend on the chunking or
-on the thread count, up to the last bits of the inner products. The test is
-on the relative residual, or for ahom's correctors on the energy error.
+along leading axes; a complex field maps as its real and imaginary parts,
+so every FFT is a real one. Without an environment they are exact. With
+one, conjugate gradient on the mean-zero subspace, preconditioned by the
+homogeneous spectral inverse, solves one stack: the right-hand sides, or
+for :func:`inv_sqrt` all the shifted solves of a quadrature, each field
+with its own shift and stopping test, in chunks of at most 256 KiB. Each
+field's iterates do not depend on the chunking or on the thread count, up
+to the last bits of the inner products. The test is on the relative
+residual, or for ahom's correctors on the energy error.
 
 One in-order work queue, :func:`_parallel`, hands out the chunks of a stack
 to every CPU the process may use. :func:`_replicates` holds the one rule for
@@ -82,57 +83,49 @@ def _require_mean_zero(grid: TorusGrid, values: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _spectral_multiplier(grid: TorusGrid, exponent: float, shift: float) -> np.ndarray:
-    """Read-only (lambda + shift)^exponent over the eigenvalues lambda of
-    -Lap_N in standard FFT layout, with the zero mode set to 0."""
+    """Read-only (lambda + shift)^exponent over the eigenvalues lambda of -Lap_N
+    on the real FFT's half spectrum (last axis N//2 + 1), zero mode set to 0."""
     lam = eigenvalue_discrete(grid.N, grid.coordinates())
     mult = np.zeros_like(lam)
     mask = lam > 0
     mult[mask] = (lam[mask] + shift) ** exponent
-    mult = np.fft.ifftshift(mult)
+    mult = np.ascontiguousarray(np.fft.ifftshift(mult)[..., : grid.N // 2 + 1])
     mult.flags.writeable = False
     return mult
 
 
 def _spectral_apply(values: np.ndarray, mult: np.ndarray, spec: np.ndarray = None,
                     out: np.ndarray = None, d: int = None) -> np.ndarray:
-    """Apply a multiplier from ``_spectral_multiplier`` to site values.
+    """Apply a multiplier from ``_spectral_multiplier`` to site values over
+    their trailing ``d`` axes (by default ``mult.ndim``): fields stacked
+    along leading axes map one by one, and a stack of multipliers along
+    those axes, one per field or one row for all, passes ``d``. The
+    multiplier is even in k, so its product with the half spectrum of real
+    values keeps the Hermitian symmetry that makes the result real; complex
+    values map as their real and imaginary parts.
 
-    The transforms run over the trailing ``d`` axes (by default
-    ``mult.ndim``), so fields stacked along leading axes are mapped one by
-    one. Real values go through the half-spectrum real transforms. The
-    multiplier is even in k, so the half spectrum takes its first N//2 + 1
-    entries along the last axis, and the product keeps the Hermitian
-    symmetry that makes the result real. A stack of multipliers along the
-    first axis of ``values``, one per field or one row for all, passes
-    ``d``; for real values it may hold the half spectra alone.
-
-    ``spec`` (complex, the shape of the spectrum) and ``out`` (the shape and
-    dtype of ``values``) are optional buffers that an iterative solve keeps
-    for its whole run; without them each call allocates its own. The
-    spectrum is transformed back in place, one axis at a time, in the axis
-    order of ``np.fft.irfftn`` (first to last) and ``np.fft.ifftn`` (last to
-    first), so the result equals theirs bit for bit.
+    ``spec`` (complex, the shape of the half spectrum) and ``out`` are
+    optional buffers for real values that an iterative solve keeps for its
+    whole run. The half spectrum is transformed back in place, one axis at
+    a time in the axis order of ``np.fft.irfftn``, so the result equals its
+    bit for bit.
     """
-    axes = tuple(range(-(d or mult.ndim), 0))
     if np.iscomplexobj(values):
-        spec = np.fft.fftn(values, axes=axes, out=spec)
-        spec *= mult
-        for axis in axes[:0:-1]:
-            np.fft.ifft(spec, axis=axis, out=spec)
-        return np.fft.ifft(spec, axis=axes[0], out=out)
+        out = np.empty(values.shape, np.complex128)
+        out.real, out.imag = (_spectral_apply(v, mult, d=d) for v in (values.real, values.imag))
+        return out
+    axes = tuple(range(-(d or mult.ndim), 0))
     spec = np.fft.rfftn(values, axes=axes, out=spec)
-    spec *= mult[..., : values.shape[-1] // 2 + 1]
+    spec *= mult
     for axis in axes[:-1]:
         np.fft.ifft(spec, axis=axis, out=spec)
     return np.fft.irfft(spec, n=values.shape[-1], axis=-1, out=out)
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Re <u_i, v_i> for the fields i stacked along the first axis; a complex
-    field is read as its real and imaginary parts side by side."""
-    m = len(u)
+    """<u_i, v_i> for the real fields i stacked along the first axis."""
     # einsum calls no BLAS, so the sums do not depend on the BLAS thread count
-    return np.einsum("ij,ij->i", *(w.reshape(m, -1).view(np.float64) for w in (u, v)))
+    return np.einsum("ij,ij->i", u.reshape(len(u), -1), v.reshape(len(v), -1))
 
 
 def _cpus() -> int:
@@ -209,8 +202,10 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     number for the whole stack, or an array of one per field of ``b``.
 
     Since -Lap_N <= A <= Lambda (-Lap_N), the preconditioned condition number
-    is at most Lambda for every shift. The operator is real symmetric, so
-    complex right-hand sides iterate in place with Hermitian inner products.
+    is at most Lambda for every shift. A, the preconditioner and every shift
+    are real, so a chunk of complex fields iterates as a float64 stack of
+    shape (fields, 2, *grid), each field's real and imaginary parts sharing
+    its step lengths, stopping test and iteration count, as in Hermitian CG.
 
     A stack of more than _CHUNK_BYTES is cut into consecutive chunks of
     max(1, _CHUNK_BYTES // field bytes) fields, so that the arrays of a step
@@ -256,7 +251,12 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
 
     def solve_chunk(j):
         rows = slice(starts[j], starts[j] + chunk)
-        return _pcg_chunk(a, b[rows], tol, shift[rows], x[rows], iters[rows], energy)
+        if np.isrealobj(x):
+            return _pcg_chunk(a, b[rows], tol, shift[rows], x[rows], iters[rows], energy)
+        pair = np.stack([b[rows].real, b[rows].imag], axis=1)
+        report = _pcg_chunk(a, pair, tol, shift[rows], pair, iters[rows], energy)
+        x[rows].real, x[rows].imag = pair[:, 0], pair[:, 1]
+        return report
 
     reports = _parallel(len(starts), solve_chunk)
     return x, SolveReport(max((r.iterations for r in reports), default=0),
@@ -267,7 +267,8 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: np.ndarray,
                out: np.ndarray, iters: np.ndarray, energy: bool) -> SolveReport:
     """The loop of :func:`_pcg` for one chunk of its stack, with one shift
     per field; writes the solutions into ``out`` and the iteration counts
-    into ``iters``, and returns the chunk's report.
+    into ``iters``, and returns the chunk's report. The fields are float64;
+    a field's parts along the axes before the grid's are centred one by one.
 
     Every per-field quantity is a stack of rows along the first axis:
     iterates, residuals, norms, shifts and preconditioner multipliers.
@@ -278,15 +279,13 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: np.ndarray,
     field forms none; the energy test reads <r, z>, formed after the step.
     """
     grid = a.grid
-    axes = tuple(range(1, b.ndim))
-    col = (-1,) + (1,) * len(axes)        # one coefficient per field
-    n = b.shape[-1]                       # real fields keep a half spectrum
-    width = n // 2 + 1 if np.isrealobj(b) else n
+    axes = tuple(range(-grid.d, 0))
+    col = (-1,) + (1,) * (b.ndim - 1)     # one coefficient per field
     shift = (shift[:1] if np.all(shift == shift[0]) else shift).reshape(col)
-    rows = [_spectral_multiplier(grid, -1.0, s)[None, ..., :width] for s in shift.flat]
+    rows = [_spectral_multiplier(grid, -1.0, s)[(None,) * (b.ndim - grid.d)] for s in shift.flat]
     precond = rows[0] if len(rows) == 1 else np.concatenate(rows)  # a shared row: a view
     maxiter = default_max_iterations(grid)
-    r = np.array(b, dtype=np.result_type(b, np.float64))
+    r = np.array(b, dtype=np.float64)
     r -= r.mean(axis=axes, keepdims=True)
     bnorm = np.sqrt(_dots(r, r))
     out.fill(0)
@@ -299,8 +298,8 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: np.ndarray,
     # stencil's scratch and then the step buffer, and ap's buffer takes the
     # preconditioned residual z: a step is done with flux and ap before the
     # preconditioner writes spec and z.
-    spec_buf = np.empty(r.shape[:-1] + (width,), np.complex128)
-    flux_buf = spec_buf.reshape(-1).view(r.dtype)[: r.size].reshape(r.shape)
+    spec_buf = np.empty(r.shape[:-1] + (r.shape[-1] // 2 + 1,), np.complex128)
+    flux_buf = spec_buf.reshape(-1).view(np.float64)[: r.size].reshape(r.shape)
     ap_buf = np.empty_like(r)
     p = _spectral_apply(r, precond, spec_buf, np.empty_like(r), grid.d)
     rz = _dots(r, p)
@@ -409,11 +408,11 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     complex), with A = -Lap_N when ``a`` is None. Returns the mean-zero
     images.
 
-    Without an environment the images are exact, from the FFT. With one
-    they sum w_j (A + s_j)^(-1) z over the nodes of
-    :func:`_inv_sqrt_quadrature`, in node order. One PCG to tol solves every
-    node's copy of the fields as one node-major stack, each copy with its
-    node's shift and its own stopping test, in place.
+    Without an environment the images are exact, from the FFT, which zeroes
+    the mean mode. With one they sum w_j (A + s_j)^(-1) z over the nodes of
+    :func:`_inv_sqrt_quadrature`, in node order, and are centred. One PCG
+    to tol solves every node's copy of the fields as one node-major stack,
+    each copy with its node's shift and its own stopping test, in place.
     The nodes are computed once per call for the interval
     [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum of A on the
     mean-zero subspace because every weight lies in [1, Lambda]. Raises
@@ -422,23 +421,22 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     """
     grid.check_fields(values)
     if a is None:
-        out = _spectral_apply(values, _spectral_multiplier(grid, -0.5, 0.0))
-    else:
-        if a.grid != grid:
-            raise ValueError("environment grid mismatch")
-        _check_tol(tol)
-        lo = eigenvalue_discrete(grid.N, (1,))
-        hi = 4.0 * grid.d * a.ellipticity * grid.N**2
-        shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
-        fields = values.reshape((-1,) + grid.shape)
-        stack = np.empty((len(shifts),) + fields.shape, np.result_type(fields, np.float64))
-        stack[...] = fields
-        nodes = stack.reshape((-1,) + grid.shape)
-        _pcg(a, nodes, tol, shift=np.repeat(shifts, len(fields)), out=nodes)
-        out = np.zeros(fields.shape, stack.dtype)
-        for w, x in zip(weights, stack):
-            out += np.multiply(x, w, out=x)
-        out = out.reshape(values.shape)
+        return _spectral_apply(values, _spectral_multiplier(grid, -0.5, 0.0))
+    if a.grid != grid:
+        raise ValueError("environment grid mismatch")
+    _check_tol(tol)
+    lo = eigenvalue_discrete(grid.N, (1,))
+    hi = 4.0 * grid.d * a.ellipticity * grid.N**2
+    shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
+    fields = values.reshape((-1,) + grid.shape)
+    stack = np.empty((len(shifts),) + fields.shape, np.result_type(fields, np.float64))
+    stack[...] = fields
+    nodes = stack.reshape((-1,) + grid.shape)
+    _pcg(a, nodes, tol, shift=np.repeat(shifts, len(fields)), out=nodes)
+    out = np.zeros(fields.shape, stack.dtype)
+    for w, x in zip(weights, stack):
+        out += np.multiply(x, w, out=x)
+    out = out.reshape(values.shape)
     return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
 
 

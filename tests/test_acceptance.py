@@ -173,12 +173,12 @@ def test_criterion_7_sampler_correctness_oracles():
             stderr = prods.std(ddof=1) / np.sqrt(Mb)
             assert abs(prods.mean() - exact[xi, yi]) < 4 * stderr
 
-        # the Krylov sampler agrees with the dense eigh oracle on the same noise
+        # the quadrature sampler agrees with the dense eigh oracle on the same noise
         grid8 = TorusGrid(8, 2)
         a8 = sample_environment(EnvironmentLaw.uniform(1, 2), grid8, 75)
         dense = solver._dense_power(a8, sample_noise(grid8, 76), -0.5)
-        krylov = sample_gff(grid8, a8, 76, tol=1e-8)
-        assert np.max(np.abs(dense - krylov)) < 1e-4
+        quadrature = sample_gff(grid8, a8, 76, tol=1e-8)
+        assert np.max(np.abs(dense - quadrature)) < 1e-4
 
 
 def test_criterion_8_structural_properties():

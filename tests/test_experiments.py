@@ -378,7 +378,7 @@ def test_gff_covariance_homogeneous_exact_is_diagonal():
     assert rep.offdiag_frobenius(exact=True) < 1e-12 * expected.max()
 
 
-def test_gff_covariance_krylov_keeps_per_draw_realization():
+def test_gff_covariance_quadrature_keeps_per_draw_realization():
     # Reference: one A^(-1/2)z draw per noise seed, projected by the DFT.
     kset = ((1, 0), (0, 1), (1, 1), (2, 0))
     cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(16,),
@@ -401,14 +401,14 @@ def test_gff_covariance_krylov_keeps_per_draw_realization():
     reference = np.mean(coeffs[:, :, None] * coeffs[:, None, :].conj(), axis=0)
     exact = np.mean(exacts, axis=0)
 
-    krylov = gff_covariance_limit(cfg)
+    quadrature = gff_covariance_limit(cfg)
     peak = np.abs(reference).max()
-    assert np.abs(krylov.covariance - reference).max() < 1e-6 * peak
+    assert np.abs(quadrature.covariance - reference).max() < 1e-6 * peak
     exact_peak = np.abs(exact).max()
-    assert np.abs(krylov.exact_covariance - exact).max() < 1e-6 * exact_peak
+    assert np.abs(quadrature.exact_covariance - exact).max() < 1e-6 * exact_peak
 
 
-def test_gff_covariance_krylov_beyond_dense_limit():
+def test_gff_covariance_quadrature_beyond_dense_limit():
     # N=128 has 16384 sites, four times the dense operator's limit.
     cfg = ExperimentConfig(d=2, law=BERNOULLI, Ns=(128,),
                            kset=((1, 0), (0, 1), (1, 1), (2, 0)), replicates=2,

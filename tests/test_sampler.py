@@ -51,16 +51,16 @@ def test_noise_hierarchy_unit_variance():
 
 
 def test_gff_backends_agree():
-    # the Krylov sampler against the eigh oracle on the same noise
+    # the quadrature sampler against the eigh oracle on the same noise
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
     dense = solver._dense_power(a, sample_noise(grid, 7), -0.5)
-    krylov = sample_gff(grid, a, 7, tol=1e-10)
-    assert np.max(np.abs(dense - krylov)) < 1e-6
+    quadrature = sample_gff(grid, a, 7, tol=1e-10)
+    assert np.max(np.abs(dense - quadrature)) < 1e-6
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, 50.0])
-def test_gff_krylov_rejects_bad_tolerance(tol):
+def test_gff_quadrature_rejects_bad_tolerance(tol):
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
     with pytest.raises(ValueError):

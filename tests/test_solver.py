@@ -96,42 +96,59 @@ def test_one_dimensional_closed_form():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_spectral_apply_real_matches_complex_transform(d, N):
     # the half-spectrum path must equal the full complex transform, odd N
-    # and the Nyquist layer of even N included
+    # and the Nyquist layer of even N included; a complex field maps as its
+    # real and imaginary parts. The full spectrum is built here, on numpy's
+    # FFT frequencies.
     grid = TorusGrid(N, d)
-    v = np.random.default_rng(N + d).standard_normal(grid.shape)
+    rng = np.random.default_rng(N + d)
+    v = rng.standard_normal(grid.shape)
+    lam = eigenvalue_discrete(N, np.ix_(*[np.fft.fftfreq(N, 1 / N)] * d))
     for exponent, shift in ((-1.0, 0.0), (-0.5, 0.0), (-1.0, 3.5)):
         mult = _spectral_multiplier(grid, exponent, shift)
-        out = _spectral_apply(v, mult)
-        ref = np.fft.ifftn(np.fft.fftn(v) * mult).real
-        assert out.dtype == np.float64
-        assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.abs(ref).max())
+        assert mult.shape == grid.shape[:-1] + (N // 2 + 1,) and mult.flags.c_contiguous
+        full = np.zeros(grid.shape)
+        full[lam > 0] = (lam[lam > 0] + shift) ** exponent
+        for values in (v, v + 1j * rng.standard_normal(grid.shape)):
+            out = _spectral_apply(values, mult)
+            ref = np.fft.ifftn(np.fft.fftn(values) * full)
+            if np.isrealobj(values):
+                ref = ref.real
+            assert out.dtype == ref.dtype
+            assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 @pytest.mark.parametrize("N", [7, 8])
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_buffered_spectral_apply_equals_numpy_nd_transforms(dtype, d, N):
+def test_buffered_spectral_apply_equals_numpy_nd_transforms(d, N):
     # bit for bit, which pins the axis order of the in-place inverse
-    # transform: numpy's irfftn runs its leading axes first to last, ifftn
-    # runs from the last axis to the first
+    # transform: numpy's irfftn runs its leading axes first to last
     grid = TorusGrid(N, d)
     mult = _spectral_multiplier(grid, -1.0, 3.5)
     axes = tuple(range(-d, 0))
     rng = np.random.default_rng(N + d)
     for lead in ((), (3,), (2, 2)):
         v = rng.standard_normal(lead + grid.shape)
-        if dtype == complex:
-            v = v + 1j * rng.standard_normal(v.shape)
-            ref = np.fft.ifftn(np.fft.fftn(v, axes=axes) * mult, axes=axes)
-            spec = np.empty(v.shape, complex)
-        else:
-            ref = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * mult[..., : N // 2 + 1],
-                                s=grid.shape, axes=axes)
-            spec = np.empty(v.shape[:-1] + (N // 2 + 1,), complex)
+        ref = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * mult, s=grid.shape, axes=axes)
+        spec = np.empty(v.shape[:-1] + (N // 2 + 1,), complex)
         out = np.full_like(v, np.nan)
         assert _spectral_apply(v, mult, spec, out) is out
         assert np.array_equal(out, ref)
         assert np.array_equal(_spectral_apply(v, mult), ref)
+
+
+def test_exact_paths_map_a_complex_stack_as_its_parts():
+    # without an environment solve and inv_sqrt map a complex field as its
+    # real and imaginary parts, bit for bit
+    grid = TorusGrid(8, 2)
+    rng = np.random.default_rng(14)
+    re, im = rng.standard_normal((2, 3) + grid.shape)
+    re -= re.mean(axis=(1, 2), keepdims=True)
+    im -= im.mean(axis=(1, 2), keepdims=True)
+    for apply in (solve, inv_sqrt):
+        out = apply(grid, None, re + 1j * im)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out.real, apply(grid, None, re))
+        assert np.array_equal(out.imag, apply(grid, None, im))
 
 
 def test_real_solve_returns_float64():
