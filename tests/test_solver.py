@@ -119,9 +119,12 @@ def test_spectral_apply_real_matches_complex_transform(d, N):
 
 @pytest.mark.parametrize("N", [7, 8])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_buffered_spectral_apply_equals_numpy_nd_transforms(d, N):
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_buffered_spectral_apply_equals_numpy_nd_transforms(dtype, d, N):
     # bit for bit, which pins the axis order of the in-place inverse
-    # transform: numpy's irfftn runs its leading axes first to last
+    # transform: numpy's irfftn runs its leading axes first to last. The
+    # buffers are for real values; a complex stack maps as its real and
+    # imaginary parts, each equal to numpy's transforms of that part
     grid = TorusGrid(N, d)
     mult = _spectral_multiplier(grid, -1.0, 3.5)
     axes = tuple(range(-d, 0))
@@ -129,6 +132,13 @@ def test_buffered_spectral_apply_equals_numpy_nd_transforms(d, N):
     for lead in ((), (3,), (2, 2)):
         v = rng.standard_normal(lead + grid.shape)
         ref = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * mult, s=grid.shape, axes=axes)
+        if dtype == complex:
+            w = rng.standard_normal(v.shape)
+            ref_w = np.fft.irfftn(np.fft.rfftn(w, axes=axes) * mult, s=grid.shape, axes=axes)
+            out = _spectral_apply(v + 1j * w, mult)
+            assert out.dtype == np.complex128
+            assert np.array_equal(out.real, ref) and np.array_equal(out.imag, ref_w)
+            continue
         spec = np.empty(v.shape[:-1] + (N // 2 + 1,), complex)
         out = np.full_like(v, np.nan)
         assert _spectral_apply(v, mult, spec, out) is out
