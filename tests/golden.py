@@ -48,6 +48,9 @@ CALLS = {
                      "experiment = pseudo\n", []),
     "rates_bilap": ("rates", f"N = {LADDER}\nlaw = {LAW}\nbeta = 0.75\nM = 4\n"
                     "mode_cutoff = 2\nahom = 1.4142135623730951\nexperiment = bilap\n", []),
+    # no mode_cutoff: every mode of the window
+    "rates_bilap_window": ("rates", f"N = {LADDER}\nlaw = {LAW}\nbeta = 0.75\nM = 2\n"
+                           "ahom = 1.4142135623730951\nexperiment = bilap\n", []),
     "rates_disc": ("rates", f"N = {LADDER}\nbeta = 0.75\nexperiment = disc\n", []),
     "rates_synthetic": ("rates", f"N = {LADDER}\nexperiment = synthetic\n", []),
     "cov": ("cov", f"N = 16\nlaw = {LAW}\nkset = 1,0; 0,1; 1,1\nM = 2\n"
