@@ -26,7 +26,7 @@ from .lattice import (
     fourier_mode,
 )
 from .sampler import sample_noise
-from .solver import DEFAULT_TOL, _check_tol, _pseudo_eigenfunctions, _replicates, inv_sqrt
+from .solver import DEFAULT_TOL, _check_tol, _pcg, _replicates, inv_sqrt
 
 __all__ = [
     "RateSeries",
@@ -250,13 +250,28 @@ def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> R
     return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2), ahom=ahom)
 
 
+# Right-hand-side bytes that _pseudo_sq_error holds at once: 32 PCG chunks
+# keep every CPU busy, where a whole window's N^d / 2 modes would take
+# N^(2d) / 2 complex values (2.1 GB per environment at N=128).
+_PSEUDO_BATCH_BYTES = 8 * 1024 * 1024
+
+
 def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
-    """Squared l2 distances between the pseudo-eigenfunctions of the modes
-    ks in environment a and their Fourier modes phi_k, from one stacked
-    solve; each phi_k is formed again as the solve's right-hand side was."""
-    us = _pseudo_eigenfunctions(a, ahom, ks, tol)
-    return [float(np.sqrt(np.sum(np.abs(u - fourier_mode(a.grid, k)) ** 2) / a.grid.n)) ** 2
-            for k, u in zip(ks, us)]
+    """Squared l2 distances between the pseudo-eigenfunctions
+    u_k = A^(-1) (ahom lambda_k^(N) phi_k) of the modes ks in environment a
+    and their Fourier modes phi_k. Each batch of _PSEUDO_BATCH_BYTES is
+    formed, solved in place by one PCG stack and scored before the next; a
+    field's CG iterates, and so its distance, do not depend on the cut."""
+    grid, errs = a.grid, []
+    batch = max(1, _PSEUDO_BATCH_BYTES // (16 * grid.n))
+    for part in (ks[i:i + batch] for i in range(0, len(ks), batch)):
+        us = np.empty((len(part),) + grid.shape, np.complex128)
+        for u, k in zip(us, part):
+            np.multiply(ahom * eigenvalue_discrete(grid.N, k), fourier_mode(grid, k), out=u)
+        _pcg(a, us, tol, out=us)
+        errs += [float(np.sqrt(np.sum(np.abs(u - fourier_mode(grid, k)) ** 2) / grid.n)) ** 2
+                 for k, u in zip(part, us)]
+    return errs
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 # checks its wrapper. That tracer no longer sees _pcg's stencil work; drop
 # the binding once ROADMAP item 7 counts stencil applications.
 from .environment import Conductances, _stencil, apply_operator, operator_matrix  # noqa: F401
-from .lattice import LatticeField, TorusGrid, eigenvalue_discrete, fourier_mode
+from .lattice import LatticeField, TorusGrid, eigenvalue_discrete
 
 __all__ = [
     "SolveReport",
@@ -458,20 +458,4 @@ def solve(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
 def solve_homogeneous(grid: TorusGrid, rhs: LatticeField) -> LatticeField:
     """:func:`solve` without an environment for one field; the benchmark's probe times it."""
     return LatticeField(grid, solve(grid, None, rhs.values))
-
-
-def _pseudo_eigenfunctions(a: Conductances, ahom: float, ks, tol: float) -> np.ndarray:
-    """The solutions u_k of -div a grad u_k = ahom * lambda_k^(N) * phi_k
-    for the Fourier modes phi_k of the frequencies ``ks``, stacked along the
-    first axis, from one stacked PCG."""
-    grid = a.grid
-    ks = [grid.check_frequency(k) for k in ks]
-    if not all(np.any(k) for k in ks):
-        raise ValueError("pseudo-eigenfunctions are defined for k != 0 only")
-    if ahom <= 0:
-        raise ValueError(f"ahom must be positive, got {ahom}")
-    rhs = np.empty((len(ks),) + grid.shape, np.complex128)
-    for b, k in zip(rhs, ks):
-        np.multiply(ahom * eigenvalue_discrete(grid.N, k), fourier_mode(grid, k), out=b)
-    return _pcg(a, rhs, tol, out=rhs)[0]
 

@@ -3,7 +3,8 @@ engine: the normalized l2 norm and the mean-zero test of a field, the
 delta right-hand side of a Green's-function column, one corrector solve,
 the environments of an ahom estimate and their per-axis energies from
 correctors solved to a tight residual, the full periodic matrix of an
-environment, A^(-1/2) solved one quadrature node at a time, the
+environment, A^(-1/2) solved one quadrature node at a time, one
+pseudo-eigenfunction solved on its own, the
 shared-noise Monte-Carlo estimate of the bi-Laplacian error norm that
 cross-checks the noise-exact one, and the operator stencil with every axis
 taken as strided slices, which the package's one-pass last axis must match
@@ -16,7 +17,7 @@ import numpy as np
 from homfield.environment import sample_environment
 from homfield.experiments import ExperimentConfig, _bilap_modes, _ladder, formal_constant
 from homfield.homogenization import corrector_rhs
-from homfield.lattice import TorusGrid, dft, eigenvalue_discrete
+from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
 from homfield.sampler import sample_noise
 from homfield.solver import DEFAULT_TOL, _inv_sqrt_quadrature, _pcg, solve
 
@@ -104,6 +105,13 @@ def inv_sqrt_by_node(grid: TorusGrid, a, values: np.ndarray, tol: float = DEFAUL
         out += w * _pcg(a, fields, tol, shift=s)[0]
     out = out.reshape(values.shape)
     return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
+
+
+def pseudo_eigenfunction(a, ahom: float, k, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The pseudo-eigenfunction u_k = A^(-1) (ahom lambda_k^(N) phi_k) of
+    the nonzero mode k, from the public ``solve`` of its one field."""
+    grid = a.grid
+    return solve(grid, a, ahom * eigenvalue_discrete(grid.N, k) * fourier_mode(grid, k), tol)
 
 
 def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: float,

@@ -23,8 +23,7 @@ from homfield.experiments import (
 )
 from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
 from homfield.sampler import sample_gff
-from homfield.solver import _pseudo_eigenfunctions
-from reference import bilap_monte_carlo_point, norm
+from reference import bilap_monte_carlo_point, norm, pseudo_eigenfunction
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
@@ -178,10 +177,33 @@ def test_stacked_pseudo_errors_equal_one_mode_results():
     assert len(stacked) == 12
     for k, err in zip(ks, stacked):
         one = experiments._pseudo_sq_error(a, ahom, [k], 1e-8)[0]
-        u = _pseudo_eigenfunctions(a, ahom, [k], 1e-8)[0]
+        u = pseudo_eigenfunction(a, ahom, k, 1e-8)
         own = norm(u - fourier_mode(grid, k)) ** 2
         assert one == pytest.approx(err, rel=1e-14, abs=0)
         assert own == pytest.approx(err, rel=1e-14, abs=0)
+
+
+def test_pseudo_errors_solve_batches_within_the_byte_budget(monkeypatch):
+    # a budget of 3 modes cuts the 129 modes of the N=16 window into 43
+    # solves, whose distances equal those of one batch bit for bit
+    grid = TorusGrid(16, 2)
+    a = sample_environment(BERNOULLI, grid, 4)
+    ks = [k for k, _ in _mode_representatives(grid, None)]
+    budget = 3 * 16 * grid.n
+    sizes, pcg = [], experiments._pcg
+
+    def spy(a, b, *args, **kwargs):
+        sizes.append(b.nbytes)
+        return pcg(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_pcg", spy)
+    monkeypatch.setattr(experiments, "_PSEUDO_BATCH_BYTES", budget)
+    batched = experiments._pseudo_sq_error(a, np.sqrt(2.0), ks, 1e-8)
+    assert len(sizes) == math.ceil(len(ks) / 3) and max(sizes) <= budget
+    sizes.clear()
+    monkeypatch.setattr(experiments, "_PSEUDO_BATCH_BYTES", 2**40)
+    assert experiments._pseudo_sq_error(a, np.sqrt(2.0), ks, 1e-8) == batched
+    assert sizes == [len(ks) * 16 * grid.n]
 
 
 def test_bilap_exact_sum_pins_weights_and_scale(monkeypatch):
@@ -209,7 +231,7 @@ def test_bilap_exact_sum_pins_weights_and_scale(monkeypatch):
             continue
         lam = 4.0 * np.pi**2 * (k[0] ** 2 + k[1] ** 2)
         lam_n = 4.0 * N**2 * (np.sin(np.pi * k[0] / N) ** 2 + np.sin(np.pi * k[1] / N) ** 2)
-        u = _pseudo_eigenfunctions(a, ahom, [k], tol)[0]
+        u = pseudo_eigenfunction(a, ahom, k, tol)
         err = norm(u - fourier_mode(a.grid, k)) ** 2
         expected += lam ** (-2 * beta) * 0.25**2 * err / (ahom * lam_n) ** 2
     assert value == pytest.approx(expected, rel=1e-13, abs=0)
@@ -348,7 +370,7 @@ def test_gff_limit_constant_is_the_duality_ahom():
         ratios = []
         for rep in range(16):
             a = sample_environment(BERNOULLI, grid, np.random.SeedSequence(31, spawn_key=(0, rep)))
-            ratios.append([np.vdot(phi, _pseudo_eigenfunctions(a, ahom, [k], 1e-8)[0]).real
+            ratios.append([np.vdot(phi, pseudo_eigenfunction(a, ahom, k, 1e-8)).real
                            / grid.n for ahom in (np.sqrt(2.0), 1.5, 4 / 3)])
         mean = np.mean(ratios, axis=0) - 1
         se = np.std(ratios, axis=0, ddof=1) / np.sqrt(len(ratios))

@@ -291,21 +291,20 @@ def test_threaded_ladder_raises_the_first_solver_error_in_replicate_order(monkey
     monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
     _on_cpus(monkeypatch, cpus)
     made = _count_threads(monkeypatch)
-    sample, pseudo, current = (experiments.sample_environment,
-                               experiments._pseudo_eigenfunctions, threading.local())
+    sample, pcg, current = experiments.sample_environment, experiments._pcg, threading.local()
 
     def keyed_sample(law, grid, seed):
         current.rep = seed.spawn_key[-1]
         return sample(law, grid, seed)
 
-    def failing_pseudo(*args):
+    def failing_pcg(*args, **kwargs):
         if current.rep in (1, 3):
             time.sleep(0.1 if current.rep == 1 else 0.0)
             raise SolverError(f"forced failure in replicate {current.rep}", None)
-        return pseudo(*args)
+        return pcg(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "sample_environment", keyed_sample)
-    monkeypatch.setattr(experiments, "_pseudo_eigenfunctions", failing_pseudo)
+    monkeypatch.setattr(experiments, "_pcg", failing_pcg)
     cfg = ExperimentConfig(d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(8,),
                            kset=((1, 0),), replicates=6, ahom=1.5)
     with pytest.raises(SolverError, match="in replicate 1$"):

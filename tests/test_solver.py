@@ -26,13 +26,12 @@ from homfield.solver import (
     SolverError,
     _inv_sqrt_quadrature,
     _spectral_apply,
-    _pseudo_eigenfunctions,
     _spectral_multiplier,
     inv_sqrt,
     solve,
     solve_homogeneous,
 )
-from reference import delta_rhs, has_zero_mean, inv_sqrt_by_node, norm
+from reference import delta_rhs, has_zero_mean, inv_sqrt_by_node
 
 
 def solve_dense(a, rhs):
@@ -570,24 +569,6 @@ def test_green_symmetry_all_pairs():
             gxy = cols[y][grid.index_of(x)]
             gyx = cols[x][grid.index_of(y)]
             assert gxy == pytest.approx(gyx, abs=1e-8)
-
-
-def test_pseudo_eigenfunction_constant_environment():
-    grid = TorusGrid(16, 2)
-    a = sample_environment(EnvironmentLaw.constant(1.5), grid, 0)
-    for k in [(1, 0), (2, -3)]:
-        phi = _pseudo_eigenfunctions(a, 1.5, [k], 1e-12)[0]
-        mode = fourier_mode(grid, k)
-        assert norm(phi - mode) < 1e-8
-
-
-def test_pseudo_eigenfunction_rejects_zero_mode():
-    grid = TorusGrid(8, 2)
-    a = sample_environment(EnvironmentLaw.constant(1.0), grid, 0)
-    with pytest.raises(ValueError):
-        _pseudo_eigenfunctions(a, 1.0, [(0, 0)], solver.DEFAULT_TOL)
-    with pytest.raises(ValueError):
-        _pseudo_eigenfunctions(a, -1.0, [(1, 0)], solver.DEFAULT_TOL)
 
 
 def test_inv_sqrt_node_count_reaches_tol():
