@@ -107,7 +107,7 @@ def inv_sqrt_by_node(grid: TorusGrid, a, values: np.ndarray, tol: float = DEFAUL
     return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
 
 
-def pseudo_eigenfunction(a, ahom: float, k, tol: float = DEFAULT_TOL) -> np.ndarray:
+def pseudo_eigenfunction(a, ahom: float, k, tol: float) -> np.ndarray:
     """The pseudo-eigenfunction u_k = A^(-1) (ahom lambda_k^(N) phi_k) of
     the nonzero mode k, from the public ``solve`` of its one field."""
     grid = a.grid
