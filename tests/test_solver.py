@@ -16,6 +16,7 @@ from homfield.environment import (
     apply_operator,
     sample_environment,
 )
+from homfield.experiments import _pseudo_sq_error
 from homfield.lattice import (
     LatticeField,
     TorusGrid,
@@ -569,6 +570,16 @@ def test_green_symmetry_all_pairs():
             gxy = cols[y][grid.index_of(x)]
             gyx = cols[x][grid.index_of(y)]
             assert gxy == pytest.approx(gyx, abs=1e-8)
+
+
+def test_pseudo_eigenfunction_constant_environment():
+    # the package's stacked in-place pass: with a = ahom every u_k is phi_k
+    grid = TorusGrid(16, 2)
+    a = sample_environment(EnvironmentLaw.constant(1.5), grid, 0)
+    errs = _pseudo_sq_error(a, 1.5, [(1, 0), (2, -3)], 1e-12)
+    assert len(errs) == 2
+    for err in errs:
+        assert np.sqrt(err) < 1e-8
 
 
 def test_inv_sqrt_node_count_reaches_tol():
