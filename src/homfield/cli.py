@@ -47,10 +47,12 @@ Every subcommand appends one JSON record to ``runlog.jsonl`` in the output
 directory. Each record carries ``command``, ``config``, ``config_hash``
 (sha256 of the sorted ``[run]`` keys), ``seed`` and ``wall_s``, plus the
 subcommand's own results; ``figure1`` also writes its record to
-``figure1_report.json``.
+``figure1_report.json``. Records are strict JSON: a non-finite number, such
+as the NaN slope of a ladder of fewer than 3 sizes, is written as null.
 
 Exit codes: 0 success, 2 configuration error (also an experiment's own
-check of its inputs, after the parse), 3 solver failure, 4 assertion failure.
+check of its inputs, after the parse, and a configuration too large for
+memory), 3 solver failure, 4 assertion failure.
 """
 
 from __future__ import annotations
@@ -221,15 +223,26 @@ def _read_run(args, cfg, one_side=True, **defaults) -> tuple:
     return ExperimentConfig(**fields), opts
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it, those in nested dicts
+    included, replaced by None, so that it dumps as strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    return value
+
+
 def write_runlog(args, cfg, seed, t0, **fields) -> dict:
     """Append one record to ``runlog.jsonl`` in the output directory and
     return it: the command's ``fields`` plus the envelope every record
-    carries (command, config, config_hash, seed, wall_s since ``t0``)."""
-    record = {"command": args.command, "config": cfg,
-              "config_hash": config_hash(cfg), "seed": seed,
-              "wall_s": time.time() - t0, **fields}
+    carries (command, config, config_hash, seed, wall_s since ``t0``), with
+    every non-finite number as None (null)."""
+    record = _finite_or_null({"command": args.command, "config": cfg,
+                              "config_hash": config_hash(cfg), "seed": seed,
+                              "wall_s": time.time() - t0, **fields})
     with open(os.path.join(args.out, "runlog.jsonl"), "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+        fh.write(json.dumps(record, sort_keys=True, default=str, allow_nan=False) + "\n")
     return record
 
 
@@ -484,6 +497,7 @@ FAILURES = (
     (SolverError, "solver failure", EXIT_SOLVER),
     (CutoffError, "numerical failure", EXIT_SOLVER),
     (AssertionFailure, "assertion failure", EXIT_ASSERT),
+    (MemoryError, "out of memory", EXIT_CONFIG),
 )
 
 

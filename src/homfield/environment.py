@@ -9,12 +9,11 @@ product laws with every atom inside the ellipticity interval.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import TorusGrid, _read_values, _rng
+from .lattice import TorusGrid, _rng
 
 __all__ = [
     "EnvironmentLaw",
@@ -24,11 +23,8 @@ __all__ = [
     "extend",
     "apply_operator",
     "operator_matrix",
-    "dump_environment",
-    "load_environment",
 ]
 
-ENV_MAGIC = b"HFENV1"
 _DENSE_SITES = 4096  # largest grid of operator_matrix
 _ARITY = {"constant": 1, "uniform": 2, "bernoulli": 3}  # parameters per law variant
 
@@ -267,25 +263,3 @@ def operator_matrix(a: Conductances) -> np.ndarray:
     mat *= grid.N**2
     return mat
 
-
-def dump_environment(a: Conductances, path) -> None:
-    """Binary dump: magic "HFENV1", then d, N, Lambda as little-endian
-    64-bit values, then the n*d edge weights in canonical order."""
-    with open(path, "wb") as fh:
-        fh.write(ENV_MAGIC)
-        fh.write(struct.pack("<qqd", a.grid.d, a.grid.N, a.ellipticity))
-        fh.write(a.weights.astype("<f8").tobytes())
-
-
-def load_environment(path) -> Conductances:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(ENV_MAGIC))
-        if magic != ENV_MAGIC:
-            raise ValueError(f"not an environment dump: bad magic {magic!r}")
-        header = fh.read(24)
-        if len(header) != 24:
-            raise ValueError("truncated environment dump header")
-        d, N, lam = struct.unpack("<qqd", header)
-        grid = TorusGrid(N, d)
-        weights = _read_values(fh, grid, leading=(d,))
-    return Conductances(grid, weights, ellipticity=lam)

@@ -14,7 +14,6 @@ which makes the complex exponentials exp(2*pi*i*k.x) an orthonormal basis.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,28 +87,6 @@ class TorusGrid:
             raise ValueError(f"fields of shape {values.shape} do not end in grid {self.shape}")
         if not np.isfinite(values).all():
             raise ValueError("fields must be finite, got a NaN or infinite value")
-
-
-def _read_values(fh, grid: TorusGrid, leading: tuple = ()) -> np.ndarray:
-    """Read the rest of an open binary dump as little-endian float64 values
-    of shape leading + grid.shape.
-
-    The remaining byte count must match exactly; it is checked before any
-    allocation, so a corrupt header cannot request an absurd array.
-    """
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    count = math.prod(leading)
-    for _ in range(grid.d):
-        count *= grid.N
-        if 8 * count > remaining:
-            break
-    if 8 * count != remaining:
-        raise ValueError(
-            f"dump holds {remaining} data bytes, which does not match its "
-            f"header (d={grid.d}, N={grid.N})"
-        )
-    data = np.frombuffer(fh.read(remaining), dtype="<f8")
-    return data.reshape(tuple(leading) + grid.shape).copy()
 
 
 def _rng(seed, *key) -> np.random.Generator:

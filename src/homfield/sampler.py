@@ -11,6 +11,7 @@ without an environment and use conjugate-gradient solves with one.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 # apply_operator stays bound here: perfbench's tracer test checks its wrapper.
 from .environment import Conductances, apply_operator  # noqa: F401
-from .lattice import LatticeField, TorusGrid, _read_values, _rng
+from .lattice import LatticeField, TorusGrid, _rng
 from .solver import DEFAULT_TOL, inv_sqrt, solve
 
 __all__ = [
@@ -104,6 +105,28 @@ def dump_field(sample: FieldSample, path) -> None:
         fh.write(struct.pack("<qq", grid.d, grid.N))
         fh.write(sample.kind.encode().ljust(12, b"\0"))
         fh.write(sample.field.values.astype("<f8").tobytes())
+
+
+def _read_values(fh, grid: TorusGrid) -> np.ndarray:
+    """Read the rest of an open field dump as little-endian float64 values
+    of shape grid.shape.
+
+    The remaining byte count must match exactly; it is checked before any
+    allocation, so a corrupt header cannot request an absurd array.
+    """
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    count = 1
+    for _ in range(grid.d):
+        count *= grid.N
+        if 8 * count > remaining:
+            break
+    if 8 * count != remaining:
+        raise ValueError(
+            f"dump holds {remaining} data bytes, which does not match its "
+            f"header (d={grid.d}, N={grid.N})"
+        )
+    data = np.frombuffer(fh.read(remaining), dtype="<f8")
+    return data.reshape(grid.shape).copy()
 
 
 def load_field(path) -> FieldSample:

@@ -31,6 +31,13 @@ def _write_config(tmp_path, body, name="run.ini"):
     return str(path)
 
 
+def _strict_json(text):
+    """Parse ``text`` as strict JSON, which has no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_render_heatmap_grayscale_linear_endpoints():
     ppm = render_heatmap(np.array([[0.0, 1.0], [2.0, 3.0]]), grayscale=True)
     header, pixels = ppm.split(b"255\n", 1)
@@ -244,13 +251,14 @@ def test_rates_ladder_size_below_two_is_config_error(tmp_path, capsys, experimen
 
 @pytest.mark.parametrize("experiment", ["synthetic", "disc", "pseudo", "bilap"])
 def test_two_size_ladder_gives_a_nan_slope_in_every_experiment(tmp_path, experiment):
-    # fewer than 3 sizes leave nothing to fit, whichever experiment measured them
+    # fewer than 3 sizes leave nothing to fit, whichever experiment measured
+    # them; the runlog writes the NaN slope as null, which strict JSON allows
     body = (f"n = 4,8\nexperiment = {experiment}\nlaw = bernoulli(0.5,1,2)\nkset = 1,0\n"
             "beta = 0.75\nahom = 1.4\nM = 2\n")
     out = tmp_path / "o"
     assert main(["rates", "--config", _write_config(tmp_path, body), "--out", str(out)]) == EXIT_OK
-    record = json.loads((out / "runlog.jsonl").read_text())
-    assert np.isnan(record["slope"]) and record["corrected_slope"] is None
+    record = _strict_json((out / "runlog.jsonl").read_text())
+    assert record["slope"] is None and record["corrected_slope"] is None
     assert len((out / f"rates_{experiment}.csv").read_text().splitlines()) == 3
 
 
@@ -393,6 +401,16 @@ def test_disc_cutoff_too_small_is_numerical_failure(tmp_path, capsys):
     assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
     assert "numerical failure: spectral cutoff 64 too small at N=32" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+def test_configuration_too_large_for_memory_is_config_error(tmp_path, capsys):
+    # 40 * 2^40 edge weights, 320 TiB, exceed the address space, so numpy
+    # raises before it allocates anything
+    cfg = _write_config(tmp_path, "d = 40\nn = 2\nlaw = uniform(1,2)\n")
+    out = tmp_path / "fresh"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "out of memory: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, body, code", [
@@ -687,14 +705,14 @@ def test_every_runlog_record_carries_the_envelope(tmp_path, command, body, extra
     cfg_path = _write_config(tmp_path, body + "seed = 3\n")
     out = tmp_path / "o"
     main([command, "--config", cfg_path, "--out", str(out)])
-    record = json.loads((out / "runlog.jsonl").read_text())
+    record = _strict_json((out / "runlog.jsonl").read_text())
     cfg = load_config(cfg_path)
     assert {k: record[k] for k in ("command", "config", "config_hash", "seed")} == {
         "command": command, "config": cfg, "config_hash": config_hash(cfg), "seed": 3}
     assert record["wall_s"] >= 0
     assert extra <= record.keys()
     if command == "figure1":
-        assert json.loads((out / "figure1_report.json").read_text()) == record
+        assert _strict_json((out / "figure1_report.json").read_text()) == record
 
 
 def _ini_keys(lines) -> set:

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,9 +7,7 @@ from homfield.environment import (
     _stencil,
     EnvironmentLaw,
     apply_operator,
-    dump_environment,
     extend,
-    load_environment,
     operator_matrix,
     project,
     sample_environment,
@@ -273,37 +269,3 @@ def test_operator_matrix_rejects_grid_beyond_site_limit():
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
     with pytest.raises(ValueError, match="4225 sites"):
         operator_matrix(a)
-
-
-def test_dump_load_roundtrip(tmp_path):
-    grid = TorusGrid(8, 2)
-    a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 4)
-    path = tmp_path / "env.hfenv"
-    dump_environment(a, path)
-    b = load_environment(path)
-    assert b.grid == a.grid
-    assert b.ellipticity == a.ellipticity
-    assert np.array_equal(b.weights, a.weights)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTENV" + b"\0" * 64)
-    with pytest.raises(ValueError):
-        load_environment(path)
-
-
-@pytest.mark.parametrize("corruption", ["truncated", "huge_n", "short_header", "nan_lambda"])
-def test_load_rejects_corrupt_dump(tmp_path, corruption):
-    path = tmp_path / "env.hfenv"
-    dump_environment(sample_environment(EnvironmentLaw.uniform(1, 2), TorusGrid(8, 2), 4), path)
-    raw = path.read_bytes()
-    magic, data = raw[:6], raw[30:]
-    path.write_bytes({
-        "truncated": raw[:-8],
-        "huge_n": magic + struct.pack("<qqd", 2, 2**40, 2.0) + data,
-        "short_header": raw[:16],
-        "nan_lambda": magic + struct.pack("<qqd", 2, 8, float("nan")) + data,
-    }[corruption])
-    with pytest.raises(ValueError):
-        load_environment(path)

@@ -335,6 +335,15 @@ def test_pseudo_eigen_k_dependence():
     assert v2 / v1 <= 16 * 1.5
 
 
+def test_pseudo_eigen_rate_d3_slope_is_minus_two():
+    # d = 3 has no log correction; ahom is the effective-medium value
+    cfg = ExperimentConfig(d=3, law=BERNOULLI, Ns=(8, 16, 32), kset=((1, 0, 0),),
+                           replicates=8, seed=0, ahom=1.4430)
+    rs = pseudo_eigen_rate(cfg)
+    assert abs(rs.slope + 2) < 0.3
+    assert rs.corrected is None
+
+
 def test_bilap_error_constant_law_trivial():
     cfg = ExperimentConfig(d=2, law=EnvironmentLaw.constant(2.0), beta=0.75,
                            Ns=(8, 16, 32), replicates=2, seed=0,

@@ -87,6 +87,13 @@ def test_one_dimensional_effective_is_harmonic_mean():
     assert val == pytest.approx(harmonic, rel=1e-8)
 
 
+def test_estimate_ahom_d3_lies_inside_the_wiener_bounds():
+    # Bernoulli(0.5, 1, 2) in d = 3: the harmonic mean 4/3 and the arithmetic
+    # mean 3/2 bound ahom; the effective-medium value is 1.4430
+    est = estimate_ahom(EnvironmentLaw.bernoulli(0.5, 1, 2), 16, 8, seed=0, d=3)
+    assert 4 / 3 < est.mean < 3 / 2
+
+
 def test_estimate_ahom_deterministic():
     law = EnvironmentLaw.bernoulli(0.5, 1, 2)
     e1 = estimate_ahom(law, 16, 4, seed=10, d=2)

@@ -1,5 +1,5 @@
-"""Fuzz the binary dump loaders: a truncated or byte-flipped HFENV1 or
-HFFLD1 dump either loads or raises ValueError, never anything else.
+"""Fuzz the field dump loader: a truncated or byte-flipped HFFLD1 dump
+either loads or raises ValueError, never anything else.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it.
 """
@@ -11,8 +11,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from homfield.environment import (  # noqa: E402
     EnvironmentLaw,
-    dump_environment,
-    load_environment,
     sample_environment,
 )
 from homfield.lattice import LatticeField, TorusGrid  # noqa: E402
@@ -27,7 +25,7 @@ from homfield.sampler import (  # noqa: E402
 # Small grids keep the header a large share of the bytes, so flips hit it often.
 GRID = TorusGrid(2, 2)
 FUZZ = settings(max_examples=150, deadline=None, database=None)
-LOADERS = [load_environment, load_field]
+LOADERS = [load_field]
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +33,9 @@ def dumps(tmp_path_factory):
     """Valid dump bytes per loader, and a path to write fuzzed bytes to."""
     root = tmp_path_factory.mktemp("dumps")
     a = sample_environment(EnvironmentLaw.uniform(1, 2), GRID, 0)
-    dump_environment(a, root / "env")
     field = LatticeField(GRID, sample_bilaplacian(GRID, a, sample_noise(GRID, 1)))
     dump_field(FieldSample("bilap_env", field), root / "field")
-    valid = {load_environment: (root / "env").read_bytes(),
-             load_field: (root / "field").read_bytes()}
+    valid = {load_field: (root / "field").read_bytes()}
     return valid, root / "fuzzed"
 
 
