@@ -151,17 +151,30 @@ def test_load_field_bad_magic(tmp_path):
         load_field(path)
 
 
-@pytest.mark.parametrize("corruption", ["truncated", "huge_n", "short_header"])
+@pytest.mark.parametrize("corruption", [
+    "truncated", "huge_n", "short_header",
+    "extra_bytes", "header_only", "empty", "huge_d", "zero_n", "zero_d",
+])
 def test_load_field_rejects_corrupt_dump(tmp_path, corruption):
+    # layout: 6-byte magic, d and N (16 bytes), 12-byte kind tag, values
     grid = TorusGrid(8, 2)
     path = tmp_path / "f.hf"
     values = sample_bilaplacian(grid, None, sample_noise(grid, 7))
     dump_field(FieldSample("bilap_hom", LatticeField(grid, values)), path)
     raw = path.read_bytes()
+    magic, rest = raw[:6], raw[22:]
     path.write_bytes({
         "truncated": raw[:-8],
-        "huge_n": raw[:6] + struct.pack("<qq", 2, 2**40) + raw[22:],
+        "huge_n": magic + struct.pack("<qq", 2, 2**40) + rest,
         "short_header": raw[:16],
+        # the byte count must match the header exactly, not merely cover it
+        "extra_bytes": raw + b"\0" * 8,
+        "header_only": raw[:34],
+        "empty": b"",
+        # 2^(2^40) values: the size check must stop before it walks every axis
+        "huge_d": magic + struct.pack("<qq", 2**40, 2) + rest,
+        "zero_n": magic + struct.pack("<qq", 2, 0) + rest,
+        "zero_d": magic + struct.pack("<qq", 0, 8) + rest,
     }[corruption])
     with pytest.raises(ValueError):
         load_field(path)
