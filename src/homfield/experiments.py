@@ -269,7 +269,7 @@ def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
         for u, k in zip(us, part):
             np.multiply(ahom * eigenvalue_discrete(grid.N, k), fourier_mode(grid, k), out=u)
         _pcg(a, us, tol, out=us)
-        errs += [float(np.sqrt(np.sum(np.abs(u - fourier_mode(grid, k)) ** 2) / grid.n)) ** 2
+        errs += [float(np.sum(np.abs(u - fourier_mode(grid, k)) ** 2) / grid.n)
                  for k, u in zip(part, us)]
     return errs
 

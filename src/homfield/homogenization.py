@@ -3,12 +3,12 @@ method.
 
 For each axis i the corrector chi_i makes x_i/N + chi_i harmonic for the
 heterogeneous operator on the torus. A single environment then yields the
-energy of the corrected affine function, whose average over independent
-environments estimates the homogenized coefficient. Each corrector solve
-stops once that energy is certified within a relative tol of the exact
-one. The environments run through the solver's replicate runner, by its
-one rule for ahom, the rate ladders and cov: on every CPU once one
-environment's weights fill a PCG chunk, in turn below that.
+flux average of the corrected affine function, equal to its energy; the
+mean over independent environments estimates the homogenized coefficient.
+Each corrector solve stops once that energy is certified within a relative
+tol of the exact one. The environments run through the solver's replicate
+runner, by its one rule for ahom, the rate ladders and cov: on every CPU
+once one environment's weights fill a PCG chunk, in turn below that.
 """
 
 from __future__ import annotations
@@ -45,24 +45,15 @@ def corrector_rhs(a: Conductances, axis: int) -> np.ndarray:
 
 
 def _mean_energy(a: Conductances, chis) -> float:
-    """The energy estimator of one environment,
-    (1/d) sum_i <(e_i + grad chi_i) . a (e_i + grad chi_i)>, for the
-    corrector values ``chis`` of the axes i = 0 .. d-1, in that order."""
+    """The energy (1/d) sum_i <(e_i + grad chi_i) . a (e_i + grad chi_i)>
+    of one environment's correctors ``chis`` (axes 0 .. d-1, in order), read
+    as the flux average (1/d) sum_i <a_i (1 + grad_i chi_i)>. The two differ
+    by <chi, A chi - b> / N^d, which Galerkin orthogonality zeroes for every
+    iterate of ``_pcg`` started at chi = 0, so the energy stop certifies it."""
     grid = a.grid
-    diag = np.empty(grid.d)
-    g, term = np.empty(grid.shape), np.empty(grid.shape)  # reused for every term
-    for i, chi in enumerate(chis):
-        val = 0.0
-        for axis in range(grid.d):
-            np.subtract(np.roll(chi, -1, axis=axis), chi, out=g)
-            g *= grid.N
-            if axis == i:
-                g += 1.0
-            np.multiply(a.weights[axis], g, out=term)
-            term *= g
-            val += np.sum(term)
-        diag[i] = val / grid.n
-    return float(np.sum(diag) / grid.d)
+    flux = [np.mean(w * (1.0 + grid.N * (np.roll(chi, -1, axis=i) - chi)))
+            for i, (w, chi) in enumerate(zip(a.weights, chis))]
+    return float(np.sum(flux) / grid.d)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple:

@@ -96,10 +96,12 @@ def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: np.ndarra
 
 def dump_field(sample: FieldSample, path) -> None:
     """Binary dump: magic "HFFLD1", d and N as little-endian 64-bit ints, a
-    12-byte kind tag, then N^d float64 site values in canonical order."""
+    12-byte kind tag, then N^d float64 site values in canonical order.
+    A complex or non-finite field raises ValueError before the file opens."""
     grid = sample.field.grid
     if np.iscomplexobj(sample.field.values):
         raise ValueError("field dumps store real-valued fields only")
+    grid.check_fields(sample.field.values)
     with open(path, "wb") as fh:
         fh.write(FIELD_MAGIC)
         fh.write(struct.pack("<qq", grid.d, grid.N))
@@ -139,4 +141,9 @@ def load_field(path) -> FieldSample:
             raise ValueError("truncated field dump header")
         d, N, tag = struct.unpack("<qq12s", header)
         grid = TorusGrid(N, d)
-        return FieldSample(tag.rstrip(b"\0").decode(), LatticeField(grid, _read_values(fh, grid)))
+        values = _read_values(fh, grid)
+    grid.check_fields(values)
+    try:
+        return FieldSample(tag.rstrip(b"\0").decode(), LatticeField(grid, values))
+    except UnicodeDecodeError:
+        raise ValueError(f"field dump kind tag {tag!r} is not UTF-8") from None

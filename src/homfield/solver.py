@@ -410,14 +410,14 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
 
     Without an environment the images are exact, from the FFT, which zeroes
     the mean mode. With one they sum w_j (A + s_j)^(-1) z over the nodes of
-    :func:`_inv_sqrt_quadrature`, in node order, and are centred. One PCG
-    to tol solves every node's copy of the fields as one node-major stack,
-    each copy with its node's shift and its own stopping test, in place.
-    The nodes are computed once per call for the interval
-    [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum of A on the
-    mean-zero subspace because every weight lies in [1, Lambda]. Raises
-    ValueError when the trailing axes of ``values`` are not ``grid.shape``
-    or a value is not finite.
+    :func:`_inv_sqrt_quadrature`, in node order, mean-zero to rounding as
+    PCG centres each node's solution. One PCG to tol solves every node's
+    copy of the fields as one node-major stack, each with its own shift and
+    stopping test, in place. The nodes are computed once per call for the
+    interval [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum
+    of A on the mean-zero subspace because every weight lies in [1, Lambda].
+    Raises ValueError when the trailing axes of ``values`` are not
+    ``grid.shape`` or a value is not finite.
     """
     grid.check_fields(values)
     if a is None:
@@ -436,8 +436,7 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     out = np.zeros(fields.shape, stack.dtype)
     for w, x in zip(weights, stack):
         out += np.multiply(x, w, out=x)
-    out = out.reshape(values.shape)
-    return out - out.mean(axis=tuple(range(-grid.d, 0)), keepdims=True)
+    return out.reshape(values.shape)
 
 
 def solve(grid: TorusGrid, a: Conductances | None, values: np.ndarray,

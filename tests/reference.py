@@ -81,8 +81,7 @@ def periodic_matrix(a, tol: float = DEFAULT_TOL) -> tuple:
     """(A, chis): the full periodic matrix
     A_ij = <(e_i + grad chi_i) . a (e_j + grad chi_j)> of the environment,
     from its d correctors solved as one ``_pcg`` stack, and those correctors.
-    The gradients and products are formed as ``_mean_energy`` forms them,
-    so tr A / d is its energy estimator."""
+    tr A / d is the energy that ``_mean_energy`` reads as a flux average."""
     grid = a.grid
     rhs = np.stack([corrector_rhs(a, axis) for axis in range(grid.d)])
     chis = _pcg(a, rhs, tol)[0]

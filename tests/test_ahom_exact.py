@@ -7,11 +7,12 @@ environment, on the full periodic matrix A of ``reference.periodic_matrix``:
   Dykhne, Sov. Phys. JETP 32 (1971));
 * the per-axis Reuss and Voigt bounds: the harmonic mean of the axis-i
   weights <= A_ii <= their arithmetic mean;
-* tr A / d is ``_mean_energy``'s estimate from the same correctors.
+* tr A / d is ``_mean_energy``'s flux average from the same correctors,
+  equal to the energy form to rounding (1e-13 relative).
 
 A wrong wrap, a misaligned weight or a wrong energy formula moves these by
-1e-3 or more, far outside what solver tolerance leaves. Needs hypothesis
-(the ``test`` extra); the module is skipped without it.
+1e-3 or more, far outside what solver tolerance and rounding leave. Needs
+hypothesis (the ``test`` extra); the module is skipped without it.
 """
 
 import numpy as np
@@ -74,4 +75,4 @@ def test_axis_bounds_and_energy_of_the_periodic_matrix(a):
         harmonic, arithmetic = 1.0 / np.mean(1.0 / w), np.mean(w)
         assert harmonic * (1 - slack) <= matrix[i, i] <= arithmetic * (1 + slack)
     energy = _mean_energy(a, chis)
-    assert abs(np.trace(matrix) / a.grid.d - energy) <= 4 * np.spacing(energy)
+    assert abs(np.trace(matrix) / a.grid.d - energy) <= 1e-13 * energy

@@ -154,6 +154,7 @@ def test_load_field_bad_magic(tmp_path):
 @pytest.mark.parametrize("corruption", [
     "truncated", "huge_n", "short_header",
     "extra_bytes", "header_only", "empty", "huge_d", "zero_n", "zero_d",
+    "nan_value", "inf_value",
 ])
 def test_load_field_rejects_corrupt_dump(tmp_path, corruption):
     # layout: 6-byte magic, d and N (16 bytes), 12-byte kind tag, values
@@ -175,9 +176,34 @@ def test_load_field_rejects_corrupt_dump(tmp_path, corruption):
         "huge_d": magic + struct.pack("<qq", 2**40, 2) + rest,
         "zero_n": magic + struct.pack("<qq", 2, 0) + rest,
         "zero_d": magic + struct.pack("<qq", 0, 8) + rest,
+        # a dump holds finite site values only
+        "nan_value": raw[:34] + struct.pack("<d", np.nan) + raw[42:],
+        "inf_value": raw[:-8] + struct.pack("<d", -np.inf),
     }[corruption])
     with pytest.raises(ValueError):
         load_field(path)
+
+
+def test_load_field_rejects_a_kind_tag_that_is_not_utf8(tmp_path):
+    grid = TorusGrid(4, 2)
+    path = tmp_path / "f.hf"
+    dump_field(FieldSample("gff_hom", LatticeField(grid, sample_noise(grid, 1))), path)
+    raw = bytearray(path.read_bytes())
+    raw[22] = 0xFF                        # the first byte of the kind tag
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"kind tag b'\\xffff_hom.*' is not UTF-8"):
+        load_field(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dump_field_rejects_a_non_finite_value(tmp_path, value):
+    grid = TorusGrid(4, 2)
+    values = sample_noise(grid, 1)
+    values[1, 2] = value
+    path = tmp_path / "f.hf"
+    with pytest.raises(ValueError, match="finite"):
+        dump_field(FieldSample("gff_hom", LatticeField(grid, values)), path)
+    assert not path.exists()
 
 
 def test_shifted_solve_cap_raises_solver_error(monkeypatch):
