@@ -24,14 +24,12 @@ command requires them)::
     beta = 0.75                   # Sobolev order (bilap / disc experiments);
                                   # every value, 0 included, must be finite
                                   # and pass the threshold beta > d/4 - 1/2
-    kset = 1,0; 0,1; 1,1          # frequency list, components comma-separated
+    kset = 1,0; 0,1; 1,1          # distinct frequencies, components comma-separated
                                   # (rates pseudo: exactly one frequency)
     M = 16                        # environment replicates, >= 1; default 16
                                   # for ahom (needs >= 2), 8 for rates and cov
     noise_replicates = 200        # cov: noise draws per environment, >= 1
     seed = 0                      # master seed, >= 0; --seed overrides
-    tol = 1e-8                    # CG tolerance, in (0, 1): relative residual,
-                                  # or relative energy error of ahom's correctors
     mode_cutoff = 2               # sup-norm truncation of mode sums (bilap),
                                   # >= 1; omit for the whole window
     experiment = pseudo           # rates: pseudo | bilap | disc | synthetic
@@ -183,7 +181,6 @@ GRAMMAR = {
     "m": ("replicates", int),
     "noise_replicates": ("noise_replicates", int),
     "seed": ("seed", _finite(int, non_negative=True)),
-    "tol": ("tol", float),
     "mode_cutoff": ("mode_cutoff", int),
     "experiment": (None, _one_of("experiment", tuple(RATE_EXPERIMENTS))),
     "ahom": ("ahom", float),
@@ -250,35 +247,26 @@ def write_runlog(args, cfg, seed, t0, **fields) -> dict:
 # heatmaps
 
 
-def render_heatmap(values: np.ndarray, grayscale: bool = False) -> bytes:
-    """Render a 2-d field as a P6 portable pixmap, linearly scaled.
-
-    Grayscale maps [min, max] to [0, 255]. The default palette is a
-    blue-white-red diverging map centered at 0, sized by max |value|.
-    """
+def render_heatmap(values: np.ndarray) -> bytes:
+    """Render a 2-d field as a P6 portable pixmap in a blue-white-red
+    diverging palette, linear, centered at 0 and sized by max |value|."""
     if values.ndim != 2:
         raise ValueError("heatmaps require a 2-d field")
     h, w = values.shape
     header = f"P6\n{w} {h}\n255\n".encode()
-    if grayscale:
-        lo, hi = float(values.min()), float(values.max())
-        span = hi - lo if hi > lo else 1.0
-        gray = np.clip(np.rint((values - lo) / span * 255), 0, 255).astype(np.uint8)
-        rgb = np.repeat(gray[:, :, None], 3, axis=2)
-    else:
-        m = float(np.max(np.abs(values))) or 1.0
-        t = np.clip(values / m, -1.0, 1.0)
-        r = np.where(t < 0, 255 * (1 + t), 255.0)
-        g = 255 * (1 - np.abs(t))
-        b = np.where(t > 0, 255 * (1 - t), 255.0)
-        rgb = np.clip(np.rint(np.stack([r, g, b], axis=2)), 0, 255).astype(np.uint8)
+    m = float(np.max(np.abs(values))) or 1.0
+    t = np.clip(values / m, -1.0, 1.0)
+    r = np.where(t < 0, 255 * (1 + t), 255.0)
+    g = 255 * (1 - np.abs(t))
+    b = np.where(t > 0, 255 * (1 - t), 255.0)
+    rgb = np.clip(np.rint(np.stack([r, g, b], axis=2)), 0, 255).astype(np.uint8)
     return header + rgb.tobytes()
 
 
-def write_heatmap(sample, path, cfg_hash, seed, grayscale=False) -> None:
-    values = np.real(sample.field.values)
+def write_heatmap(sample, path, cfg_hash, seed) -> None:
+    values = sample.field.values
     with open(path, "wb") as fh:
-        fh.write(render_heatmap(values, grayscale=grayscale))
+        fh.write(render_heatmap(values))
     sidecar = {
         "min": float(values.min()),
         "max": float(values.max()),
@@ -305,15 +293,14 @@ def cmd_sample(args, cfg) -> int:
         ecfg.law, grid, np.random.SeedSequence(seed, spawn_key=(1,)))
     noise_seed = np.random.SeedSequence(seed, spawn_key=(2,))
     if kind == "gff":
-        values = sample_gff(grid, a, noise_seed, tol=ecfg.tol)
+        values = sample_gff(grid, a, noise_seed)
     else:
-        values = sample_bilaplacian(grid, a, sample_noise(grid, noise_seed), tol=ecfg.tol)
+        values = sample_bilaplacian(grid, a, sample_noise(grid, noise_seed))
     smp = FieldSample(f"{kind}_{'hom' if a is None else 'env'}", LatticeField(grid, values))
     dump_path = os.path.join(args.out, f"field_{smp.kind}_N{N}_seed{seed}.hf")
     dump_field(smp, dump_path)
     if args.heatmap:
-        write_heatmap(smp, os.path.splitext(dump_path)[0] + ".ppm", config_hash(cfg), seed,
-                      grayscale=args.grayscale)
+        write_heatmap(smp, os.path.splitext(dump_path)[0] + ".ppm", config_hash(cfg), seed)
     write_runlog(args, cfg, seed, t0, dump=os.path.basename(dump_path))
     print(f"wrote {dump_path}")
     return EXIT_OK
@@ -325,7 +312,7 @@ def cmd_ahom(args, cfg) -> int:
     if M < 2:
         raise ConfigError(f"config key 'm': ahom needs at least 2 replicates, got {M}")
     t0 = time.time()
-    est = estimate_ahom(law, N, M, seed, d=d, tol=ecfg.tol)
+    est = estimate_ahom(law, N, M, seed, d=d)
     _write_csv(os.path.join(args.out, "ahom.csv"),
                ["law", "d", "N", "M", "ahom_mean", "ahom_stderr", "seed"],
                [[law.describe(), d, N, est.samples, repr(est.mean), repr(est.stderr), seed]])
@@ -357,7 +344,7 @@ def cmd_rates(args, cfg) -> int:
                ["quantity", "N", "value", "stderr"],
                [[series.quantity, n, repr(float(v)), repr(float(s))]
                 for n, v, s in series.points])
-    corrected, _, corrected_hw, corrected_t_hw = series.corrected or (None,) * 4
+    corrected, corrected_hw, corrected_t_hw = series.corrected or (None,) * 3
     write_runlog(args, cfg, seed, t0, experiment=experiment, slope=series.slope,
                  half_width=series.half_width, t_half_width=series.t_half_width,
                  corrected_slope=corrected, corrected_half_width=corrected_hw,
@@ -385,13 +372,14 @@ def cmd_cov(args, cfg) -> int:
                  repr(float(report.stderr[i, j]))]
                 for i, ki in enumerate(report.kset)
                 for j, kj in enumerate(report.kset)])
+    max_z = report.max_offdiag_z()
     write_runlog(args, cfg, ecfg.seed, t0, fitted_constant=report.fitted_constant,
-                 max_offdiag_z=report.max_offdiag_z(),
+                 max_offdiag_z=max_z,
                  offdiag_frobenius=report.offdiag_frobenius(),
                  offdiag_frobenius_exact=report.offdiag_frobenius(exact=True))
     print(f"fitted constant {report.fitted_constant:.5f}, "
-          f"max off-diagonal |z| {report.max_offdiag_z():.2f}")
-    if report.max_offdiag_z() > 4.0:
+          f"max off-diagonal |z| {max_z:.2f}")
+    if max_z > 4.0:
         raise AssertionFailure("off-diagonal covariance outside the 4-sigma band")
     return EXIT_OK
 
@@ -436,11 +424,10 @@ def cmd_figure1(args, cfg) -> int:
     fields = {}
     for idx, (name, law) in enumerate(FIGURE1_PANELS):
         a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(1, idx)))
-        values = sample_bilaplacian(grid, a, noise, tol=ecfg.tol)
-        fields[name] = values - values.mean()
-        smp = FieldSample("bilap_env", LatticeField(grid, values))
+        fields[name] = sample_bilaplacian(grid, a, noise)
+        smp = FieldSample("bilap_env", LatticeField(grid, fields[name]))
         path = os.path.join(args.out, f"figure1_{name}.ppm")
-        write_heatmap(smp, path, h, seed, grayscale=args.grayscale)
+        write_heatmap(smp, path, h, seed)
         dump_field(smp, os.path.join(args.out, f"figure1_{name}.hf"))
 
     tests = {}
@@ -477,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--heatmap", action="store_true", help="also write a P6 heatmap")
-    parser.add_argument("--grayscale", action="store_true",
-                        help="grayscale palette instead of diverging")
     return parser
 
 

@@ -87,11 +87,10 @@ def fit_rate(points) -> tuple:
     """Least-squares fit of log(value) against log(N).
 
     ``points`` is a sequence of (N, value) pairs with positive values, at
-    least three of them. Returns (slope, intercept, half_width,
-    t_half_width), where half_width is twice the standard error of the
-    slope estimated from the fit residuals, and t_half_width the 95 %
-    t-quantile (len(points) - 2 degrees of freedom) times that standard
-    error.
+    least three of them. Returns (slope, half_width, t_half_width), where
+    half_width is twice the standard error of the slope estimated from the
+    fit residuals, and t_half_width the 95 % t-quantile (len(points) - 2
+    degrees of freedom) times that standard error.
     """
     points = sorted(points)
     if len(points) < 3:
@@ -112,7 +111,7 @@ def fit_rate(points) -> tuple:
     dof = len(points) - 2
     sigma2 = np.sum(resid**2) / dof
     stderr = float(np.sqrt(sigma2 / sxx))
-    return float(slope), float(intercept), 2.0 * stderr, _t975(dof) * stderr
+    return float(slope), 2.0 * stderr, _t975(dof) * stderr
 
 
 @dataclass(frozen=True)
@@ -121,17 +120,16 @@ class RateSeries:
 
     ``half_width`` is twice the slope's standard error and
     ``t_half_width`` its 95 % t-quantile half-width (see :func:`fit_rate`).
-    ``corrected`` holds the (slope, intercept, half_width, t_half_width)
-    fit of value / log(N), used in d = 2 where the bounds carry a log
-    factor; it is None otherwise, and where fewer than 3 points leave the
-    slope fields NaN. ``ahom`` is the effective coefficient the measured
-    fields were compared against, None where none was used.
+    ``corrected`` holds the (slope, half_width, t_half_width) fit of
+    value / log(N), used in d = 2 where the bounds carry a log factor; it
+    is None otherwise, and where fewer than 3 points leave the slope fields
+    NaN. ``ahom`` is the effective coefficient the measured fields were
+    compared against, None where none was used.
     """
 
     quantity: str
     points: tuple  # of (N, value, stderr)
     slope: float
-    intercept: float
     half_width: float
     t_half_width: float
     corrected: tuple = None
@@ -142,7 +140,7 @@ class RateSeries:
                     ahom: float = None) -> "RateSeries":
         points = tuple(sorted(points))
         if len(points) < 3:
-            return cls(quantity, points, *(math.nan,) * 4, ahom=ahom)
+            return cls(quantity, points, *(math.nan,) * 3, ahom=ahom)
         fit = fit_rate([(n, v) for n, v, _ in points])
         corrected = None
         if log_correct:
@@ -203,6 +201,8 @@ class ExperimentConfig:
                 raise ValueError(f"mode {k} does not have {self.d} components")
             if not any(k):
                 raise ValueError("k = 0 is excluded from every experiment")
+        if len(set(self.kset)) < len(self.kset):
+            raise ValueError(f"kset repeats a frequency: {self.kset}")
 
     def resolve_ahom(self) -> float:
         """Effective coefficient to use: the configured value, or an estimate
@@ -246,7 +246,7 @@ def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> R
     d = 2. Under a point-mass law the values are at solver-tolerance level,
     so the fit is skipped: NaN slope fields."""
     if cfg.law.point_mass:
-        return RateSeries(quantity, tuple(points), *(math.nan,) * 4, ahom=ahom)
+        return RateSeries(quantity, tuple(points), *(math.nan,) * 3, ahom=ahom)
     return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2), ahom=ahom)
 
 

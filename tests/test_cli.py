@@ -38,14 +38,6 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_render_heatmap_grayscale_linear_endpoints():
-    ppm = render_heatmap(np.array([[0.0, 1.0], [2.0, 3.0]]), grayscale=True)
-    header, pixels = ppm.split(b"255\n", 1)
-    assert header == b"P6\n2 2\n"
-    # linear map in canonical site order, each gray value in three channels
-    assert pixels == bytes([0, 0, 0, 85, 85, 85, 170, 170, 170, 255, 255, 255])
-
-
 def test_render_heatmap_diverging_center():
     ppm = render_heatmap(np.array([[-1.0, 0.0], [0.5, 1.0]]))
     pixels = ppm.split(b"255\n", 1)[1]
@@ -226,7 +218,7 @@ def test_rates_d2_records_the_corrected_fit(tmp_path, capsys):
     series = pseudo_eigen_rate(ExperimentConfig(
         d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16),
         kset=((1, 0),), replicates=2, ahom=2**0.5))
-    slope, _, hw, t_hw = series.corrected
+    slope, hw, t_hw = series.corrected
     assert series.ahom == 2**0.5
     rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
     assert (rec["corrected_slope"], rec["corrected_half_width"],
@@ -300,6 +292,12 @@ def test_cov_runlog_records_exact_offdiag(tmp_path):
     assert main(["cov", "--config", cfg, "--out", str(out)]) == EXIT_OK
     record = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
     assert 0 <= record["offdiag_frobenius_exact"] < record["offdiag_frobenius"]
+
+
+def test_cov_conjugate_pair_is_two_modes(tmp_path):
+    # k and -k are distinct modes: only a repeated frequency is a config error
+    cfg = _write_config(tmp_path, "n = 8\nkset = 1,0; -1,0\nM = 2\nnoise_replicates = 50\n")
+    assert main(["cov", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 def test_figure1_small(tmp_path):
@@ -429,20 +427,29 @@ def test_failing_run_removes_the_out_directory_it_created(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("law", ["law = uniform(1,2)\n", ""], ids=["law", "no-law"])
-@pytest.mark.parametrize("command, body, tol", [
-    ("sample", "n = 8\nfield = bilap\n", "nan"),
-    ("sample", "n = 8\nfield = gff\n", "2"),
-    ("cov", "n = 8\nkset = 1,0\nM = 2\nnoise_replicates = 50\n", "5"),
-    ("rates", "n = 8,16,32\nexperiment = disc\nbeta = 0.75\n", "-1"),
+@pytest.mark.parametrize("command, body", [
+    ("sample", "n = 8\nfield = bilap\n"),
+    ("sample", "n = 8\nfield = gff\n"),
+    ("cov", "n = 8\nkset = 1,0\nM = 2\nnoise_replicates = 50\n"),
+    ("rates", "n = 8,16,32\nexperiment = disc\nbeta = 0.75\n"),
 ], ids=["sample-bilap", "sample-gff", "cov", "rates-disc"])
-def test_bad_tolerance_is_config_error(tmp_path, capsys, command, body, tol, law):
-    # every path checks tol, also those that solve nothing without a law
-    cfg = _write_config(tmp_path, f"{body}{law}tol = {tol}\n")
+def test_leftover_tol_key_is_config_error(tmp_path, capsys, command, body, law):
+    # every command solves at the solver's fixed tolerance; a valid tol line
+    # left in a config fails the run before any work, not silently
+    cfg = _write_config(tmp_path, f"{body}{law}tol = 1e-6\n")
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"config key 'tol': tolerance must lie in (0, 1), got {float(tol)}" in err
+    assert "unknown config key 'tol'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "figure1"])
+def test_grayscale_flag_is_a_usage_error(tmp_path, command):
+    # heatmaps have one palette, the diverging one
+    cfg = _write_config(tmp_path, "n = 8\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--grayscale"])
+    assert exc.value.code == 2
 
 
 def test_sample_gff_random_law_n256(tmp_path):
@@ -651,12 +658,16 @@ def test_unparsable_value_names_its_key(tmp_path, capsys, command, body, key):
     ("rates", "n = 8,16,32\nexperiment = synthetic\nfield = membrane\n", "field"),
     ("cov", "n = 8\nkset = 1,0\nM = 2\nnoise_replicates = 50\nexperiment = nope\n",
      "experiment"),
+    # a repeated mode's off-diagonal entry is its own variance, which would
+    # fail cov's 4-sigma assertion
+    ("cov", "n = 8\nkset = 1,0; 1,0\nM = 2\nnoise_replicates = 50\n", "kset"),
     ("figure1", "n = 16\nM = -3\n", "m"),
     ("figure1", "n = 16\nslope_tol = -1\n", "slope_tol"),
     # an int too large for the float arithmetic of the beta threshold
     ("figure1", f"n = 16\nd = {'9' * 400}\n", "d"),
 ], ids=["sample-beta", "sample-ahom", "sample-n", "ahom-kset", "ahom-m", "rates-mode_cutoff",
-        "rates-field", "cov-experiment", "figure1-m", "figure1-slope_tol", "figure1-d"])
+        "rates-field", "cov-experiment", "cov-kset-repeat", "figure1-m", "figure1-slope_tol",
+        "figure1-d"])
 def test_every_command_checks_every_key(tmp_path, capsys, command, body, key):
     # a bad value fails the run before any work, whether the command uses the key or not
     out = tmp_path / "o"

@@ -33,22 +33,22 @@ BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
 
 def test_fit_rate_exact_power_law():
-    slope, _, hw, t_hw = fit_rate([(n, n**-2.0) for n in (16, 32, 64, 128)])
+    slope, hw, t_hw = fit_rate([(n, n**-2.0) for n in (16, 32, 64, 128)])
     assert slope == pytest.approx(-2.0, abs=1e-12)
     assert hw < 1e-12
     assert t_hw < 1e-12
 
 
 def test_fit_rate_constant():
-    slope, _, _, _ = fit_rate([(n, 3.7) for n in (8, 16, 32)])
+    slope, _, _ = fit_rate([(n, 3.7) for n in (8, 16, 32)])
     assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_rate_log_corrected_power_law():
     pts = [(n, n**-2.0 * np.log(n)) for n in (16, 32, 64, 128, 256)]
-    raw, _, _, _ = fit_rate(pts)
+    raw, _, _ = fit_rate(pts)
     assert -2.0 < raw < -1.6
-    corrected, _, _, _ = fit_rate([(n, v / np.log(n)) for n, v in pts])
+    corrected, _, _ = fit_rate([(n, v / np.log(n)) for n, v in pts])
     assert corrected == pytest.approx(-2.0, abs=0.02)
 
 
@@ -64,11 +64,11 @@ def test_fit_rate_validation():
 def test_fit_rate_t_half_width():
     # 4 points leave 2 degrees of freedom: t_0.975 = 4.30, against the 2 of 2 SE
     pts = [(16, 1.0), (32, 0.3), (64, 0.06), (128, 0.02)]
-    slope, _, hw, t_hw = fit_rate(pts)
+    slope, hw, t_hw = fit_rate(pts)
     assert t_hw / hw == pytest.approx(4.302652729749462 / 2, rel=1e-14)
     rs = RateSeries.from_points("q", [(n, v, 0.0) for n, v in pts], log_correct=True)
     assert (rs.slope, rs.half_width, rs.t_half_width) == (slope, hw, t_hw)
-    assert rs.corrected[3] / rs.corrected[2] == pytest.approx(4.302652729749462 / 2)
+    assert rs.corrected[2] / rs.corrected[1] == pytest.approx(4.302652729749462 / 2)
 
 
 def test_t_quantile_matches_scipy():
@@ -105,6 +105,13 @@ def test_config_validation():
         ExperimentConfig(d=2, Ns=(8, 16), kset=((0, 0),))
     with pytest.raises(ValueError):
         ExperimentConfig(d=2, Ns=(8,), kset=((1, 0, 0),))
+
+
+def test_config_rejects_a_repeated_frequency():
+    with pytest.raises(ValueError, match="kset repeats a frequency"):
+        ExperimentConfig(d=2, Ns=(8,), kset=((1, 0), (0, 1), [1, 0]))
+    # k and -k are distinct modes
+    assert ExperimentConfig(d=2, Ns=(8,), kset=((1, 0), (-1, 0))).kset == ((1, 0), (-1, 0))
 
 
 @pytest.mark.parametrize("Ns", [(8, 16, 0), (0, 8, 16), (-4, 8, 16), (1, 8, 16)])
