@@ -14,8 +14,8 @@ command requires them)::
     [run]
     d = 2                         # dimension, >= 1; figure1 takes only 2
     N = 64                        # grid side, >= 2; figure1 defaults to 150
-                                  # (rates, cov: increasing comma list of sides
-                                  # >= 2, e.g. 8,16,32; cov uses the largest)
+                                  # (rates: increasing comma list of sides
+                                  # >= 2, e.g. 8,16,32)
     law = bernoulli(0.5,1,2)      # constant(c) | uniform(lo,hi) | bernoulli(p,a,b)
                                   # with finite atoms in [1, Lambda]; omit or
                                   # "homogeneous" for unit conductances;
@@ -361,7 +361,7 @@ def cmd_rates(args, cfg) -> int:
 
 
 def cmd_cov(args, cfg) -> int:
-    ecfg, _ = _read_run(args, cfg, one_side=False)
+    ecfg, _ = _read_run(args, cfg)
     t0 = time.time()
     report = gff_covariance_limit(ecfg)
     _write_csv(os.path.join(args.out, "covariance.csv"),
@@ -463,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI config file with a [run] section")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--heatmap", action="store_true", help="also write a P6 heatmap")
+    parser.add_argument("--heatmap", action="store_true",
+                        help="sample only: also write a P6 heatmap of the field (d = 2)")
     return parser
 
 
@@ -490,6 +491,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     made_out = not os.path.exists(args.out)
     try:
+        if args.heatmap and args.command != "sample":
+            raise ConfigError(f"--heatmap: only sample writes a heatmap, not {args.command}")
         cfg = load_config(args.config) if args.config else {}
         try:
             os.makedirs(args.out, exist_ok=True)

@@ -203,42 +203,36 @@ def _stencil(a: Conductances, v: np.ndarray, out: np.ndarray, flux: np.ndarray) 
     along the leading axes of ``v`` (trailing axes ``a.grid.shape``).
 
     ``flux`` is scratch space of the shape and dtype of ``out``; both are
-    overwritten, so an iterative solve can keep them for its whole run. Both
-    must be C-contiguous: the last axis runs as one pass over the flattened
-    stack, whose differences across row ends are then overwritten by the
-    wrap-round ones. Each field goes through the same elementwise operations
-    in the same order, so a stack maps bit for bit like its fields one at a
-    time. Raises ValueError for a non-contiguous ``out`` or ``flux``.
+    overwritten, so an iterative solve can keep them for its whole run.
+    Along axis i the flattened stack is a run of rows, each of N slabs of
+    R = N^(d-1-i) sites, so x + e_i lies R places on from x. Each operation
+    is one pass over the flattened arrays, and the wrap slab of every row
+    is then overwritten with the wrap-round values; this is why ``out`` and
+    ``flux`` must be C-contiguous. Each field goes through the same
+    elementwise operations in the same order, so a stack maps bit for bit
+    like its fields one at a time. Raises ValueError for a non-contiguous
+    ``out`` or ``flux``.
     """
     if not (out.flags.c_contiguous and flux.flags.c_contiguous):
         raise ValueError("the stencil's out and flux must be C-contiguous")
-    d = a.grid.d
-    out.fill(0)
-    for axis in range(d - 1):
-        # Index tuples for sites 0..N-2, 1..N-1, 0 and N-1 along this axis,
-        # counted from the trailing end so that leading stack axes pass.
-        head, tail, first, last = (
-            (Ellipsis, s) + (slice(None),) * (d - 1 - axis) for s in
-            (slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None)))
-        # flux(x) = a_i(x) (f(x) - f(x+e_i)), the last layer wrapping round
-        np.subtract(v[head], v[tail], out=flux[head])
-        np.subtract(v[last], v[first], out=flux[last])
-        flux *= a.weights[axis]
-        # out(x) += flux(x) - flux(x-e_i)
-        out += flux
-        out[tail] -= flux[head]
-        out[first] -= flux[last]
-    # the last axis, the same operations with the rows end to end: a
-    # difference or flux taken across a row end is replaced by the wrap's
+    N = a.grid.N
     flat_v, flat_out, flat_flux = v.reshape(-1), out.reshape(-1), flux.reshape(-1)
-    np.subtract(flat_v[:-1], flat_v[1:], out=flat_flux[:-1])
-    np.subtract(v[..., -1], v[..., 0], out=flux[..., -1])
-    flux *= a.weights[d - 1]
-    out += flux
-    row_start = out[..., 0].copy()
-    flat_out[1:] -= flat_flux[:-1]
-    np.subtract(row_start, flux[..., -1], out=out[..., 0])
-    out *= a.grid.N**2
+    out.fill(0)
+    for axis, w in enumerate(a.weights):
+        R = N ** (a.grid.d - 1 - axis)
+        rows_v = flat_v.reshape(-1, N * R)
+        rows_out = flat_out.reshape(-1, N * R)
+        rows_flux = flat_flux.reshape(-1, N * R)
+        # flux(x) = a_i(x) (f(x) - f(x+e_i)), the last slab wrapping round
+        np.subtract(flat_v[:-R], flat_v[R:], out=flat_flux[:-R])
+        np.subtract(rows_v[:, -R:], rows_v[:, :R], out=rows_flux[:, -R:])
+        flux *= w
+        # out(x) += flux(x) - flux(x-e_i), the first slab wrapping round
+        out += flux
+        row_start = rows_out[:, :R] - rows_flux[:, -R:]
+        flat_out[R:] -= flat_flux[:-R]
+        rows_out[:, :R] = row_start
+    out *= N**2
 
 
 def operator_matrix(a: Conductances) -> np.ndarray:

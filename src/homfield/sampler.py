@@ -84,14 +84,13 @@ def sample_gff(grid: TorusGrid, a: Conductances | None, seed,
     return inv_sqrt(grid, a, sample_noise(grid, seed), tol=tol)
 
 
-def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: np.ndarray,
-                       tol: float = DEFAULT_TOL) -> np.ndarray:
+def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: np.ndarray) -> np.ndarray:
     """The bi-Laplacian field u = A^(-1)(noise - mean(noise)), through
     :func:`homfield.solver.solve`, with A = -div a grad, or -Lap_N when
     ``a`` is None. Deterministic given (a, noise)."""
     if noise.shape != grid.shape:
         raise ValueError(f"noise of shape {noise.shape} does not fit grid {grid.shape}")
-    return solve(grid, a, noise - noise.mean(), tol)
+    return solve(grid, a, noise - noise.mean())
 
 
 def dump_field(sample: FieldSample, path) -> None:

@@ -66,6 +66,11 @@ CALLS = {
     "cov_N64": ("cov", f"N = 64\nlaw = {LAW}\nkset = 1,0; 0,1; 1,1; 2,0\nM = 2\n"
                 "noise_replicates = 50\n", []),
     "ahom_N128": ("ahom", f"d = 2\nN = 128\nM = 2\nlaw = {LAW}\n", []),
+    # d = 3, where the stencil has an axis that is neither first nor last
+    # (no dump: _field_dump reads the d = 2 Fourier modes)
+    "ahom_d3": ("ahom", f"d = 3\nN = 8\nM = 2\nlaw = {LAW}\n", []),
+    "rates_bilap_d3": ("rates", f"d = 3\nN = {LADDER}\nlaw = {LAW}\nbeta = 0.75\nM = 2\n"
+                       "mode_cutoff = 1\nahom = 1.4430\nexperiment = bilap\n", []),
 }
 MODES = ((1, 0), (0, 1), (1, 1))
 

@@ -141,9 +141,11 @@ def bilap_monte_carlo_point(cfg: ExperimentConfig, N: int) -> tuple:
 
 
 def stencil_by_slices(a, v: np.ndarray, out: np.ndarray, flux: np.ndarray) -> None:
-    """``environment._stencil`` as it was before its last axis ran as one
-    flattened pass: every axis, the last included, through slices of the
-    stack, in the same elementwise operations and order."""
+    """The operator of ``environment._stencil`` written with slices of the
+    stack instead of passes over its flattened arrays: along every axis the
+    differences and fluxes of the sites 0..N-2 and of the wrap-round layer,
+    in the same elementwise operations and order, so the two agree bit for
+    bit."""
     d = a.grid.d
     out.fill(0)
     for axis in range(d):

@@ -109,6 +109,21 @@ def test_sample_heatmap_beside_a_dump_in_an_hf_directory(tmp_path):
         "field_bilap_hom_N8_seed0.ppm.json", "runlog.jsonl"]
 
 
+@pytest.mark.parametrize("command, body", [
+    ("ahom", "n = 8\nM = 2\n"),
+    ("rates", "n = 8,16,32\nexperiment = synthetic\n"),
+    ("cov", "n = 8\nkset = 1,0\nM = 2\nnoise_replicates = 50\n"),
+    ("figure1", "n = 48\n"),
+], ids=["ahom", "rates", "cov", "figure1"])
+def test_heatmap_on_a_command_other_than_sample_is_config_error(tmp_path, capsys, command, body):
+    # only sample reads the flag; another command must not run and ignore it
+    cfg = _write_config(tmp_path, body)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--heatmap"]) == EXIT_CONFIG
+    assert "--heatmap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("law", ["uniform(1,inf)", "constant(inf)", "bernoulli(0.5,1,inf)"])
 def test_sample_non_finite_law_is_config_error(tmp_path, capsys, law):
     cfg = _write_config(tmp_path, f"n = 8\nlaw = {law}\nfield = bilap\n")
@@ -585,12 +600,12 @@ def test_rates_beta_zero_meets_the_threshold_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, body", [
-    ("rates", "experiment = pseudo\nkset = 1,0\n"),
-    ("cov", "kset = 1,0\nnoise_replicates = 50\n"),
+    ("rates", "n = 4,8,16\nexperiment = pseudo\nkset = 1,0\n"),
+    ("cov", "n = 16\nkset = 1,0\nnoise_replicates = 50\n"),
 ], ids=["rates-pseudo", "cov"])
 def test_beta_read_by_no_experiment_meets_only_the_bilap_threshold(tmp_path, command, body):
     # beta = 0.5 in d = 2 lies above d/4 - 1/2; neither command reads it
-    cfg = _write_config(tmp_path, f"n = 4,8,16\nlaw = bernoulli(0.5,1,2)\nM = 2\n"
+    cfg = _write_config(tmp_path, f"law = bernoulli(0.5,1,2)\nM = 2\n"
                                   f"ahom = 1.4\nbeta = 0.5\n{body}")
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
 
@@ -656,6 +671,8 @@ def test_unparsable_value_names_its_key(tmp_path, capsys, command, body, key):
     ("ahom", "n = 8\nlaw = constant(1.5)\nM = 1\n", "m"),
     ("rates", "n = 8,16,32\nexperiment = disc\nbeta = 0.75\nmode_cutoff = 0\n", "mode_cutoff"),
     ("rates", "n = 8,16,32\nexperiment = synthetic\nfield = membrane\n", "field"),
+    # cov computes at one side, so a ladder would run at its largest N unsaid
+    ("cov", "n = 8,16\nkset = 1,0\nM = 2\nnoise_replicates = 50\n", "n"),
     ("cov", "n = 8\nkset = 1,0\nM = 2\nnoise_replicates = 50\nexperiment = nope\n",
      "experiment"),
     # a repeated mode's off-diagonal entry is its own variance, which would
@@ -666,8 +683,8 @@ def test_unparsable_value_names_its_key(tmp_path, capsys, command, body, key):
     # an int too large for the float arithmetic of the beta threshold
     ("figure1", f"n = 16\nd = {'9' * 400}\n", "d"),
 ], ids=["sample-beta", "sample-ahom", "sample-n", "ahom-kset", "ahom-m", "rates-mode_cutoff",
-        "rates-field", "cov-experiment", "cov-kset-repeat", "figure1-m", "figure1-slope_tol",
-        "figure1-d"])
+        "rates-field", "cov-n", "cov-experiment", "cov-kset-repeat", "figure1-m",
+        "figure1-slope_tol", "figure1-d"])
 def test_every_command_checks_every_key(tmp_path, capsys, command, body, key):
     # a bad value fails the run before any work, whether the command uses the key or not
     out = tmp_path / "o"

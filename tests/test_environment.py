@@ -221,17 +221,18 @@ def test_apply_operator_matches_roll_stencil(d, N):
         assert np.array_equal(out, np.stack(outs))
 
 
-@pytest.mark.parametrize("N", [2, 5, 8])
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_one_pass_last_axis_equals_the_slice_stencil(d, N):
-    # the flattened last axis takes differences and fluxes across row ends
-    # and overwrites them; every output bit must be the slices' own
+def test_one_pass_every_axis_equals_the_slice_stencil(d, N):
+    # along every axis the flattened stack takes differences and fluxes
+    # across row ends and overwrites them; every output bit must be the
+    # slices' own, for a single field and stacks of one and two leading axes
     grid = TorusGrid(N, d)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 6)
     rng = np.random.default_rng(10 * d + N)
-    real = rng.standard_normal((4,) + grid.shape)
+    real = rng.standard_normal((2, 3) + grid.shape)
     for stack in (real, real + 1j * rng.standard_normal(real.shape)):
-        for v in (stack, stack[0]):
+        for v in (stack, stack[0], stack[0, 0]):
             want, got = np.empty_like(v), np.full(v.shape, np.nan, v.dtype)
             stencil_by_slices(a, v, want, np.empty_like(v))
             _stencil(a, v, got, np.full(v.shape, np.nan, v.dtype))
