@@ -32,7 +32,7 @@ command requires them)::
     seed = 0                      # master seed, >= 0; --seed overrides
     mode_cutoff = 2               # sup-norm truncation of mode sums (bilap),
                                   # >= 1; omit for the whole window
-    experiment = pseudo           # rates: pseudo | bilap | disc | synthetic
+    experiment = pseudo           # rates: pseudo | bilap | disc
                                   # (pseudo and bilap need a law)
     ahom = 1.4142135623730951     # effective coefficient, finite and > 0; omit
                                   # to estimate (announced on stderr)
@@ -81,7 +81,6 @@ from .solver import SolverError
 from .experiments import (
     CutoffError,
     ExperimentConfig,
-    RateSeries,
     bilap_error_rate,
     discretization_rate,
     gff_covariance_limit,
@@ -160,9 +159,6 @@ def _finite(cast, non_negative=False):
 
 
 RATE_EXPERIMENTS = {
-    # harness self-test: an exact power law injected instead of a measurement
-    "synthetic": lambda ecfg: RateSeries.from_points(
-        "synthetic_nm2", [(n, n**-2.0, 0.0) for n in ecfg.Ns]),
     "pseudo": pseudo_eigen_rate,
     "bilap": bilap_error_rate,
     "disc": discretization_rate,
@@ -344,14 +340,13 @@ def cmd_rates(args, cfg) -> int:
                ["quantity", "N", "value", "stderr"],
                [[series.quantity, n, repr(float(v)), repr(float(s))]
                 for n, v, s in series.points])
-    corrected, corrected_hw, corrected_t_hw = series.corrected or (None,) * 3
+    corrected, corrected_t_hw = series.corrected or (None,) * 2
     write_runlog(args, cfg, seed, t0, experiment=experiment, slope=series.slope,
-                 half_width=series.half_width, t_half_width=series.t_half_width,
-                 corrected_slope=corrected, corrected_half_width=corrected_hw,
+                 t_half_width=series.t_half_width, corrected_slope=corrected,
                  corrected_t_half_width=corrected_t_hw, **ahom_record)
     print(f"{series.quantity}: slope {series.slope:+.3f} "
-          f"(half-width {series.half_width:.3f})"
-          + (f", log-corrected {corrected:+.3f} (half-width {corrected_hw:.3f})"
+          f"(95% half-width {series.t_half_width:.3f})"
+          + (f", log-corrected {corrected:+.3f} (95% half-width {corrected_t_hw:.3f})"
              if series.corrected else ""))
     slope = series.slope if corrected is None else corrected
     # written so that a NaN slope fails the assertion

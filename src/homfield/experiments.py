@@ -87,10 +87,9 @@ def fit_rate(points) -> tuple:
     """Least-squares fit of log(value) against log(N).
 
     ``points`` is a sequence of (N, value) pairs with positive values, at
-    least three of them. Returns (slope, half_width, t_half_width), where
-    half_width is twice the standard error of the slope estimated from the
-    fit residuals, and t_half_width the 95 % t-quantile (len(points) - 2
-    degrees of freedom) times that standard error.
+    least three of them. Returns (slope, t_half_width): t_half_width is the
+    95 % t-quantile (len(points) - 2 degrees of freedom) times the slope's
+    standard error, estimated from the fit residuals.
     """
     points = sorted(points)
     if len(points) < 3:
@@ -111,16 +110,15 @@ def fit_rate(points) -> tuple:
     dof = len(points) - 2
     sigma2 = np.sum(resid**2) / dof
     stderr = float(np.sqrt(sigma2 / sxx))
-    return float(slope), 2.0 * stderr, _t975(dof) * stderr
+    return float(slope), _t975(dof) * stderr
 
 
 @dataclass(frozen=True)
 class RateSeries:
     """Measured values over an N ladder with the fitted log-log slope.
 
-    ``half_width`` is twice the slope's standard error and
-    ``t_half_width`` its 95 % t-quantile half-width (see :func:`fit_rate`).
-    ``corrected`` holds the (slope, half_width, t_half_width) fit of
+    ``t_half_width`` is the slope's 95 % t-quantile half-width (see
+    :func:`fit_rate`). ``corrected`` holds the (slope, t_half_width) fit of
     value / log(N), used in d = 2 where the bounds carry a log factor; it
     is None otherwise, and where fewer than 3 points leave the slope fields
     NaN. ``ahom`` is the effective coefficient the measured fields were
@@ -130,7 +128,6 @@ class RateSeries:
     quantity: str
     points: tuple  # of (N, value, stderr)
     slope: float
-    half_width: float
     t_half_width: float
     corrected: tuple = None
     ahom: float = None
@@ -140,7 +137,7 @@ class RateSeries:
                     ahom: float = None) -> "RateSeries":
         points = tuple(sorted(points))
         if len(points) < 3:
-            return cls(quantity, points, *(math.nan,) * 3, ahom=ahom)
+            return cls(quantity, points, *(math.nan,) * 2, ahom=ahom)
         fit = fit_rate([(n, v) for n, v, _ in points])
         corrected = None
         if log_correct:
@@ -246,7 +243,7 @@ def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> R
     d = 2. Under a point-mass law the values are at solver-tolerance level,
     so the fit is skipped: NaN slope fields."""
     if cfg.law.point_mass:
-        return RateSeries(quantity, tuple(points), *(math.nan,) * 3, ahom=ahom)
+        return RateSeries(quantity, tuple(points), *(math.nan,) * 2, ahom=ahom)
     return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2), ahom=ahom)
 
 
@@ -469,6 +466,11 @@ def _shell_tail_bound(d: int, p: float, kcut: int) -> float:
     return float(2 * d * 3 ** (d - 1) * kcut ** (1.0 - s) / (s - 1.0))
 
 
+# Frequencies that truncation_error scores at once, in whole slabs of the
+# cube's first axis: memory stays O(max(one slab, this many)).
+_TRUNCATION_BLOCK = 1 << 20
+
+
 def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     """Squared H^{-beta} mass of the continuum homogeneous bi-Laplacian
     field beyond the grid's frequency window.
@@ -476,15 +478,21 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     The discrete field has no coefficient at frequencies outside the window,
     so each such mode contributes exactly lambda_k^{-2 beta - 2} (Sobolev
     weight times the coefficient variance 1/lambda_k^2). The sum is
-    enumerated up to sup-norm kcut; the analytic remainder bound must stay
-    below 10% of the partial sum.
+    enumerated up to sup-norm kcut, a block of slabs of the frequency cube
+    at a time; the analytic remainder bound must stay below 10% of the
+    partial sum, else CutoffError.
     """
     ks = TorusGrid(2 * kcut + 1, d).coordinates()
     window = TorusGrid(N, d).coordinates_1d()
-    inside = functools.reduce(np.logical_and, [(c >= window[0]) & (c <= window[-1]) for c in ks])
-    lam = eigenvalue_continuum(ks)
-    lam = lam[~inside & (lam > 0)]
-    partial = float(np.sum(lam ** (-2.0 * beta - 2.0)))
+    rows = max(1, _TRUNCATION_BLOCK // (2 * kcut + 1) ** (d - 1))
+    partial = 0.0
+    for j in range(0, 2 * kcut + 1, rows):
+        block = (ks[0][j:j + rows],) + ks[1:]
+        inside = functools.reduce(
+            np.logical_and, [(c >= window[0]) & (c <= window[-1]) for c in block])
+        lam = eigenvalue_continuum(block)
+        lam = lam[~inside & (lam > 0)]
+        partial += float(np.sum(lam ** (-2.0 * beta - 2.0)))
     remainder = (4.0 * np.pi**2) ** (-2.0 * beta - 2.0) * _shell_tail_bound(
         d, 4.0 * beta + 4.0, kcut
     )
@@ -508,10 +516,22 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
     universal N^{-2} order whenever the mode sum converges, and is
     deliberately kept out of this fit so the truncation exponent remains
     identifiable.
+
+    Every size shares one cutoff: the smallest 2^j * 2 max(Ns), up to
+    16 max(Ns), whose remainder guard passes at the largest N, which has the
+    smallest partial sum. A doubling divides the remainder bound by
+    2^(4 beta + 4 - d) > 4 above the beta threshold; the partial sum grows.
     """
     _require_ladder(cfg)
     if cfg.beta is None:
         raise ValueError("discretization_rate needs a Sobolev order beta")
     kcut = 2 * max(cfg.Ns)
-    points = [(N, truncation_error(N, cfg.d, cfg.beta, kcut), 0.0) for N in cfg.Ns]
-    return RateSeries.from_points("truncation_sq_error", points)
+    while True:
+        try:
+            points = [(N, truncation_error(N, cfg.d, cfg.beta, kcut), 0.0)
+                      for N in reversed(cfg.Ns)]
+            return RateSeries.from_points("truncation_sq_error", points)
+        except CutoffError:
+            if kcut >= 16 * max(cfg.Ns):
+                raise
+            kcut *= 2

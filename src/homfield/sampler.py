@@ -20,7 +20,7 @@ import numpy as np
 # apply_operator stays bound here: perfbench's tracer test checks its wrapper.
 from .environment import Conductances, apply_operator  # noqa: F401
 from .lattice import LatticeField, TorusGrid, _rng
-from .solver import DEFAULT_TOL, inv_sqrt, solve
+from .solver import inv_sqrt, solve
 
 __all__ = [
     "FieldSample",
@@ -72,16 +72,16 @@ def coarsen(noise: np.ndarray, N: int) -> np.ndarray:
     return out * r ** (-grid.d / 2.0)
 
 
-def sample_gff(grid: TorusGrid, a: Conductances | None, seed,
-               tol: float = DEFAULT_TOL) -> np.ndarray:
+def sample_gff(grid: TorusGrid, a: Conductances | None, seed) -> np.ndarray:
     """Sample a discrete free field with covariance given by the Green's
     function of the (homogeneous or environment) operator.
 
     ``a=None`` selects the homogeneous field. The field is
-    :func:`homfield.solver.inv_sqrt` applied to seed-coupled white noise,
-    with ``tol`` passed through (it bounds the environment quadrature).
+    :func:`homfield.solver.inv_sqrt` applied to seed-coupled white noise at
+    the solver's DEFAULT_TOL; ``inv_sqrt(grid, a, sample_noise(grid, seed),
+    tol)`` draws the same field at another tolerance.
     """
-    return inv_sqrt(grid, a, sample_noise(grid, seed), tol=tol)
+    return inv_sqrt(grid, a, sample_noise(grid, seed))
 
 
 def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ CHANGES.md)::
     PYTHONPATH=src python tests/golden.py
 
 which prints every entry that moved beyond the comparison's tolerance,
-with its recorded and new value and, for a number, the relative change.
+with its recorded and new value and, for a number, the relative change,
+and rewrites only those: every value that still matches keeps its recorded
+text, so the file's diff shows the intended change alone.
 """
 
 import contextlib
@@ -34,9 +36,10 @@ import numpy as np
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 RTOL = 1e-10
-# A recorded 0.0 may be rounding noise on another platform, such as the half
-# width of the exact power law that the synthetic experiment fits: it
-# matches any value of magnitude up to ATOL.
+# A recorded 0.0 may be rounding noise on another platform, such as the
+# imaginary part of a covariance diagonal c conj(c), which a fused
+# multiply-add leaves at the rounding error of a product: it matches any
+# value of magnitude up to ATOL.
 ATOL = 1e-14
 
 LAW = "bernoulli(0.5,1,2)"
@@ -52,7 +55,6 @@ CALLS = {
     "rates_bilap_window": ("rates", f"N = {LADDER}\nlaw = {LAW}\nbeta = 0.75\nM = 2\n"
                            "ahom = 1.4142135623730951\nexperiment = bilap\n", []),
     "rates_disc": ("rates", f"N = {LADDER}\nbeta = 0.75\nexperiment = disc\n", []),
-    "rates_synthetic": ("rates", f"N = {LADDER}\nexperiment = synthetic\n", []),
     "cov": ("cov", f"N = 16\nlaw = {LAW}\nkset = 1,0; 0,1; 1,1\nM = 2\n"
             "noise_replicates = 50\n", []),
     "sample_gff_law": ("sample", f"N = 16\nlaw = {LAW}\nfield = gff\n", []),
@@ -146,11 +148,13 @@ def _change(actual, expected) -> str:
 def compare(actual, expected, where="") -> list:
     """Paths at which ``actual`` differs from ``expected``, each with the
     change from the expected to the actual value: floats beyond RTOL (ATOL
-    for a recorded 0.0), anything else when not equal."""
+    for a recorded 0.0), a key that only one side has, anything else when
+    not equal."""
     if isinstance(expected, dict) and isinstance(actual, dict):
-        if actual.keys() != expected.keys():
-            return [f"{where}: keys {sorted(actual)} != {sorted(expected)}"]
-        return [m for k in expected for m in compare(actual[k], expected[k], f"{where}/{k}")]
+        return ([f"{where}/{k}: {'added' if k in actual else 'removed'}"
+                 for k in sorted(actual.keys() ^ expected.keys())]
+                + [m for k in expected if k in actual
+                   for m in compare(actual[k], expected[k], f"{where}/{k}")])
     if isinstance(expected, list) and isinstance(actual, list):
         if len(actual) != len(expected):
             return [f"{where}: length {len(actual)} != {len(expected)}"]
@@ -166,6 +170,20 @@ def compare(actual, expected, where="") -> list:
     return []
 
 
+def keep_unmoved(actual, expected):
+    """``actual`` with every part that matches ``expected`` (``compare``
+    finds no change) replaced by the recorded part; keys and entries that
+    only one side has follow ``actual``."""
+    if not compare(actual, expected):
+        return expected
+    if isinstance(actual, dict) and isinstance(expected, dict):
+        return {k: keep_unmoved(v, expected[k]) if k in expected else v
+                for k, v in actual.items()}
+    if isinstance(actual, list) and isinstance(expected, list) and len(actual) == len(expected):
+        return [keep_unmoved(a, e) for a, e in zip(actual, expected)]
+    return actual
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -174,5 +192,6 @@ if __name__ == "__main__":
         recorded = collect(tmp)
     for change in compare(recorded, previous):
         print(change)
-    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    merged = keep_unmoved(recorded, previous)
+    GOLDEN.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN} ({len(recorded)} calls)", file=sys.stderr)

@@ -178,7 +178,7 @@ def test_criterion_7_sampler_correctness_oracles():
         grid8 = TorusGrid(8, 2)
         a8 = sample_environment(EnvironmentLaw.uniform(1, 2), grid8, 75)
         dense = solver._dense_power(a8, sample_noise(grid8, 76), -0.5)
-        quadrature = sample_gff(grid8, a8, 76, tol=1e-8)
+        quadrature = sample_gff(grid8, a8, 76)
         assert np.max(np.abs(dense - quadrature)) < 1e-4
 
 

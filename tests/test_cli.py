@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -7,9 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from homfield import cli, solver
+from homfield import cli, experiments, solver
 from homfield.environment import EnvironmentLaw
-from homfield.experiments import ExperimentConfig, pseudo_eigen_rate
+from homfield.experiments import (
+    CutoffError,
+    ExperimentConfig,
+    discretization_rate,
+    pseudo_eigen_rate,
+    truncation_error,
+)
 from homfield.homogenization import estimate_ahom
 from homfield.cli import (
     EXIT_ASSERT,
@@ -23,6 +30,9 @@ from homfield.cli import (
 )
 from homfield.sampler import load_field
 from reference import has_zero_mean, replicate_environments, residual_energies
+
+# a rates run that solves nothing: the closed-form disc ladder, slope -5.0956
+DISC = "n = 8,16,32\nexperiment = disc\nbeta = 0.75\n"
 
 
 def _write_config(tmp_path, body, name="run.ini"):
@@ -111,7 +121,7 @@ def test_sample_heatmap_beside_a_dump_in_an_hf_directory(tmp_path):
 
 @pytest.mark.parametrize("command, body", [
     ("ahom", "n = 8\nM = 2\n"),
-    ("rates", "n = 8,16,32\nexperiment = synthetic\n"),
+    ("rates", DISC),
     ("cov", "n = 8\nkset = 1,0\nM = 2\nnoise_replicates = 50\n"),
     ("figure1", "n = 48\n"),
 ], ids=["ahom", "rates", "cov", "figure1"])
@@ -166,22 +176,18 @@ def test_ahom_runlog_records_solve_telemetry(tmp_path):
     assert exact <= est.mean <= exact * (1 + 1e-8)
 
 
-def test_rates_synthetic_self_test(tmp_path):
-    cfg = _write_config(
-        tmp_path,
-        "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -2\nslope_tol = 0.001\n",
-    )
+def test_rates_disc_slope_gate_passes(tmp_path):
+    # disc is closed form and solves nothing: slope -5.0956 at these sizes
+    cfg = _write_config(tmp_path, f"{DISC}expect_slope = -5.0956\nslope_tol = 0.001\n")
     out = tmp_path / "o"
     assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_OK
     log = [json.loads(line) for line in (out / "runlog.jsonl").read_text().splitlines()]
-    assert log[-1]["slope"] == pytest.approx(-2.0, abs=1e-9)
+    assert log[-1]["slope"] == discretization_rate(
+        ExperimentConfig(d=2, beta=0.75, Ns=(8, 16, 32))).slope
 
 
 def test_rates_slope_assertion_failure(tmp_path):
-    cfg = _write_config(
-        tmp_path,
-        "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -3\nslope_tol = 0.1\n",
-    )
+    cfg = _write_config(tmp_path, f"{DISC}expect_slope = -3\nslope_tol = 0.1\n")
     assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_ASSERT
 
 
@@ -233,21 +239,22 @@ def test_rates_d2_records_the_corrected_fit(tmp_path, capsys):
     series = pseudo_eigen_rate(ExperimentConfig(
         d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16),
         kset=((1, 0),), replicates=2, ahom=2**0.5))
-    slope, hw, t_hw = series.corrected
+    slope, t_hw = series.corrected
     assert series.ahom == 2**0.5
     rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
-    assert (rec["corrected_slope"], rec["corrected_half_width"],
-            rec["corrected_t_half_width"]) == (slope, hw, t_hw)
-    assert f"log-corrected {slope:+.3f} (half-width {hw:.3f})" in capsys.readouterr().out
+    assert (rec["corrected_slope"], rec["corrected_t_half_width"]) == (slope, t_hw)
+    assert rec["t_half_width"] == series.t_half_width
+    assert not {"half_width", "corrected_half_width"} & rec.keys()
+    assert f"log-corrected {slope:+.3f} (95% half-width {t_hw:.3f})" in capsys.readouterr().out
 
-    body = "d = 1\nn = 8,16,32\nexperiment = synthetic\n"
-    assert main(["rates", "--config", _write_config(tmp_path, body, name="syn.ini"),
+    body = "d = 1\nn = 8,16,32\nexperiment = disc\nbeta = 0.75\n"
+    assert main(["rates", "--config", _write_config(tmp_path, body, name="d1.ini"),
                  "--out", str(out)]) == EXIT_OK
     rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
-    assert rec["corrected_half_width"] is None and rec["corrected_t_half_width"] is None
+    assert rec["corrected_slope"] is None and rec["corrected_t_half_width"] is None
 
 
-@pytest.mark.parametrize("experiment, ns", [("synthetic", "8,16,0"), ("disc", "0,8,16"),
+@pytest.mark.parametrize("experiment, ns", [("disc", "8,16,0"), ("disc", "0,8,16"),
                                              ("disc", "-4,8,16"), ("disc", "1,8,16")])
 def test_rates_ladder_size_below_two_is_config_error(tmp_path, capsys, experiment, ns):
     cfg = _write_config(tmp_path, f"n = {ns}\nexperiment = {experiment}\nbeta = 0.75\n")
@@ -256,7 +263,7 @@ def test_rates_ladder_size_below_two_is_config_error(tmp_path, capsys, experimen
     assert not list(tmp_path.glob("rates_*.csv"))
 
 
-@pytest.mark.parametrize("experiment", ["synthetic", "disc", "pseudo", "bilap"])
+@pytest.mark.parametrize("experiment", ["disc", "pseudo", "bilap"])
 def test_two_size_ladder_gives_a_nan_slope_in_every_experiment(tmp_path, experiment):
     # fewer than 3 sizes leave nothing to fit, whichever experiment measured
     # them; the runlog writes the NaN slope as null, which strict JSON allows
@@ -406,14 +413,16 @@ def test_sample_shifted_solve_cap_is_solver_failure(tmp_path, monkeypatch, capsy
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_disc_cutoff_too_small_is_numerical_failure(tmp_path, capsys):
-    # a valid beta > 0 whose tail the derived cutoff 2 max(N) cannot bound:
-    # a numerical failure after parsing, not a configuration error
-    cfg = _write_config(tmp_path, "experiment = disc\nd = 2\nn = 8,16,32\nbeta = 0.01\n")
+def test_disc_near_the_beta_threshold_doubles_its_cutoff(tmp_path):
+    # the first cutoff, 2 max(N) = 64, leaves a remainder bound of 0.24 of the
+    # partial sum at N = 32; the run doubles it once and fits the d - 4 - 4 beta slope
+    cfg = _write_config(tmp_path, "experiment = disc\nd = 3\nn = 8,16,32\nbeta = 0.35\n"
+                                  "expect_slope = -2.4\nslope_tol = 0.1\n")
     out = tmp_path / "out"
-    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
-    assert "numerical failure: spectral cutoff 64 too small at N=32" in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    with open(out / "rates_disc.csv", newline="") as fh:
+        values = [float(row["value"]) for row in csv.DictReader(fh)]
+    assert values == [truncation_error(N, 3, 0.35, kcut=128) for N in (8, 16, 32)]
 
 
 def test_configuration_too_large_for_memory_is_config_error(tmp_path, capsys):
@@ -426,18 +435,24 @@ def test_configuration_too_large_for_memory_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, body, code", [
-    ("rates", "experiment = disc\nd = 2\nn = 8,16,32\nbeta = 0.01\n", EXIT_SOLVER),
-    ("sample", "n = 16\nlaw = bernoulli(0.5,1,2)\nfield = gff\n", EXIT_SOLVER),
+def _cutoff_never_suffices(N, d, beta, kcut):
+    raise CutoffError(f"spectral cutoff {kcut} too small at N={N}")
+
+
+@pytest.mark.parametrize("command, body, label", [
+    ("rates", DISC, "numerical failure: spectral cutoff 512 too small at N=32"),
+    ("sample", "n = 16\nlaw = bernoulli(0.5,1,2)\nfield = gff\n", "solver failure"),
 ], ids=["numerical", "solver"])
-def test_failing_run_removes_the_out_directory_it_created(tmp_path, monkeypatch, command,
-                                                          body, code):
+def test_failing_run_removes_the_out_directory_it_created(tmp_path, monkeypatch, capsys,
+                                                          command, body, label):
     # every failure, not only a configuration error, takes back a fresh
-    # --out it left empty
+    # --out it left empty; disc gives up after its cutoff reached 16 max(N)
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
+    monkeypatch.setattr(experiments, "truncation_error", _cutoff_never_suffices)
     out = tmp_path / "fresh"
     cfg = _write_config(tmp_path, body)
-    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
+    assert label in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -446,7 +461,7 @@ def test_failing_run_removes_the_out_directory_it_created(tmp_path, monkeypatch,
     ("sample", "n = 8\nfield = bilap\n"),
     ("sample", "n = 8\nfield = gff\n"),
     ("cov", "n = 8\nkset = 1,0\nM = 2\nnoise_replicates = 50\n"),
-    ("rates", "n = 8,16,32\nexperiment = disc\nbeta = 0.75\n"),
+    ("rates", DISC),
 ], ids=["sample-bilap", "sample-gff", "cov", "rates-disc"])
 def test_leftover_tol_key_is_config_error(tmp_path, capsys, command, body, law):
     # every command solves at the solver's fixed tolerance; a valid tol line
@@ -567,7 +582,7 @@ def test_rates_missing_key_fails_before_estimating_ahom(tmp_path, capsys, experi
 
 
 @pytest.mark.parametrize("command, body, key", [
-    ("rates", "n = 8,16,32\nexperiment = synthetic\ntl = 1e-13\n", "tl"),
+    ("rates", f"{DISC}tl = 1e-13\n", "tl"),
     ("sample", "n = 8\nlaw = bernoulli(0.5,1,2)\nfield = gff\nbackend = dense\n", "backend"),
 ], ids=["misspelt", "retired"])
 def test_key_outside_the_grammar_is_config_error(tmp_path, capsys, command, body, key):
@@ -579,7 +594,7 @@ def test_key_outside_the_grammar_is_config_error(tmp_path, capsys, command, body
 
 
 @pytest.mark.parametrize("command, body, argv, key", [
-    ("rates", "n = 8,16,32\nexperiment = synthetic\nseed = -5\n", [], "config key 'seed'"),
+    ("rates", f"{DISC}seed = -5\n", [], "config key 'seed'"),
     ("ahom", "n = 8\nlaw = constant(1.5)\nM = 2\n", ["--seed", "-5"], "--seed"),
 ], ids=["config", "flag"])
 def test_negative_seed_is_config_error(tmp_path, capsys, command, body, argv, key):
@@ -635,7 +650,7 @@ def test_non_finite_or_non_positive_ahom_is_config_error(tmp_path, capsys, exper
 
 
 def test_rates_bad_expect_slope_fails_before_running(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "n = 8,16,32\nexperiment = synthetic\nexpect_slope = abc\n")
+    cfg = _write_config(tmp_path, f"{DISC}expect_slope = abc\n")
     out = tmp_path / "o"
     assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "expect_slope" in capsys.readouterr().err
@@ -648,14 +663,11 @@ def test_rates_bad_expect_slope_fails_before_running(tmp_path, capsys):
     ("sample", "n = 8\nlaw = constant(1,2)\n", "law"),
     ("cov", "n = 8\nkset = 1,0; 0,x\nM = 2\nnoise_replicates = 60\n", "kset"),
     # the rate gate's keys parse as floats but must be finite, slope_tol >= 0
-    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -2\nslope_tol = -1\n",
-     "slope_tol"),
-    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -2\nslope_tol = nan\n",
-     "slope_tol"),
-    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -2\nslope_tol = inf\n",
-     "slope_tol"),
-    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = nan\n", "expect_slope"),
-    ("rates", "n = 8,16,32\nexperiment = synthetic\nexpect_slope = -inf\n", "expect_slope"),
+    ("rates", f"{DISC}expect_slope = -2\nslope_tol = -1\n", "slope_tol"),
+    ("rates", f"{DISC}expect_slope = -2\nslope_tol = nan\n", "slope_tol"),
+    ("rates", f"{DISC}expect_slope = -2\nslope_tol = inf\n", "slope_tol"),
+    ("rates", f"{DISC}expect_slope = nan\n", "expect_slope"),
+    ("rates", f"{DISC}expect_slope = -inf\n", "expect_slope"),
 ])
 def test_unparsable_value_names_its_key(tmp_path, capsys, command, body, key):
     cfg = _write_config(tmp_path, body)
@@ -669,8 +681,8 @@ def test_unparsable_value_names_its_key(tmp_path, capsys, command, body, key):
     ("sample", "n = 8,16\n", "n"),
     ("ahom", "n = 8\nlaw = constant(1.5)\nM = 2\nkset = x\n", "kset"),
     ("ahom", "n = 8\nlaw = constant(1.5)\nM = 1\n", "m"),
-    ("rates", "n = 8,16,32\nexperiment = disc\nbeta = 0.75\nmode_cutoff = 0\n", "mode_cutoff"),
-    ("rates", "n = 8,16,32\nexperiment = synthetic\nfield = membrane\n", "field"),
+    ("rates", f"{DISC}mode_cutoff = 0\n", "mode_cutoff"),
+    ("rates", f"{DISC}field = membrane\n", "field"),
     # cov computes at one side, so a ladder would run at its largest N unsaid
     ("cov", "n = 8,16\nkset = 1,0\nM = 2\nnoise_replicates = 50\n", "n"),
     ("cov", "n = 8\nkset = 1,0\nM = 2\nnoise_replicates = 50\nexperiment = nope\n",
@@ -703,12 +715,11 @@ def test_rates_mode_cutoff_zero_is_config_error(tmp_path, capsys):
 
 
 def test_blank_value_counts_as_absent(tmp_path):
-    body = "n = 8,16,32\nexperiment = synthetic\n"
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    cfg = _write_config(tmp_path, body + "expect_slope =\nahom =\nseed =\n", name="blank.ini")
+    cfg = _write_config(tmp_path, DISC + "expect_slope =\nahom =\nseed =\n", name="blank.ini")
     assert main(["rates", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-    assert main(["rates", "--config", _write_config(tmp_path, body), "--out", str(out2)]) == EXIT_OK
-    assert (out1 / "rates_synthetic.csv").read_bytes() == (out2 / "rates_synthetic.csv").read_bytes()
+    assert main(["rates", "--config", _write_config(tmp_path, DISC), "--out", str(out2)]) == EXIT_OK
+    assert (out1 / "rates_disc.csv").read_bytes() == (out2 / "rates_disc.csv").read_bytes()
     assert json.loads((out1 / "runlog.jsonl").read_text())["seed"] == 0
 
 
@@ -725,7 +736,7 @@ def test_sample_checks_field_before_drawing_the_environment(tmp_path, capsys, mo
 @pytest.mark.parametrize("command, body, extra", [
     ("sample", "n = 8\nfield = gff\n", {"dump"}),
     ("ahom", "n = 8\nlaw = constant(1.5)\nM = 2\n", {"ahom_mean", "iterations"}),
-    ("rates", "n = 8,16,32\nexperiment = synthetic\n", {"experiment", "slope"}),
+    ("rates", DISC, {"experiment", "slope", "t_half_width"}),
     ("cov", "n = 8\nkset = 1,0; 0,1\nM = 2\nnoise_replicates = 60\n", {"fitted_constant"}),
     ("figure1", "n = 16\n", {"sign_tests", "passed"}),
 ])

@@ -2,9 +2,11 @@
 ``rates`` config either runs or ends in a documented exit code (0, 2, 3 or
 4), never in an exception.
 
-The config runs the ``synthetic`` experiment, and no single-byte edit of it
-names another experiment, so every example stays cheap. Needs hypothesis
-(the ``test`` extra); the module is skipped without it.
+The config runs the closed-form ``disc`` experiment in d = 2, and no
+single-byte edit of it names another experiment or sets d, so every example
+stays cheap: an edit that turns the second comma of ``4,5,6`` into a digit
+asks for N = 596, the largest ladder size in reach. Needs hypothesis (the
+``test`` extra); the module is skipped without it.
 """
 
 import pytest
@@ -14,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from homfield.cli import main  # noqa: E402
 
-VALID = (b"[run]\nd = 2\nn = 8,16,32\nexperiment = synthetic\n"
-         b"expect_slope = -2\nslope_tol = 0.001\n")
+VALID = (b"[run]\nn = 4,5,6\nexperiment = disc\nbeta = 0.75\n"
+         b"expect_slope = -5.57\nslope_tol = 0.01\n")
 EXIT_CODES = {0, 2, 3, 4}
 FUZZ = settings(max_examples=150, deadline=None, database=None)
 # Bytes that mean something to the INI grammar or to a number, drawn more
@@ -47,7 +49,7 @@ def test_truncated_config(paths, at):
 
 @FUZZ
 @given(at=st.integers(0, len(VALID) - 1), mask=st.integers(1, 255))
-@example(at=VALID.index(b"8,"), mask=ord("8") ^ ord("0"))  # n = 0,16,32
+@example(at=VALID.index(b"4,"), mask=ord("4") ^ ord("0"))  # n = 0,5,6
 def test_byte_flipped_config(paths, at, mask):
     data = bytearray(VALID)
     data[at] ^= mask
@@ -56,6 +58,6 @@ def test_byte_flipped_config(paths, at, mask):
 
 @FUZZ
 @given(at=st.integers(0, len(VALID)), byte=BYTES)
-@example(at=VALID.index(b"8,"), byte=ord("-"))  # n = -8,16,32
+@example(at=VALID.index(b"4,"), byte=ord("-"))  # n = -4,5,6
 def test_byte_inserted_config(paths, at, byte):
     assert _run(VALID[:at] + bytes([byte]) + VALID[at:], paths) in EXIT_CODES

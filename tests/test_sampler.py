@@ -55,7 +55,7 @@ def test_gff_backends_agree():
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
     dense = solver._dense_power(a, sample_noise(grid, 7), -0.5)
-    quadrature = sample_gff(grid, a, 7, tol=1e-10)
+    quadrature = solver.inv_sqrt(grid, a, sample_noise(grid, 7), 1e-10)
     assert np.max(np.abs(dense - quadrature)) < 1e-6
 
 
@@ -64,7 +64,7 @@ def test_gff_quadrature_rejects_bad_tolerance(tol):
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
     with pytest.raises(ValueError):
-        sample_gff(grid, a, 7, tol=tol)
+        solver.inv_sqrt(grid, a, sample_noise(grid, 7), tol)
 
 
 def test_sampled_fields_mean_zero():
