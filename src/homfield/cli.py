@@ -340,13 +340,15 @@ def cmd_rates(args, cfg) -> int:
                ["quantity", "N", "value", "stderr"],
                [[series.quantity, n, repr(float(v)), repr(float(s))]
                 for n, v, s in series.points])
-    corrected, corrected_t_hw = series.corrected or (None,) * 2
+    corrected, corrected_hw, corrected_chi2 = series.corrected or (None,) * 3
     write_runlog(args, cfg, seed, t0, experiment=experiment, slope=series.slope,
-                 t_half_width=series.t_half_width, corrected_slope=corrected,
-                 corrected_t_half_width=corrected_t_hw, **ahom_record)
+                 half_width=series.half_width, chi2=series.chi2, corrected_slope=corrected,
+                 corrected_half_width=corrected_hw, corrected_chi2=corrected_chi2,
+                 **ahom_record)
     print(f"{series.quantity}: slope {series.slope:+.3f} "
-          f"(95% half-width {series.t_half_width:.3f})"
-          + (f", log-corrected {corrected:+.3f} (95% half-width {corrected_t_hw:.3f})"
+          f"(95% half-width {series.half_width:.3f}, chi2 {series.chi2:.2f})"
+          + (f", log-corrected {corrected:+.3f} "
+             f"(95% half-width {corrected_hw:.3f}, chi2 {corrected_chi2:.2f})"
              if series.corrected else ""))
     slope = series.slope if corrected is None else corrected
     # written so that a NaN slope fails the assertion
@@ -369,9 +371,7 @@ def cmd_cov(args, cfg) -> int:
                 for j, kj in enumerate(report.kset)])
     max_z = report.max_offdiag_z()
     write_runlog(args, cfg, ecfg.seed, t0, fitted_constant=report.fitted_constant,
-                 max_offdiag_z=max_z,
-                 offdiag_frobenius=report.offdiag_frobenius(),
-                 offdiag_frobenius_exact=report.offdiag_frobenius(exact=True))
+                 max_offdiag_z=max_z, offdiag_frobenius_exact=report.offdiag_frobenius())
     print(f"fitted constant {report.fitted_constant:.5f}, "
           f"max off-diagonal |z| {max_z:.2f}")
     if max_z > 4.0:

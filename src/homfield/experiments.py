@@ -1,8 +1,9 @@
 """Monte-Carlo convergence experiments: pseudo-eigenfunction error rates,
 spectral covariance of the environment free field, coupled bi-Laplacian
 error norms, and the closed-form window-truncation error of the
-homogeneous field. Log-log slopes are fitted by ordinary least squares; in
-d = 2 the expected logarithmic correction is divided out before fitting.
+homogeneous field. Log-log slopes are fitted by ordinary least squares, with
+half-widths from the standard errors each ladder point carries; in d = 2 the
+expected logarithmic correction is divided out before fitting.
 Fields enter as formal coefficients c N^(d/2) (f, phi_k), c from
 :func:`formal_constant`; H^(-beta) norms weight mode k by lambda_k^(-2 beta).
 """
@@ -55,49 +56,33 @@ def formal_constant(kind: str, d: int) -> float:
 # rate fitting
 
 
-# 0.975 quantiles of Student's t with 3..30 degrees of freedom
-_T975 = (3.182446, 2.776445, 2.570582, 2.446912, 2.364624, 2.306004, 2.262157,
-         2.228139, 2.200985, 2.178813, 2.160369, 2.144787, 2.131450, 2.119905,
-         2.109816, 2.100922, 2.093024, 2.085963, 2.079614, 2.073873, 2.068658,
-         2.063899, 2.059539, 2.055529, 2.051831, 2.048407, 2.045230, 2.042272)
 _Z975 = 1.959963984540054  # the normal 0.975 quantile
 
 
-def _t975(dof: int) -> float:
-    """The 0.975 quantile of Student's t with ``dof`` degrees of freedom:
-    closed forms for 1 and 2, the table to 30, and beyond it the
-    Cornish-Fisher expansion of Abramowitz & Stegun 26.7.5 (error below
-    3e-8)."""
-    p = 0.975
-    if dof == 1:
-        return math.tan(math.pi * (p - 0.5))
-    if dof == 2:
-        return (2 * p - 1) / math.sqrt(2 * p * (1 - p))
-    if dof <= 30:
-        return _T975[dof - 3]
-    z = _Z975
-    terms = ((z**3 + z) / 4,
-             (5 * z**5 + 16 * z**3 + 3 * z) / 96,
-             (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384,
-             (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160)
-    return z + sum(g / dof**i for i, g in enumerate(terms, 1))
-
-
 def fit_rate(points) -> tuple:
-    """Least-squares fit of log(value) against log(N).
+    """Least-squares fit of log(value) against log(N), with the slope's
+    half-width taken from the points' own standard errors.
 
-    ``points`` is a sequence of (N, value) pairs with positive values, at
-    least three of them. Returns (slope, t_half_width): t_half_width is the
-    95 % t-quantile (len(points) - 2 degrees of freedom) times the slope's
-    standard error, estimated from the fit residuals.
+    ``points`` is a sequence of (N, value, stderr) triples with positive
+    values, at least three of them. The slope is the ordinary least-squares
+    one, sum c_i y_i with c_i = (x_i - xbar) / S_xx; the errors, taken as
+    known, do not weight it. Each point's log error is
+    sigma_i = stderr_i / value_i, so the slope's standard error is
+    sqrt(sum c_i^2 sigma_i^2). Returns (slope, half_width, chi2):
+    half_width is 1.96 of those standard errors, and chi2 is
+    sum (r_i / sigma_i)^2 over the fit's residuals r_i, the misfit that the
+    half-width leaves out (n - 2 on average for a power law with equal
+    errors). A NaN stderr (one replicate) leaves both NaN; zero errors
+    (closed-form points) give half_width 0 and a NaN chi2.
     """
     points = sorted(points)
     if len(points) < 3:
         raise ValueError(f"need at least 3 points for a rate fit, got {len(points)}")
-    ns = np.asarray([p[0] for p in points], dtype=float)
-    vals = np.asarray([p[1] for p in points], dtype=float)
+    ns, vals, errs = np.asarray(points, dtype=float).T
     if np.any(vals <= 0):
         raise ValueError("rate fits require strictly positive values")
+    if np.any(errs < 0):
+        raise ValueError("standard errors must not be negative")
     if np.any(np.diff(ns) <= 0):
         raise ValueError("N values must be strictly increasing")
     x = np.log(ns)
@@ -105,30 +90,33 @@ def fit_rate(points) -> tuple:
     xbar = x.mean()
     sxx = np.sum((x - xbar) ** 2)
     slope = np.sum((x - xbar) * (y - y.mean())) / sxx
-    intercept = y.mean() - slope * xbar
-    resid = y - (intercept + slope * x)
-    dof = len(points) - 2
-    sigma2 = np.sum(resid**2) / dof
-    stderr = float(np.sqrt(sigma2 / sxx))
-    return float(slope), _t975(dof) * stderr
+    resid = y - y.mean() - slope * (x - xbar)
+    sigma = errs / vals
+    half_width = _Z975 * float(np.sqrt(np.sum(((x - xbar) / sxx * sigma) ** 2)))
+    # written so that a NaN or zero error leaves chi2 NaN
+    chi2 = float(np.sum((resid / sigma) ** 2)) if np.all(sigma > 0) else math.nan
+    return float(slope), half_width, chi2
 
 
 @dataclass(frozen=True)
 class RateSeries:
     """Measured values over an N ladder with the fitted log-log slope.
 
-    ``t_half_width`` is the slope's 95 % t-quantile half-width (see
-    :func:`fit_rate`). ``corrected`` holds the (slope, t_half_width) fit of
-    value / log(N), used in d = 2 where the bounds carry a log factor; it
-    is None otherwise, and where fewer than 3 points leave the slope fields
-    NaN. ``ahom`` is the effective coefficient the measured fields were
-    compared against, None where none was used.
+    ``half_width`` and ``chi2`` are the slope's 95 % half-width from the
+    points' standard errors and the fit's chi-square (see :func:`fit_rate`).
+    ``corrected`` holds the (slope, half_width, chi2) fit of value / log(N),
+    used in d = 2 where the bounds carry a log factor; its points keep their
+    relative errors, so its half-width matches the plain fit's. It is None
+    otherwise, and where fewer than 3 points leave the fit fields NaN.
+    ``ahom`` is the effective coefficient the measured fields were compared
+    against, None where none was used.
     """
 
     quantity: str
     points: tuple  # of (N, value, stderr)
     slope: float
-    t_half_width: float
+    half_width: float
+    chi2: float
     corrected: tuple = None
     ahom: float = None
 
@@ -137,12 +125,11 @@ class RateSeries:
                     ahom: float = None) -> "RateSeries":
         points = tuple(sorted(points))
         if len(points) < 3:
-            return cls(quantity, points, *(math.nan,) * 2, ahom=ahom)
-        fit = fit_rate([(n, v) for n, v, _ in points])
+            return cls(quantity, points, *(math.nan,) * 3, ahom=ahom)
         corrected = None
         if log_correct:
-            corrected = fit_rate([(n, v / np.log(n)) for n, v, _ in points])
-        return cls(quantity, points, *fit, corrected, ahom)
+            corrected = fit_rate([(n, v / np.log(n), s / np.log(n)) for n, v, s in points])
+        return cls(quantity, points, *fit_rate(points), corrected, ahom)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +230,7 @@ def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> R
     d = 2. Under a point-mass law the values are at solver-tolerance level,
     so the fit is skipped: NaN slope fields."""
     if cfg.law.point_mass:
-        return RateSeries(quantity, tuple(points), *(math.nan,) * 2, ahom=ahom)
+        return RateSeries(quantity, tuple(points), *(math.nan,) * 3, ahom=ahom)
     return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2), ahom=ahom)
 
 
@@ -312,12 +299,10 @@ class CovarianceReport:
     fitted_constant: float
     exact_covariance: np.ndarray = field(repr=False)
 
-    def offdiag_frobenius(self, exact: bool = False) -> float:
-        """Frobenius mass of the off-diagonal entries. ``exact=True`` uses
-        the noise-exact covariance, removing the Monte-Carlo floor that
-        otherwise dominates this statistic."""
-        cov = self.exact_covariance if exact else self.covariance
-        off = cov - np.diag(np.diag(cov))
+    def offdiag_frobenius(self) -> float:
+        """Frobenius mass of the off-diagonal entries of the noise-exact
+        covariance, which carries no Monte-Carlo floor."""
+        off = self.exact_covariance - np.diag(np.diag(self.exact_covariance))
         return float(np.sqrt(np.sum(np.abs(off) ** 2)))
 
     def max_offdiag_z(self) -> float:
@@ -453,6 +438,10 @@ class CutoffError(RuntimeError):
     """A spectral cutoff too small for :func:`truncation_error`, on a valid config."""
 
 
+class _UnderflowError(CutoffError):
+    """Every term of :func:`truncation_error`'s sum underflows: no cutoff helps."""
+
+
 def _shell_tail_bound(d: int, p: float, kcut: int) -> float:
     """Upper bound on sum of |k|^{-p} over integer k with sup-norm > kcut.
 
@@ -480,7 +469,8 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     weight times the coefficient variance 1/lambda_k^2). The sum is
     enumerated up to sup-norm kcut, a block of slabs of the frequency cube
     at a time; the analytic remainder bound must stay below 10% of the
-    partial sum, else CutoffError.
+    partial sum, else CutoffError. A partial sum that underflows to 0 fails
+    too: every term beyond the cutoff is smaller still.
     """
     ks = TorusGrid(2 * kcut + 1, d).coordinates()
     window = TorusGrid(N, d).coordinates_1d()
@@ -496,6 +486,11 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     remainder = (4.0 * np.pi**2) ** (-2.0 * beta - 2.0) * _shell_tail_bound(
         d, 4.0 * beta + 4.0, kcut
     )
+    if partial == 0.0:
+        raise _UnderflowError(
+            f"every term lambda_k^(-2 beta - 2) outside the N={N} window underflows to 0 "
+            f"at beta={beta}: the truncation error lies below the floating-point range"
+        )
     if remainder > 0.1 * partial:
         raise CutoffError(
             f"spectral cutoff {kcut} too small at N={N}: remainder bound "
@@ -521,6 +516,8 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
     16 max(Ns), whose remainder guard passes at the largest N, which has the
     smallest partial sum. A doubling divides the remainder bound by
     2^(4 beta + 4 - d) > 4 above the beta threshold; the partial sum grows.
+    A partial sum that underflows to 0 raises at once, as doublings only add
+    smaller terms.
     """
     _require_ladder(cfg)
     if cfg.beta is None:
@@ -531,7 +528,7 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
             points = [(N, truncation_error(N, cfg.d, cfg.beta, kcut), 0.0)
                       for N in reversed(cfg.Ns)]
             return RateSeries.from_points("truncation_sq_error", points)
-        except CutoffError:
-            if kcut >= 16 * max(cfg.Ns):
+        except CutoffError as exc:
+            if isinstance(exc, _UnderflowError) or kcut >= 16 * max(cfg.Ns):
                 raise
             kcut *= 2

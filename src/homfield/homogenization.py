@@ -58,9 +58,9 @@ def _mean_energy(a: Conductances, chis) -> float:
 
 def _mean_stderr(values: np.ndarray) -> tuple:
     """Mean and standard error of the replicates stacked along the first
-    axis of ``values``; the error of a single replicate is 0."""
+    axis of ``values``; the error of a single replicate is unknown, NaN."""
     if len(values) < 2:
-        return values.mean(axis=0), np.zeros(values.shape[1:])
+        return values.mean(axis=0), np.full(values.shape[1:], np.nan)
     return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(len(values))
 
 

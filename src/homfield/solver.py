@@ -31,7 +31,7 @@ import numpy as np
 # apply_operator stays bound here only for perfbench's tracer test, which
 # checks its wrapper. That tracer no longer sees _pcg's stencil work; drop
 # the binding once ROADMAP item 7 counts stencil applications.
-from .environment import Conductances, _stencil, apply_operator, operator_matrix  # noqa: F401
+from .environment import Conductances, _stencil, apply_operator  # noqa: F401
 from .lattice import LatticeField, TorusGrid, eigenvalue_discrete
 
 __all__ = [
@@ -379,20 +379,6 @@ def _inv_sqrt_quadrature(lo: float, hi: float, tol: float) -> tuple:
     shifts = lo * (sn / cn) ** 2
     weights = 2.0 * math.sqrt(lo) * big_k / (math.pi * n) * dn / cn**2
     return shifts, weights
-
-
-def _dense_power(a: Conductances, values: np.ndarray, exponent: float) -> np.ndarray:
-    """A^exponent on the mean-zero subspace, applied to the fields stacked
-    along the leading axes of ``values``, from one ``eigh`` of the dense
-    operator matrix. Eigenvalues below 1e-10 of the largest span the
-    constant kernel and map to 0. An O(n^3) oracle for small grids; the
-    package itself does not call it."""
-    evals, evecs = np.linalg.eigh(operator_matrix(a))
-    keep = evals > 1e-10 * evals.max()
-    power = np.zeros_like(evals)
-    power[keep] = evals[keep] ** exponent
-    flat = values.reshape(-1, a.grid.n)
-    return (((flat @ evecs) * power) @ evecs.T).reshape(values.shape)
 
 
 def _check_tol(tol: float) -> None:

@@ -3,18 +3,18 @@ engine: the normalized l2 norm and the mean-zero test of a field, the
 delta right-hand side of a Green's-function column, one corrector solve,
 the environments of an ahom estimate and their per-axis energies from
 correctors solved to a tight residual, the full periodic matrix of an
-environment, A^(-1/2) solved one quadrature node at a time, one
-pseudo-eigenfunction solved on its own, the
-shared-noise Monte-Carlo estimate of the bi-Laplacian error norm that
-cross-checks the noise-exact one, and the operator stencil with every axis
-taken as strided slices, which the package's one-pass last axis must match
-bit for bit."""
+environment, a power of A from one dense eigendecomposition, A^(-1/2)
+solved one quadrature node at a time, one pseudo-eigenfunction solved on
+its own, the shared-noise Monte-Carlo estimate of the bi-Laplacian error
+norm that cross-checks the noise-exact one, and the operator stencil with
+every axis taken as strided slices, which the package's one-pass last axis
+must match bit for bit."""
 
 import dataclasses
 
 import numpy as np
 
-from homfield.environment import sample_environment
+from homfield.environment import operator_matrix, sample_environment
 from homfield.experiments import ExperimentConfig, _bilap_modes, _ladder, formal_constant
 from homfield.homogenization import corrector_rhs
 from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
@@ -90,6 +90,19 @@ def periodic_matrix(a, tol: float = DEFAULT_TOL) -> tuple:
     matrix = np.array([[sum(np.sum(w * gi * gj) for w, gi, gj in zip(a.weights, g_i, g_j))
                         for g_j in grads] for g_i in grads])
     return matrix / grid.n, chis
+
+
+def dense_power(a, values: np.ndarray, exponent: float) -> np.ndarray:
+    """A^exponent on the mean-zero subspace, applied to the fields stacked
+    along the leading axes of ``values``, from one ``eigh`` of the dense
+    operator matrix. Eigenvalues below 1e-10 of the largest span the
+    constant kernel and map to 0. An O(n^3) oracle for small grids."""
+    evals, evecs = np.linalg.eigh(operator_matrix(a))
+    keep = evals > 1e-10 * evals.max()
+    power = np.zeros_like(evals)
+    power[keep] = evals[keep] ** exponent
+    flat = values.reshape(-1, a.grid.n)
+    return (((flat @ evecs) * power) @ evecs.T).reshape(values.shape)
 
 
 def inv_sqrt_by_node(grid: TorusGrid, a, values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

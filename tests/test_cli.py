@@ -230,8 +230,8 @@ def test_rates_disc(tmp_path):
 
 
 def test_rates_d2_records_the_corrected_fit(tmp_path, capsys):
-    # in d = 2 expect_slope judges the log-corrected fit, so its half-widths
-    # go next to its slope; without a correction they are null
+    # in d = 2 expect_slope judges the log-corrected fit, so its half-width
+    # and chi2 go next to its slope; without a correction they are null
     out = tmp_path / "o"
     body = ("d = 2\nn = 4,8,16\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\n"
             "kset = 1,0\nM = 2\nahom = 1.4142135623730951\n")
@@ -239,19 +239,37 @@ def test_rates_d2_records_the_corrected_fit(tmp_path, capsys):
     series = pseudo_eigen_rate(ExperimentConfig(
         d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16),
         kset=((1, 0),), replicates=2, ahom=2**0.5))
-    slope, t_hw = series.corrected
+    slope, hw, chi2 = series.corrected
     assert series.ahom == 2**0.5
     rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
-    assert (rec["corrected_slope"], rec["corrected_t_half_width"]) == (slope, t_hw)
-    assert rec["t_half_width"] == series.t_half_width
-    assert not {"half_width", "corrected_half_width"} & rec.keys()
-    assert f"log-corrected {slope:+.3f} (95% half-width {t_hw:.3f})" in capsys.readouterr().out
+    assert (rec["corrected_slope"], rec["corrected_half_width"], rec["corrected_chi2"]) == (
+        slope, hw, chi2)
+    assert (rec["half_width"], rec["chi2"]) == (series.half_width, series.chi2)
+    assert not {"t_half_width", "corrected_t_half_width"} & rec.keys()
+    assert (f"log-corrected {slope:+.3f} (95% half-width {hw:.3f}, chi2 {chi2:.2f})"
+            in capsys.readouterr().out)
 
     body = "d = 1\nn = 8,16,32\nexperiment = disc\nbeta = 0.75\n"
     assert main(["rates", "--config", _write_config(tmp_path, body, name="d1.ini"),
                  "--out", str(out)]) == EXIT_OK
     rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
-    assert rec["corrected_slope"] is None and rec["corrected_t_half_width"] is None
+    assert all(rec[key] is None for key in
+               ("corrected_slope", "corrected_half_width", "corrected_chi2"))
+
+
+@pytest.mark.parametrize("body, half_width", [
+    # one replicate per size: every standard error is unknown
+    ("n = 4,8,16\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\nkset = 1,0\nM = 1\n"
+     "ahom = 1.4\n", None),
+    # closed-form points carry no error, so no half-width; chi2 is undefined
+    (DISC, 0.0),
+])
+def test_rates_half_width_of_unknown_and_exact_errors(tmp_path, body, half_width):
+    out = tmp_path / "o"
+    assert main(["rates", "--config", _write_config(tmp_path, body), "--out", str(out)]) == EXIT_OK
+    record = _strict_json((out / "runlog.jsonl").read_text())
+    assert record["slope"] is not None
+    assert record["half_width"] == half_width and record["chi2"] is None
 
 
 @pytest.mark.parametrize("experiment, ns", [("disc", "8,16,0"), ("disc", "0,8,16"),
@@ -313,7 +331,8 @@ def test_cov_runlog_records_exact_offdiag(tmp_path):
     out = tmp_path / "o"
     assert main(["cov", "--config", cfg, "--out", str(out)]) == EXIT_OK
     record = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
-    assert 0 <= record["offdiag_frobenius_exact"] < record["offdiag_frobenius"]
+    assert record["offdiag_frobenius_exact"] >= 0
+    assert "offdiag_frobenius" not in record
 
 
 def test_cov_conjugate_pair_is_two_modes(tmp_path):
@@ -423,6 +442,22 @@ def test_disc_near_the_beta_threshold_doubles_its_cutoff(tmp_path):
     with open(out / "rates_disc.csv", newline="") as fh:
         values = [float(row["value"]) for row in csv.DictReader(fh)]
     assert values == [truncation_error(N, 3, 0.35, kcut=128) for N in (8, 16, 32)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_disc_whose_terms_underflow_is_a_numerical_failure(tmp_path, capsys, monkeypatch, d):
+    # at beta = 40 every term lambda_k^(-82) outside the N = 32 window
+    # underflows to 0; a larger cutoff adds only smaller terms, so disc
+    # fails at its first cutoff, 2 max(N), instead of doubling to 16 max(N)
+    calls = []
+    truncation = experiments.truncation_error
+    monkeypatch.setattr(experiments, "truncation_error",
+                        lambda *args: calls.append(args) or truncation(*args))
+    cfg = _write_config(tmp_path, f"d = {d}\nn = 8,16,32\nexperiment = disc\nbeta = 40\n")
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    assert ("numerical failure: every term lambda_k^(-2 beta - 2) outside the N=32 window "
+            "underflows to 0" in capsys.readouterr().err)
+    assert calls == [(32, d, 40.0, 64)]
 
 
 def test_configuration_too_large_for_memory_is_config_error(tmp_path, capsys):
@@ -736,7 +771,7 @@ def test_sample_checks_field_before_drawing_the_environment(tmp_path, capsys, mo
 @pytest.mark.parametrize("command, body, extra", [
     ("sample", "n = 8\nfield = gff\n", {"dump"}),
     ("ahom", "n = 8\nlaw = constant(1.5)\nM = 2\n", {"ahom_mean", "iterations"}),
-    ("rates", DISC, {"experiment", "slope", "t_half_width"}),
+    ("rates", DISC, {"experiment", "slope", "half_width", "chi2"}),
     ("cov", "n = 8\nkset = 1,0; 0,1\nM = 2\nnoise_replicates = 60\n", {"fitted_constant"}),
     ("figure1", "n = 16\n", {"sign_tests", "passed"}),
 ])

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from homfield import experiments, solver
+from homfield import experiments
 from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.experiments import (
     CutoffError,
@@ -23,7 +23,7 @@ from homfield.experiments import (
 )
 from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
 from homfield.sampler import sample_gff
-from reference import bilap_monte_carlo_point, norm, pseudo_eigenfunction
+from reference import bilap_monte_carlo_point, dense_power, norm, pseudo_eigenfunction
 
 BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
@@ -33,58 +33,82 @@ BERNOULLI = EnvironmentLaw.bernoulli(0.5, 1, 2)
 
 
 def test_fit_rate_exact_power_law():
-    slope, t_hw = fit_rate([(n, n**-2.0) for n in (16, 32, 64, 128)])
+    slope, hw, chi2 = fit_rate([(n, n**-2.0, 0.01 * n**-2.0) for n in (16, 32, 64, 128)])
     assert slope == pytest.approx(-2.0, abs=1e-12)
-    assert t_hw < 1e-12
+    assert hw > 0  # from the points' errors, not from the fit's zero scatter
+    assert chi2 < 1e-20
 
 
 def test_fit_rate_constant():
-    slope, _ = fit_rate([(n, 3.7) for n in (8, 16, 32)])
+    slope, _, _ = fit_rate([(n, 3.7, 0.1) for n in (8, 16, 32)])
     assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_rate_log_corrected_power_law():
-    pts = [(n, n**-2.0 * np.log(n)) for n in (16, 32, 64, 128, 256)]
-    raw, _ = fit_rate(pts)
+    pts = [(n, n**-2.0 * np.log(n), 0.0) for n in (16, 32, 64, 128, 256)]
+    raw, _, _ = fit_rate(pts)
     assert -2.0 < raw < -1.6
-    corrected, _ = fit_rate([(n, v / np.log(n)) for n, v in pts])
+    corrected, _, _ = fit_rate([(n, v / np.log(n), 0.0) for n, v, _ in pts])
     assert corrected == pytest.approx(-2.0, abs=0.02)
 
 
 def test_fit_rate_validation():
     with pytest.raises(ValueError):
-        fit_rate([(8, 1.0), (16, 0.5)])
+        fit_rate([(8, 1.0, 0.1), (16, 0.5, 0.1)])
     with pytest.raises(ValueError):
-        fit_rate([(8, 1.0), (16, -0.5), (32, 0.1)])
+        fit_rate([(8, 1.0, 0.1), (16, -0.5, 0.1), (32, 0.1, 0.1)])
     with pytest.raises(ValueError):
-        fit_rate([(8, 1.0), (8, 0.5), (16, 0.2)])
+        fit_rate([(8, 1.0, 0.1), (8, 0.5, 0.1), (16, 0.2, 0.1)])
+    with pytest.raises(ValueError, match="must not be negative"):
+        fit_rate([(8, 1.0, 0.1), (16, 0.5, -0.1), (32, 0.2, 0.1)])
 
 
-def _slope_stderr(pts) -> float:
-    # numpy scales the fit covariance by the residuals over M - 2 degrees of freedom
-    x, y = np.log([p[0] for p in pts]), np.log([p[1] for p in pts])
-    return float(np.sqrt(np.polyfit(x, y, 1, cov=True)[1][0, 0]))
-
-
-def test_fit_rate_t_half_width():
-    # 4 points leave 2 degrees of freedom: t_0.975 = 4.30 standard errors
+def test_fit_rate_half_width_and_chi2():
+    # equal relative errors sigma: the slope's standard error is
+    # sigma / sqrt(S_xx), and chi2 is the residual sum of squares / sigma^2
     pts = [(16, 1.0), (32, 0.3), (64, 0.06), (128, 0.02)]
-    slope, t_hw = fit_rate(pts)
-    assert t_hw == pytest.approx(4.302652729749462 * _slope_stderr(pts), rel=1e-12)
-    rs = RateSeries.from_points("q", [(n, v, 0.0) for n, v in pts], log_correct=True)
-    assert (rs.slope, rs.t_half_width) == (slope, t_hw)
-    corrected = [(n, v / np.log(n)) for n, v in pts]
-    assert rs.corrected == fit_rate(corrected)
-    assert rs.corrected[1] == pytest.approx(4.302652729749462 * _slope_stderr(corrected),
-                                            rel=1e-12)
+    sigma = 0.05
+    slope, hw, chi2 = fit_rate([(n, v, sigma * v) for n, v in pts])
+    x, y = np.log([p[0] for p in pts]), np.log([p[1] for p in pts])
+    sxx = np.sum((x - x.mean()) ** 2)
+    fit, rss = np.polyfit(x, y, 1, full=True)[:2]
+    assert slope == pytest.approx(fit[0], rel=1e-12)
+    assert hw == pytest.approx(1.959963984540054 * sigma / np.sqrt(sxx), rel=1e-12)
+    assert chi2 == pytest.approx(rss[0] / sigma**2, rel=1e-9)
+    rs = RateSeries.from_points("q", [(n, v, sigma * v) for n, v in pts], log_correct=True)
+    assert (rs.slope, rs.half_width, rs.chi2) == (slope, hw, chi2)
+    # value / log N keeps each point's relative error, so the half-width too
+    assert rs.corrected == fit_rate([(n, v / np.log(n), sigma * v / np.log(n)) for n, v in pts])
+    assert rs.corrected[1] == pytest.approx(hw, rel=1e-12)
 
 
-def test_t_quantile_matches_scipy():
-    stats = pytest.importorskip("scipy.stats")
-    for dof in list(range(1, 61)) + [100, 1000, 10**6]:
-        ref = stats.t.ppf(0.975, dof)
-        tol = 1e-12 if dof <= 2 else 5e-7
-        assert experiments._t975(dof) == pytest.approx(ref, abs=tol)
+def test_fit_rate_unknown_and_exact_errors():
+    # one replicate leaves its error unknown (NaN); closed-form points have
+    # none (0): the slope stands, the half-width is NaN or 0, chi2 is NaN
+    ladder = [(n, n**-2.0 * (1 + 0.1 * (-1) ** i)) for i, n in enumerate((8, 16, 32, 64))]
+    slope, hw, chi2 = fit_rate([(n, v, math.nan) for n, v in ladder])
+    assert math.isfinite(slope) and math.isnan(hw) and math.isnan(chi2)
+    exact_slope, hw, chi2 = fit_rate([(n, v, 0.0) for n, v in ladder])
+    assert exact_slope == slope and hw == 0.0 and math.isnan(chi2)
+
+
+@pytest.mark.parametrize("unequal", [False, True])
+def test_fit_rate_interval_covers_the_true_slope(unequal):
+    # 4000 ladders from an exact power law with known Gaussian log-errors:
+    # the 95 % interval covers the true slope in 95 +- 2 % of them, and with
+    # equal errors chi2 averages its n - 2 degrees of freedom
+    rng = np.random.default_rng(1936)
+    ns = np.array([8, 16, 32, 64, 128])
+    sigma = np.array([0.08, 0.02, 0.05, 0.01, 0.03]) if unequal else np.full(5, 0.03)
+    covered, chi2s = 0, []
+    for _ in range(4000):
+        vals = 3.0 * ns**-2.0 * np.exp(sigma * rng.standard_normal(len(ns)))
+        slope, hw, chi2 = fit_rate(list(zip(ns, vals, sigma * vals)))
+        covered += abs(slope + 2.0) <= hw
+        chi2s.append(chi2)
+    assert abs(covered / 4000 - 0.95) <= 0.02
+    if not unequal:
+        assert np.mean(chi2s) == pytest.approx(len(ns) - 2, rel=0.05)
 
 
 def test_rate_series_from_points():
@@ -239,7 +263,9 @@ def test_bilap_exact_sum_pins_weights_and_scale(monkeypatch):
                            ahom=ahom, tol=tol, mode_cutoff=2, seed=3)
     res = bilap_error_rate(cfg)
     (a, value), = calls
-    assert res.points == ((N, value, 0.0),)
+    (n, mean, stderr), = res.points
+    # one replicate leaves the standard error unknown
+    assert (n, mean) == (N, value) and math.isnan(stderr)
     expected = 0.0
     for k in itertools.product(range(-2, 3), repeat=2):
         if not any(k):
@@ -450,7 +476,7 @@ def test_gff_covariance_homogeneous_exact_is_diagonal():
     lam = np.asarray([eigenvalue_discrete(8, k) for k in cfg.kset])
     expected = formal_constant("gff", 2) ** 2 / lam
     assert np.allclose(np.diag(rep.exact_covariance), expected, rtol=1e-12, atol=0)
-    assert rep.offdiag_frobenius(exact=True) < 1e-12 * expected.max()
+    assert rep.offdiag_frobenius() < 1e-12 * expected.max()
 
 
 def test_gff_covariance_quadrature_keeps_per_draw_realization():
@@ -470,7 +496,7 @@ def test_gff_covariance_quadrature_keeps_per_draw_realization():
             coeffs.append([scale * spec[grid.index_of(k)] for k in kset])
         # the noise-exact covariance from the eigh oracle's V = A^(-1/2) conj(phi_k)
         modes = np.stack([fourier_mode(grid, k).conj() for k in kset])
-        v = solver._dense_power(a, modes, -0.5).reshape(len(kset), -1) * scale / grid.n
+        v = dense_power(a, modes, -0.5).reshape(len(kset), -1) * scale / grid.n
         exacts.append(v @ v.conj().T)
     coeffs = np.asarray(coeffs)
     reference = np.mean(coeffs[:, :, None] * coeffs[:, None, :].conj(), axis=0)
@@ -493,7 +519,7 @@ def test_gff_covariance_quadrature_beyond_dense_limit():
     assert np.allclose(exact, exact.conj().T, rtol=0, atol=1e-14 * np.abs(exact).max())
     gap = np.abs(np.real(np.diag(rep.covariance)) - np.real(np.diag(exact)))
     assert np.all(gap < 4 * np.diag(rep.stderr))
-    assert np.isfinite(rep.offdiag_frobenius(exact=True))
+    assert np.isfinite(rep.offdiag_frobenius())
 
 
 def test_gff_covariance_insufficient_replicates():

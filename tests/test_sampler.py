@@ -17,7 +17,7 @@ from homfield.sampler import (
     sample_noise,
 )
 from homfield.solver import SolverError, solve_homogeneous
-from reference import delta_rhs, has_zero_mean
+from reference import delta_rhs, dense_power, has_zero_mean
 
 
 def test_noise_reproducible_and_standard():
@@ -54,7 +54,7 @@ def test_gff_backends_agree():
     # the quadrature sampler against the eigh oracle on the same noise
     grid = TorusGrid(8, 2)
     a = sample_environment(EnvironmentLaw.uniform(1, 2), grid, 3)
-    dense = solver._dense_power(a, sample_noise(grid, 7), -0.5)
+    dense = dense_power(a, sample_noise(grid, 7), -0.5)
     quadrature = solver.inv_sqrt(grid, a, sample_noise(grid, 7), 1e-10)
     assert np.max(np.abs(dense - quadrature)) < 1e-6
 
