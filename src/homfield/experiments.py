@@ -104,10 +104,11 @@ class RateSeries:
 
     ``half_width`` and ``chi2`` are the slope's 95 % half-width from the
     points' standard errors and the fit's chi-square (see :func:`fit_rate`).
-    ``corrected`` holds the (slope, half_width, chi2) fit of value / log(N),
-    used in d = 2 where the bounds carry a log factor; its points keep their
-    relative errors, so its half-width matches the plain fit's. It is None
-    otherwise, and where fewer than 3 points leave the fit fields NaN.
+    ``corrected`` holds the (slope, chi2) fit of value / log(N), used in
+    d = 2 where the bounds carry a log factor. Its points keep their
+    relative errors, and the half-width depends on those alone, so
+    ``half_width`` serves both fits. It is None otherwise, and where fewer
+    than 3 points leave the fit fields NaN.
     ``ahom`` is the effective coefficient the measured fields were compared
     against, None where none was used.
     """
@@ -128,7 +129,8 @@ class RateSeries:
             return cls(quantity, points, *(math.nan,) * 3, ahom=ahom)
         corrected = None
         if log_correct:
-            corrected = fit_rate([(n, v / np.log(n), s / np.log(n)) for n, v, s in points])
+            slope, _, chi2 = fit_rate([(n, v / np.log(n), s / np.log(n)) for n, v, s in points])
+            corrected = (slope, chi2)
         return cls(quantity, points, *fit_rate(points), corrected, ahom)
 
 
@@ -275,7 +277,7 @@ def pseudo_eigen_rate(cfg: ExperimentConfig) -> RateSeries:
         raise ValueError(f"pseudo_eigen_rate measures one mode: set kset to one "
                          f"frequency, got {len(cfg.kset)}")
     if cfg.law is None:
-        raise ValueError("pseudo_eigen_rate needs an environment law")
+        raise ValueError("pseudo_eigen_rate needs an environment law (config key 'law')")
     for N in cfg.Ns:  # the smallest window fails first, before ahom is estimated
         TorusGrid(N, cfg.d).check_frequency(cfg.kset[0])
     ahom = cfg.resolve_ahom()
@@ -341,7 +343,9 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
     _require_ladder(cfg)
     N, samples = max(cfg.Ns), cfg.noise_replicates
     if samples * cfg.replicates < 100:
-        raise ValueError("covariance estimation needs at least 100 replicates")
+        raise ValueError(f"covariance estimation needs at least 100 draws, config keys 'm' x "
+                         f"'noise_replicates' = {cfg.replicates} x {samples} = "
+                         f"{cfg.replicates * samples}")
     if not cfg.kset:
         raise ValueError("a nonempty k-set is required")
     grid = TorusGrid(N, cfg.d)
@@ -419,9 +423,9 @@ def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
     """
     _require_ladder(cfg)
     if cfg.beta is None:
-        raise ValueError("bilap_error_rate needs a Sobolev order beta")
+        raise ValueError("bilap_error_rate needs a Sobolev order (config key 'beta')")
     if cfg.law is None:
-        raise ValueError("bilap_error_rate needs an environment law")
+        raise ValueError("bilap_error_rate needs an environment law (config key 'law')")
     ahom = cfg.resolve_ahom()
     cb = formal_constant("bilap", cfg.d)
     modes = {N: _bilap_modes(cfg, N) for N in cfg.Ns}
@@ -521,7 +525,7 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
     """
     _require_ladder(cfg)
     if cfg.beta is None:
-        raise ValueError("discretization_rate needs a Sobolev order beta")
+        raise ValueError("discretization_rate needs a Sobolev order (config key 'beta')")
     kcut = 2 * max(cfg.Ns)
     while True:
         try:

@@ -19,22 +19,22 @@ import numpy as np
 
 from .environment import Conductances, EnvironmentLaw, sample_environment
 from .lattice import TorusGrid
-from .solver import DEFAULT_TOL, SolverError, _pcg, _replicates
+from .solver import DEFAULT_TOL, _pcg, _replicates
 
 __all__ = ["AhomEstimate", "estimate_ahom"]
 
 
 @dataclass(frozen=True)
 class AhomEstimate:
+    """Mean and standard error of the energy estimator over every one of
+    the M environments, PCG iterations summed over their corrector solves,
+    and the worst final relative residual among those solves, which stop on
+    their energy: about 1e-4 at tol 1e-8."""
+
     mean: float
     stderr: float
-    samples: int
-    failures: int = 0
-    # PCG iterations summed over the corrector solves of the replicates in
-    # the estimate, and the worst final relative residual among those
-    # solves, which stop on their energy: about 1e-4 at tol 1e-8
-    iterations: int = 0
-    max_residual: float = 0.0
+    iterations: int
+    max_residual: float
 
 
 def corrector_rhs(a: Conductances, axis: int) -> np.ndarray:
@@ -77,41 +77,26 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
     the master seed. They run one per CPU once one environment's weights
     (d N^d float64, as its corrector stack) fill a PCG chunk, in turn below
     that, and are read in replicate order, so the estimate does not depend
-    on the CPU count. Solver failures are tolerated up to M/2; failure
-    M//2 + 1 in replicate order aborts the estimate.
+    on the CPU count. A corrector solve that fails in any replicate fails
+    the estimate: the first SolverError in replicate order propagates, and
+    no partial mean over the other environments is formed.
     """
     if law is None:
-        raise ValueError("ahom needs an environment law")
+        raise ValueError("ahom needs an environment law (config key 'law')")
     if M < 2:
         raise ValueError(f"need at least 2 replicates, got {M}")
     grid = TorusGrid(N, d)
 
     def replicate(rep):
-        """(energy, iterations, worst residual) of replicate ``rep``, or its SolverError."""
+        """(energy, iterations, worst residual) of replicate ``rep``."""
         a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(10_000 + rep,)))
         rhs = np.empty((d,) + grid.shape)
         for axis in range(d):
             rhs[axis] = corrector_rhs(a, axis)
         counts = np.empty(d, np.int64)
-        try:
-            chis, report = _pcg(a, rhs, tol, out=rhs, iters=counts, energy=True)
-        except SolverError as exc:
-            return exc.with_traceback(None)  # the frames hold the solve's arrays
+        chis, report = _pcg(a, rhs, tol, out=rhs, iters=counts, energy=True)
         return _mean_energy(a, chis), int(counts.sum()), report.residual
 
-    values = []
-    failures = iterations = 0
-    max_residual = 0.0
-    for result in _replicates(grid, M, replicate):
-        if isinstance(result, SolverError):
-            failures += 1
-            if failures > M // 2:
-                raise result
-            continue
-        energy, its, residual = result
-        values.append(energy)
-        iterations += its
-        max_residual = max(max_residual, residual)
-    mean, stderr = _mean_stderr(np.asarray(values))
-    return AhomEstimate(float(mean), float(stderr), len(values), failures, iterations,
-                        max_residual)
+    energies, iterations, residuals = zip(*_replicates(grid, M, replicate))
+    mean, stderr = _mean_stderr(np.asarray(energies))
+    return AhomEstimate(float(mean), float(stderr), sum(iterations), max(residuals))

@@ -5,8 +5,9 @@ the environments of an ahom estimate and their per-axis energies from
 correctors solved to a tight residual, the full periodic matrix of an
 environment, a power of A from one dense eigendecomposition, A^(-1/2)
 solved one quadrature node at a time, one pseudo-eigenfunction solved on
-its own, the shared-noise Monte-Carlo estimate of the bi-Laplacian error
-norm that cross-checks the noise-exact one, and the operator stencil with
+its own and its two-scale expansion, the shared-noise Monte-Carlo
+estimate of the bi-Laplacian error norm that cross-checks the noise-exact
+one, and the operator stencil with
 every axis taken as strided slices, which the package's one-pass last axis
 must match bit for bit."""
 
@@ -124,6 +125,21 @@ def pseudo_eigenfunction(a, ahom: float, k, tol: float) -> np.ndarray:
     the nonzero mode k, from the public ``solve`` of its one field."""
     grid = a.grid
     return solve(grid, a, ahom * eigenvalue_discrete(grid.N, k) * fourier_mode(grid, k), tol)
+
+
+def two_scale_expansion(a, ahom: float, k, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The two-scale prediction (ahom / A_kk)(phi_k + sum_i chi_i grad_i phi_k)
+    of the pseudo-eigenfunction of the nonzero mode k, with the environment's
+    own correctors chi_i and periodic coefficient A_kk = khat . A khat in
+    the direction of k (both from :func:`periodic_matrix` at tol); grad_i is
+    the forward difference along axis i times N."""
+    grid = a.grid
+    matrix, chis = periodic_matrix(a, tol)
+    khat = np.asarray(k) / np.linalg.norm(k)
+    phi = fourier_mode(grid, k)
+    corrector = sum(chi * grid.N * (np.roll(phi, -1, axis=i) - phi)
+                    for i, chi in enumerate(chis))
+    return ahom / (khat @ matrix @ khat) * (phi + corrector)
 
 
 def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: float,

@@ -230,8 +230,9 @@ def test_rates_disc(tmp_path):
 
 
 def test_rates_d2_records_the_corrected_fit(tmp_path, capsys):
-    # in d = 2 expect_slope judges the log-corrected fit, so its half-width
-    # and chi2 go next to its slope; without a correction they are null
+    # in d = 2 expect_slope judges the log-corrected fit, so its chi2 goes
+    # next to its slope; its half-width is the plain fit's and is written
+    # once; without a correction the corrected fields are null
     out = tmp_path / "o"
     body = ("d = 2\nn = 4,8,16\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\n"
             "kset = 1,0\nM = 2\nahom = 1.4142135623730951\n")
@@ -239,22 +240,22 @@ def test_rates_d2_records_the_corrected_fit(tmp_path, capsys):
     series = pseudo_eigen_rate(ExperimentConfig(
         d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16),
         kset=((1, 0),), replicates=2, ahom=2**0.5))
-    slope, hw, chi2 = series.corrected
+    slope, chi2 = series.corrected
     assert series.ahom == 2**0.5
     rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
-    assert (rec["corrected_slope"], rec["corrected_half_width"], rec["corrected_chi2"]) == (
-        slope, hw, chi2)
+    assert (rec["corrected_slope"], rec["corrected_chi2"]) == (slope, chi2)
     assert (rec["half_width"], rec["chi2"]) == (series.half_width, series.chi2)
-    assert not {"t_half_width", "corrected_t_half_width"} & rec.keys()
-    assert (f"log-corrected {slope:+.3f} (95% half-width {hw:.3f}, chi2 {chi2:.2f})"
-            in capsys.readouterr().out)
+    assert not {"t_half_width", "corrected_t_half_width", "corrected_half_width"} & rec.keys()
+    stdout = capsys.readouterr().out
+    assert (f"log-corrected {slope:+.3f} (chi2 {chi2:.2f}), "
+            f"95% half-width {series.half_width:.3f}" in stdout)
+    assert stdout.count("half-width") == 1
 
     body = "d = 1\nn = 8,16,32\nexperiment = disc\nbeta = 0.75\n"
     assert main(["rates", "--config", _write_config(tmp_path, body, name="d1.ini"),
                  "--out", str(out)]) == EXIT_OK
     rec = json.loads((out / "runlog.jsonl").read_text().splitlines()[-1])
-    assert all(rec[key] is None for key in
-               ("corrected_slope", "corrected_half_width", "corrected_chi2"))
+    assert all(rec[key] is None for key in ("corrected_slope", "corrected_chi2"))
 
 
 @pytest.mark.parametrize("body, half_width", [
@@ -534,15 +535,49 @@ def test_rates_without_law_is_config_error(tmp_path, capsys, experiment, law):
         f"n = 8,16,32\nexperiment = {experiment}\nbeta = 0.75\nkset = 1,0\n{law}",
     )
     assert main(["rates", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "needs an environment law" in capsys.readouterr().err
+    assert "needs an environment law (config key 'law')" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("law", ["", "law = homogeneous\n"])
 def test_ahom_without_law_is_config_error(tmp_path, capsys, law):
     cfg = _write_config(tmp_path, f"n = 8\nM = 2\n{law}")
     assert main(["ahom", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "config error: ahom needs an environment law" in capsys.readouterr().err
+    assert ("config error: ahom needs an environment law (config key 'law')"
+            in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", ["bilap", "disc"])
+def test_rates_without_beta_is_config_error(tmp_path, capsys, experiment):
+    cfg = _write_config(tmp_path, f"n = 8,16,32\nexperiment = {experiment}\n"
+                                  "law = bernoulli(0.5,1,2)\nahom = 1.4\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "needs a Sobolev order (config key 'beta')" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cov_with_too_few_draws_names_both_keys(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "n = 8\nkset = 1,0\nM = 3\nnoise_replicates = 33\n")
+    out = tmp_path / "o"
+    assert main(["cov", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert ("at least 100 draws, config keys 'm' x 'noise_replicates' = 3 x 33 = 99"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_ahom_runlog_counts_every_replicate(tmp_path, capsys):
+    # a run that returns has solved all M environments: the record's
+    # samples is M and its failures 0, the two keys the benchmark checks
+    cfg = _write_config(tmp_path, "n = 8\nlaw = bernoulli(0.5,1,2)\nM = 3\n")
+    out = tmp_path / "o"
+    assert main(["ahom", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rec = _strict_json((out / "runlog.jsonl").read_text())
+    assert (rec["samples"], rec["failures"]) == (3, 0)
+    assert rec["iterations"] > 0 and 0 < rec["max_residual"] < 1
+    assert "(3 samples)" in capsys.readouterr().out
+    with open(out / "ahom.csv", newline="") as fh:
+        assert next(csv.DictReader(fh))["M"] == "3"
 
 
 def test_rates_reports_estimated_ahom(tmp_path, capsys):

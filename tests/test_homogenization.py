@@ -169,51 +169,41 @@ def test_estimate_ahom_validates_m():
         estimate_ahom(None, 16, 4, 0)
 
 
-def _fail_replicates(monkeypatch, failing):
-    """Make the corrector stack of each replicate in ``failing`` raise
-    SolverError (one _pcg call per replicate), and record the energies of
-    the replicates that are solved."""
-    pcg, energy, calls, energies = homogenization._pcg, _mean_energy, [], []
+def _fail_by_replicate(monkeypatch, module, failing, delayed=()):
+    """Make the solves of ``module`` (homogenization or experiments) in
+    each replicate in ``failing`` raise a SolverError naming it, after
+    0.1 s for those also in ``delayed``, keyed on the replicate's seed
+    (spawn key 10_000 + rep for ahom, (tag, rep) for a ladder) rather than
+    on the order of the _pcg calls, which threads leave open."""
+    sample, pcg = module.sample_environment, module._pcg
+    current = threading.local()
+
+    def keyed_sample(law, grid, seed):
+        current.rep = seed.spawn_key[-1] % 10_000
+        return sample(law, grid, seed)
 
     def failing_pcg(*args, **kwargs):
-        calls.append(len(calls))
-        if calls[-1] in failing:
-            raise SolverError("forced failure", None)
+        if current.rep in failing:
+            time.sleep(0.1 if current.rep in delayed else 0.0)
+            raise SolverError(f"forced failure in replicate {current.rep}", None)
         return pcg(*args, **kwargs)
 
-    def recorded_energy(a, chis):
-        energies.append(energy(a, chis))
-        return energies[-1]
-
-    monkeypatch.setattr(homogenization, "_pcg", failing_pcg)
-    monkeypatch.setattr(homogenization, "_mean_energy", recorded_energy)
-    return energies
+    monkeypatch.setattr(module, "sample_environment", keyed_sample)
+    monkeypatch.setattr(module, "_pcg", failing_pcg)
 
 
-@pytest.mark.parametrize("failing", [{1}, {0, 3, 5}])
-def test_estimate_ahom_tolerates_up_to_half_failed_replicates(monkeypatch, failing):
-    law, M = EnvironmentLaw.bernoulli(0.5, 1, 2), 6
-    with monkeypatch.context() as patch:
-        every = _fail_replicates(patch, set())
-        estimate_ahom(law, 8, M, seed=2)
-    rest = _fail_replicates(monkeypatch, failing)
-    est = estimate_ahom(law, 8, M, seed=2)
-    # the estimate is over the other replicates, drawn as without failures
-    assert rest == [v for rep, v in enumerate(every) if rep not in failing]
-    assert (est.failures, est.samples) == (len(failing), M - len(failing))
-    assert est.mean == float(np.mean(rest))
-    assert est.stderr == float(np.std(rest, ddof=1) / np.sqrt(len(rest)))
-
-
-def test_estimate_ahom_failure_past_half_is_solver_failure(tmp_path, monkeypatch):
-    # with M = 6, the fourth failure (M // 2 + 1) aborts the estimate
-    _fail_replicates(monkeypatch, {0, 1, 2, 3})
-    with pytest.raises(SolverError, match="forced failure"):
+def test_estimate_ahom_one_failed_replicate_is_solver_failure(tmp_path, monkeypatch, capsys):
+    # one failed corrector solve in six fails the estimate: no mean over
+    # the other five, and the command exits 3 and removes the --out it made
+    _fail_by_replicate(monkeypatch, homogenization, {4})
+    with pytest.raises(SolverError, match="in replicate 4$"):
         estimate_ahom(EnvironmentLaw.bernoulli(0.5, 1, 2), 8, 6, seed=2)
-    _fail_replicates(monkeypatch, {0, 1, 2, 3})
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nn = 8\nlaw = bernoulli(0.5,1,2)\nM = 6\nseed = 2\n")
-    assert main(["ahom", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    out = tmp_path / "o"
+    assert main(["ahom", "--config", str(cfg), "--out", str(out)]) == EXIT_SOLVER
+    assert "solver failure: forced failure in replicate 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _count_threads(monkeypatch):
@@ -245,7 +235,7 @@ def test_threaded_replicates_equal_serial_replicates(monkeypatch):
         made = _count_threads(monkeypatch)
         assert estimate_ahom(law, 128, 4, seed=3) == serial
         assert len(made) == cpus - 1
-    assert serial.samples == 4 and serial.failures == 0 and serial.iterations > 0
+    assert serial.iterations > 0
 
 
 @pytest.mark.parametrize("d, N", [(1, 4096), (2, 16)])
@@ -296,20 +286,7 @@ def test_threaded_ladder_raises_the_first_solver_error_in_replicate_order(monkey
     monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
     _on_cpus(monkeypatch, cpus)
     made = _count_threads(monkeypatch)
-    sample, pcg, current = experiments.sample_environment, experiments._pcg, threading.local()
-
-    def keyed_sample(law, grid, seed):
-        current.rep = seed.spawn_key[-1]
-        return sample(law, grid, seed)
-
-    def failing_pcg(*args, **kwargs):
-        if current.rep in (1, 3):
-            time.sleep(0.1 if current.rep == 1 else 0.0)
-            raise SolverError(f"forced failure in replicate {current.rep}", None)
-        return pcg(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "sample_environment", keyed_sample)
-    monkeypatch.setattr(experiments, "_pcg", failing_pcg)
+    _fail_by_replicate(monkeypatch, experiments, {1, 3}, delayed={1})
     cfg = ExperimentConfig(d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(8,),
                            kset=((1, 0),), replicates=6, ahom=1.5)
     with pytest.raises(SolverError, match="in replicate 1$"):
@@ -317,65 +294,17 @@ def test_threaded_ladder_raises_the_first_solver_error_in_replicate_order(monkey
     assert len(made) == cpus - 1
 
 
-def _fail_by_replicate(monkeypatch, failing):
-    """Make the corrector stack of each replicate in ``failing`` raise a
-    SolverError naming it, keyed on the replicate's seed rather than on the
-    order of the _pcg calls, which threads leave open; returns the energies
-    of the solved replicates by replicate."""
-    sample, pcg, energy = (homogenization.sample_environment, homogenization._pcg,
-                           _mean_energy)
-    current, energies = threading.local(), {}
-
-    def keyed_sample(law, grid, seed):
-        current.rep = seed.spawn_key[-1] - 10_000
-        return sample(law, grid, seed)
-
-    def failing_pcg(*args, **kwargs):
-        if current.rep in failing:
-            raise SolverError(f"forced failure in replicate {current.rep}", None)
-        return pcg(*args, **kwargs)
-
-    def recorded_energy(a, chis):
-        energies[current.rep] = energy(a, chis)
-        return energies[current.rep]
-
-    monkeypatch.setattr(homogenization, "sample_environment", keyed_sample)
-    monkeypatch.setattr(homogenization, "_pcg", failing_pcg)
-    monkeypatch.setattr(homogenization, "_mean_energy", recorded_energy)
-    return energies
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_threaded_replicates_tolerate_failures_as_serial(monkeypatch, cpus):
-    # the runner's rule lowered so that N=16 replicates go to threads
-    law, M = EnvironmentLaw.bernoulli(0.5, 1, 2), 6
-    monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
-    _on_cpus(monkeypatch, 1)
-    with monkeypatch.context() as patch:
-        every = _fail_by_replicate(patch, set())
-        clean = estimate_ahom(law, 16, M, seed=5)
-    _on_cpus(monkeypatch, cpus)
-    made = _count_threads(monkeypatch)
-    solved = _fail_by_replicate(monkeypatch, {0, 3, 5})
-    est = estimate_ahom(law, 16, M, seed=5)
-    assert len(made) == cpus - 1
-    rest = [every[rep] for rep in (1, 2, 4)]
-    assert solved == {rep: every[rep] for rep in (1, 2, 4)}
-    assert (est.failures, est.samples) == (3, 3)
-    assert est.mean == float(np.mean(rest))
-    assert est.stderr == float(np.std(rest, ddof=1) / np.sqrt(3))
-    assert 0 < est.iterations < clean.iterations
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_threaded_replicates_abort_at_the_same_failure(monkeypatch, cpus):
-    # with M = 6 the fourth failure in replicate order, replicate 4, aborts,
-    # whichever thread meets a failure first
+    # replicate 1 fails late and replicate 3 at once: on several CPUs 3
+    # fails first in time, and the estimate still raises 1's error
     monkeypatch.setattr(solver, "_CHUNK_BYTES", 1)
     _on_cpus(monkeypatch, cpus)
-    _fail_by_replicate(monkeypatch, {0, 2, 3, 4, 5})
-    with pytest.raises(SolverError, match="in replicate 4$"):
+    made = _count_threads(monkeypatch)
+    _fail_by_replicate(monkeypatch, homogenization, {1, 3}, delayed={1})
+    with pytest.raises(SolverError, match="in replicate 1$"):
         estimate_ahom(EnvironmentLaw.bernoulli(0.5, 1, 2), 16, 6, seed=5)
+    assert len(made) == cpus - 1
 
 
 def test_write_ahom_csv(tmp_path):
