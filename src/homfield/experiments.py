@@ -6,6 +6,7 @@ half-widths from the standard errors each ladder point carries; in d = 2 the
 expected logarithmic correction is divided out before fitting.
 Fields enter as formal coefficients c N^(d/2) (f, phi_k), c from
 :func:`formal_constant`; H^(-beta) norms weight mode k by lambda_k^(-2 beta).
+A Fourier mode phi_k enters the real-only solver as its cosine and sine rows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .lattice import (
     fourier_mode,
 )
 from .sampler import sample_noise
-from .solver import DEFAULT_TOL, _check_tol, _pcg, _replicates, inv_sqrt
+from .solver import (DEFAULT_TOL, _CHUNK_BYTES, _check_tol, _parallel, _pcg, _replicates,
+                     inv_sqrt)
 
 __all__ = [
     "RateSeries",
@@ -236,28 +238,28 @@ def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> R
     return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2), ahom=ahom)
 
 
-# Right-hand-side bytes that _pseudo_sq_error holds at once: 32 PCG chunks
-# keep every CPU busy, where a whole window's N^d / 2 modes would take
-# N^(2d) / 2 complex values (2.1 GB per environment at N=128).
-_PSEUDO_BATCH_BYTES = 8 * 1024 * 1024
-
-
 def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
     """Squared l2 distances between the pseudo-eigenfunctions
     u_k = A^(-1) (ahom lambda_k^(N) phi_k) of the modes ks in environment a
-    and their Fourier modes phi_k. Each batch of _PSEUDO_BATCH_BYTES is
-    formed, solved in place by one PCG stack and scored before the next; a
-    field's CG iterates, and so its distance, do not depend on the cut."""
-    grid, errs = a.grid, []
-    batch = max(1, _PSEUDO_BATCH_BYTES // (16 * grid.n))
-    for part in (ks[i:i + batch] for i in range(0, len(ks), batch)):
-        us = np.empty((len(part),) + grid.shape, np.complex128)
-        for u, k in zip(us, part):
-            np.multiply(ahom * eigenvalue_discrete(grid.N, k), fourier_mode(grid, k), out=u)
-        _pcg(a, us, tol, out=us)
-        errs += [float(np.sum(np.abs(u - fourier_mode(grid, k)) ** 2) / grid.n)
-                 for k, u in zip(part, us)]
-    return errs
+    and their Fourier modes phi_k, from the real and imaginary parts of
+    u_k: the solutions for the cosine and sine rows of phi_k. Groups of
+    modes whose rows fill one PCG chunk go through the work queue, each
+    formed, solved in place and scored against the same phi_k: memory holds
+    a group per CPU, not a whole window."""
+    grid = a.grid
+    group = max(1, _CHUNK_BYTES // (16 * grid.n))
+    parts = [ks[i:i + group] for i in range(0, len(ks), group)]
+
+    def score(j):
+        modes = np.stack([fourier_mode(grid, k) for k in parts[j]])
+        phis = np.stack([modes.real, modes.imag], axis=1)     # (cos, sin) rows of each phi_k
+        scale = ahom * eigenvalue_discrete(grid.N, np.transpose(parts[j]))
+        us = phis * scale.reshape((-1,) + (1,) * (grid.d + 1))
+        rows = us.reshape((-1,) + grid.shape)
+        _pcg(a, rows, tol, out=rows)
+        return [float(np.sum((u - phi) ** 2) / grid.n) for u, phi in zip(us, phis)]
+
+    return [err for errs in _parallel(len(parts), score) for err in errs]
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +339,8 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
     v_k = A^(-1/2) conj(phi_k) form V, every draw's coefficients come from
     a product with V, and the noise-exact covariance is proportional to
     V V^H. V comes from one :func:`homfield.solver.inv_sqrt` call per
-    environment at cfg.tol, and the noise of each draw is the one
-    :func:`homfield.sampler.sample_gff` would draw.
+    environment at cfg.tol on the real and imaginary rows of conj(phi_k),
+    and each draw's noise is the one :func:`homfield.sampler.sample_gff` draws.
     """
     _require_ladder(cfg)
     N, samples = max(cfg.Ns), cfg.noise_replicates
@@ -350,13 +352,15 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
         raise ValueError("a nonempty k-set is required")
     grid = TorusGrid(N, cfg.d)
     scale = formal_constant("gff", cfg.d) * grid.N ** (grid.d / 2.0) / grid.n
-    modes = np.stack([fourier_mode(grid, k).conj() for k in cfg.kset])
+    phis = np.stack([fourier_mode(grid, k) for k in cfg.kset])
+    rows = np.concatenate([phis.real, -phis.imag])     # conj(phi_k) = cos - i sin
 
     def environment(env_idx):
         """The draws' coefficients and the noise-exact covariance of one environment."""
         a = (None if cfg.law is None
              else sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx)))
-        v = inv_sqrt(grid, a, modes, tol=cfg.tol).reshape(len(modes), -1)
+        re, im = inv_sqrt(grid, a, rows, tol=cfg.tol).reshape(2, len(phis), -1)
+        v = re + 1j * im
         # One draw at a time keeps memory at |kset| x N^d, not samples x N^d.
         block = scale * np.stack([
             v @ sample_noise(grid, np.random.SeedSequence(
@@ -431,6 +435,8 @@ def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
     modes = {N: _bilap_modes(cfg, N) for N in cfg.Ns}
     points = _ladder(cfg, 100, lambda a, rep: _bilap_exact_in_noise(
         a, ahom, *modes[a.grid.N], cb, cfg.tol))
+    for N, value, _ in points:
+        _require_normal("the bi-Laplacian squared error", N, value, cfg.beta)
     return _rate_series(cfg, "bilap_sq_error", points, ahom)
 
 
@@ -439,11 +445,20 @@ def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
 
 
 class CutoffError(RuntimeError):
-    """A spectral cutoff too small for :func:`truncation_error`, on a valid config."""
+    """A numerical failure on a valid config: a spectral cutoff too small for
+    :func:`truncation_error`, or a rate value below the normal floats."""
 
 
 class _UnderflowError(CutoffError):
-    """Every term of :func:`truncation_error`'s sum underflows: no cutoff helps."""
+    """A rate value below the normal floats: no larger cutoff helps disc."""
+
+
+def _require_normal(quantity: str, N: int, value: float, beta: float) -> None:
+    """Raise _UnderflowError, naming beta, for a ladder value that a large
+    beta leaves subnormal or 0: its fit would read lost digits."""
+    if value < np.finfo(float).tiny:
+        raise _UnderflowError(f"{quantity} at N={N} is {value:.3g} at beta={beta}, below "
+                              f"the normal floating-point range: its rate cannot be fitted")
 
 
 def _shell_tail_bound(d: int, p: float, kcut: int) -> float:
@@ -473,8 +488,8 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     weight times the coefficient variance 1/lambda_k^2). The sum is
     enumerated up to sup-norm kcut, a block of slabs of the frequency cube
     at a time; the analytic remainder bound must stay below 10% of the
-    partial sum, else CutoffError. A partial sum that underflows to 0 fails
-    too: every term beyond the cutoff is smaller still.
+    partial sum, else CutoffError. A partial sum below the normal floats
+    fails too: every term beyond the cutoff is smaller still.
     """
     ks = TorusGrid(2 * kcut + 1, d).coordinates()
     window = TorusGrid(N, d).coordinates_1d()
@@ -490,11 +505,7 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     remainder = (4.0 * np.pi**2) ** (-2.0 * beta - 2.0) * _shell_tail_bound(
         d, 4.0 * beta + 4.0, kcut
     )
-    if partial == 0.0:
-        raise _UnderflowError(
-            f"every term lambda_k^(-2 beta - 2) outside the N={N} window underflows to 0 "
-            f"at beta={beta}: the truncation error lies below the floating-point range"
-        )
+    _require_normal("the truncation error", N, partial, beta)
     if remainder > 0.1 * partial:
         raise CutoffError(
             f"spectral cutoff {kcut} too small at N={N}: remainder bound "
@@ -520,8 +531,8 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
     16 max(Ns), whose remainder guard passes at the largest N, which has the
     smallest partial sum. A doubling divides the remainder bound by
     2^(4 beta + 4 - d) > 4 above the beta threshold; the partial sum grows.
-    A partial sum that underflows to 0 raises at once, as doublings only add
-    smaller terms.
+    A partial sum below the normal floats raises at once, as doublings only
+    add smaller terms.
     """
     _require_ladder(cfg)
     if cfg.beta is None:

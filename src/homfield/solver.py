@@ -1,16 +1,17 @@
 """The two powers A^(-1) and A^(-1/2) of A = -div a grad (A = -Lap_N without
 an environment) on the mean-zero subspace of the torus.
 
-:func:`solve` (A^(-1)) and :func:`inv_sqrt` (A^(-1/2)) take fields stacked
-along leading axes; a complex field maps as its real and imaginary parts,
-so every FFT is a real one. Without an environment they are exact. With
-one, conjugate gradient on the mean-zero subspace, preconditioned by the
-homogeneous spectral inverse, solves one stack: the right-hand sides, or
-for :func:`inv_sqrt` all the shifted solves of a quadrature, each field
-with its own shift and stopping test, in chunks of at most 256 KiB. Each
-field's iterates do not depend on the chunking or on the thread count, up
-to the last bits of the inner products. The test is on the relative
-residual, or for ahom's correctors on the energy error.
+:func:`solve` (A^(-1)) and :func:`inv_sqrt` (A^(-1/2)) take real fields
+stacked along leading axes, so every FFT is a real one; a complex field,
+such as a Fourier mode, enters as two rows, its real and imaginary parts.
+Without an environment they are exact. With one, conjugate gradient on the
+mean-zero subspace, preconditioned by the homogeneous spectral inverse,
+solves one stack: the right-hand sides, or for :func:`inv_sqrt` all the
+shifted solves of a quadrature, each field with its own shift and stopping
+test, in chunks of at most 256 KiB. Each field's iterates do not depend
+on the chunking or on the thread count, up to the last bits of the inner
+products. The test is on the relative residual, or for ahom's correctors
+on the energy error.
 
 One in-order work queue, :func:`_parallel`, hands out the chunks of a stack
 to every CPU the process may use. :func:`_replicates` holds the one rule for
@@ -100,26 +101,30 @@ def _spectral_apply(values: np.ndarray, mult: np.ndarray, spec: np.ndarray = Non
     their trailing ``d`` axes (by default ``mult.ndim``): fields stacked
     along leading axes map one by one, and a stack of multipliers along
     those axes, one per field or one row for all, passes ``d``. The
-    multiplier is even in k, so its product with the half spectrum of real
-    values keeps the Hermitian symmetry that makes the result real; complex
-    values map as their real and imaginary parts.
+    multiplier is even in k, so its product with the half spectrum of the
+    real values keeps the Hermitian symmetry that makes the result real.
 
     ``spec`` (complex, the shape of the half spectrum) and ``out`` are
-    optional buffers for real values that an iterative solve keeps for its
-    whole run. The half spectrum is transformed back in place, one axis at
-    a time in the axis order of ``np.fft.irfftn``, so the result equals its
-    bit for bit.
+    optional buffers that an iterative solve keeps for its whole run. The
+    half spectrum is transformed back in place, one axis at a time in the
+    axis order of ``np.fft.irfftn``, so the result equals its bit for bit.
     """
-    if np.iscomplexobj(values):
-        out = np.empty(values.shape, np.complex128)
-        out.real, out.imag = (_spectral_apply(v, mult, d=d) for v in (values.real, values.imag))
-        return out
     axes = tuple(range(-(d or mult.ndim), 0))
     spec = np.fft.rfftn(values, axes=axes, out=spec)
     spec *= mult
     for axis in axes[:-1]:
         np.fft.ifft(spec, axis=axis, out=spec)
     return np.fft.irfft(spec, n=values.shape[-1], axis=-1, out=out)
+
+
+def _check_fields(grid: TorusGrid, a: Conductances | None, values: np.ndarray) -> None:
+    """Reject complex fields (a complex field enters as two rows, its real and
+    imaginary parts), fields off ``grid`` or not finite, and ``a`` off ``grid``."""
+    if np.iscomplexobj(values):
+        raise ValueError("the solver takes real fields: split a complex one into two rows")
+    grid.check_fields(values)
+    if a is not None and a.grid != grid:
+        raise ValueError("environment grid mismatch")
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,10 +207,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     number for the whole stack, or an array of one per field of ``b``.
 
     Since -Lap_N <= A <= Lambda (-Lap_N), the preconditioned condition number
-    is at most Lambda for every shift. A, the preconditioner and every shift
-    are real, so a chunk of complex fields iterates as a float64 stack of
-    shape (fields, 2, *grid), each field's real and imaginary parts sharing
-    its step lengths, stopping test and iteration count, as in Hermitian CG.
+    is at most Lambda for every shift.
 
     A stack of more than _CHUNK_BYTES is cut into consecutive chunks of
     max(1, _CHUNK_BYTES // field bytes) fields, so that the arrays of a step
@@ -221,7 +223,7 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     preconditioner zeroes the mean mode and every operator output sums to
     zero; x is centred once on return.
 
-    ``out``, of the shape of ``b`` and the dtype of x, receives x when
+    ``out``, a float64 array of the shape of ``b``, receives x when
     given. It may be ``b`` itself: each chunk is read before its rows are
     overwritten, so a caller done with its right-hand sides saves a stack.
     ``iters``, an integer array of length ``len(b)``, receives the
@@ -233,32 +235,24 @@ def _pcg(a: Conductances, b: np.ndarray, tol: float, shift: float | np.ndarray =
     solution's (Arioli, Numer. Math. 97, 2004).
 
     Returns (x, report), the report holding the largest iteration count and
-    the worst final residual of the stack. Raises ValueError for a tol
-    outside (0, 1) or a shift array not of shape ``(len(b),)``, and
-    SolverError when the cap of default_max_iterations is hit before every
-    relative residual of a chunk reaches tol, with the report of the first
-    such chunk in stack order.
+    the worst final residual of the stack. Raises ValueError for fields
+    :func:`_check_fields` rejects, a tol outside (0, 1) or a shift array not
+    of shape ``(len(b),)``, and SolverError when the cap of
+    default_max_iterations is hit before every relative residual of a chunk
+    reaches tol, with the report of the first such chunk in stack order.
     """
+    _check_fields(a.grid, a, b)
     _check_tol(tol)
     shift = np.asarray(shift, np.float64)
     if shift.shape not in ((), (len(b),)):
         raise ValueError(f"shifts of shape {shift.shape} for a stack of {len(b)} fields")
     shift = np.broadcast_to(shift, len(b))
-    x = np.empty(b.shape, np.result_type(b, np.float64)) if out is None else out
+    x = np.empty(b.shape) if out is None else out
     iters = np.empty(len(b), np.int64) if iters is None else iters
-    chunk = max(1, _CHUNK_BYTES // (a.grid.n * x.itemsize))
-    starts = range(0, len(b), chunk)
-
-    def solve_chunk(j):
-        rows = slice(starts[j], starts[j] + chunk)
-        if np.isrealobj(x):
-            return _pcg_chunk(a, b[rows], tol, shift[rows], x[rows], iters[rows], energy)
-        pair = np.stack([b[rows].real, b[rows].imag], axis=1)
-        report = _pcg_chunk(a, pair, tol, shift[rows], pair, iters[rows], energy)
-        x[rows].real, x[rows].imag = pair[:, 0], pair[:, 1]
-        return report
-
-    reports = _parallel(len(starts), solve_chunk)
+    chunk = max(1, _CHUNK_BYTES // (8 * a.grid.n))
+    rows = [slice(start, start + chunk) for start in range(0, len(b), chunk)]
+    reports = _parallel(len(rows), lambda j: _pcg_chunk(
+        a, b[rows[j]], tol, shift[rows[j]], x[rows[j]], iters[rows[j]], energy))
     return x, SolveReport(max((r.iterations for r in reports), default=0),
                           max((r.residual for r in reports), default=0.0))
 
@@ -267,8 +261,7 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: np.ndarray,
                out: np.ndarray, iters: np.ndarray, energy: bool) -> SolveReport:
     """The loop of :func:`_pcg` for one chunk of its stack, with one shift
     per field; writes the solutions into ``out`` and the iteration counts
-    into ``iters``, and returns the chunk's report. The fields are float64;
-    a field's parts along the axes before the grid's are centred one by one.
+    into ``iters``, and returns the chunk's report.
 
     Every per-field quantity is a stack of rows along the first axis:
     iterates, residuals, norms, shifts and preconditioner multipliers.
@@ -280,9 +273,9 @@ def _pcg_chunk(a: Conductances, b: np.ndarray, tol: float, shift: np.ndarray,
     """
     grid = a.grid
     axes = tuple(range(-grid.d, 0))
-    col = (-1,) + (1,) * (b.ndim - 1)     # one coefficient per field
+    col = (-1,) + (1,) * grid.d           # one coefficient per field
     shift = (shift[:1] if np.all(shift == shift[0]) else shift).reshape(col)
-    rows = [_spectral_multiplier(grid, -1.0, s)[(None,) * (b.ndim - grid.d)] for s in shift.flat]
+    rows = [_spectral_multiplier(grid, -1.0, s)[None] for s in shift.flat]
     precond = rows[0] if len(rows) == 1 else np.concatenate(rows)  # a shared row: a view
     maxiter = default_max_iterations(grid)
     r = np.array(b, dtype=np.float64)
@@ -390,9 +383,8 @@ def _check_tol(tol: float) -> None:
 def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Apply A^(-1/2) on the mean-zero subspace to the fields stacked along
-    the leading axes of ``values`` (trailing axes ``grid.shape``, real or
-    complex), with A = -Lap_N when ``a`` is None. Returns the mean-zero
-    images.
+    the leading axes of ``values`` (real, trailing axes ``grid.shape``),
+    with A = -Lap_N when ``a`` is None. Returns the mean-zero images.
 
     Without an environment the images are exact, from the FFT, which zeroes
     the mean mode. With one they sum w_j (A + s_j)^(-1) z over the nodes of
@@ -402,24 +394,22 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     stopping test, in place. The nodes are computed once per call for the
     interval [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum
     of A on the mean-zero subspace because every weight lies in [1, Lambda].
-    Raises ValueError when the trailing axes of ``values`` are not
-    ``grid.shape`` or a value is not finite.
+    Raises ValueError, before any work, for fields that
+    :func:`_check_fields` rejects: complex, off ``grid`` or not finite.
     """
-    grid.check_fields(values)
+    _check_fields(grid, a, values)
     if a is None:
         return _spectral_apply(values, _spectral_multiplier(grid, -0.5, 0.0))
-    if a.grid != grid:
-        raise ValueError("environment grid mismatch")
     _check_tol(tol)
     lo = eigenvalue_discrete(grid.N, (1,))
     hi = 4.0 * grid.d * a.ellipticity * grid.N**2
     shifts, weights = _inv_sqrt_quadrature(lo, hi, tol)
     fields = values.reshape((-1,) + grid.shape)
-    stack = np.empty((len(shifts),) + fields.shape, np.result_type(fields, np.float64))
+    stack = np.empty((len(shifts),) + fields.shape)
     stack[...] = fields
     nodes = stack.reshape((-1,) + grid.shape)
     _pcg(a, nodes, tol, shift=np.repeat(shifts, len(fields)), out=nodes)
-    out = np.zeros(fields.shape, stack.dtype)
+    out = np.zeros(fields.shape)
     for w, x in zip(weights, stack):
         out += np.multiply(x, w, out=x)
     return out.reshape(values.shape)
@@ -431,9 +421,7 @@ def solve(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     :func:`inv_sqrt` takes them: exact by FFT for A = -Lap_N (``a`` None),
     one PCG stack to relative residual tol with an environment. Raises
     ValueError as :func:`inv_sqrt` does, and when any field is not mean-zero."""
-    grid.check_fields(values)
-    if a is not None and a.grid != grid:
-        raise ValueError("environment grid mismatch")
+    _check_fields(grid, a, values)
     _require_mean_zero(grid, values)
     if a is None:
         return _spectral_apply(values, _spectral_multiplier(grid, -1.0, 0.0))

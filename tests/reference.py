@@ -5,7 +5,8 @@ the environments of an ahom estimate and their per-axis energies from
 correctors solved to a tight residual, the full periodic matrix of an
 environment, a power of A from one dense eigendecomposition, A^(-1/2)
 solved one quadrature node at a time, one pseudo-eigenfunction solved on
-its own and its two-scale expansion, the shared-noise Monte-Carlo
+its own as the cosine and sine rows of its mode and its two-scale
+expansion, the shared-noise Monte-Carlo
 estimate of the bi-Laplacian error norm that cross-checks the noise-exact
 one, and the operator stencil with
 every axis taken as strided slices, which the package's one-pass last axis
@@ -109,11 +110,11 @@ def dense_power(a, values: np.ndarray, exponent: float) -> np.ndarray:
 def inv_sqrt_by_node(grid: TorusGrid, a, values: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """A^(-1/2) with an environment as ``solver.inv_sqrt`` sums it, over the
     same quadrature nodes in the same order, but with one PCG stack of the
-    fields per node, solved one node after another."""
+    real fields per node, solved one node after another."""
     lo = eigenvalue_discrete(grid.N, (1,))
     hi = 4.0 * grid.d * a.ellipticity * grid.N**2
     fields = values.reshape((-1,) + grid.shape)
-    out = np.zeros(fields.shape, np.result_type(fields, np.float64))
+    out = np.zeros(fields.shape)
     for s, w in zip(*_inv_sqrt_quadrature(lo, hi, tol)):
         out += w * _pcg(a, fields, tol, shift=s)[0]
     out = out.reshape(values.shape)
@@ -122,9 +123,12 @@ def inv_sqrt_by_node(grid: TorusGrid, a, values: np.ndarray, tol: float = DEFAUL
 
 def pseudo_eigenfunction(a, ahom: float, k, tol: float) -> np.ndarray:
     """The pseudo-eigenfunction u_k = A^(-1) (ahom lambda_k^(N) phi_k) of
-    the nonzero mode k, from the public ``solve`` of its one field."""
+    the nonzero mode k, from the public ``solve`` of the cosine and sine
+    rows of its right-hand side, as u_k's real and imaginary parts."""
     grid = a.grid
-    return solve(grid, a, ahom * eigenvalue_discrete(grid.N, k) * fourier_mode(grid, k), tol)
+    rhs = ahom * eigenvalue_discrete(grid.N, k) * fourier_mode(grid, k)
+    re, im = solve(grid, a, np.stack([rhs.real, rhs.imag]), tol)
+    return re + 1j * im
 
 
 def two_scale_expansion(a, ahom: float, k, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -445,20 +445,36 @@ def test_disc_near_the_beta_threshold_doubles_its_cutoff(tmp_path):
     assert values == [truncation_error(N, 3, 0.35, kcut=128) for N in (8, 16, 32)]
 
 
+@pytest.mark.parametrize("beta", [39, 40])
 @pytest.mark.parametrize("d", [2, 3])
-def test_disc_whose_terms_underflow_is_a_numerical_failure(tmp_path, capsys, monkeypatch, d):
+def test_disc_whose_terms_underflow_is_a_numerical_failure(tmp_path, capsys, monkeypatch, d,
+                                                           beta):
     # at beta = 40 every term lambda_k^(-82) outside the N = 32 window
-    # underflows to 0; a larger cutoff adds only smaller terms, so disc
-    # fails at its first cutoff, 2 max(N), instead of doubling to 16 max(N)
+    # underflows to 0, and at beta = 39 their sum is subnormal (2.7e-320 in
+    # d = 2); a larger cutoff adds only smaller terms, so disc fails at its
+    # first cutoff, 2 max(N), instead of doubling to 16 max(N)
     calls = []
     truncation = experiments.truncation_error
     monkeypatch.setattr(experiments, "truncation_error",
                         lambda *args: calls.append(args) or truncation(*args))
-    cfg = _write_config(tmp_path, f"d = {d}\nn = 8,16,32\nexperiment = disc\nbeta = 40\n")
+    cfg = _write_config(tmp_path, f"d = {d}\nn = 8,16,32\nexperiment = disc\nbeta = {beta}\n")
     assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
-    assert ("numerical failure: every term lambda_k^(-2 beta - 2) outside the N=32 window "
-            "underflows to 0" in capsys.readouterr().err)
-    assert calls == [(32, d, 40.0, 64)]
+    assert re.search(rf"numerical failure: the truncation error at N=32 is \S+ at "
+                     rf"beta={beta}\.0, below the normal floating-point range",
+                     capsys.readouterr().err)
+    assert calls == [(32, d, float(beta), 64)]
+
+
+@pytest.mark.parametrize("beta, value", [(95, "6.72e-310"), (120, "0")])
+def test_bilap_whose_weights_underflow_is_a_numerical_failure(tmp_path, capsys, beta, value):
+    # the weights lambda_k^(-2 beta) leave every point subnormal at
+    # beta = 95 and 0 at beta = 120, on a config that passes every check
+    cfg = _write_config(tmp_path, f"experiment = bilap\nn = 8,16,32\nlaw = bernoulli(0.5,1,2)\n"
+                                  f"m = 2\nmode_cutoff = 1\nahom = 1.4142135623730951\n"
+                                  f"beta = {beta}\n")
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
+    assert (f"numerical failure: the bi-Laplacian squared error at N=8 is {value} at "
+            f"beta={beta}.0, below the normal floating-point range" in capsys.readouterr().err)
 
 
 def test_configuration_too_large_for_memory_is_config_error(tmp_path, capsys):

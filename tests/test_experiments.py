@@ -215,7 +215,8 @@ def test_resolve_ahom_estimates_at_the_configured_tol(monkeypatch):
 
 
 def test_stacked_pseudo_errors_equal_one_mode_results():
-    # 12 complex modes at N=64 go through the stacked PCG in 3 chunks
+    # the cosine and sine rows of 12 modes at N=64 go through the PCG in 3
+    # groups of 4 modes, one chunk each
     grid = TorusGrid(64, 2)
     a = sample_environment(BERNOULLI, grid, 4)
     ahom = np.sqrt(2.0)
@@ -230,27 +231,39 @@ def test_stacked_pseudo_errors_equal_one_mode_results():
         assert own == pytest.approx(err, rel=1e-14, abs=0)
 
 
-def test_pseudo_errors_solve_batches_within_the_byte_budget(monkeypatch):
-    # a budget of 3 modes cuts the 129 modes of the N=16 window into 43
-    # solves, whose distances equal those of one batch bit for bit
+def test_pseudo_errors_solve_groups_that_fill_one_chunk(monkeypatch):
+    # groups of 3 modes cut the 129 modes of the N=16 window into 43 solves
+    # of 6 rows, whose distances equal those of one group bit for bit
     grid = TorusGrid(16, 2)
     a = sample_environment(BERNOULLI, grid, 4)
     ks = [k for k, _ in _mode_representatives(grid, None)]
-    budget = 3 * 16 * grid.n
     sizes, pcg = [], experiments._pcg
 
     def spy(a, b, *args, **kwargs):
-        sizes.append(b.nbytes)
+        sizes.append(len(b))
         return pcg(a, b, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_pcg", spy)
-    monkeypatch.setattr(experiments, "_PSEUDO_BATCH_BYTES", budget)
-    batched = experiments._pseudo_sq_error(a, np.sqrt(2.0), ks, 1e-8)
-    assert len(sizes) == math.ceil(len(ks) / 3) and max(sizes) <= budget
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 3 * 16 * grid.n)
+    grouped = experiments._pseudo_sq_error(a, np.sqrt(2.0), ks, 1e-8)
+    assert sizes == [6] * 43
     sizes.clear()
-    monkeypatch.setattr(experiments, "_PSEUDO_BATCH_BYTES", 2**40)
-    assert experiments._pseudo_sq_error(a, np.sqrt(2.0), ks, 1e-8) == batched
-    assert sizes == [len(ks) * 16 * grid.n]
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 2**40)
+    assert experiments._pseudo_sq_error(a, np.sqrt(2.0), ks, 1e-8) == grouped
+    assert sizes == [2 * len(ks)]
+
+
+def test_bilap_environment_forms_each_mode_once(monkeypatch):
+    # the right-hand side and the score of a mode read the same phi_k
+    formed = []
+    mode = experiments.fourier_mode
+    monkeypatch.setattr(experiments, "fourier_mode",
+                        lambda grid, k: formed.append(tuple(k)) or mode(grid, k))
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, beta=0.75, Ns=(16,), replicates=1,
+                           ahom=np.sqrt(2.0), mode_cutoff=2)
+    bilap_error_rate(cfg)
+    ks = [k for k, _ in _mode_representatives(TorusGrid(16, 2), 2)]
+    assert len(ks) == 12 and sorted(formed) == sorted(ks)
 
 
 def test_bilap_exact_sum_pins_weights_and_scale(monkeypatch):
@@ -528,9 +541,11 @@ def test_gff_covariance_quadrature_keeps_per_draw_realization():
             seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env, s))
             spec = dft(sample_gff(grid, a, seed))
             coeffs.append([scale * spec[grid.index_of(k)] for k in kset])
-        # the noise-exact covariance from the eigh oracle's V = A^(-1/2) conj(phi_k)
-        modes = np.stack([fourier_mode(grid, k).conj() for k in kset])
-        v = dense_power(a, modes, -0.5).reshape(len(kset), -1) * scale / grid.n
+        # the noise-exact covariance from the eigh oracle's V = A^(-1/2) conj(phi_k),
+        # applied to the real and imaginary rows of conj(phi_k)
+        phis = np.stack([fourier_mode(grid, k) for k in kset])
+        re, im = dense_power(a, np.stack([phis.real, -phis.imag]), -0.5).reshape(2, len(kset), -1)
+        v = (re + 1j * im) * scale / grid.n
         exacts.append(v @ v.conj().T)
     coeffs = np.asarray(coeffs)
     reference = np.mean(coeffs[:, :, None] * coeffs[:, None, :].conj(), axis=0)
