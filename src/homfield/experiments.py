@@ -1,9 +1,11 @@
 """Monte-Carlo convergence experiments: pseudo-eigenfunction error rates,
 spectral covariance of the environment free field, coupled bi-Laplacian
 error norms, and the closed-form window-truncation error of the
-homogeneous field. Log-log slopes are fitted by ordinary least squares, with
-half-widths from the standard errors each ladder point carries; in d = 2 the
-expected logarithmic correction is divided out before fitting.
+homogeneous field. Every rate ladder leaves through one exit, which fails a
+value below the normal floats and fits the rest: log-log slopes by ordinary
+least squares, with half-widths from the standard errors each ladder point
+carries; in d = 2 the Monte-Carlo ladders also fit with the expected
+logarithmic correction divided out.
 Fields enter as formal coefficients c N^(d/2) (f, phi_k), c from
 :func:`formal_constant`; H^(-beta) norms weight mode k by lambda_k^(-2 beta).
 A Fourier mode phi_k enters the real-only solver as its cosine and sine rows.
@@ -102,15 +104,16 @@ def fit_rate(points) -> tuple:
 
 @dataclass(frozen=True)
 class RateSeries:
-    """Measured values over an N ladder with the fitted log-log slope.
+    """Measured values over an N ladder, sorted by N, with the fitted
+    log-log slope; :func:`_rate_series` builds every one.
 
     ``half_width`` and ``chi2`` are the slope's 95 % half-width from the
     points' standard errors and the fit's chi-square (see :func:`fit_rate`).
     ``corrected`` holds the (slope, chi2) fit of value / log(N), used in
     d = 2 where the bounds carry a log factor. Its points keep their
     relative errors, and the half-width depends on those alone, so
-    ``half_width`` serves both fits. It is None otherwise, and where fewer
-    than 3 points leave the fit fields NaN.
+    ``half_width`` serves both fits. It is None otherwise, and where a
+    point-mass law or fewer than 3 points leave the fit fields NaN.
     ``ahom`` is the effective coefficient the measured fields were compared
     against, None where none was used.
     """
@@ -122,18 +125,6 @@ class RateSeries:
     chi2: float
     corrected: tuple = None
     ahom: float = None
-
-    @classmethod
-    def from_points(cls, quantity: str, points, log_correct: bool = False,
-                    ahom: float = None) -> "RateSeries":
-        points = tuple(sorted(points))
-        if len(points) < 3:
-            return cls(quantity, points, *(math.nan,) * 3, ahom=ahom)
-        corrected = None
-        if log_correct:
-            slope, _, chi2 = fit_rate([(n, v / np.log(n), s / np.log(n)) for n, v, s in points])
-            corrected = (slope, chi2)
-        return cls(quantity, points, *fit_rate(points), corrected, ahom)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +220,28 @@ def _ladder(cfg: ExperimentConfig, tag: int, per_env) -> list:
     return points
 
 
-def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float) -> RateSeries:
-    """The fitted series of a Monte-Carlo ladder, with the log correction in
-    d = 2. Under a point-mass law the values are at solver-tolerance level,
-    so the fit is skipped: NaN slope fields."""
-    if cfg.law.point_mass:
-        return RateSeries(quantity, tuple(points), *(math.nan,) * 3, ahom=ahom)
-    return RateSeries.from_points(quantity, points, log_correct=(cfg.d == 2), ahom=ahom)
+def _rate_series(cfg: ExperimentConfig, quantity: str, points, ahom: float = None) -> RateSeries:
+    """The one exit of every rate ladder: its (N, value, stderr) points,
+    sorted by N, and their fit. A ladder that carries an ahom is a
+    Monte-Carlo one over cfg.law; under a point-mass law its values are at
+    solver-tolerance level, so they are neither tested nor fitted. Any
+    other value below the normal floats raises CutoffError naming beta: a
+    fit would read its lost digits. A point-mass law or fewer than 3 points
+    leave the fit fields NaN. In d = 2 a ladder with an ahom also fits
+    value / log N."""
+    points = tuple(sorted(points))
+    point_mass = ahom is not None and cfg.law.point_mass
+    for N, value, _ in points:
+        if not point_mass and value < np.finfo(float).tiny:
+            raise CutoffError(f"{quantity} at N={N} is {value:.3g} at beta={cfg.beta}, below "
+                              f"the normal floating-point range: its rate cannot be fitted")
+    if point_mass or len(points) < 3:
+        return RateSeries(quantity, points, *(math.nan,) * 3, ahom=ahom)
+    corrected = None
+    if cfg.d == 2 and ahom is not None:
+        slope, _, chi2 = fit_rate([(n, v / np.log(n), s / np.log(n)) for n, v, s in points])
+        corrected = (slope, chi2)
+    return RateSeries(quantity, points, *fit_rate(points), corrected, ahom)
 
 
 def _pseudo_sq_error(a, ahom: float, ks, tol: float) -> list:
@@ -435,8 +441,6 @@ def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
     modes = {N: _bilap_modes(cfg, N) for N in cfg.Ns}
     points = _ladder(cfg, 100, lambda a, rep: _bilap_exact_in_noise(
         a, ahom, *modes[a.grid.N], cb, cfg.tol))
-    for N, value, _ in points:
-        _require_normal("the bi-Laplacian squared error", N, value, cfg.beta)
     return _rate_series(cfg, "bilap_sq_error", points, ahom)
 
 
@@ -445,20 +449,9 @@ def bilap_error_rate(cfg: ExperimentConfig) -> RateSeries:
 
 
 class CutoffError(RuntimeError):
-    """A numerical failure on a valid config: a spectral cutoff too small for
-    :func:`truncation_error`, or a rate value below the normal floats."""
-
-
-class _UnderflowError(CutoffError):
-    """A rate value below the normal floats: no larger cutoff helps disc."""
-
-
-def _require_normal(quantity: str, N: int, value: float, beta: float) -> None:
-    """Raise _UnderflowError, naming beta, for a ladder value that a large
-    beta leaves subnormal or 0: its fit would read lost digits."""
-    if value < np.finfo(float).tiny:
-        raise _UnderflowError(f"{quantity} at N={N} is {value:.3g} at beta={beta}, below "
-                              f"the normal floating-point range: its rate cannot be fitted")
+    """A numerical failure on a valid config: no spectral cutoff up to
+    16 max(Ns) whose remainder bound passes :func:`discretization_rate`'s
+    guard, or a rate value below the normal floats (see :func:`_rate_series`)."""
 
 
 def _shell_tail_bound(d: int, p: float, kcut: int) -> float:
@@ -481,15 +474,13 @@ _TRUNCATION_BLOCK = 1 << 20
 
 def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
     """Squared H^{-beta} mass of the continuum homogeneous bi-Laplacian
-    field beyond the grid's frequency window.
+    field beyond the grid's frequency window, summed up to sup-norm kcut.
 
     The discrete field has no coefficient at frequencies outside the window,
     so each such mode contributes exactly lambda_k^{-2 beta - 2} (Sobolev
     weight times the coefficient variance 1/lambda_k^2). The sum is
-    enumerated up to sup-norm kcut, a block of slabs of the frequency cube
-    at a time; the analytic remainder bound must stay below 10% of the
-    partial sum, else CutoffError. A partial sum below the normal floats
-    fails too: every term beyond the cutoff is smaller still.
+    enumerated a block of slabs of the frequency cube at a time; the mass
+    beyond kcut is left out, and :func:`discretization_rate` bounds it.
     """
     ks = TorusGrid(2 * kcut + 1, d).coordinates()
     window = TorusGrid(N, d).coordinates_1d()
@@ -502,15 +493,6 @@ def truncation_error(N: int, d: int, beta: float, kcut: int) -> float:
         lam = eigenvalue_continuum(block)
         lam = lam[~inside & (lam > 0)]
         partial += float(np.sum(lam ** (-2.0 * beta - 2.0)))
-    remainder = (4.0 * np.pi**2) ** (-2.0 * beta - 2.0) * _shell_tail_bound(
-        d, 4.0 * beta + 4.0, kcut
-    )
-    _require_normal("the truncation error", N, partial, beta)
-    if remainder > 0.1 * partial:
-        raise CutoffError(
-            f"spectral cutoff {kcut} too small at N={N}: remainder bound "
-            f"{remainder:.3e} exceeds 10% of the partial sum {partial:.3e}"
-        )
     return partial
 
 
@@ -528,22 +510,29 @@ def discretization_rate(cfg: ExperimentConfig) -> RateSeries:
     identifiable.
 
     Every size shares one cutoff: the smallest 2^j * 2 max(Ns), up to
-    16 max(Ns), whose remainder guard passes at the largest N, which has the
-    smallest partial sum. A doubling divides the remainder bound by
-    2^(4 beta + 4 - d) > 4 above the beta threshold; the partial sum grows.
-    A partial sum below the normal floats raises at once, as doublings only
-    add smaller terms.
+    16 max(Ns), at which the analytic bound on the mass beyond it stays
+    below 10% of the largest N's partial sum, the smallest one; else
+    CutoffError. A doubling divides the bound by 2^(4 beta + 4 - d) > 4
+    above the beta threshold; the partial sum grows. Each other size is
+    summed once, at that cutoff. A partial sum below the normal floats
+    fails in :func:`_rate_series`; the bound is far smaller still, so such
+    a ladder does not double its cutoff.
     """
     _require_ladder(cfg)
     if cfg.beta is None:
         raise ValueError("discretization_rate needs a Sobolev order (config key 'beta')")
-    kcut = 2 * max(cfg.Ns)
+    N = max(cfg.Ns)
+    kcut = 2 * N
     while True:
-        try:
-            points = [(N, truncation_error(N, cfg.d, cfg.beta, kcut), 0.0)
-                      for N in reversed(cfg.Ns)]
-            return RateSeries.from_points("truncation_sq_error", points)
-        except CutoffError as exc:
-            if isinstance(exc, _UnderflowError) or kcut >= 16 * max(cfg.Ns):
-                raise
-            kcut *= 2
+        largest = truncation_error(N, cfg.d, cfg.beta, kcut)
+        remainder = (4.0 * np.pi**2) ** (-2.0 * cfg.beta - 2.0) * _shell_tail_bound(
+            cfg.d, 4.0 * cfg.beta + 4.0, kcut)
+        if not remainder > 0.1 * largest:
+            break
+        if kcut >= 16 * N:
+            raise CutoffError(f"spectral cutoff {kcut} too small at N={N}: remainder bound "
+                              f"{remainder:.3e} exceeds 10% of the partial sum {largest:.3e}")
+        kcut *= 2
+    points = [(n, largest if n == N else truncation_error(n, cfg.d, cfg.beta, kcut), 0.0)
+              for n in cfg.Ns]
+    return _rate_series(cfg, "truncation_sq_error", points)

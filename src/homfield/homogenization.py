@@ -58,10 +58,14 @@ def _mean_energy(a: Conductances, chis) -> float:
 
 def _mean_stderr(values: np.ndarray) -> tuple:
     """Mean and standard error of the replicates stacked along the first
-    axis of ``values``; the error of a single replicate is unknown, NaN."""
+    axis of ``values``; the error of a single replicate is unknown, NaN.
+    The deviations are squared after dividing by a power of two near the
+    largest magnitude, which is exact, so values below about 1e-154 keep a
+    nonzero error."""
     if len(values) < 2:
         return values.mean(axis=0), np.full(values.shape[1:], np.nan)
-    return values.mean(axis=0), values.std(axis=0, ddof=1) / np.sqrt(len(values))
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(values)))[1])
+    return values.mean(axis=0), scale * (values / scale).std(axis=0, ddof=1) / np.sqrt(len(values))
 
 
 def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
@@ -84,7 +88,7 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
     if law is None:
         raise ValueError("ahom needs an environment law (config key 'law')")
     if M < 2:
-        raise ValueError(f"need at least 2 replicates, got {M}")
+        raise ValueError(f"ahom needs at least 2 replicates (config key 'm'), got {M}")
     grid = TorusGrid(N, d)
 
     def replicate(rep):

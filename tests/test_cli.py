@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,6 @@ import pytest
 from homfield import cli, experiments, solver
 from homfield.environment import EnvironmentLaw
 from homfield.experiments import (
-    CutoffError,
     ExperimentConfig,
     discretization_rate,
     pseudo_eigen_rate,
@@ -451,18 +451,30 @@ def test_disc_whose_terms_underflow_is_a_numerical_failure(tmp_path, capsys, mon
                                                            beta):
     # at beta = 40 every term lambda_k^(-82) outside the N = 32 window
     # underflows to 0, and at beta = 39 their sum is subnormal (2.7e-320 in
-    # d = 2); a larger cutoff adds only smaller terms, so disc fails at its
-    # first cutoff, 2 max(N), instead of doubling to 16 max(N)
+    # d = 2); a larger cutoff adds only smaller terms, and the remainder
+    # bound is smaller still, so disc keeps its first cutoff, 2 max(N),
+    # instead of doubling to 16 max(N)
     calls = []
     truncation = experiments.truncation_error
     monkeypatch.setattr(experiments, "truncation_error",
                         lambda *args: calls.append(args) or truncation(*args))
     cfg = _write_config(tmp_path, f"d = {d}\nn = 8,16,32\nexperiment = disc\nbeta = {beta}\n")
     assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
-    assert re.search(rf"numerical failure: the truncation error at N=32 is \S+ at "
+    assert re.search(rf"numerical failure: truncation_sq_error at N=32 is \S+ at "
                      rf"beta={beta}\.0, below the normal floating-point range",
                      capsys.readouterr().err)
-    assert calls == [(32, d, float(beta), 64)]
+    assert calls[0] == (32, d, float(beta), 64)
+    assert sorted(calls) == [(N, d, float(beta), 64) for N in (8, 16, 32)]
+
+
+def test_two_size_disc_whose_terms_underflow_is_a_numerical_failure(tmp_path, capsys):
+    # two sizes leave the fit fields NaN, but the value test comes first
+    cfg = _write_config(tmp_path, "n = 16,32\nexperiment = disc\nbeta = 40\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
+    assert ("numerical failure: truncation_sq_error at N=32 is 0 at beta=40.0"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("beta, value", [(95, "6.72e-310"), (120, "0")])
@@ -473,8 +485,24 @@ def test_bilap_whose_weights_underflow_is_a_numerical_failure(tmp_path, capsys, 
                                   f"m = 2\nmode_cutoff = 1\nahom = 1.4142135623730951\n"
                                   f"beta = {beta}\n")
     assert main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVER
-    assert (f"numerical failure: the bi-Laplacian squared error at N=8 is {value} at "
+    assert (f"numerical failure: bilap_sq_error at N=8 is {value} at "
             f"beta={beta}.0, below the normal floating-point range" in capsys.readouterr().err)
+
+
+def test_bilap_far_below_1e154_keeps_its_standard_errors(tmp_path):
+    # at beta = 80 the points are normal but near 1e-262, so the squared
+    # deviations of the replicates would underflow to a zero error
+    cfg = _write_config(tmp_path, "experiment = bilap\nn = 8,16,32\nlaw = bernoulli(0.5,1,2)\n"
+                                  "m = 2\nmode_cutoff = 1\nahom = 1.4142135623730951\n"
+                                  "beta = 80\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    with open(out / "rates_bilap.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["N"] for row in rows] == ["8", "16", "32"]
+    assert all(float(row["stderr"]) > 0 for row in rows)
+    half_width = _strict_json((out / "runlog.jsonl").read_text())["half_width"]
+    assert 0 < half_width < math.inf
 
 
 def test_configuration_too_large_for_memory_is_config_error(tmp_path, capsys):
@@ -487,10 +515,6 @@ def test_configuration_too_large_for_memory_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def _cutoff_never_suffices(N, d, beta, kcut):
-    raise CutoffError(f"spectral cutoff {kcut} too small at N={N}")
-
-
 @pytest.mark.parametrize("command, body, label", [
     ("rates", DISC, "numerical failure: spectral cutoff 512 too small at N=32"),
     ("sample", "n = 16\nlaw = bernoulli(0.5,1,2)\nfield = gff\n", "solver failure"),
@@ -500,7 +524,7 @@ def test_failing_run_removes_the_out_directory_it_created(tmp_path, monkeypatch,
     # every failure, not only a configuration error, takes back a fresh
     # --out it left empty; disc gives up after its cutoff reached 16 max(N)
     monkeypatch.setattr(solver, "default_max_iterations", lambda grid: 3)
-    monkeypatch.setattr(experiments, "truncation_error", _cutoff_never_suffices)
+    monkeypatch.setattr(experiments, "_shell_tail_bound", lambda d, p, kcut: float("inf"))
     out = tmp_path / "fresh"
     cfg = _write_config(tmp_path, body)
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
@@ -561,6 +585,15 @@ def test_ahom_without_law_is_config_error(tmp_path, capsys, law):
     assert ("config error: ahom needs an environment law (config key 'law')"
             in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
+
+
+def test_ahom_with_one_replicate_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "n = 8\nM = 1\nlaw = bernoulli(0.5,1,2)\n")
+    out = tmp_path / "o"
+    assert main(["ahom", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert ("config error: ahom needs at least 2 replicates (config key 'm'), got 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["bilap", "disc"])

@@ -11,7 +11,6 @@ from homfield.environment import EnvironmentLaw, sample_environment
 from homfield.experiments import (
     CutoffError,
     ExperimentConfig,
-    RateSeries,
     bilap_error_rate,
     discretization_rate,
     fit_rate,
@@ -20,6 +19,7 @@ from homfield.experiments import (
     pseudo_eigen_rate,
     truncation_error,
     _mode_representatives,
+    _rate_series,
 )
 from homfield.lattice import TorusGrid, dft, eigenvalue_discrete, fourier_mode
 from homfield.sampler import sample_gff
@@ -81,7 +81,8 @@ def test_fit_rate_half_width_and_chi2():
     assert slope == pytest.approx(fit[0], rel=1e-12)
     assert hw == pytest.approx(1.959963984540054 * sigma / np.sqrt(sxx), rel=1e-12)
     assert chi2 == pytest.approx(rss[0] / sigma**2, rel=1e-9)
-    rs = RateSeries.from_points("q", [(n, v, sigma * v) for n, v in pts], log_correct=True)
+    rs = _rate_series(ExperimentConfig(d=2, law=BERNOULLI), "q",
+                      [(n, v, sigma * v) for n, v in pts], ahom=1.0)
     assert (rs.slope, rs.half_width, rs.chi2) == (slope, hw, chi2)
     # value / log N keeps each point's relative error, so the half-width
     # too: the series keeps the corrected fit's slope and chi2 alone
@@ -119,12 +120,36 @@ def test_fit_rate_interval_covers_the_true_slope(unequal):
         assert np.mean(chi2s) == pytest.approx(len(ns) - 2, rel=0.05)
 
 
-def test_rate_series_from_points():
-    rs = RateSeries.from_points("q", [(n, n**-1.0, 0.0) for n in (8, 16, 32)],
-                                log_correct=True)
+def test_rate_series_sorts_and_fits_its_points():
+    # the one exit sorts the ladder by N; in d = 2 a ladder with an ahom
+    # also fits value / log N, and one without (disc) does not
+    pts = [(n, n**-1.0, 0.0) for n in (32, 8, 16)]
+    cfg = ExperimentConfig(d=2, law=BERNOULLI, beta=0.75)
+    rs = _rate_series(cfg, "q", pts, ahom=1.0)
     assert rs.slope == pytest.approx(-1.0, abs=1e-12)
-    assert rs.corrected is not None
-    assert rs.points[0][0] == 8
+    assert rs.corrected is not None and rs.ahom == 1.0
+    assert [n for n, _, _ in rs.points] == [8, 16, 32]
+    assert _rate_series(cfg, "q", pts).corrected is None
+    assert _rate_series(dataclasses.replace(cfg, d=3), "q", pts, ahom=1.0).corrected is None
+
+
+def test_rate_series_of_two_points_has_nan_fit_fields():
+    rs = _rate_series(ExperimentConfig(d=2, law=BERNOULLI), "q", [(16, 0.5, 0.1), (8, 1.0, 0.1)],
+                      ahom=1.0)
+    assert rs.points == ((8, 1.0, 0.1), (16, 0.5, 0.1))
+    assert all(math.isnan(x) for x in (rs.slope, rs.half_width, rs.chi2))
+    assert rs.corrected is None
+
+
+@pytest.mark.parametrize("value", [1e-310, 0.0])
+def test_rate_series_fails_a_value_below_the_normal_floats(value):
+    # the N = 16 point's digits are lost; a ladder without an ahom (disc)
+    # is tested too, whatever law its config carries
+    pts = [(8, 1e-300, 0.0), (16, value, 0.0), (32, 1e-305, 0.0)]
+    for law, ahom in ((BERNOULLI, 1.0), (None, None), (EnvironmentLaw.constant(1.5), None)):
+        with pytest.raises(CutoffError, match=r"^q at N=16 is \S+ at beta=40\.0, below the "
+                                              r"normal floating-point range"):
+            _rate_series(ExperimentConfig(d=2, law=law, beta=40.0), "q", pts, ahom=ahom)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +350,25 @@ def test_mode_representatives_pair_each_frequency_once(N, d, cutoff):
     assert [k for k, _ in reps] == sorted(k for k, _ in reps)
 
 
-def test_truncation_error_remainder_guard():
-    with pytest.raises(CutoffError):
-        truncation_error(8, 2, 0.75, kcut=5)
-    val = truncation_error(8, 2, 0.75, kcut=64)
-    assert val > 0
+def test_truncation_error_is_the_partial_sum_at_any_cutoff():
+    # the remainder bound is discretization_rate's: a cutoff too small for
+    # its guard still gives the positive partial sum, below a larger one's
+    small = truncation_error(8, 2, 0.75, kcut=5)
+    assert 0 < small < truncation_error(8, 2, 0.75, kcut=64)
+
+
+def test_discretization_rate_fails_when_no_cutoff_suffices(monkeypatch):
+    # a remainder bound that no doubling brings under 10 % of the partial
+    # sum: the cutoff stops at 16 max(N), a CutoffError naming the largest N
+    calls = []
+    truncation = experiments.truncation_error
+    monkeypatch.setattr(experiments, "truncation_error",
+                        lambda *args: calls.append(args) or truncation(*args))
+    monkeypatch.setattr(experiments, "_shell_tail_bound", lambda d, p, kcut: math.inf)
+    with pytest.raises(CutoffError, match="spectral cutoff 64 too small at N=4: remainder "
+                                          "bound inf exceeds 10% of the partial sum"):
+        discretization_rate(ExperimentConfig(d=2, beta=0.75, Ns=(2, 3, 4)))
+    assert calls == [(4, 2, 0.75, kcut) for kcut in (8, 16, 32, 64)]
 
 
 def test_truncation_error_matches_brute_force_sum():
@@ -366,12 +405,17 @@ def test_truncation_error_sums_the_cube_in_blocks(monkeypatch):
     assert truncation_error(8, 3, 0.75, kcut=24) == pytest.approx(whole, rel=1e-13)
 
 
-def test_discretization_rate_doubles_the_cutoff_until_the_guard_passes():
+def test_discretization_rate_doubles_the_cutoff_until_the_guard_passes(monkeypatch):
     # beta = 0.01 in d = 2: at 2 max(N) = 64 the remainder bound is 0.147 of
-    # the partial sum at N = 32; at 128 it is 0.034
-    with pytest.raises(CutoffError):
-        truncation_error(32, 2, 0.01, kcut=64)
+    # the partial sum at N = 32; at 128 it is 0.034. The largest N is summed
+    # at each cutoff it tries, every other N once, at the one it keeps
+    calls = []
+    truncation = experiments.truncation_error
+    monkeypatch.setattr(experiments, "truncation_error",
+                        lambda *args: calls.append(args) or truncation(*args))
     rs = discretization_rate(ExperimentConfig(d=2, beta=0.01, Ns=(8, 16, 32)))
+    assert calls == [(32, 2, 0.01, 64), (32, 2, 0.01, 128), (8, 2, 0.01, 128),
+                     (16, 2, 0.01, 128)]
     assert [v for _, v, _ in rs.points] == [truncation_error(N, 2, 0.01, kcut=128)
                                            for N in (8, 16, 32)]
     assert abs(rs.slope - (2 - 4 - 4 * 0.01)) < 0.1
@@ -469,6 +513,18 @@ def test_bilap_error_constant_law_trivial():
     for _, v, _ in res.points:
         assert v < 1e-16
     assert res.ahom == 2.0
+
+
+def test_bilap_point_mass_ladder_below_the_normal_floats_is_not_fitted():
+    # a point-mass law leaves values at solver-tolerance level, which the
+    # weights lambda_k^(-2 beta) at beta = 95 take below the normal floats:
+    # the fit is skipped, as at any beta, rather than failed
+    cfg = ExperimentConfig(d=2, law=EnvironmentLaw.constant(1.5), beta=95, Ns=(8, 16, 32),
+                           replicates=2, ahom=1.5, mode_cutoff=1)
+    rs = bilap_error_rate(cfg)
+    assert all(v < np.finfo(float).tiny for _, v, _ in rs.points)
+    assert all(math.isnan(x) for x in (rs.slope, rs.half_width, rs.chi2))
+    assert rs.corrected is None
 
 
 def test_bilap_estimators_cross_validate():

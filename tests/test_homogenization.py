@@ -19,6 +19,7 @@ from homfield.experiments import (
 )
 from homfield.homogenization import (
     _mean_energy,
+    _mean_stderr,
     corrector_rhs,
     estimate_ahom,
 )
@@ -136,6 +137,24 @@ def test_estimate_ahom_equals_its_corrector_solves(N, d):
     assert est.mean == float(np.mean(values))
     assert est.stderr == float(np.std(values, ddof=1) / np.sqrt(2))
     assert (est.iterations, est.max_residual) == (iterations, worst)
+
+
+def test_mean_stderr_keeps_the_error_of_values_far_below_one():
+    # the replicates are divided by a power of two before their deviations
+    # are squared: the same bits on normal data, a nonzero error where the
+    # squares would underflow, and zeros stay zeros
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((6, 3, 4)) * 1e3
+    cplx = real + 1j * rng.standard_normal((6, 3, 4))
+    for values in (real, cplx, 1e-100 * real):
+        mean, stderr = _mean_stderr(values)
+        assert np.array_equal(mean, values.mean(axis=0))
+        assert np.array_equal(stderr, values.std(axis=0, ddof=1) / np.sqrt(6))
+    tiny = np.array([1.0, 1.5, 2.0]) * 1e-262
+    assert np.std(tiny, ddof=1) == 0.0
+    mean, stderr = _mean_stderr(tiny)
+    assert stderr == pytest.approx(0.5e-262 / np.sqrt(3), rel=1e-15, abs=0)
+    assert _mean_stderr(np.zeros((4, 2)))[1].tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
