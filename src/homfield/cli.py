@@ -24,8 +24,8 @@ command requires them)::
     beta = 0.75                   # Sobolev order (bilap / disc experiments);
                                   # every value, 0 included, must be finite
                                   # and pass the threshold beta > d/4 - 1/2
-    kset = 1,0; 0,1; 1,1          # distinct frequencies, components comma-separated
-                                  # (rates pseudo: exactly one frequency)
+    kset = 1,0; 0,1; 1,1          # distinct frequencies inside every N's window,
+                                  # comma-separated (rates pseudo: exactly one)
     M = 16                        # environment replicates, >= 1; default 16
                                   # for ahom (needs >= 2), 8 for rates and cov
     noise_replicates = 200        # cov: noise draws per environment, >= 1
@@ -285,13 +285,11 @@ def cmd_sample(args, cfg) -> int:
         raise ConfigError("heatmaps require d = 2")
     grid = TorusGrid(N, ecfg.d)
     t0 = time.time()
-    a = None if ecfg.law is None else sample_environment(
-        ecfg.law, grid, np.random.SeedSequence(seed, spawn_key=(1,)))
-    noise_seed = np.random.SeedSequence(seed, spawn_key=(2,))
+    a = sample_environment(ecfg.law, grid, seed, 1)
     if kind == "gff":
-        values = sample_gff(grid, a, noise_seed)
+        values = sample_gff(grid, a, seed, 2)
     else:
-        values = sample_bilaplacian(grid, a, sample_noise(grid, noise_seed))
+        values = sample_bilaplacian(grid, a, sample_noise(grid, seed, 2))
     smp = FieldSample(f"{kind}_{'hom' if a is None else 'env'}", LatticeField(grid, values))
     dump_path = os.path.join(args.out, f"field_{smp.kind}_N{N}_seed{seed}.hf")
     dump_field(smp, dump_path)
@@ -411,12 +409,12 @@ def cmd_figure1(args, cfg) -> int:
     if cfg.get("law", "").strip():
         raise ConfigError("config key 'law': figure1 draws its four panels' own laws")
     grid = TorusGrid(n_side, 2)
-    noise = sample_noise(grid, np.random.SeedSequence(seed, spawn_key=(2,)))
+    noise = sample_noise(grid, seed, 2)
     h = config_hash(cfg)
     t0 = time.time()
     fields = {}
     for idx, (name, law) in enumerate(FIGURE1_PANELS):
-        a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(1, idx)))
+        a = sample_environment(law, grid, seed, 1, idx)
         fields[name] = sample_bilaplacian(grid, a, noise)
         smp = FieldSample("bilap_env", LatticeField(grid, fields[name]))
         path = os.path.join(args.out, f"figure1_{name}.ppm")

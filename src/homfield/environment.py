@@ -4,7 +4,8 @@ divergence-form operator.
 Edge weights are stored per site and per axis: ``weights[i, x]`` is the
 conductance of the edge from site x to its periodic neighbour x + e_i, kept
 at the lexicographically smaller endpoint. Environments are sampled from
-product laws with every atom inside the ellipticity interval.
+product laws with every atom at least 1; an environment's upper ellipticity
+bound is its largest weight.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ class EnvironmentLaw:
 
     Variants: ``constant(c)``, ``uniform(lo, hi)`` with lo < hi, and
     ``bernoulli(p, a, b)`` with mass p in [0, 1] on b and 1-p on a. Every
-    parameter is checked on construction: finite, and every atom in
-    [1, Lambda] as :class:`Conductances` requires; Lambda is the largest atom.
+    parameter is checked on construction: finite, and every atom at least
+    1, as :class:`Conductances` requires.
     """
 
     variant: str
@@ -87,11 +88,6 @@ class EnvironmentLaw:
         lo, hi = self.atoms_range
         return lo == hi or (self.variant == "bernoulli" and self.params[0] in (0.0, 1.0))
 
-    @property
-    def ellipticity(self) -> float:
-        """Upper ellipticity bound Lambda implied by the parameters."""
-        return max(self.atoms_range)
-
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         if self.variant == "constant":
             return np.full(shape, self.params[0])
@@ -118,39 +114,39 @@ class EnvironmentLaw:
 
 @dataclass(frozen=True)
 class Conductances:
-    """Edge-indexed environment on a torus grid whose weights lie in
-    [1, Lambda]; the bound Lambda = ``ellipticity`` is required."""
+    """Edge-indexed environment on a torus grid, its weights finite and at
+    least 1; ``ellipticity``, the upper bound Lambda, is the largest weight."""
 
     grid: TorusGrid
     weights: np.ndarray = field(repr=False)
-    ellipticity: float
+    ellipticity: float = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         expected = (self.grid.d,) + self.grid.shape
         if w.shape != expected:
             raise ValueError(f"weights shape {w.shape}, expected {expected}")
-        lam = float(self.ellipticity)
-        # written so that NaN weights or a NaN lam fail the check
-        if not (w.min() >= 1.0 and w.max() <= lam):
-            raise ValueError(
-                f"edge weights must lie in [1, {lam}], found range "
-                f"[{w.min()}, {w.max()}]"
-            )
+        lam = float(w.max())
+        # written so that NaN weights fail the check
+        if not (w.min() >= 1.0 and lam < np.inf):
+            raise ValueError(f"edge weights must be finite and at least 1, found range "
+                             f"[{w.min()}, {lam}]")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "ellipticity", lam)
 
 
-def sample_environment(law: EnvironmentLaw, grid: TorusGrid, seed) -> Conductances:
-    """Draw i.i.d. edge weights from the law, reproducibly.
-
-    Each axis consumes an independent counter-based stream spawned from the
-    master seed, so the result does not depend on generation order.
-    """
+def sample_environment(law: EnvironmentLaw | None, grid: TorusGrid, seed: int,
+                       *key: int) -> Conductances | None:
+    """Draw i.i.d. edge weights from the law, or return None (the
+    homogeneous medium) for no law. Axis i draws from the stream
+    ``key + (i,)`` under ``seed`` (:func:`homfield.lattice._rng`), so the
+    result does not depend on generation order."""
+    if law is None:
+        return None
     weights = np.empty((grid.d,) + grid.shape)
     for axis in range(grid.d):
-        weights[axis] = law.draw(_rng(seed, axis), grid.shape)
-    return Conductances(grid, weights, ellipticity=law.ellipticity)
+        weights[axis] = law.draw(_rng(seed, *key, axis), grid.shape)
+    return Conductances(grid, weights)
 
 
 def project(a: Conductances, N: int) -> Conductances:
@@ -167,7 +163,7 @@ def project(a: Conductances, N: int) -> Conductances:
     # Ambient array index of each target-site coordinate.
     idx = target.coordinates_1d() - a.grid.coordinates_1d()[0]
     sel = np.ix_(range(a.grid.d), *[idx] * a.grid.d)
-    return Conductances(target, a.weights[sel], ellipticity=a.ellipticity)
+    return Conductances(target, a.weights[sel])
 
 
 def extend(a: Conductances, M: int) -> Conductances:
@@ -179,7 +175,7 @@ def extend(a: Conductances, M: int) -> Conductances:
     # Target coordinate reduced into the source window, per axis.
     src = np.mod(target.coordinates_1d() - a.grid.coordinates_1d()[0], N)
     sel = np.ix_(range(a.grid.d), *[src] * a.grid.d)
-    return Conductances(target, a.weights[sel], ellipticity=a.ellipticity)
+    return Conductances(target, a.weights[sel])
 
 
 def apply_operator(a: Conductances, values: np.ndarray) -> np.ndarray:

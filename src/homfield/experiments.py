@@ -138,7 +138,8 @@ AHOM_ESTIMATE_M = 32  # environments behind an estimated ahom
 class ExperimentConfig:
     """Shared configuration of the Monte-Carlo experiments. Only the
     bi-Laplacian experiments read ``beta``, so it must be finite and pass
-    their convergence threshold beta > d/4 - 1/2."""
+    their convergence threshold beta > d/4 - 1/2. Each mode of ``kset``
+    must lie in the frequency window of the smallest size, so of every size."""
 
     d: int
     law: EnvironmentLaw = None
@@ -180,6 +181,8 @@ class ExperimentConfig:
                 raise ValueError(f"mode {k} does not have {self.d} components")
             if not any(k):
                 raise ValueError("k = 0 is excluded from every experiment")
+            if self.Ns:
+                TorusGrid(self.Ns[0], self.d).check_frequency(k)
         if len(set(self.kset)) < len(self.kset):
             raise ValueError(f"kset repeats a frequency: {self.kset}")
 
@@ -202,19 +205,15 @@ def _require_ladder(cfg: ExperimentConfig) -> None:
         raise ValueError("Ns is empty: the experiment needs at least one ladder size")
 
 
-def _replicate_seed(cfg: ExperimentConfig, tag: int, rep: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(cfg.seed, spawn_key=(tag, rep))
-
-
 def _ladder(cfg: ExperimentConfig, tag: int, per_env) -> list:
-    """(N, mean, stderr) of per_env(a, rep) over the environments
-    _replicate_seed(cfg, tag + i, rep) at the i-th size of cfg.Ns, run
+    """(N, mean, stderr) of per_env(a, rep) over the environments of the
+    streams (tag + i, rep) under cfg.seed at the i-th size of cfg.Ns, run
     through the replicate runner; one tag means one set of draws."""
     points = []
     for i, N in enumerate(cfg.Ns):
         grid = TorusGrid(N, cfg.d)
         vals = _replicates(grid, cfg.replicates, lambda rep: per_env(
-            sample_environment(cfg.law, grid, _replicate_seed(cfg, tag + i, rep)), rep))
+            sample_environment(cfg.law, grid, cfg.seed, tag + i, rep), rep))
         mean, stderr = _mean_stderr(np.asarray(vals, dtype=float))
         points.append((N, float(mean), float(stderr)))
     return points
@@ -286,8 +285,6 @@ def pseudo_eigen_rate(cfg: ExperimentConfig) -> RateSeries:
                          f"frequency, got {len(cfg.kset)}")
     if cfg.law is None:
         raise ValueError("pseudo_eigen_rate needs an environment law (config key 'law')")
-    for N in cfg.Ns:  # the smallest window fails first, before ahom is estimated
-        TorusGrid(N, cfg.d).check_frequency(cfg.kset[0])
     ahom = cfg.resolve_ahom()
     points = _ladder(cfg, 0, lambda a, rep: _pseudo_sq_error(a, ahom, cfg.kset, cfg.tol)[0])
     return _rate_series(cfg, "pseudo_eigen_sq_error", points, ahom)
@@ -363,15 +360,12 @@ def gff_covariance_limit(cfg: ExperimentConfig) -> CovarianceReport:
 
     def environment(env_idx):
         """The draws' coefficients and the noise-exact covariance of one environment."""
-        a = (None if cfg.law is None
-             else sample_environment(cfg.law, grid, _replicate_seed(cfg, 200, env_idx)))
+        a = sample_environment(cfg.law, grid, cfg.seed, 200, env_idx)
         re, im = inv_sqrt(grid, a, rows, tol=cfg.tol).reshape(2, len(phis), -1)
         v = re + 1j * im
         # One draw at a time keeps memory at |kset| x N^d, not samples x N^d.
-        block = scale * np.stack([
-            v @ sample_noise(grid, np.random.SeedSequence(
-                cfg.seed, spawn_key=(201, env_idx, s))).ravel()
-            for s in range(samples)])
+        block = scale * np.stack([v @ sample_noise(grid, cfg.seed, 201, env_idx, s).ravel()
+                                  for s in range(samples)])
         return block, scale**2 * (v @ v.conj().T)
 
     blocks, exacts = zip(*_replicates(grid, cfg.replicates, environment))

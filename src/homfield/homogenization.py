@@ -77,8 +77,8 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
     with its own stopping test, so each equals its own solve of
     :func:`corrector_rhs`, and stops on ``_pcg``'s energy test: its energy
     lies within tol above the exact one, which is >= 1 as every weight is.
-    Replicates draw from counter-based substreams of
-    the master seed. They run one per CPU once one environment's weights
+    Replicate rep draws its environment from the stream (10_000 + rep,)
+    under ``seed``. Replicates run one per CPU once one environment's weights
     (d N^d float64, as its corrector stack) fill a PCG chunk, in turn below
     that, and are read in replicate order, so the estimate does not depend
     on the CPU count. A corrector solve that fails in any replicate fails
@@ -93,7 +93,7 @@ def estimate_ahom(law: EnvironmentLaw, N: int, M: int, seed, d: int = 2,
 
     def replicate(rep):
         """(energy, iterations, worst residual) of replicate ``rep``."""
-        a = sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(10_000 + rep,)))
+        a = sample_environment(law, grid, seed, 10_000 + rep)
         rhs = np.empty((d,) + grid.shape)
         for axis in range(d):
             rhs[axis] = corrector_rhs(a, axis)

@@ -89,12 +89,21 @@ class TorusGrid:
             raise ValueError("fields must be finite, got a NaN or infinite value")
 
 
-def _rng(seed, *key) -> np.random.Generator:
-    """Philox generator of the stream ``key`` under ``seed``: an int seed
-    becomes SeedSequence(seed, spawn_key=key), and a SeedSequence has its
-    spawn_key extended by key."""
-    if isinstance(seed, np.random.SeedSequence):
-        seed, key = seed.entropy, seed.spawn_key + key
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """Philox generator of SeedSequence(seed, spawn_key=key), for an int
+    seed and int keys: the one place a random stream is named. A run draws
+    each (seed, key) once. The keys under a run's seed, an environment's
+    extended by the axis (:func:`homfield.environment.sample_environment`)::
+
+        (1,), (1, idx)    sample's environment; figure1's of panel idx
+        (2,)              sample's and figure1's site noise
+        (i, rep)          rates pseudo: environment rep at the i-th size
+        (100 + i, rep)    rates bilap: environment rep at the i-th size
+        (200, env)        cov: environment env
+        (201, env, s)     cov: noise draw s in environment env
+        (10_000 + rep,)   ahom: environment rep; under seed + 77, those of
+                          the ahom that rates estimates
+    """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 

@@ -48,9 +48,10 @@ class FieldSample:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
 
-def sample_noise(grid: TorusGrid, seed) -> np.ndarray:
-    """I.i.d. standard normal values per site, reproducible from the seed."""
-    return _rng(seed).standard_normal(grid.shape)
+def sample_noise(grid: TorusGrid, seed: int, *key: int) -> np.ndarray:
+    """I.i.d. standard normal values per site from the stream ``key`` under
+    ``seed`` (see :func:`homfield.lattice._rng`)."""
+    return _rng(seed, *key).standard_normal(grid.shape)
 
 
 def coarsen(noise: np.ndarray, N: int) -> np.ndarray:
@@ -72,16 +73,16 @@ def coarsen(noise: np.ndarray, N: int) -> np.ndarray:
     return out * r ** (-grid.d / 2.0)
 
 
-def sample_gff(grid: TorusGrid, a: Conductances | None, seed) -> np.ndarray:
+def sample_gff(grid: TorusGrid, a: Conductances | None, seed: int, *key: int) -> np.ndarray:
     """Sample a discrete free field with covariance given by the Green's
     function of the (homogeneous or environment) operator.
 
     ``a=None`` selects the homogeneous field. The field is
-    :func:`homfield.solver.inv_sqrt` applied to seed-coupled white noise at
-    the solver's DEFAULT_TOL; ``inv_sqrt(grid, a, sample_noise(grid, seed),
-    tol)`` draws the same field at another tolerance.
+    :func:`homfield.solver.inv_sqrt` of ``sample_noise(grid, seed, *key)``
+    at the solver's DEFAULT_TOL; ``inv_sqrt(grid, a, sample_noise(grid,
+    seed, *key), tol)`` draws the same field at another tolerance.
     """
-    return inv_sqrt(grid, a, sample_noise(grid, seed))
+    return inv_sqrt(grid, a, sample_noise(grid, seed, *key))
 
 
 def sample_bilaplacian(grid: TorusGrid, a: Conductances | None, noise: np.ndarray) -> np.ndarray:

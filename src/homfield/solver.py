@@ -392,8 +392,8 @@ def inv_sqrt(grid: TorusGrid, a: Conductances | None, values: np.ndarray,
     PCG centres each node's solution. One PCG to tol solves every node's
     copy of the fields as one node-major stack, each with its own shift and
     stopping test, in place. The nodes are computed once per call for the
-    interval [4 N^2 sin^2(pi/N), 4 d Lambda N^2], which holds the spectrum
-    of A on the mean-zero subspace because every weight lies in [1, Lambda].
+    interval [4 N^2 sin^2(pi/N), 4 d Lambda N^2], Lambda the largest weight:
+    by Gershgorin it holds the spectrum of A on the mean-zero subspace.
     Raises ValueError, before any work, for fields that
     :func:`_check_fields` rejects: complex, off ``grid`` or not finite.
     """

@@ -55,8 +55,7 @@ def replicate_environments(law, N: int, M: int, seed, d: int = 2) -> list:
     """The M environments that ``estimate_ahom(law, N, M, seed, d)`` draws,
     in replicate order."""
     grid = TorusGrid(N, d)
-    return [sample_environment(law, grid, np.random.SeedSequence(seed, spawn_key=(10_000 + rep,)))
-            for rep in range(M)]
+    return [sample_environment(law, grid, seed, 10_000 + rep) for rep in range(M)]
 
 
 def axis_energies(a, chis) -> list:
@@ -154,9 +153,8 @@ def _bilap_monte_carlo(cfg: ExperimentConfig, a, ahom: float, ks, weights, cb: f
     grid = a.grid
     scale = cb * grid.N ** (grid.d / 2.0)
     kidx = tuple(np.array([grid.index_of(k) for k in ks]).T)
-    noise = np.stack([
-        sample_noise(grid, np.random.SeedSequence(cfg.seed, spawn_key=(300, env_idx, s)))
-        for s in range(cfg.noise_replicates)])
+    noise = np.stack([sample_noise(grid, cfg.seed, 300, env_idx, s)
+                      for s in range(cfg.noise_replicates)])
     rhs = noise - noise.mean(axis=tuple(range(1, noise.ndim)), keepdims=True)
     errors = solve(grid, a, rhs, cfg.tol) - solve(grid, None, rhs) / ahom
     return float(np.mean([np.sum(weights * np.abs(scale * dft(e)[kidx]) ** 2)

@@ -144,8 +144,7 @@ def test_criterion_7_sampler_correctness_oracles():
         grid = TorusGrid(16, 2)
         M = 10_000
         # the noise of sample_gff(grid, None, seed), as one stack
-        noise = np.stack([sample_noise(grid, np.random.SeedSequence(71, spawn_key=(s,)))
-                          for s in range(M)])
+        noise = np.stack([sample_noise(grid, 71, s) for s in range(M)])
         fields = inv_sqrt(grid, None, noise).reshape(M, grid.n)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(72)))
         pairs = rng.integers(0, grid.n, size=(20, 2))
@@ -163,8 +162,7 @@ def test_criterion_7_sampler_correctness_oracles():
         exact = ainv @ ainv  # centering is absorbed by the pseudo-inverse
         Mb = 4000
         # the fields of sample_bilaplacian(grid6, a, noise), as one stack
-        noise = np.stack([sample_noise(grid6, np.random.SeedSequence(74, spawn_key=(s,)))
-                          for s in range(Mb)])
+        noise = np.stack([sample_noise(grid6, 74, s) for s in range(Mb)])
         noise -= noise.mean(axis=(1, 2), keepdims=True)
         us = solve(grid6, a, noise, tol=1e-10).reshape(Mb, grid6.n)
         pairs6 = rng.integers(0, grid6.n, size=(20, 2))

@@ -54,7 +54,7 @@ def _dual(a: Conductances) -> Conductances:
     w0, w1 = a.weights
     lam = a.ellipticity
     weights = np.stack([np.roll(1.0 / w1, -1, axis=0), np.roll(1.0 / w0, -1, axis=1)])
-    return Conductances(a.grid, np.clip(lam * weights, 1.0, lam), lam)
+    return Conductances(a.grid, np.clip(lam * weights, 1.0, lam))
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from homfield import cli, experiments, solver
+from homfield import cli, experiments, lattice, solver
 from homfield.environment import EnvironmentLaw
 from homfield.experiments import (
     ExperimentConfig,
@@ -671,9 +671,9 @@ def test_sample_heatmap_rejects_d3_before_sampling(tmp_path, capsys):
 
 @pytest.mark.parametrize("n, kset, message", [
     # the pseudo rate measures one mode; more used to be dropped silently
-    ("4,8,16", "1,0; 2,0; 1,1", "kset"),
+    ("4,8,16", "1,0; 0,1; 1,1", "kset"),
     # a mode outside the smallest size's window fails before ahom is estimated
-    ("4,8,64", "3,0", "frequency [3, 0] outside the window [-2, 1] for N=4"),
+    ("4,8,64", "3,0", "config key 'kset': frequency [3, 0] outside the window [-2, 1] for N=4"),
 ], ids=["several-modes", "outside-window"])
 def test_rates_pseudo_with_several_modes_is_config_error(tmp_path, capsys, n, kset, message):
     cfg = _write_config(tmp_path, f"n = {n}\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\n"
@@ -684,7 +684,7 @@ def test_rates_pseudo_with_several_modes_is_config_error(tmp_path, capsys, n, ks
     assert "estimating" not in err
     assert not (tmp_path / "rates_pseudo.csv").exists()
     ecfg = ExperimentConfig(d=2, law=EnvironmentLaw.bernoulli(0.5, 1, 2), Ns=(4, 8, 16),
-                            kset=((1, 0), (2, 0)), replicates=2, ahom=1.4)
+                            kset=((1, 0), (0, 1)), replicates=2, ahom=1.4)
     with pytest.raises(ValueError, match="kset"):
         pseudo_eigen_rate(ecfg)
 
@@ -809,12 +809,17 @@ def test_unparsable_value_names_its_key(tmp_path, capsys, command, body, key):
     # a repeated mode's off-diagonal entry is its own variance, which would
     # fail cov's 4-sigma assertion
     ("cov", "n = 8\nkset = 1,0; 1,0\nM = 2\nnoise_replicates = 50\n", "kset"),
+    # a mode outside the frequency window [-4, 3] of N = 8
+    ("cov", "n = 8\nkset = 5,0\nM = 2\nnoise_replicates = 50\n", "kset"),
+    ("rates", "n = 8,16,32\nexperiment = pseudo\nlaw = bernoulli(0.5,1,2)\nkset = 5,0\nM = 2\n",
+     "kset"),
     ("figure1", "n = 16\nM = -3\n", "m"),
     ("figure1", "n = 16\nslope_tol = -1\n", "slope_tol"),
     # an int too large for the float arithmetic of the beta threshold
     ("figure1", f"n = 16\nd = {'9' * 400}\n", "d"),
 ], ids=["sample-beta", "sample-ahom", "sample-n", "ahom-kset", "ahom-m", "rates-mode_cutoff",
-        "rates-field", "cov-n", "cov-experiment", "cov-kset-repeat", "figure1-m",
+        "rates-field", "cov-n", "cov-experiment", "cov-kset-repeat", "cov-kset-window",
+        "rates-pseudo-kset-window", "figure1-m",
         "figure1-slope_tol", "figure1-d"])
 def test_every_command_checks_every_key(tmp_path, capsys, command, body, key):
     # a bad value fails the run before any work, whether the command uses the key or not
@@ -871,6 +876,37 @@ def test_every_runlog_record_carries_the_envelope(tmp_path, command, body, extra
     assert extra <= record.keys()
     if command == "figure1":
         assert _strict_json((out / "figure1_report.json").read_text()) == record
+
+
+LAW = "law = bernoulli(0.5,1,2)\n"
+
+
+@pytest.mark.parametrize("command, body", [
+    ("sample", f"n = 8\n{LAW}field = gff\n"),
+    ("sample", f"n = 8\n{LAW}field = bilap\n"),
+    ("ahom", f"n = 8\n{LAW}M = 3\n"),
+    # no ahom key: rates estimates it, from the streams of ahom under seed + 77
+    ("rates", f"n = 4,8,16\n{LAW}experiment = pseudo\nkset = 1,0\nM = 2\n"),
+    ("rates", f"n = 4,8,16\n{LAW}experiment = bilap\nbeta = 0.75\nM = 2\nmode_cutoff = 1\n"),
+    ("cov", f"n = 8\n{LAW}kset = 1,0; 0,1\nM = 2\nnoise_replicates = 50\n"),
+    ("figure1", "n = 16\n"),
+], ids=["sample-gff", "sample-bilap", "ahom", "rates-pseudo", "rates-bilap", "cov", "figure1"])
+def test_no_run_draws_a_stream_twice(tmp_path, monkeypatch, command, body):
+    # every random draw of a run comes from lattice._rng(seed, *key), and a
+    # (seed, key) drawn twice would couple draws the run takes as independent
+    calls, rng = [], lattice._rng
+
+    def recording(seed, *key):
+        calls.append((seed, key))
+        return rng(seed, *key)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("homfield.")]:
+        if getattr(module, "_rng", None) is rng:
+            monkeypatch.setattr(module, "_rng", recording)
+    cfg = _write_config(tmp_path, body + "seed = 5\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert calls and len(set(calls)) == len(calls)
+    assert {seed for seed, _ in calls} == ({5, 5 + 77} if command == "rates" else {5})
 
 
 def _ini_keys(lines) -> set:

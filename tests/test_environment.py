@@ -20,7 +20,7 @@ def test_law_constructors_and_parse():
     law = EnvironmentLaw.parse("bernoulli(0.5,1,2)")
     assert law.variant == "bernoulli"
     assert law.params == (0.5, 1.0, 2.0)
-    assert law.ellipticity == 2.0
+    assert law.atoms_range == (1.0, 2.0)
     assert EnvironmentLaw.parse(law.describe()) == law
 
 
@@ -104,15 +104,20 @@ def test_bernoulli_law_frequencies():
 def test_conductances_validation():
     grid = TorusGrid(4, 2)
     with pytest.raises(ValueError):
-        Conductances(grid, np.full((2, 4, 4), 0.5), ellipticity=2.0)
+        Conductances(grid, np.full((2, 4, 4), 0.5))
     with pytest.raises(ValueError):
-        Conductances(grid, np.ones((1, 4, 4)), ellipticity=2.0)
+        Conductances(grid, np.ones((1, 4, 4)))
     with pytest.raises(ValueError):
-        Conductances(grid, np.full((2, 4, 4), np.nan), ellipticity=2.0)
+        Conductances(grid, np.full((2, 4, 4), np.nan))
+    weights = np.ones((2, 4, 4))
+    weights[1, 2, 3] = np.inf
     with pytest.raises(ValueError):
-        Conductances(grid, np.ones((2, 4, 4)), ellipticity=float("nan"))
-    with pytest.raises(ValueError):
-        Conductances(grid, np.full((2, 4, 4), 2.5), ellipticity=2.0)
+        Conductances(grid, weights)
+    # Lambda is read from the weights: their largest, never a parameter
+    weights[1, 2, 3] = 2.5
+    assert Conductances(grid, weights).ellipticity == 2.5
+    with pytest.raises(TypeError):
+        Conductances(grid, weights, 2.5)
     assert np.all(sample_environment(EnvironmentLaw.constant(1.5), grid, 0).weights == 1.5)
 
 

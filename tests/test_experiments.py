@@ -483,7 +483,7 @@ def test_two_scale_expansion_explains_the_pseudo_eigenfunction_error():
         phi = fourier_mode(grid, k)
         meas = pred = rest = 0.0
         for rep in range(M):
-            a = sample_environment(BERNOULLI, grid, np.random.SeedSequence(0, spawn_key=(i, rep)))
+            a = sample_environment(BERNOULLI, grid, 0, i, rep)
             u, u2 = pseudo_eigenfunction(a, ahom, k, 1e-8), two_scale_expansion(a, ahom, k)
             meas += norm(u - phi) ** 2
             pred += norm(u2 - phi) ** 2
@@ -551,7 +551,7 @@ def test_gff_limit_constant_is_the_duality_ahom():
         phi = fourier_mode(grid, k)
         ratios = []
         for rep in range(16):
-            a = sample_environment(BERNOULLI, grid, np.random.SeedSequence(31, spawn_key=(0, rep)))
+            a = sample_environment(BERNOULLI, grid, 31, 0, rep)
             ratios.append([np.vdot(phi, pseudo_eigenfunction(a, ahom, k, 1e-8)).real
                            / grid.n for ahom in (np.sqrt(2.0), 1.5, 4 / 3)])
         mean = np.mean(ratios, axis=0) - 1
@@ -591,11 +591,9 @@ def test_gff_covariance_quadrature_keeps_per_draw_realization():
     scale = formal_constant("gff", 2) * grid.N
     coeffs, exacts = [], []
     for env in range(cfg.replicates):
-        a = sample_environment(BERNOULLI, grid,
-                               np.random.SeedSequence(cfg.seed, spawn_key=(200, env)))
+        a = sample_environment(BERNOULLI, grid, cfg.seed, 200, env)
         for s in range(cfg.noise_replicates):
-            seed = np.random.SeedSequence(cfg.seed, spawn_key=(201, env, s))
-            spec = dft(sample_gff(grid, a, seed))
+            spec = dft(sample_gff(grid, a, cfg.seed, 201, env, s))
             coeffs.append([scale * spec[grid.index_of(k)] for k in kset])
         # the noise-exact covariance from the eigh oracle's V = A^(-1/2) conj(phi_k),
         # applied to the real and imaginary rows of conj(phi_k)

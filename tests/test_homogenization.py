@@ -108,8 +108,7 @@ def test_estimate_ahom_reports_solve_telemetry():
     est = estimate_ahom(law, 8, 3, seed=2, tol=1e-9)
     iterations, worst = 0, 0.0
     for rep in range(3):
-        a = sample_environment(law, TorusGrid(8, 2),
-                               np.random.SeedSequence(2, spawn_key=(10_000 + rep,)))
+        a = sample_environment(law, TorusGrid(8, 2), 2, 10_000 + rep)
         for axis in range(2):
             _, report = solve_corrector(a, axis, tol=1e-9)
             iterations += report.iterations
@@ -128,8 +127,7 @@ def test_estimate_ahom_equals_its_corrector_solves(N, d):
     est = estimate_ahom(law, N, 2, seed=4, d=d)
     values, iterations, worst = [], 0, 0.0
     for rep in range(2):
-        a = sample_environment(law, TorusGrid(N, d),
-                               np.random.SeedSequence(4, spawn_key=(10_000 + rep,)))
+        a = sample_environment(law, TorusGrid(N, d), 4, 10_000 + rep)
         chis, reports = zip(*(solve_corrector(a, axis) for axis in range(d)))
         values.append(_mean_energy(a, chis))
         iterations += sum(r.iterations for r in reports)
@@ -181,6 +179,20 @@ def test_energy_stop_takes_fewer_iterations_than_the_residual_stop():
     assert np.all(energy_iters < residual_iters)
 
 
+def test_ahom_variance_falls_like_n_to_the_minus_d():
+    # Var(ahom_N) ~ N^(-d) for the periodic estimator (Gloria & Otto, Ann.
+    # Probab. 39, 2011), the scaling the paper's corrector estimates rest on.
+    # In d = 2 the log-log slope of the sample variance of M = 64
+    # environments at each of N = 16..128 lies near -2. Over the seeds
+    # 10 b + i, b = 0..199, the slope read -2.007 with spread 0.120, from
+    # -2.393 to -1.762: a bound of 0.5 is over 4 spreads wide, and fails
+    # any slope outside [-2.5, -1.5].
+    law, Ns, M = EnvironmentLaw.bernoulli(0.5, 1, 2), (16, 32, 64, 128), 64
+    variances = [estimate_ahom(law, N, M, seed=i).stderr ** 2 * M for i, N in enumerate(Ns)]
+    slope = np.polyfit(np.log(Ns), np.log(variances), 1)[0]
+    assert abs(slope + 2) <= 0.5
+
+
 def test_estimate_ahom_validates_m():
     with pytest.raises(ValueError):
         estimate_ahom(EnvironmentLaw.uniform(1, 2), 8, 1, seed=0)
@@ -191,15 +203,15 @@ def test_estimate_ahom_validates_m():
 def _fail_by_replicate(monkeypatch, module, failing, delayed=()):
     """Make the solves of ``module`` (homogenization or experiments) in
     each replicate in ``failing`` raise a SolverError naming it, after
-    0.1 s for those also in ``delayed``, keyed on the replicate's seed
-    (spawn key 10_000 + rep for ahom, (tag, rep) for a ladder) rather than
-    on the order of the _pcg calls, which threads leave open."""
+    0.1 s for those also in ``delayed``, keyed on the replicate's stream
+    (key 10_000 + rep for ahom, (tag, rep) for a ladder) rather than on the
+    order of the _pcg calls, which threads leave open."""
     sample, pcg = module.sample_environment, module._pcg
     current = threading.local()
 
-    def keyed_sample(law, grid, seed):
-        current.rep = seed.spawn_key[-1] % 10_000
-        return sample(law, grid, seed)
+    def keyed_sample(law, grid, seed, *key):
+        current.rep = key[-1] % 10_000
+        return sample(law, grid, seed, *key)
 
     def failing_pcg(*args, **kwargs):
         if current.rep in failing:

@@ -27,6 +27,10 @@ def test_noise_reproducible_and_standard():
     assert np.array_equal(z1, z2)
     assert abs(z1.mean()) < 4 / np.sqrt(grid.n)
     assert abs(z1.var() - 1.0) < 0.2
+    # a stream is named by an int seed and int keys, never by a SeedSequence
+    assert not np.array_equal(sample_noise(grid, 5, 0), z1)
+    with pytest.raises(TypeError):
+        sample_noise(grid, np.random.SeedSequence(5))
 
 
 def test_noise_hierarchy_nested_consistency():
@@ -85,7 +89,7 @@ def test_homogeneous_gff_variance_matches_green():
     origin = grid.index_of((0, 0))
     vals = np.empty(M)
     for s in range(M):
-        vals[s] = sample_gff(grid, None, np.random.SeedSequence(s))[origin]
+        vals[s] = sample_gff(grid, None, s)[origin]
     g = solve_homogeneous(grid, LatticeField(grid, delta_rhs(grid, (0, 0))))
     target = g.values[origin]
     stderr = np.std(vals**2) / np.sqrt(M)
